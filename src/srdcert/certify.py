@@ -14,15 +14,16 @@ claims long-range dependence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc
 
 from . import levy
-from .errors import DivergentNormError, QuadratureError, RejectionError
+from .errors import DivergentNormError, RejectionError
 from .kernels import (
+    SPHERE_AREA,
     BoundedBox,
     DecayEnvelope,
     IntegrabilityReport,
@@ -41,20 +42,22 @@ from .spectral import (
 DEFAULT_CANDIDATES = (0.25, 0.5, 0.75, 0.9)
 TAIL_CAP_FRACTION = 0.05
 FREQ_ERROR_BUDGET = 1e-3
-_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 # fitted growth below this reads as saturation: sigma^2 stops growing and
 # the frequency integral diverges logarithmically
 SATURATION_EXPONENT = 0.05
 
 
-def default_window(kernel: Kernel) -> tuple[float, float]:
-    """(window, t_step) heuristics sized to the kernel's footprint."""
+def default_window(kernel: Kernel, window: float | None = None,
+                   t_step: float | None = None) -> tuple[float, float]:
+    """(window, t_step), each filled in where missing by heuristics sized to
+    the kernel's footprint."""
     sup = kernel.support
     if isinstance(sup, BoundedBox):
         w = max(3.0 * sup.diameter, 1.0)
     else:
         w = max(40.0 * sup.radius, 20.0)
-    return w, w / 120.0
+    return (w if window is None else window,
+            w / 120.0 if t_step is None else t_step)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +314,7 @@ def srd_integral(profile: SpectralProfile) -> SrdEstimate:
                 value=math.inf, window_part=window_part, tail=math.inf,
                 error=math.inf, divergent=True, method="analytic-envelope-bound",
                 note=f"ratio tail exponent {decay:g} <= dim {d}")
-        tail = coef * _SPHERE_AREA[d] * profile.window ** (d - decay) / (decay - d)
+        tail = coef * SPHERE_AREA[d] * profile.window ** (d - decay) / (decay - d)
         return SrdEstimate(value=window_part + tail, window_part=window_part,
                            tail=tail, error=base_err, divergent=False,
                            method="analytic-envelope-bound")
@@ -343,7 +346,7 @@ def _fitted_tail(profile: SpectralProfile, window_part: float,
             value=math.inf, window_part=window_part, tail=math.inf,
             error=math.inf, divergent=True, method="fitted-tail",
             note=f"fitted decay exponent {decay:.4g} <= dim {d}")
-    tail = amp * _SPHERE_AREA[d] * profile.window ** (d - decay) / (decay - d)
+    tail = amp * SPHERE_AREA[d] * profile.window ** (d - decay) / (decay - d)
     return SrdEstimate(value=window_part + tail, window_part=window_part,
                        tail=tail, error=base_err + tail * min(1.0, 2.0 * resid),
                        divergent=False, method="fitted-tail",
@@ -469,11 +472,7 @@ def certify(kernel: Kernel, triplet: levy.LevyTriplet,
         raise RejectionError("integrability",
                              f"integrator-kernel moment conditions fail: {bad}")
 
-    if window is None or t_step is None:
-        dw, ds = default_window(kernel)
-        window = dw if window is None else window
-        t_step = ds if t_step is None else t_step
-
+    window, t_step = default_window(kernel, window, t_step)
     profile = build_profile(kernel, triplet, window=window, t_step=t_step,
                             s_box=s_box, s_points=s_points)
 

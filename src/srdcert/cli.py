@@ -33,6 +33,17 @@ from .kernels import Kernel
 from .spectral import DEFAULT_S_BOX, build_profile, char_marginal
 
 _FMT = "%.17g"
+# the keys each section accepts; any other key is a configuration error
+_KEYS = {
+    "kernel": {"type", "lo", "hi", "dim", "half_width", "width", "exponent", "radius"},
+    "triplet": {"a0", "b0", "jumps", "alpha", "scale", "rate", "atoms", "weights",
+                "grid", "density"},
+    "numerics": {"window", "t_step", "s_lo", "s_hi", "s_points", "thresholds"},
+    "simulate": {"n_samples", "lattice_step", "seed", "lags", "threshold", "s_grid",
+                 "probe", "probe_level", "probe_points", "probe_size", "n_triples",
+                 "negdef_samples"},
+    "sweep": {"parameter", "values"},
+}
 
 
 def _fmt(x: float) -> str:
@@ -104,6 +115,14 @@ def load_config(path: Path) -> configparser.ConfigParser:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
+    for section, known in _KEYS.items():
+        for key in parser[section] if parser.has_section(section) else ():
+            if key not in known:
+                raise ConfigError(f"[{section}] unknown key '{key}'")
+    target = parser.get("sweep", "parameter", fallback="").strip()
+    section, dot, key = target.partition(".")
+    if dot and section in _KEYS and key not in _KEYS[section]:
+        raise ConfigError(f"[sweep] parameter {target!r}: [{section}] unknown key '{key}'")
     return parser
 
 
@@ -349,11 +368,7 @@ def cmd_validate(parser: configparser.ConfigParser, out_dir: Path,
               f" {fact.violations} violations, max gap {fact.max_gap:.4g}")
 
     num = _numerics(parser)
-    window, t_step = num["window"], num["t_step"]
-    if window is None or t_step is None:
-        dw, ds = default_window(kernel)
-        window = dw if window is None else window
-        t_step = ds if t_step is None else t_step
+    window, t_step = default_window(kernel, num["window"], num["t_step"])
     profile = build_profile(kernel, triplet, window=window, t_step=t_step,
                             s_box=num["s_box"], s_points=num["s_points"])
     for lag in settings["lags"]:

@@ -8,20 +8,27 @@ when available, and breakpoints that keep quadrature sharp.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
 
 from . import levy
-from .errors import DivergentNormError, RejectionError
-from .quadrature import Segment, integrate_box, integrate_segments, tail_segments
+from .errors import DivergentNormError, QuadratureError, RejectionError
+from .quadrature import (
+    Segment,
+    integrate_box,
+    integrate_segments,
+    merge_intervals,
+    tail_segments,
+)
 
-NORM_ABS_TOL = 1e-12
+ABS_TOL = 1e-12
 # surface area of the unit sphere in R^d, d = 1, 2, 3
-_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
 @dataclass(frozen=True)
@@ -52,10 +59,6 @@ class BoundedBox:
         """Largest per-axis extent; shifts farther apart cannot overlap."""
         return max(b - a for a, b in zip(self.lo, self.hi))
 
-    @property
-    def outer_radius(self) -> float:
-        return max(max(abs(a), abs(b)) for a, b in zip(self.lo, self.hi))
-
     def volume(self) -> float:
         out = 1.0
         for a, b in zip(self.lo, self.hi):
@@ -80,11 +83,6 @@ class DecayEnvelope:
             raise RejectionError("support-envelope", f"exponent={self.exponent} must be positive")
         if not (self.amplitude > 0 and math.isfinite(self.amplitude)):
             raise RejectionError("support-envelope", "amplitude must be positive")
-
-    def bound_at(self, r: float) -> float:
-        if r <= self.radius:
-            return self.peak
-        return self.amplitude * r ** (-self.exponent)
 
 
 Support = Union[BoundedBox, DecayEnvelope]
@@ -317,76 +315,84 @@ def _lp_power_integral(kernel: Kernel, p: float) -> tuple[float, float]:
         closed = kernel.closed_norms(p)
         if closed is not None:
             return float(closed) ** p, 0.0
-
-    if kernel.dim == 1:
-        return _power_integral_1d(kernel, lambda v: np.abs(v) ** p, p * _decay_exponent(kernel))
-
     if isinstance(sup, BoundedBox):
-        val, err = integrate_box(lambda x: np.abs(kernel(x.reshape(1, -1))) ** p,
-                                 sup.lo, sup.hi, abs_tol=NORM_ABS_TOL)
-        return float(val[0]), err
-    return _envelope_box_integral(kernel, lambda v: np.abs(v) ** p,
-                                  p * sup.exponent, sup.amplitude ** p)
+        val, err = integrate_over_support(kernel, lambda fv: np.abs(fv) ** p)
+    else:
+        val, err = integrate_over_support(kernel, lambda fv: np.abs(fv) ** p,
+                                          tail_exponent=p * sup.exponent,
+                                          tail_coef=sup.amplitude ** p, rel_tol=1e-9)
+    return float(val[0]), err
 
 
-def _decay_exponent(kernel: Kernel) -> float:
-    sup = kernel.support
-    return sup.exponent if isinstance(sup, DecayEnvelope) else math.inf
+# ---------------------------------------------------------------------------
+# integrals over the support
 
 
-def _power_integral_1d(kernel: Kernel, transform, tail_exponent: float,
-                       tail_coef: float | None = None,
-                       core_radius: float | None = None) -> tuple[float, float]:
-    """integral transform(f(x)) dx over the 1-D support.
+def integrate_over_support(kernel: Kernel, integrand, shifts=None,
+                           tail_exponent: float = math.inf, tail_coef: float = 0.0,
+                           overlap: bool = False, rel_tol: float = 1e-8
+                           ) -> tuple[np.ndarray, float]:
+    """integral g(f(t_1 - x), ..., f(t_m - x)) dx for a vector-valued g.
 
-    ``transform`` is vectorised and must satisfy transform(0) = 0.  For
-    envelope supports the tail integrand is bounded by
-    tail_coef * |x|**(-tail_exponent); by default that comes from applying
-    ``transform`` to the envelope itself.
+    ``integrand`` maps the m kernel values at one point x to a 1-D array;
+    ``shifts`` lists t_1..t_m and defaults to the single lag 0.  A box
+    support is integrated over the union of the shifted boxes, or over
+    their intersection when ``overlap`` promises that g vanishes wherever
+    one kernel value does; an empty intersection gives exact zeros.  Under
+    a decay envelope g must be bounded by tail_coef * |x|**(-tail_exponent)
+    beyond a core radius, and the bound on what the domain leaves out is
+    added to the error.  Breakpoints are the shifted box faces or +-radius
+    plus the shifted knots.  ``rel_tol`` applies to the nested cubature in
+    d >= 2; 1-D passes use the quadrature default.  Returns (values, error).
     """
     sup = kernel.support
+    d = kernel.dim
+    shifts = np.zeros((1, d)) if shifts is None else np.array(
+        [np.atleast_1d(np.asarray(t, dtype=float)) for t in shifts])
 
-    def integrand(x: float) -> np.ndarray:
-        return np.atleast_1d(transform(kernel(np.array([[x]]))[0]))
+    def g(x) -> np.ndarray:
+        return integrand(kernel(shifts - x))
+
+    def breakpoints(*faces: np.ndarray) -> list[float]:
+        knots = [t - k for t in shifts[:, 0].tolist() for k in kernel.knots]
+        return [v for face in faces for v in face.ravel().tolist()] + knots
 
     if isinstance(sup, BoundedBox):
-        segs = [Segment(sup.lo[0], sup.hi[0])]
-        vals, err = integrate_segments(integrand, segs, breakpoints=kernel.knots,
-                                       abs_tol=NORM_ABS_TOL)
-        return float(vals[0]), err
+        lo, hi = shifts - np.asarray(sup.hi), shifts - np.asarray(sup.lo)
+        if overlap:
+            lo, hi = lo.max(axis=0, keepdims=True), hi.min(axis=0, keepdims=True)
+            if np.any(lo >= hi):
+                return np.zeros_like(integrand(np.zeros(len(shifts)))), 0.0
+        if d > 1:
+            return integrate_box(g, lo.min(axis=0), hi.max(axis=0),
+                                 abs_tol=ABS_TOL, rel_tol=rel_tol)
+        segs = [Segment(a, b) for a, b in
+                merge_intervals(zip(lo[:, 0].tolist(), hi[:, 0].tolist()))]
+        return integrate_segments(g, segs, breakpoints=breakpoints(lo, hi),
+                                  abs_tol=ABS_TOL)
 
-    core = core_radius if core_radius is not None else max(4.0 * sup.radius, 4.0)
-    if tail_coef is None:
-        # multiplicative transforms only: transform(A r^-b) = transform(A) r^(-tail_exponent)
-        tail_coef = float(np.atleast_1d(transform(sup.amplitude))[0])
-    segs = [Segment(-core, core)]
-    tails, residual = tail_segments(core, tail_exponent, tail_coef, 1, NORM_ABS_TOL)
-    segs.extend(tails)
-    vals, err = integrate_segments(integrand, segs, breakpoints=kernel.knots,
-                                   abs_tol=NORM_ABS_TOL)
-    return float(vals[0]), err + residual
-
-
-def _envelope_box_integral(kernel: Kernel, transform, tail_exponent: float,
-                           tail_coef: float) -> tuple[float, float]:
-    """d >= 2 envelope integral: truncate to a box using the radial bound."""
-    d = kernel.dim
-    sup = kernel.support
     if tail_exponent <= d:
-        raise DivergentNormError(
-            f"radial tail exponent {tail_exponent:g} <= dim {d}")
-    area = _SPHERE_AREA[d]
-    r = max(2.0 * sup.radius, 2.0)
-    target = NORM_ABS_TOL
+        raise QuadratureError(
+            f"spatial tail exponent {tail_exponent:g} <= dim {d}: integral diverges",
+            residual=math.inf)
+    # beyond the core every |t - x| >= |x|/2; callers fold that into tail_coef
+    core = max(4.0 * sup.radius, 4.0,
+               2.0 * float(np.max(np.abs(shifts))) + 2.0 * sup.radius)
+    if d > 1:
+        def tail_bound(r: float) -> float:
+            return tail_coef * SPHERE_AREA[d] * r ** (d - tail_exponent) / (tail_exponent - d)
 
-    def tail_bound(rr: float) -> float:
-        return tail_coef * area * rr ** (d - tail_exponent) / (tail_exponent - d)
-
-    while tail_bound(r) > target and r < 1e5:
-        r *= 2.0
-    val, err = integrate_box(lambda x: np.atleast_1d(transform(kernel(x.reshape(1, -1))[0])),
-                             (-r,) * d, (r,) * d, abs_tol=NORM_ABS_TOL, rel_tol=1e-9)
-    return float(val[0]), err + tail_bound(r)
+        r = core
+        while tail_bound(r) > ABS_TOL and r < 1e5:
+            r *= 2.0
+        vals, err = integrate_box(g, np.full(d, -r), np.full(d, r),
+                                  abs_tol=ABS_TOL, rel_tol=rel_tol)
+        return vals, err + tail_bound(r)
+    tails, residual = tail_segments(core, tail_exponent, tail_coef, ABS_TOL)
+    vals, err = integrate_segments(
+        g, [Segment(-core, core)] + tails,
+        breakpoints=breakpoints(shifts - sup.radius, shifts + sup.radius), abs_tol=ABS_TOL)
+    return vals, err + residual
 
 
 # ---------------------------------------------------------------------------
@@ -440,57 +446,31 @@ def _drift_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> Integrability
     asympt = abs(triplet.a0 + shift0)
     sup = kernel.support
 
-    def transform(v):
-        v_arr = np.atleast_1d(v)
-        shift = np.atleast_1d(levy.truncated_mean_shift(triplet, v_arr))
-        out = np.abs(v_arr) * np.abs(triplet.a0 + shift)
-        return np.where(v_arr == 0.0, 0.0, out)
+    def integrand(fv: np.ndarray) -> np.ndarray:
+        out = np.abs(fv) * np.abs(triplet.a0 + levy.truncated_mean_shift(triplet, fv))
+        return np.where(fv == 0.0, 0.0, out)
 
+    tail = (math.inf, 0.0)
     if isinstance(sup, DecayEnvelope):
         beta = sup.exponent
         if asympt > 0.0 and beta <= kernel.dim:
             return IntegrabilityCondition(
                 key, False, math.inf,
                 note=f"drift density ~ {asympt:.3g}*|f|, decay {beta:g} <= dim")
-        lock = levy.mean_shift_lock_radius(triplet)
         if asympt == 0.0:
+            lock = levy.mean_shift_lock_radius(triplet)
             if math.isinf(lock):
                 return IntegrabilityCondition(key, True, 0.0, note="no effective drift")
             # beyond r_lock, |f| <= lock so the shift sits at its limit and
             # the integrand is identically zero
-            r_lock = max((sup.amplitude / lock) ** (1.0 / beta), sup.radius)
-            if kernel.dim == 1:
-                val, err = _finite_window_integral_1d(kernel, transform, 1.5 * r_lock)
-                return IntegrabilityCondition(key, True, val, err)
-            val, err = integrate_box(
-                lambda x: np.atleast_1d(transform(kernel(x.reshape(1, -1))[0])),
-                (-1.5 * r_lock,) * kernel.dim, (1.5 * r_lock,) * kernel.dim,
-                abs_tol=NORM_ABS_TOL, rel_tol=1e-9)
-            return IntegrabilityCondition(key, True, float(val[0]), err)
-        dev = levy.mean_shift_deviation_bound(triplet)
-        coef = sup.amplitude * (asympt + dev)
-        if kernel.dim == 1:
-            val, err = _power_integral_1d(kernel, transform, beta, tail_coef=coef)
-            return IntegrabilityCondition(key, True, val, err)
-        val, err = _envelope_box_integral(kernel, transform, beta, coef)
-        return IntegrabilityCondition(key, True, val, err)
-
-    if kernel.dim == 1:
-        val, err = _power_integral_1d(kernel, transform, math.inf)
-    else:
-        box_val, err = integrate_box(
-            lambda x: np.atleast_1d(transform(kernel(x.reshape(1, -1))[0])),
-            sup.lo, sup.hi, abs_tol=NORM_ABS_TOL, rel_tol=1e-9)
-        val = float(box_val[0])
-    return IntegrabilityCondition(key, True, val, err)
-
-
-def _finite_window_integral_1d(kernel: Kernel, transform, radius: float) -> tuple[float, float]:
-    def integrand(x: float) -> np.ndarray:
-        return np.atleast_1d(transform(kernel(np.array([[x]]))[0]))
-    vals, err = integrate_segments(integrand, [Segment(-radius, radius)],
-                                   breakpoints=kernel.knots, abs_tol=NORM_ABS_TOL)
-    return float(vals[0]), err
+            reach = 1.5 * max((sup.amplitude / lock) ** (1.0 / beta), sup.radius)
+            kernel = dataclasses.replace(kernel, support=BoundedBox(
+                (-reach,) * kernel.dim, (reach,) * kernel.dim))
+        else:
+            dev = levy.mean_shift_deviation_bound(triplet)
+            tail = (beta, sup.amplitude * (asympt + dev))
+    val, err = integrate_over_support(kernel, integrand, None, *tail, rel_tol=1e-9)
+    return IntegrabilityCondition(key, True, float(val[0]), err)
 
 
 def _gaussian_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> IntegrabilityCondition:
@@ -512,30 +492,16 @@ def _jump_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> IntegrabilityC
     growth, coef = levy.clipped_growth(triplet)
     sup = kernel.support
 
-    def transform(v):
-        v_arr = np.atleast_1d(v)
-        out = np.atleast_1d(levy.clipped_second_moment(triplet, v_arr))
-        return np.where(v_arr == 0.0, 0.0, out)
+    def integrand(fv: np.ndarray) -> np.ndarray:
+        return np.where(fv == 0.0, 0.0, levy.clipped_second_moment(triplet, fv))
 
+    tail = (math.inf, 0.0)
     if isinstance(sup, DecayEnvelope):
         beta = sup.exponent
         if growth * beta <= kernel.dim:
             return IntegrabilityCondition(
                 key, False, math.inf,
                 note=f"clipped moment ~ |f|^{growth:g}, {growth:g}*{beta:g} <= dim")
-        tail_coef = coef * sup.amplitude ** growth
-        if kernel.dim == 1:
-            val, err = _power_integral_1d(kernel, transform, growth * beta,
-                                          tail_coef=tail_coef)
-            return IntegrabilityCondition(key, True, val, err)
-        val, err = _envelope_box_integral(kernel, transform, growth * beta, tail_coef)
-        return IntegrabilityCondition(key, True, val, err)
-
-    if kernel.dim == 1:
-        val, err = _power_integral_1d(kernel, transform, math.inf)
-    else:
-        box_val, err = integrate_box(
-            lambda x: np.atleast_1d(transform(kernel(x.reshape(1, -1))[0])),
-            sup.lo, sup.hi, abs_tol=NORM_ABS_TOL, rel_tol=1e-9)
-        val = float(box_val[0])
-    return IntegrabilityCondition(key, True, val, err)
+        tail = (growth * beta, coef * sup.amplitude ** growth)
+    val, err = integrate_over_support(kernel, integrand, None, *tail, rel_tol=1e-9)
+    return IntegrabilityCondition(key, True, float(val[0]), err)

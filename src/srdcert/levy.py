@@ -21,6 +21,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as _gamma_fn
 
 from .errors import QuadratureError, RejectionError
+from .quadrature import Segment, integrate_segments
 
 # Jump sizes below this are treated as absent in tabulated measures; the
 # compensated integrand scales like y**2 there so the truncation error is
@@ -354,7 +355,9 @@ def _tabulated_jump_cumulant(m: TabulatedMeasure, s: float) -> complex:
                         q = -math.sin(z)
                     return np.array([_one_minus_cos(np.array([z]))[0] * w, q * w])
 
-                val, err = _quad_pair(f_small, math.log(a), math.log(b))
+                val, err = integrate_segments(
+                    f_small, [Segment(math.log(a), math.log(b))],
+                    abs_tol=1e-14, rel_tol=1e-11)
                 p_seg, q_seg = float(val[0]), float(val[1])
             else:
                 mass, e1 = quad(dens, a, b, **_QUAD_OPTS)
@@ -379,15 +382,6 @@ def _tabulated_jump_cumulant(m: TabulatedMeasure, s: float) -> complex:
             f"tabulated cumulant quadrature error {err_total:.3e} too large at s={s}",
             partial=complex(re_total, sgn_s * im_odd), residual=err_total)
     return complex(re_total, sgn_s * im_odd)
-
-
-def _quad_pair(fn, lo, hi):
-    from scipy.integrate import quad_vec
-    val, err, info = quad_vec(fn, lo, hi, epsabs=1e-14, epsrel=1e-11,
-                              limit=400, full_output=True)
-    if not info.success:
-        raise QuadratureError("segment quadrature failed", residual=float(err))
-    return val, float(err)
 
 
 def _side_signs(m: TabulatedMeasure) -> list[float]:
@@ -422,15 +416,7 @@ def small_signal_bound(triplet: LevyTriplet) -> tuple[float, float]:
         # 1 - cos(vy) <= (vy)^2 / 2 for all v
         parts.append((2.0, m.rate * float(weights @ (atoms * atoms / 2.0))))
     elif isinstance(m, TabulatedMeasure):
-        sec = 0.0
-        for knots, vals in m.sides():
-            def f(r, kn=knots, vl=vals):
-                rr = np.atleast_1d(r)
-                return float((rr * rr / 2.0 * m.density_at(rr, kn, vl))[0])
-            v, _ = quad(f, float(knots[0]), float(knots[-1]),
-                        points=[float(k) for k in knots[1:-1]] or None, **_QUAD_OPTS)
-            sec += v
-        parts.append((2.0, sec))
+        parts.append((2.0, 0.5 * _tabulated_moment(m, 2)))
     if not parts:
         raise RejectionError("degenerate-triplet", "no growing cumulant part")
     gamma = min(g for g, _ in parts)
@@ -449,15 +435,7 @@ def im_linear_coef(triplet: LevyTriplet) -> float:
     if isinstance(m, CompoundPoisson):
         coef += 2.0 * m.rate * float(np.asarray(m.weights) @ np.abs(m.atoms))
     elif isinstance(m, TabulatedMeasure):
-        total = 0.0
-        for knots, vals in m.sides():
-            def f(r, kn=knots, vl=vals):
-                rr = np.atleast_1d(r)
-                return float((rr * m.density_at(rr, kn, vl))[0])
-            v, _ = quad(f, float(knots[0]), float(knots[-1]),
-                        points=[float(k) for k in knots[1:-1]] or None, **_QUAD_OPTS)
-            total += v
-        coef += 2.0 * total
+        coef += 2.0 * _tabulated_moment(m, 1)
     return coef
 
 
@@ -538,15 +516,7 @@ def mean_shift_deviation_bound(triplet: LevyTriplet) -> float:
         return 0.0
     if isinstance(m, CompoundPoisson):
         return m.rate * float(np.asarray(m.weights) @ np.abs(m.atoms))
-    total = 0.0
-    for knots, vals in m.sides():
-        def f(r, kn=knots, vl=vals):
-            rr = np.atleast_1d(r)
-            return float((rr * m.density_at(rr, kn, vl))[0])
-        v, _ = quad(f, float(knots[0]), float(knots[-1]),
-                    points=[float(k) for k in knots[1:-1]] or None, **_QUAD_OPTS)
-        total += v
-    return total
+    return _tabulated_moment(m, 1)
 
 
 def clipped_growth(triplet: LevyTriplet) -> tuple[float, float]:
@@ -562,15 +532,20 @@ def clipped_growth(triplet: LevyTriplet) -> tuple[float, float]:
         return m.alpha, 2.0 * m.scale * (1.0 / m.alpha + 1.0 / (2.0 - m.alpha))
     if isinstance(m, CompoundPoisson):
         return 2.0, m.rate * float(np.asarray(m.weights) @ np.square(m.atoms))
+    return 2.0, _tabulated_moment(m, 2)
+
+
+def _tabulated_moment(m: TabulatedMeasure, power: int) -> float:
+    """integral |y|**power nu0(dy) over both sides of a tabulated measure."""
     total = 0.0
     for knots, vals in m.sides():
         def f(r, kn=knots, vl=vals):
             rr = np.atleast_1d(r)
-            return float((rr * rr * m.density_at(rr, kn, vl))[0])
+            return float((rr ** power * m.density_at(rr, kn, vl))[0])
         v, _ = quad(f, float(knots[0]), float(knots[-1]),
                     points=[float(k) for k in knots[1:-1]] or None, **_QUAD_OPTS)
         total += v
-    return 2.0, total
+    return total
 
 
 def clipped_second_moment(triplet: LevyTriplet, v) -> np.ndarray | float:

@@ -58,11 +58,6 @@ def merge_intervals(intervals: Sequence[tuple[float, float]]) -> list[tuple[floa
     return merged
 
 
-def intersect_intervals(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float] | None:
-    lo, hi = max(a[0], b[0]), min(a[1], b[1])
-    return (lo, hi) if lo < hi else None
-
-
 def integrate_segments(
     func: Callable[[float], np.ndarray],
     segments: Sequence[Segment],
@@ -116,18 +111,14 @@ def tail_segments(
     core_radius: float,
     decay_exponent: float,
     decay_coef: float,
-    dim: int,
     abs_tol: float,
 ) -> tuple[list[Segment], float]:
     """Log-mapped two-sided tail segments for a 1-D integrand bounded by
     ``decay_coef * |x|**(-decay_exponent)`` beyond ``core_radius``.
 
-    Only meaningful for ``dim == 1`` (product domains handle higher d).
     Returns the segments plus the analytic residual beyond their reach; the
     residual is what the caller should add to its error estimate.
     """
-    if dim != 1:
-        raise ValueError("tail_segments is 1-D only")
     p = decay_exponent
     if p <= 1.0:
         raise QuadratureError(

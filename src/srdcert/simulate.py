@@ -20,7 +20,7 @@ from scipy.special import ndtri
 from . import levy
 from .certify import frequency_integral
 from .errors import RejectionError
-from .kernels import BoundedBox, DecayEnvelope, Kernel
+from .kernels import BoundedBox, Kernel
 from .spectral import (
     SpectralProfile,
     char_joint,

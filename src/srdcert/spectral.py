@@ -22,17 +22,8 @@ import numpy as np
 
 from . import levy
 from .errors import QuadratureError, RejectionError
-from .kernels import BoundedBox, DecayEnvelope, Kernel, lp_norm
-from .quadrature import (
-    Segment,
-    integrate_box,
-    integrate_segments,
-    merge_intervals,
-    tail_segments,
-)
+from .kernels import DecayEnvelope, Kernel, integrate_over_support, lp_norm
 
-ABS_TOL = 1e-12
-REL_TOL = 1e-10
 RATIO_CLAMP_TOL = 1e-9
 DEFAULT_S_BOX = (1e-3, 1e3)
 DEFAULT_S_POINTS = 25
@@ -40,51 +31,7 @@ REFINE_ROUNDS = 3
 
 
 # ---------------------------------------------------------------------------
-# integration domains
-
-
-def _box_union_segments(kernel: Kernel, shifts: tuple[float, ...]):
-    """1-D segments where any of f(shift - x) can be nonzero (box support)."""
-    sup = kernel.support
-    lo, hi = sup.lo[0], sup.hi[0]
-    intervals = merge_intervals([(sh - hi, sh - lo) for sh in shifts])
-    segments = [Segment(a, b) for a, b in intervals]
-    breaks: list[float] = []
-    for sh in shifts:
-        breaks.extend([sh - lo, sh - hi])
-        breaks.extend(sh - k for k in kernel.knots)
-    return segments, breaks, 0.0
-
-
-def _box_intersection_segments(kernel: Kernel, t: float):
-    sup = kernel.support
-    lo, hi = sup.lo[0], sup.hi[0]
-    a = max(t - hi, -hi)
-    b = min(t - lo, -lo)
-    if not a < b:
-        return [], [], 0.0
-    breaks = [t - k for k in kernel.knots] + [-k for k in kernel.knots]
-    return [Segment(a, b)], breaks, 0.0
-
-
-def _envelope_segments(kernel: Kernel, shifts: tuple[float, ...],
-                       tail_exponent: float, tail_coef: float,
-                       abs_tol: float = ABS_TOL):
-    """Core segment plus log-mapped tails under a decay envelope.
-
-    Beyond the core radius every |shift - x| >= |x|/2, so the envelope bound
-    with an extra 2**exponent folded into ``tail_coef`` controls the tail.
-    """
-    sup = kernel.support
-    shift_max = max((abs(sh) for sh in shifts), default=0.0)
-    core = max(4.0 * sup.radius, 4.0, 2.0 * shift_max + 2.0 * sup.radius)
-    if tail_exponent <= 1.0:
-        raise QuadratureError(
-            f"spatial tail exponent {tail_exponent:g} <= 1: integral diverges",
-            residual=math.inf)
-    tails, residual = tail_segments(core, tail_exponent, tail_coef, 1, abs_tol)
-    breaks = [sh - k for sh in shifts for k in (-sup.radius, sup.radius)]
-    return [Segment(-core, core)] + tails, breaks, residual
+# tail bounds under a decay envelope
 
 
 def _re_tail_coef(kernel: Kernel, triplet: levy.LevyTriplet, s_scale: float,
@@ -110,64 +57,7 @@ def _complex_tail_coef(kernel: Kernel, triplet: levy.LevyTriplet,
 
 
 # ---------------------------------------------------------------------------
-# core integrals, 1-D fast paths plus generic d <= 3
-
-
-def _integrate_shifted(kernel: Kernel, integrand_of_fvals, shifts,
-                       tail_exponent: float, tail_coef: float,
-                       abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL):
-    """integral g(f(shift_1 - x), ..., f(shift_m - x)) dx for vector-valued g.
-
-    ``integrand_of_fvals`` maps a tuple of kernel values at one point x to a
-    1-D array.  Returns (values, error).
-    """
-    d = kernel.dim
-    shifts = tuple(np.atleast_1d(np.asarray(sh, dtype=float)) for sh in shifts)
-    if d == 1:
-        flat = tuple(float(sh[0]) for sh in shifts)
-        if isinstance(kernel.support, BoundedBox):
-            segs, breaks, residual = _box_union_segments(kernel, flat)
-        else:
-            segs, breaks, residual = _envelope_segments(
-                kernel, flat, tail_exponent, tail_coef, abs_tol)
-
-        def g(x: float) -> np.ndarray:
-            pts = np.array([[sh - x] for sh in flat])
-            fv = kernel(pts)
-            return integrand_of_fvals(fv)
-
-        vals, err = integrate_segments(g, segs, breakpoints=breaks,
-                                       abs_tol=abs_tol, rel_tol=rel_tol)
-        return vals, err + residual
-
-    lo, hi, residual = _product_domain(kernel, shifts, tail_exponent, tail_coef, abs_tol)
-
-    def g_nd(x: np.ndarray) -> np.ndarray:
-        pts = np.stack([sh - x for sh in shifts])
-        fv = kernel(pts)
-        return integrand_of_fvals(fv)
-
-    vals, err = integrate_box(g_nd, lo, hi, abs_tol=abs_tol, rel_tol=max(rel_tol, 1e-8))
-    return vals, err + residual
-
-
-def _product_domain(kernel: Kernel, shifts, tail_exponent, tail_coef, abs_tol):
-    sup = kernel.support
-    d = kernel.dim
-    if isinstance(sup, BoundedBox):
-        lo = np.min(np.stack([sh - np.asarray(sup.hi) for sh in shifts]), axis=0)
-        hi = np.max(np.stack([sh - np.asarray(sup.lo) for sh in shifts]), axis=0)
-        return lo, hi, 0.0
-    if tail_exponent <= d:
-        raise QuadratureError(
-            f"spatial tail exponent {tail_exponent:g} <= dim {d}", residual=math.inf)
-    shift_max = max(float(np.max(np.abs(sh))) for sh in shifts)
-    area = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[d]
-    r = max(4.0 * sup.radius, 4.0, 2.0 * shift_max + 2.0 * sup.radius)
-    bound = lambda rr: tail_coef * area * rr ** (d - tail_exponent) / (tail_exponent - d)
-    while bound(r) > abs_tol and r < 1e5:
-        r *= 2.0
-    return np.full(d, -r), np.full(d, r), bound(r)
+# integrals over the kernel support
 
 
 def marginal_exponent_grid(kernel: Kernel, triplet: levy.LevyTriplet,
@@ -182,8 +72,7 @@ def marginal_exponent_grid(kernel: Kernel, triplet: levy.LevyTriplet,
     def integrand(fv: np.ndarray) -> np.ndarray:
         return np.asarray(levy.cumulant_re(triplet, s_values * fv[0]))
 
-    zero = np.zeros(kernel.dim)
-    vals, err = _integrate_shifted(kernel, integrand, (zero,), exp_t, coef_t)
+    vals, err = integrate_over_support(kernel, integrand, None, exp_t, coef_t)
     return np.maximum(vals, 0.0), err
 
 
@@ -207,8 +96,7 @@ def char_marginal(kernel: Kernel, triplet: levy.LevyTriplet, u: float) -> comple
     def integrand(fv: np.ndarray) -> np.ndarray:
         return np.atleast_1d(levy.cumulant(triplet, u * fv[0]))
 
-    zero = np.zeros(kernel.dim)
-    vals, _ = _integrate_shifted(kernel, integrand, (zero,), exp_t, coef_t)
+    vals, _ = integrate_over_support(kernel, integrand, None, exp_t, coef_t)
     return complex(np.exp(-vals[0]))
 
 
@@ -236,9 +124,8 @@ def char_joint_grid(kernel: Kernel, triplet: levy.LevyTriplet, t,
         args = s1_values[:, None] * fv[0] + s2_values[None, :] * fv[1]
         return np.asarray(levy.cumulant(triplet, args.ravel()))
 
-    t_vec = np.atleast_1d(np.asarray(t, dtype=float))
-    zero = np.zeros(kernel.dim)
-    vals, err = _integrate_shifted(kernel, integrand, (t_vec, zero), exp_t, coef_t)
+    vals, err = integrate_over_support(kernel, integrand, (t, np.zeros(kernel.dim)),
+                                       exp_t, coef_t)
     return np.exp(-vals.reshape(n1, n2)), err
 
 
@@ -252,7 +139,6 @@ def dependence_numerator_grid(kernel: Kernel, triplet: levy.LevyTriplet, t,
     """
     s1_values = np.asarray(s1_values, dtype=float)
     s2_values = np.asarray(s2_values, dtype=float)
-    t_vec = np.atleast_1d(np.asarray(t, dtype=float))
     s_scale = float(max(np.max(np.abs(s1_values)), np.max(np.abs(s2_values))))
     exp_t, coef_t = (math.inf, 0.0)
     if isinstance(kernel.support, DecayEnvelope):
@@ -263,20 +149,8 @@ def dependence_numerator_grid(kernel: Kernel, triplet: levy.LevyTriplet, t,
         w = np.sqrt(np.asarray(levy.cumulant_re(triplet, s2_values * fv[1])))
         return np.outer(u, w).ravel()
 
-    if kernel.dim == 1 and isinstance(kernel.support, BoundedBox):
-        segs, breaks, _ = _box_intersection_segments(kernel, float(t_vec[0]))
-        if not segs:
-            return np.zeros((len(s1_values), len(s2_values))), 0.0
-
-        def g(x: float) -> np.ndarray:
-            fv = kernel(np.array([[float(t_vec[0]) - x], [-x]]))
-            return integrand(fv)
-
-        vals, err = integrate_segments(g, segs, breakpoints=breaks, abs_tol=ABS_TOL)
-        return vals.reshape(len(s1_values), len(s2_values)), err
-
-    vals, err = _integrate_shifted(kernel, integrand, (t_vec, np.zeros(kernel.dim)),
-                                   exp_t, coef_t)
+    vals, err = integrate_over_support(kernel, integrand, (t, np.zeros(kernel.dim)),
+                                       exp_t, coef_t, overlap=True)
     return vals.reshape(len(s1_values), len(s2_values)), err
 
 
@@ -382,33 +256,18 @@ def max_dependence_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
 
 def _homogeneous_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
                        gamma: float) -> tuple[float, float]:
-    t_vec = np.atleast_1d(np.asarray(t, dtype=float))
-    exp_t = coef_t = 0.0
+    exp_t, coef_t = (math.inf, 0.0)
     if isinstance(kernel.support, DecayEnvelope):
         sup = kernel.support
-        amp = sup.amplitude * 2.0 ** sup.exponent
-        exp_t, coef_t = gamma * sup.exponent, amp ** gamma
-    else:
-        exp_t, coef_t = math.inf, 0.0
+        exp_t = gamma * sup.exponent
+        coef_t = (sup.amplitude * 2.0 ** sup.exponent) ** gamma
 
     def integrand(fv: np.ndarray) -> np.ndarray:
         return np.atleast_1d(np.abs(fv[0] * fv[1]) ** (gamma / 2.0))
 
-    if kernel.dim == 1 and isinstance(kernel.support, BoundedBox):
-        segs, breaks, _ = _box_intersection_segments(kernel, float(t_vec[0]))
-        if not segs:
-            return 0.0, 0.0
-
-        def g(x: float) -> np.ndarray:
-            fv = kernel(np.array([[float(t_vec[0]) - x], [-x]]))
-            return integrand(fv)
-
-        vals, err = integrate_segments(g, segs, breakpoints=breaks, abs_tol=ABS_TOL)
-        num = float(vals[0])
-    else:
-        vals, err = _integrate_shifted(kernel, integrand,
-                                       (t_vec, np.zeros(kernel.dim)), exp_t, coef_t)
-        num = float(vals[0])
+    vals, err = integrate_over_support(kernel, integrand, (t, np.zeros(kernel.dim)),
+                                       exp_t, coef_t, overlap=True)
+    num = float(vals[0])
     den = _gamma_norm_pow(kernel, gamma)
     if den <= 0.0:
         raise RejectionError("degenerate-profile", "kernel gamma-norm vanishes")

@@ -94,8 +94,22 @@ def test_certify_malformed_config_names_line(tmp_path, capsys):
     ("[kernel]\ntype = box\n[triplet]\na0 = 0\nb0 = 0\n", "degenerate"),
     ("[kernel]\ntype = box\n[triplet]\njumps = stable\n", "need 'alpha'"),
     ("[kernel]\ntype = box\n[triplet]\njumps = poisson\n", "need 'atoms'"),
+    ("[kernel]\ntype = box\n[triplet]\njumps = stable\nalpha = 1.0\ngaussian = 4.0\n",
+     "[triplet] unknown key 'gaussian'"),
+    ("[kernel]\ntype = box\nlength = 2\n[triplet]\nb0 = 1\n",
+     "[kernel] unknown key 'length'"),
+    ("[kernel]\ntype = box\n[triplet]\nb0 = 1\n[numerics]\nwindw = 3\n",
+     "[numerics] unknown key 'windw'"),
+    ("[kernel]\ntype = box\n[triplet]\nb0 = 1\n[simulate]\nsamples = 10\n",
+     "[simulate] unknown key 'samples'"),
+    ("[kernel]\ntype = box\n[triplet]\nb0 = 1\n[sweep]\nparameter = triplet.b0\n"
+     "values = 1\nsteps = 3\n", "[sweep] unknown key 'steps'"),
+    ("[kernel]\ntype = box\n[triplet]\nb0 = 1\n[sweep]\nparameter = triplet.drift\n"
+     "values = 1\n", "[triplet] unknown key 'drift'"),
 ], ids=["no-type", "bad-type", "no-exponent", "bad-float", "bad-jumps",
-        "degenerate", "no-alpha", "no-atoms"])
+        "degenerate", "no-alpha", "no-atoms", "unknown-triplet-key",
+        "unknown-kernel-key", "unknown-numerics-key", "unknown-simulate-key",
+        "unknown-sweep-key", "unknown-sweep-parameter"])
 def test_config_validation_exit3(tmp_path, capsys, body, fragment):
     cfg = write_cfg(tmp_path, body)
     assert main(["certify", str(cfg)]) == 3

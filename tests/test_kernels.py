@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from srdcert.errors import DivergentNormError, RejectionError
 from srdcert.kernels import (
@@ -27,7 +28,12 @@ from srdcert.kernels import (
     tent_kernel,
     zero_kernel,
 )
-from srdcert.levy import gaussian_triplet, poisson_triplet, stable_triplet
+from srdcert.levy import (
+    gaussian_triplet,
+    poisson_triplet,
+    stable_triplet,
+    truncated_mean_shift,
+)
 
 
 def strip_closed_norms(kernel: Kernel) -> Kernel:
@@ -124,6 +130,7 @@ class TestNorms:
         (lambda: powerlaw_kernel(1.5), 1.0),
         (lambda: powerlaw_kernel(1.5), 2.0),
         (lambda: powerlaw_kernel(0.8), 3.0),
+        (lambda: box_kernel(0.0, 1.5, dim=2), 4.0),
     ])
     def test_quadrature_matches_closed(self, make, p):
         k = make()
@@ -183,6 +190,26 @@ class TestIntegrability:
         assert report.all_finite
         by_key = {c.key: c for c in report.conditions}
         assert by_key["drift"].value == pytest.approx(5.079683366298239, rel=1e-6)
+
+    def test_drift_locked_shift_matches_quad(self):
+        # a0 = -shift(0) cancels the drift's limit, so the integrand
+        # |f| |a0 + shift(f)| vanishes wherever |f| is below the lock radius
+        trip0 = poisson_triplet(2.0, atoms=(-0.5, 2.0), weights=(0.6, 0.4))
+        a0 = -truncated_mean_shift(trip0, 0.0)
+        trip = poisson_triplet(2.0, atoms=(-0.5, 2.0), weights=(0.6, 0.4), a0=a0)
+        kern = powerlaw_kernel(1.5)
+        report = check_integrability(kern, trip)
+        drift = {c.key: c for c in report.conditions}["drift"]
+        assert drift.finite is True
+
+        def integrand(x):
+            v = kern.value_at(x)
+            return v * abs(a0 + truncated_mean_shift(trip, v))
+
+        half, _ = quad(integrand, 0.0, 3.0, points=[1.0, 2.0 ** (2.0 / 3.0)],
+                       epsabs=1e-13, epsrel=1e-12)
+        assert drift.value == pytest.approx(2.0 * half, rel=1e-9)
+        assert drift.value > 0.0
 
     def test_drift_divergence_flagged(self):
         trip = stable_triplet(1.0, a0=1.0)

@@ -28,6 +28,7 @@ from srdcert.spectral import (
     char_joint,
     char_joint_grid,
     char_marginal,
+    dependence_numerator_grid,
     dependence_ratio,
     dependence_ratio_grid,
     marginal_exponent_grid,
@@ -131,6 +132,19 @@ class TestDependenceRatio:
         for t, expect in ((0.0, 1.0), (0.25, 0.75), (0.4, 0.6), (0.9, 0.1), (1.5, 0.0)):
             got = dependence_ratio(box_kernel(), trip, t, 1.0, 3.0)
             assert got == pytest.approx(expect, abs=1e-11)
+
+    def test_numerator_zero_past_diameter(self):
+        s = np.array([0.1, 1.0, 10.0])
+        for trip in (stable_triplet(1.0), poisson_triplet(1.0, atoms=(1.0,))):
+            num, err = dependence_numerator_grid(box_kernel(), trip, 1.5, s, s)
+            assert num.shape == (3, 3)
+            assert np.all(num == 0.0) and err == 0.0
+
+    def test_two_dimensional_box_stable(self):
+        # the overlap of [0, 1]^2 with its shift is a box of area (1-0.3)(1-0.2)
+        rm = max_dependence_ratio(box_kernel(dim=2), stable_triplet(1.0), (0.3, 0.2))
+        assert rm.method == "analytic-homogeneous"
+        assert rm.value == pytest.approx(0.56, abs=1e-9)
 
     def test_stable_frequency_independence(self):
         s = np.geomspace(1e-3, 1e3, 9)
