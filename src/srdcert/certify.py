@@ -204,9 +204,10 @@ def frequency_integral(profile: SpectralProfile, threshold: float
 
     The profiled grid supplies power-law endpoint models (incomplete-gamma
     closed forms below s_min and above s_max); the middle runs live
-    adaptive quadrature in log frequency.  Saturating growth at the top of
-    the grid (fitted exponent <= 0.05) or flat behaviour at the bottom is
-    flagged divergent.
+    adaptive quadrature in log frequency; when that quadrature reports no
+    convergence the error is infinite and ``note`` carries its message.
+    Saturating growth at the top of the grid (fitted exponent <= 0.05) or
+    flat behaviour at the bottom is flagged divergent.
     """
     if not 0.0 <= threshold < 1.0:
         raise RejectionError("threshold", f"threshold={threshold} outside [0, 1)")
@@ -247,9 +248,10 @@ def frequency_integral(profile: SpectralProfile, threshold: float
         s2 = marginal_exponent_sq(kernel, triplet, ss)
         return math.sqrt(s2) * math.exp(-lam * s2)
 
-    middle, mid_err = quad(integrand, math.log(s[0]), math.log(s[-1]),
-                           points=[0.0] if s[0] < 1.0 < s[-1] else None,
-                           epsabs=1e-12, epsrel=1e-9, limit=300)
+    middle, mid_err, _, *failure = quad(
+        integrand, math.log(s[0]), math.log(s[-1]),
+        points=[0.0] if s[0] < 1.0 < s[-1] else None,
+        epsabs=1e-12, epsrel=1e-9, limit=300, full_output=1)
 
     u_max = lam * float(sig[-1])
     tail = math.sqrt(math.pi) * float(gammaincc(0.5, u_max)) / (q_hi * math.sqrt(lam))
@@ -257,7 +259,11 @@ def frequency_integral(profile: SpectralProfile, threshold: float
     value = head + middle + tail
     error = mid_err + 2.0 * resid_lo * head + 2.0 * resid_hi * tail \
         + profile.sigma_err
-    return IntegralEstimate(value=value, error=error, divergent=False,
+    note = ""
+    if failure:
+        # quad did not converge: its error estimate is no bound
+        error, note = math.inf, f"middle quadrature: {failure[0]}"
+    return IntegralEstimate(value=value, error=error, divergent=False, note=note,
                             head=head, middle=middle, tail=tail)
 
 
@@ -490,7 +496,8 @@ def certify(kernel: Kernel, triplet: levy.LevyTriplet,
         elif freq.error > FREQ_ERROR_BUDGET * freq.value:
             reasons.append(
                 f"frequency integral error {freq.error:.3g} exceeds"
-                f" {FREQ_ERROR_BUDGET:g} relative budget")
+                f" {FREQ_ERROR_BUDGET:g} relative budget"
+                + (f" ({freq.note})" if freq.note else ""))
 
     srd = srd_integral(profile)
     if srd.divergent:

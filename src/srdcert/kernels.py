@@ -316,9 +316,9 @@ def _lp_power_integral(kernel: Kernel, p: float) -> tuple[float, float]:
         if closed is not None:
             return float(closed) ** p, 0.0
     if isinstance(sup, BoundedBox):
-        val, err = integrate_over_support(kernel, lambda fv: np.abs(fv) ** p)
+        val, err = integrate_over_support(kernel, lambda fv: np.abs(fv.T) ** p)
     else:
-        val, err = integrate_over_support(kernel, lambda fv: np.abs(fv) ** p,
+        val, err = integrate_over_support(kernel, lambda fv: np.abs(fv.T) ** p,
                                           tail_exponent=p * sup.exponent,
                                           tail_coef=sup.amplitude ** p, rel_tol=1e-9)
     return float(val[0]), err
@@ -334,8 +334,10 @@ def integrate_over_support(kernel: Kernel, integrand, shifts=None,
                            ) -> tuple[np.ndarray, float]:
     """integral g(f(t_1 - x), ..., f(t_m - x)) dx for a vector-valued g.
 
-    ``integrand`` maps the m kernel values at one point x to a 1-D array;
-    ``shifts`` lists t_1..t_m and defaults to the single lag 0.  A box
+    ``integrand`` maps an (m, n) array of kernel values, column j holding
+    f(t_1 - x_j), ..., f(t_m - x_j), to the (n, k) values of g at the n
+    points; each batch of points costs one kernel call.  ``shifts`` lists
+    t_1..t_m and defaults to the single lag 0.  A box
     support is integrated over the union of the shifted boxes, or over
     their intersection when ``overlap`` promises that g vanishes wherever
     one kernel value does; an empty intersection gives exact zeros.  Under
@@ -350,8 +352,9 @@ def integrate_over_support(kernel: Kernel, integrand, shifts=None,
     shifts = np.zeros((1, d)) if shifts is None else np.array(
         [np.atleast_1d(np.asarray(t, dtype=float)) for t in shifts])
 
-    def g(x) -> np.ndarray:
-        return integrand(kernel(shifts - x))
+    def g(x: np.ndarray) -> np.ndarray:
+        pts = shifts[:, None, :] - np.reshape(x, (1, -1, d))
+        return integrand(kernel(pts.reshape(-1, d)).reshape(len(shifts), -1))
 
     def breakpoints(*faces: np.ndarray) -> list[float]:
         knots = [t - k for t in shifts[:, 0].tolist() for k in kernel.knots]
@@ -362,7 +365,7 @@ def integrate_over_support(kernel: Kernel, integrand, shifts=None,
         if overlap:
             lo, hi = lo.max(axis=0, keepdims=True), hi.min(axis=0, keepdims=True)
             if np.any(lo >= hi):
-                return np.zeros_like(integrand(np.zeros(len(shifts)))), 0.0
+                return np.zeros_like(integrand(np.zeros((len(shifts), 1)))[0]), 0.0
         if d > 1:
             return integrate_box(g, lo.min(axis=0), hi.max(axis=0),
                                  abs_tol=ABS_TOL, rel_tol=rel_tol)
@@ -447,8 +450,9 @@ def _drift_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> Integrability
     sup = kernel.support
 
     def integrand(fv: np.ndarray) -> np.ndarray:
-        out = np.abs(fv) * np.abs(triplet.a0 + levy.truncated_mean_shift(triplet, fv))
-        return np.where(fv == 0.0, 0.0, out)
+        v = fv.T
+        out = np.abs(v) * np.abs(triplet.a0 + levy.truncated_mean_shift(triplet, v))
+        return np.where(v == 0.0, 0.0, out)
 
     tail = (math.inf, 0.0)
     if isinstance(sup, DecayEnvelope):
@@ -493,7 +497,8 @@ def _jump_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> IntegrabilityC
     sup = kernel.support
 
     def integrand(fv: np.ndarray) -> np.ndarray:
-        return np.where(fv == 0.0, 0.0, levy.clipped_second_moment(triplet, fv))
+        v = fv.T
+        return np.where(v == 0.0, 0.0, levy.clipped_second_moment(triplet, v))
 
     tail = (math.inf, 0.0)
     if isinstance(sup, DecayEnvelope):

@@ -345,15 +345,12 @@ def _tabulated_jump_cumulant(m: TabulatedMeasure, s: float) -> complex:
 
             if sa * b <= 0.5:
                 # phase stays small: direct log-radius quadrature
-                def f_small(u):
-                    r = math.exp(u)
+                def f_small(u, kn=knots, vl=vals, inner=b <= 1.0):
+                    r = np.exp(u)
                     z = sa * r
-                    w = dens(r) * r
-                    if b <= 1.0:
-                        q = _z_minus_sin(np.array([z]))[0]
-                    else:
-                        q = -math.sin(z)
-                    return np.array([_one_minus_cos(np.array([z]))[0] * w, q * w])
+                    w = m.density_at(r, kn, vl) * r
+                    q = _z_minus_sin(z) if inner else -np.sin(z)
+                    return np.stack([_one_minus_cos(z) * w, q * w], axis=1)
 
                 val, err = integrate_segments(
                     f_small, [Segment(math.log(a), math.log(b))],

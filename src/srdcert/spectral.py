@@ -22,7 +22,7 @@ import numpy as np
 
 from . import levy
 from .errors import QuadratureError, RejectionError
-from .kernels import DecayEnvelope, Kernel, integrate_over_support, lp_norm
+from .kernels import BoundedBox, DecayEnvelope, Kernel, integrate_over_support, lp_norm
 
 RATIO_CLAMP_TOL = 1e-9
 DEFAULT_S_BOX = (1e-3, 1e3)
@@ -70,7 +70,7 @@ def marginal_exponent_grid(kernel: Kernel, triplet: levy.LevyTriplet,
         exp_t, coef_t = _re_tail_coef(kernel, triplet, s_scale)
 
     def integrand(fv: np.ndarray) -> np.ndarray:
-        return np.asarray(levy.cumulant_re(triplet, s_values * fv[0]))
+        return levy.cumulant_re(triplet, np.multiply.outer(fv[0], s_values))
 
     vals, err = integrate_over_support(kernel, integrand, None, exp_t, coef_t)
     return np.maximum(vals, 0.0), err
@@ -94,7 +94,7 @@ def char_marginal(kernel: Kernel, triplet: levy.LevyTriplet, u: float) -> comple
         exp_t, coef_t = _complex_tail_coef(kernel, triplet, abs(u))
 
     def integrand(fv: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(levy.cumulant(triplet, u * fv[0]))
+        return levy.cumulant(triplet, np.multiply.outer(fv[0], [u]))
 
     vals, _ = integrate_over_support(kernel, integrand, None, exp_t, coef_t)
     return complex(np.exp(-vals[0]))
@@ -121,8 +121,9 @@ def char_joint_grid(kernel: Kernel, triplet: levy.LevyTriplet, t,
         coef_t *= 2.0  # two shifted copies contribute
 
     def integrand(fv: np.ndarray) -> np.ndarray:
-        args = s1_values[:, None] * fv[0] + s2_values[None, :] * fv[1]
-        return np.asarray(levy.cumulant(triplet, args.ravel()))
+        args = (np.multiply.outer(fv[0], s1_values)[:, :, None]
+                + np.multiply.outer(fv[1], s2_values)[:, None, :])
+        return levy.cumulant(triplet, args.reshape(len(args), -1))
 
     vals, err = integrate_over_support(kernel, integrand, (t, np.zeros(kernel.dim)),
                                        exp_t, coef_t)
@@ -145,9 +146,9 @@ def dependence_numerator_grid(kernel: Kernel, triplet: levy.LevyTriplet, t,
         exp_t, coef_t = _re_tail_coef(kernel, triplet, s_scale)
 
     def integrand(fv: np.ndarray) -> np.ndarray:
-        u = np.sqrt(np.asarray(levy.cumulant_re(triplet, s1_values * fv[0])))
-        w = np.sqrt(np.asarray(levy.cumulant_re(triplet, s2_values * fv[1])))
-        return np.outer(u, w).ravel()
+        u = np.sqrt(levy.cumulant_re(triplet, np.multiply.outer(fv[0], s1_values)))
+        w = np.sqrt(levy.cumulant_re(triplet, np.multiply.outer(fv[1], s2_values)))
+        return (u[:, :, None] * w[:, None, :]).reshape(len(u), -1)
 
     vals, err = integrate_over_support(kernel, integrand, (t, np.zeros(kernel.dim)),
                                        exp_t, coef_t, overlap=True)
@@ -218,7 +219,8 @@ def max_dependence_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
 
     Homogeneous integrators (pure Gaussian, pure stable) admit an exact
     frequency-free form: the ratio collapses to
-    integral |f(t-x) f(-x)|**(gamma/2) dx / ||f||_gamma^gamma.  Everything
+    integral |f(t-x) f(-x)|**(gamma/2) dx / ||f||_gamma^gamma, which for a
+    box indicator is the exact overlap fraction prod(1 - |t_i|/L_i)+.  Everything
     else runs a log-grid search over ``s_box`` squared, refined around the
     argmax; the result is tagged "grid-approximate" with the searched box
     recorded, and is exact only up to that search.
@@ -256,14 +258,19 @@ def max_dependence_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
 
 def _homogeneous_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
                        gamma: float) -> tuple[float, float]:
+    sup = kernel.support
+    if kernel.indicator and isinstance(sup, BoundedBox):
+        # f = 1 on B, so the ratio is vol(B & (B + t)) / vol(B), exactly
+        widths = np.subtract(sup.hi, sup.lo)
+        overlap = np.maximum(1.0 - np.abs(np.atleast_1d(t)) / widths, 0.0)
+        return float(np.prod(overlap)), 0.0
     exp_t, coef_t = (math.inf, 0.0)
-    if isinstance(kernel.support, DecayEnvelope):
-        sup = kernel.support
+    if isinstance(sup, DecayEnvelope):
         exp_t = gamma * sup.exponent
         coef_t = (sup.amplitude * 2.0 ** sup.exponent) ** gamma
 
     def integrand(fv: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(np.abs(fv[0] * fv[1]) ** (gamma / 2.0))
+        return (np.abs(fv[0] * fv[1]) ** (gamma / 2.0))[:, None]
 
     vals, err = integrate_over_support(kernel, integrand, (t, np.zeros(kernel.dim)),
                                        exp_t, coef_t, overlap=True)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -266,3 +267,19 @@ def test_total_jump_mass_tabulated_power_law():
 def test_total_jump_mass_tabulated_trapezoid_fallback():
     mass = levy.total_jump_mass(levy.TabulatedMeasure((1.0, 2.0), (2.0, 0.0)))
     assert mass == pytest.approx(1.0, rel=1e-12)
+
+
+def test_frequency_integral_nonconvergence_blows_budget(monkeypatch):
+    """A middle quadrature that does not converge must not pass silently."""
+    certify_module = sys.modules["srdcert.certify"]  # the package exports the function
+
+    def wild_sigma_sq(kernel, triplet, s):
+        return 1.0 + math.sin(1e4 * s) ** 2
+
+    monkeypatch.setattr(certify_module, "marginal_exponent_sq", wild_sigma_sq)
+    rep = certify(kernels.box_kernel(), levy.stable_triplet(1.0))
+    assert rep.verdict == "inconclusive"
+    assert math.isinf(rep.freq_error) and not rep.freq_divergent
+    (reason,) = rep.reasons
+    assert reason.startswith("frequency integral error inf exceeds 0.001 relative budget")
+    assert "middle quadrature: " in reason and "subdivisions" in reason

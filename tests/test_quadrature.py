@@ -1,0 +1,209 @@
+"""The batched Gauss-Kronrod engine against scipy's quad_vec and closed forms.
+
+The engine runs quad_vec's GK21 scheme with all nodes of a round in one
+integrand call, so its values must agree with quad_vec to rounding; only
+the summation order differs.
+"""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.integrate import quad_vec
+from scipy.special import erf
+
+from srdcert import quadrature
+from srdcert.errors import QuadratureError
+from srdcert.quadrature import Segment, integrate_box, integrate_segments
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "srdcert"
+
+
+def scalar_form(func):
+    """quad_vec's view of a batched integrand: one point in, k values out."""
+    return lambda x: func(np.array([x]))[0]
+
+
+def kinks(x):
+    return np.stack([np.abs(x - 0.3), np.sqrt(np.abs(x + 0.2)), np.exp(-x * x)], axis=1)
+
+
+def phases(x):
+    return np.exp(1j * np.multiply.outer(x, np.array([0.5, 3.0, 11.0])))
+
+
+def power_tail(x):
+    return (1.0 + np.abs(x)[:, None]) ** -np.array([1.5, 2.0, 3.5])
+
+
+def gaussian_bumps(x):
+    return np.exp(-np.multiply.outer(x * x, np.geomspace(0.1, 50.0, 625)))
+
+
+def single(x):
+    return (np.cos(7.0 * x) / (1.0 + x * x))[:, None]
+
+
+# (integrand, segment, breakpoints); a log segment is compared with quad_vec
+# on the mapped integrand func(e^u) e^u
+BATTERY = {
+    "breakpoints": (kinks, Segment(-1.0, 1.0), (0.3, -0.2, 5.0)),
+    "complex": (phases, Segment(0.0, 5.0), ()),
+    "log-tail": (power_tail, Segment(1.0, 1e8, log=True), ()),
+    "log-tail-negative": (power_tail, Segment(-1e6, -2.0, log=True), ()),
+    "k=1": (single, Segment(-3.0, 4.0), (0.0,)),
+    "k=625": (gaussian_bumps, Segment(-4.0, 4.0), (0.0,)),
+}
+
+
+def reference(func, seg, breakpoints, abs_tol, rel_tol):
+    f = scalar_form(func)
+    if not seg.log:
+        pts = sorted(p for p in breakpoints if seg.lo < p < seg.hi) or None
+        return quad_vec(f, seg.lo, seg.hi, epsabs=abs_tol, epsrel=rel_tol,
+                        points=pts, limit=2000)
+    sign = 1.0 if seg.lo > 0 else -1.0
+    a, b = sorted((math.log(abs(seg.lo)), math.log(abs(seg.hi))))
+    return quad_vec(lambda u: f(sign * math.exp(u)) * math.exp(u), a, b,
+                    epsabs=abs_tol, epsrel=rel_tol, limit=2000)
+
+
+@pytest.mark.parametrize("case", sorted(BATTERY))
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
+def test_matches_quad_vec(case, rel_tol):
+    func, seg, breakpoints = BATTERY[case]
+    val, err = integrate_segments(func, [seg], breakpoints, abs_tol=1e-12, rel_tol=rel_tol)
+    ref, ref_err = reference(func, seg, breakpoints, 1e-12, rel_tol)
+    assert val.shape == ref.shape and val.dtype == ref.dtype
+    np.testing.assert_allclose(val, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+    assert err == pytest.approx(ref_err, rel=1e-6)
+
+
+def test_box_matches_nested_quad_vec():
+    def func(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        return np.stack([np.exp(-x * x - 2.0 * y * y), np.cos(3.0 * x * y)], axis=1)
+
+    val, _ = integrate_box(func, (-1.0, -0.5), (1.5, 1.0))
+    ref, _ = quad_vec(
+        lambda x: quad_vec(lambda y: func(np.array([[x, y]]))[0], -0.5, 1.0,
+                           epsabs=1e-12, epsrel=1e-8, limit=500)[0],
+        -1.0, 1.5, epsabs=1e-12, epsrel=1e-8, limit=500)
+    np.testing.assert_allclose(val, ref, rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# closed-form oracles: the estimated error bounds the actual one
+
+
+def _segments_case(func, segs, exact, rel_tol=1e-10):
+    val, err = integrate_segments(func, segs, rel_tol=rel_tol)
+    return np.linalg.norm(val - np.asarray(exact)), err
+
+
+def _box_case(func, lo, hi, exact):
+    val, err = integrate_box(func, lo, hi)
+    return np.linalg.norm(val - np.asarray(exact)), err
+
+
+ORACLES = {
+    "inverse-sqrt endpoint": lambda: _segments_case(
+        lambda x: (1.0 / np.sqrt(x))[:, None], [Segment(0.0, 1.0)], [2.0]),
+    "log endpoint": lambda: _segments_case(
+        lambda x: np.log(x)[:, None], [Segment(0.0, 1.0)], [-1.0]),
+    "polynomials": lambda: _segments_case(
+        lambda x: np.stack([x ** 2, x ** 7, x ** 20], axis=1), [Segment(-1.0, 2.0)],
+        [3.0, (2.0 ** 8 - 1.0) / 8.0, (2.0 ** 21 + 1.0) / 21.0]),
+    "oscillation": lambda: _segments_case(
+        lambda x: np.cos(np.multiply.outer(x, [1.0, 10.0, 40.0])), [Segment(0.0, 1.0)],
+        [math.sin(1.0), math.sin(10.0) / 10.0, math.sin(40.0) / 40.0]),
+    "complex phases": lambda: _segments_case(
+        lambda x: np.exp(1j * np.multiply.outer(x, [2.0, 9.0])), [Segment(0.0, 3.0)],
+        [(np.exp(6j) - 1.0) / 2j, (np.exp(27j) - 1.0) / 9j]),
+    "log-mapped power tail": lambda: _segments_case(
+        lambda x: np.abs(x)[:, None] ** -np.array([1.5, 3.0]),
+        [Segment(1.0, 1e10, log=True), Segment(-1e10, -1.0, log=True)],
+        [2.0 * 2.0 * (1.0 - 1e-5), 2.0 * 0.5 * (1.0 - 1e-20)]),
+    "loose tolerance": lambda: _segments_case(
+        lambda x: np.sqrt(np.abs(np.sin(5.0 * x)))[:, None], [Segment(0.0, math.pi / 5.0)],
+        [2.0 / 5.0 * 1.1981402347355923], rel_tol=1e-4),
+    "gaussian box": lambda: _box_case(
+        lambda p: np.exp(-np.sum(p * p, axis=1))[:, None], (0.0, 0.0), (1.0, 1.0),
+        [(math.sqrt(math.pi) / 2.0 * erf(1.0)) ** 2]),
+    "3-d box": lambda: _box_case(
+        lambda p: np.stack([np.prod(p, axis=1), np.exp(-np.sum(p, axis=1))], axis=1),
+        (0.0, 0.0, 0.0), (1.0, 2.0, 1.0),
+        [0.5, (1.0 - math.exp(-1.0)) ** 2 * (1.0 - math.exp(-2.0))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLES))
+def test_error_estimate_bounds_actual_error(case):
+    actual, estimate = ORACLES[case]()
+    assert actual <= estimate
+
+
+# ---------------------------------------------------------------------------
+# failure and budgets
+
+
+def test_limit_raises():
+    with pytest.raises(QuadratureError, match="target precision not reached"):
+        integrate_segments(lambda x: np.sin(1e5 * x)[:, None], [Segment(0.0, 1.0)])
+
+
+def test_box_limit_raises():
+    with pytest.raises(QuadratureError):
+        integrate_box(lambda p: np.sin(1e5 * p[:, 0] * p[:, 1])[:, None],
+                      (0.0, 0.0), (1.0, 1.0))
+
+
+def test_non_finite_raises():
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate_segments(lambda x: np.where(x > 0.5, np.nan, x)[:, None],
+                           [Segment(0.0, 1.0)])
+
+
+@pytest.mark.parametrize("k", [1, 40, 625, 4000])
+def test_integrand_calls_respect_element_budget(k):
+    sizes = []
+    rates = np.geomspace(0.5, 400.0, k)
+
+    def func(x):
+        sizes.append(len(x) * k)
+        return np.exp(-np.multiply.outer(np.abs(x - 0.1), rates))
+
+    integrate_segments(func, [Segment(-1.0, 1.0)], breakpoints=(0.1,))
+    assert len(sizes) > 1
+    # one interval's 21 nodes is the smallest batch the rule can take
+    assert max(sizes) <= max(quadrature._CHUNK_ELEMENTS, 21 * k)
+
+
+def test_round_is_one_call_per_chunk():
+    """Each round evaluates all nodes of its bisected intervals together."""
+    calls = []
+
+    def func(x):
+        calls.append(len(x))
+        return np.sqrt(np.abs(x))[:, None]
+
+    integrate_segments(func, [Segment(-1.0, 1.0)])
+    assert calls[0] == 21
+    assert all(n % 21 == 0 for n in calls)
+    assert max(calls) > 21
+
+
+def test_no_module_imports_quad_vec():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.split(".")[-1] for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            if "quad_vec" in names:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders

@@ -7,12 +7,15 @@ the compound-Poisson joint characteristic literal is the exact three-region
 sum 0.5*(K(1)+K(2)+K(3)) exponentiated.
 """
 
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srdcert.certify import default_window, srd_integral
 from srdcert.errors import QuadratureError, RejectionError
 from srdcert.kernels import (
     box_kernel,
@@ -249,3 +252,30 @@ class TestProfile:
         lat2 = t_lattice(1.0, 0.5, 2)
         assert lat2.shape == (25, 2)
         assert np.any(np.all(lat2 == 0.0, axis=1))
+
+    def test_two_dimensional_box_default_window(self):
+        # the indicator-box ratio is the closed form prod(1 - |t_i|)+, so the
+        # 241^2 lags of the default window cost no quadrature
+        kern = box_kernel(dim=2)
+        window, t_step = default_window(kern)
+        start = time.perf_counter()
+        prof = build_profile(kern, stable_triplet(1.0), window=window, t_step=t_step)
+        assert time.perf_counter() - start < 30.0
+        assert prof.t_grid.shape == (241 ** 2, 2)
+        exact = np.prod(np.maximum(1.0 - np.abs(prof.t_grid), 0.0), axis=1)
+        np.testing.assert_allclose(prof.ratio_values, exact, rtol=0, atol=1e-12)
+        assert prof.ratio_error == 0.0
+        assert srd_integral(prof).window_part == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim, lag", [(1, (0.35,)), (1, (1.2,)), (2, (0.3, -0.6))])
+def test_indicator_ratio_closed_form_matches_quadrature(dim, lag):
+    kern = box_kernel(-0.5, 1.5, dim=dim)
+    by_quadrature = dataclasses.replace(kern, indicator=False)
+    for trip in (stable_triplet(1.0), gaussian_triplet(1.0)):
+        exact = max_dependence_ratio(kern, trip, lag)
+        quad = max_dependence_ratio(by_quadrature, trip, lag)
+        assert exact.error == 0.0
+        assert exact.value == pytest.approx(
+            np.prod(np.maximum(1.0 - np.abs(lag) / 2.0, 0.0)), abs=1e-15)
+        assert exact.value == pytest.approx(quad.value, abs=1e-12)
