@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import exprel as _exprel
 from scipy.special import gamma as _gamma_fn
 
 from .errors import QuadratureError, RejectionError
@@ -28,7 +28,10 @@ from .quadrature import Segment, integrate_segments
 # bounded by density * 3e-25 per unit of tabulated density.
 TABLE_INNER_CUTOFF = 1e-8
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-10, limit=400)
+# Integration-by-parts terms K of the tabulated cumulant's high-phase
+# closed form (see _tabulated_jump_cumulant).
+_IBP_TERMS = 30
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +93,12 @@ class TabulatedMeasure:
     """Jump density given on a finite grid of jump sizes.
 
     The grid must be strictly increasing, stay outside (-cutoff, cutoff),
-    and carry both signs or be explicitly one-sided; densities interpolate
-    log-linearly between knots of like sign (exact on power laws) and drop
-    to zero outside the tabulated range.
+    and carry both signs or be explicitly one-sided; the density drops to
+    zero outside the tabulated range.  Between two adjacent knots of like
+    sign it interpolates linearly in log |y|: in log density where both
+    knot densities are positive, which makes the piece an exact power law
+    c |y|**p, and in the density itself where one of them is zero, which
+    makes the piece c0 + c1 log |y|.
     """
 
     grid: tuple[float, ...]
@@ -131,24 +137,11 @@ class TabulatedMeasure:
     def density_at(self, r: np.ndarray, knots: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """Interpolated density on one side at radii ``r`` (zero outside)."""
         r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
+        if len(knots) < 2:  # a lone knot bounds no piece
+            return np.zeros_like(r)
         inside = (r >= knots[0]) & (r <= knots[-1])
-        if not inside.any():
-            return out
-        ri = r[inside]
-        idx = np.clip(np.searchsorted(knots, ri, side="right") - 1, 0, len(knots) - 2)
-        k0, k1 = knots[idx], knots[idx + 1]
-        v0, v1 = vals[idx], vals[idx + 1]
-        w = np.log(ri / k0) / np.log(k1 / k0)
-        both_pos = (v0 > 0) & (v1 > 0)
-        res = np.where(
-            both_pos,
-            np.exp((1 - w) * np.log(np.where(v0 > 0, v0, 1.0))
-                   + w * np.log(np.where(v1 > 0, v1, 1.0))),
-            (1 - w) * v0 + w * v1,
-        )
-        out[inside] = res
-        return out
+        side = _side(1.0, np.asarray(knots, dtype=float), np.asarray(vals, dtype=float))
+        return np.where(inside, side.density(np.clip(r, knots[0], knots[-1])), 0.0)
 
 
 LevyMeasure = Union[NoJumps, SymmetricStable, CompoundPoisson, TabulatedMeasure]
@@ -167,18 +160,7 @@ def total_jump_mass(measure: LevyMeasure) -> float:
         return math.inf
     if isinstance(measure, CompoundPoisson):
         return measure.rate
-    total = 0.0
-    for knots, vals in measure.sides():
-        for k0, k1, v0, v1 in zip(knots, knots[1:], vals, vals[1:]):
-            if v0 > 0.0 and v1 > 0.0:
-                p = math.log(v1 / v0) / math.log(k1 / k0)
-                if abs(p + 1.0) < 1e-12:
-                    total += v0 * k0 * math.log(k1 / k0)
-                else:
-                    total += v0 * k0 * ((k1 / k0) ** (p + 1.0) - 1.0) / (p + 1.0)
-            else:
-                total += 0.5 * (v0 + v1) * (k1 - k0)
-    return total
+    return _tabulated_moment(measure, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +246,9 @@ def cumulant(triplet: LevyTriplet, s) -> np.ndarray | complex:
     """K(s), vectorised over ``s``.
 
     Array in, complex array out; scalar in, complex out.  Tabulated jump
-    measures integrate numerically per frequency, all other variants are
-    closed-form.
+    measures take one :func:`_tabulated_jump_cumulant` value per frequency
+    (adaptive quadrature up to the phase Phi, closed forms beyond); all
+    other variants are closed-form.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     out = (-1j * triplet.a0) * s_arr + (0.5 * triplet.b0) * s_arr * s_arr
@@ -281,7 +264,7 @@ def cumulant(triplet: LevyTriplet, s) -> np.ndarray | complex:
         m1 = m.rate * float(weights @ (atoms * (np.abs(atoms) <= 1.0)))
         out += jump + 1j * s_arr * m1
     elif isinstance(m, TabulatedMeasure):
-        out += np.array([_tabulated_jump_cumulant(m, float(x)) for x in s_arr.ravel()],
+        out += np.array([_tabulated_jump_cumulant(m, float(x))[0] for x in s_arr.ravel()],
                         dtype=complex).reshape(s_arr.shape)
     return out if np.ndim(s) else complex(out[0])
 
@@ -300,7 +283,7 @@ def cumulant_re(triplet: LevyTriplet, s) -> np.ndarray | float:
         half = np.sin(0.5 * s_arr[..., None] * atoms)
         out = out + m.rate * (2.0 * half * half) @ weights
     elif isinstance(m, TabulatedMeasure):
-        out = out + np.array([_tabulated_jump_cumulant(m, float(x)).real
+        out = out + np.array([_tabulated_jump_cumulant(m, float(x))[0].real
                               for x in s_arr.ravel()]).reshape(s_arr.shape)
     result = np.maximum(out, 0.0)
     return result if np.ndim(s) else float(result[0])
@@ -319,76 +302,189 @@ def _z_minus_sin(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tabulated_jump_cumulant(m: TabulatedMeasure, s: float) -> complex:
+def _tabulated_jump_cumulant(m: TabulatedMeasure, s: float) -> tuple[complex, float]:
     """-integral(exp(isy) - 1 - isy 1[|y|<=1]) over the tabulated density.
 
-    Worked segment by segment between density knots.  Slowly varying
-    segments integrate in log radius with series-stable forms; once the
-    phase |s| * r outruns that, the cosine and sine factors switch to
-    Fourier-weighted quadrature so wide oscillatory spans stay cheap.
+    Returns (value, error bound).  With z = |s| r each side of the measure
+    contributes integral (1 - cos z) g(r) dr to the real part and
+    integral q(z) g(r) dr, q = z - sin z for r <= 1 and -sin z beyond, to
+    the odd imaginary part.  Both integrals split at the phase z = Phi:
+
+    * z <= Phi: one adaptive pass per side in u = log r, from the innermost
+      knot to min(outermost knot, Phi/|s|), split at the log knots and at
+      u = 0.
+    * z > Phi: closed forms on each density piece.  Mass and first moment
+      come from :func:`_side_integral`; integral g(r) exp(i|s|r) dr is the
+      integration-by-parts sum of K terms
+      sum_k (-1)**k g^(k)(r) exp(i|s|r) / (i|s|)**(k+1) at both ends of
+      each piece (Iserles & Norsett, Proc. R. Soc. A 461:1383, 2005), whose
+      remainder is at most integral |g^(K)| dr / |s|**K; that bound joins
+      the error (:func:`_oscillatory_tail`).
+
+    K = 30 and Phi = 2 (max|p| + K) over the table's power-law exponents
+    p.  On a piece g^(k) / g^(k-1) = (p - k + 1) / r (log pieces take
+    p = 0 from k = 2), so past Phi each term is at most half the one
+    before.  An error above 1e-6 (1 + |Re| + |Im|) raises QuadratureError.
     """
     if s == 0.0:
-        return 0.0 + 0.0j
+        return 0.0 + 0.0j, 0.0
     sa = abs(s)
-    sgn_s = 1.0 if s > 0 else -1.0
+    sides = _sides(m)
+    r_cut = 2.0 * (max((np.abs(side.p).max() for side in sides), default=0.0)
+                   + _IBP_TERMS) / sa
     re_total = 0.0
     im_odd = 0.0
     err_total = 0.0
-    scale_hint = 0.0
-    for side_sign, (knots, vals) in zip(_side_signs(m), m.sides()):
-        edges = [float(k) for k in knots]
-        if edges[0] < 1.0 < edges[-1]:
-            edges = sorted(set(edges) | {1.0})
-        for a, b in zip(edges[:-1], edges[1:]):
-            def dens(r, kn=knots, vl=vals):
-                return m.density_at(np.atleast_1d(float(r)), kn, vl)[0]
+    for side in sides:
+        knots = side.knots
+        if r_cut > knots[0]:
+            def f(u, side=side):
+                r = np.exp(u)
+                z = sa * r
+                w = side.density(r) * r
+                q = np.where(u <= 0.0, _z_minus_sin(z), -np.sin(z))
+                return np.stack([_one_minus_cos(z) * w, q * w], axis=1)
 
-            if sa * b <= 0.5:
-                # phase stays small: direct log-radius quadrature
-                def f_small(u, kn=knots, vl=vals, inner=b <= 1.0):
-                    r = np.exp(u)
-                    z = sa * r
-                    w = m.density_at(r, kn, vl) * r
-                    q = _z_minus_sin(z) if inner else -np.sin(z)
-                    return np.stack([_one_minus_cos(z) * w, q * w], axis=1)
-
-                val, err = integrate_segments(
-                    f_small, [Segment(math.log(a), math.log(b))],
-                    abs_tol=1e-14, rel_tol=1e-11)
-                p_seg, q_seg = float(val[0]), float(val[1])
-            else:
-                mass, e1 = quad(dens, a, b, **_QUAD_OPTS)
-                cos_part, e2 = quad(dens, a, b, weight="cos", wvar=sa,
-                                    epsabs=1e-13, epsrel=1e-10, limit=400, maxp1=100)
-                sin_part, e3 = quad(dens, a, b, weight="sin", wvar=sa,
-                                    epsabs=1e-13, epsrel=1e-10, limit=400, maxp1=100)
-                p_seg = mass - cos_part
-                err = e1 + e2 + e3
-                if b <= 1.0:
-                    first, e4 = quad(lambda r: r * dens(r), a, b, **_QUAD_OPTS)
-                    q_seg = sa * first - sin_part
-                    err += e4
-                else:
-                    q_seg = -sin_part
-            re_total += p_seg
-            im_odd += side_sign * q_seg
+            val, err = integrate_segments(
+                f, [Segment(math.log(knots[0]), math.log(min(knots[-1], r_cut)))],
+                breakpoints=[0.0, *np.log(knots)], abs_tol=1e-14, rel_tol=1e-11)
+            re_total += float(val[0])
+            im_odd += side.sign * float(val[1])
             err_total += err
-            scale_hint = max(scale_hint, abs(p_seg), abs(q_seg))
+        if r_cut < knots[-1]:
+            mass = float(_side_integral(side, 0, r_cut, knots[-1]))
+            first = float(_side_integral(side, 1, r_cut, 1.0))
+            osc, err = _oscillatory_tail(side, r_cut, sa)
+            re_total += mass - osc.real
+            im_odd += side.sign * (sa * first - osc.imag)
+            err_total += err
+    value = complex(re_total, im_odd if s > 0 else -im_odd)
     if err_total > 1e-6 * (1.0 + abs(re_total) + abs(im_odd)):
         raise QuadratureError(
             f"tabulated cumulant quadrature error {err_total:.3e} too large at s={s}",
-            partial=complex(re_total, sgn_s * im_odd), residual=err_total)
-    return complex(re_total, sgn_s * im_odd)
+            partial=value, residual=err_total)
+    return value, err_total
 
 
-def _side_signs(m: TabulatedMeasure) -> list[float]:
-    g = np.asarray(m.grid)
-    signs = []
-    if (g < 0).any():
-        signs.append(-1.0)
-    if (g > 0).any():
-        signs.append(1.0)
-    return signs
+class _Side(NamedTuple):
+    """One sign-definite side of a tabulated measure, piece by piece.
+
+    Piece i is g(r) = (v0[i] + slope[i] log(r/k)) (r/k)**p[i] on
+    [k, k'] = knots[i:i+2]: a power law (slope 0) between positive knots,
+    linear in log r (p 0) next to a zero knot.
+    """
+
+    sign: float
+    knots: np.ndarray
+    v0: np.ndarray
+    p: np.ndarray
+    slope: np.ndarray
+
+    def at(self, idx, r):
+        """Piece ``idx`` evaluated at radii r inside it."""
+        t = np.log(r / self.knots[idx])
+        return (self.v0[idx] + self.slope[idx] * t) * np.exp(self.p[idx] * t)
+
+    def density(self, r):
+        """The density at radii r within the tabulated range."""
+        idx = np.clip(np.searchsorted(self.knots, r, side="right") - 1, 0, len(self.p) - 1)
+        return self.at(idx, r)
+
+
+def _side(sign: float, knots: np.ndarray, vals: np.ndarray) -> _Side:
+    """The pieces between the knots of one side (at least two knots)."""
+    v0, v1 = vals[:-1], vals[1:]
+    width = np.log(knots[1:] / knots[:-1])
+    power = (v0 > 0.0) & (v1 > 0.0)
+    ratio = np.where(power, v1, 1.0) / np.where(power, v0, 1.0)
+    return _Side(sign, knots, v0, np.log(ratio) / width, np.where(power, 0.0, (v1 - v0) / width))
+
+
+def _sides(m: TabulatedMeasure) -> list[_Side]:
+    """The sides of m as in :meth:`TabulatedMeasure.sides`, with y = sign * r.
+
+    A side with a single knot carries no mass and is left out.
+    """
+    signs = [sign for sign in (-1.0, 1.0) if any(sign * g > 0 for g in m.grid)]
+    return [_side(sign, knots, vals) for sign, (knots, vals) in zip(signs, m.sides())
+            if len(knots) > 1]
+
+
+def _piece_moment(a, slope, p, lo, hi, q):
+    """integral_lo^hi (r/lo)**q (a + slope log(r/lo)) (r/lo)**p dr.
+
+    In t = log(r/lo) this is lo L (a E1(eL) + slope L E2(eL)) with
+    L = log(hi/lo), e = p + q + 1, E1(x) = integral_0^1 exp(xu) du and
+    E2(x) = integral_0^1 u exp(xu) du.  Vectorized; zero where lo == hi.
+    """
+    L = np.log(hi / lo)
+    x = (p + q + 1.0) * L
+    small = np.abs(x) < 0.5
+    xs = np.where(small, x, 0.0)
+    series = sum(xs ** n / (math.factorial(n) * (n + 2)) for n in range(18))
+    xl = np.where(small, 1.0, x)
+    e2 = np.where(small, series, (np.exp(xl) * (xl - 1.0) + 1.0) / (xl * xl))
+    return lo * L * (a * _exprel(x) + slope * L * e2)
+
+
+def _piece_integral(side: _Side, idx, lo, hi, q: int):
+    """integral_lo^hi r**q g(r) dr on piece ``idx``, with lo <= hi inside it."""
+    a = side.at(idx, lo)
+    return lo ** q * _piece_moment(a, side.slope[idx], side.p[idx], lo, hi, q)
+
+
+def _side_integral(side: _Side, q: int, lo, hi):
+    """integral_lo^hi r**q g(r) dr on one side, vectorized over the limits.
+
+    Limits are clipped to the tabulated range.  The whole pieces between
+    the end pieces are summed slice by slice, never as a difference of
+    cumulative sums, so no cancellation creeps in.
+    """
+    knots = side.knots
+    n = len(side.p)
+    lo = np.clip(lo, knots[0], knots[-1])
+    hi = np.clip(hi, lo, knots[-1])
+    i = np.clip(np.searchsorted(knots, lo, side="right") - 1, 0, n - 1)
+    j = np.maximum(np.clip(np.searchsorted(knots, hi, side="left") - 1, 0, n - 1), i)
+    whole = np.append(_piece_integral(side, np.arange(n), knots[:-1], knots[1:], q), 0.0)
+    bounds = np.stack(np.broadcast_arrays(i + 1, j), axis=-1)
+    middle = np.add.reduceat(whole, bounds.ravel())[::2].reshape(np.shape(bounds)[:-1])
+    within = _piece_integral(side, i, lo, hi, q)
+    across = (_piece_integral(side, i, lo, knots[i + 1], q) + np.where(j > i + 1, middle, 0.0)
+              + _piece_integral(side, j, knots[j], hi, q))
+    return np.where(i == j, within, across)
+
+
+def _oscillatory_tail(side: _Side, r_cut: float, sa: float) -> tuple[complex, float]:
+    """integral_{r_cut}^{r_max} g(r) exp(i sa r) dr and its error bound.
+
+    The K-term integration-by-parts sum at both ends of every piece, or of
+    its part beyond r_cut, where sa r >= Phi.  The error is the remainder
+    bound integral |g^(K)| dr / sa**K, in closed form because |g^(K)| is
+    (|p| g + |slope|) r**-K prod_{j=1}^{K-1} |p - j|, plus the rounding of
+    the phase sa r.
+    """
+    idx = np.flatnonzero(side.knots[1:] > r_cut)
+    p, slope = side.p[idx], side.slope[idx]
+    lo = np.maximum(side.knots[idx], r_cut)
+    hi = side.knots[idx + 1]
+    # both ends at once: sum_k i**k g^(k) / sa**k at r, with x = sa r, is
+    # g + i (r g' / x) sum_{k=1}^{K-1} prod_{j=1}^{k-1} i (p - j) / x
+    r = np.concatenate([lo, hi])
+    pp = np.concatenate([p, p])
+    g = side.at(np.concatenate([idx, idx]), r)
+    x = sa * r
+    ratios = 1j * (pp[:, None] - np.arange(1, _IBP_TERMS - 1)) / x[:, None]
+    total = g + 1j * ((pp * g + np.concatenate([slope, slope])) / x) * (
+        1.0 + np.cumprod(ratios, axis=1).sum(axis=1))
+    ends = -1j * np.exp(1j * x) * total / sa
+    value = complex(ends[len(idx):].sum() - ends[:len(idx)].sum())
+    shrink = np.prod(np.abs(p[:, None] - np.arange(1, _IBP_TERMS)) / (sa * lo[:, None]),
+                     axis=1) / (sa * lo)
+    a = np.abs(p) * side.at(idx, lo) + np.abs(slope)
+    remainder = float((shrink * _piece_moment(a, 0.0, p, lo, hi, -_IBP_TERMS)).sum())
+    rounding = float((_EPS * (x + 2 * _IBP_TERMS) * np.abs(total)).sum() / sa)
+    return value, remainder + rounding
 
 
 # ---------------------------------------------------------------------------
@@ -467,28 +563,13 @@ def truncated_mean_shift(triplet: LevyTriplet, v) -> np.ndarray | float:
         ind_1 = (np.abs(atoms) <= 1.0).astype(float)
         out = m.rate * ((ind_v - ind_1) * atoms) @ weights
     else:
-        out = np.array([_tabulated_mean_shift(m, float(x)) for x in v_arr.ravel()]
-                       ).reshape(v_arr.shape)
+        with np.errstate(divide="ignore"):
+            r_hi = 1.0 / np.abs(v_arr)
+        out = np.zeros_like(v_arr)
+        for side in _sides(m):
+            part = _side_integral(side, 1, np.minimum(1.0, r_hi), np.maximum(1.0, r_hi))
+            out = out + side.sign * np.where(r_hi >= 1.0, part, -part)
     return out if np.ndim(v) else float(out[0])
-
-
-def _tabulated_mean_shift(m: TabulatedMeasure, v: float) -> float:
-    r_hi = 1.0 / abs(v) if v != 0.0 else math.inf
-    total = 0.0
-    for sign, (knots, vals) in zip(_side_signs(m), m.sides()):
-        lo = max(float(knots[0]), min(1.0, r_hi))
-        hi = min(float(knots[-1]), max(1.0, r_hi))
-        if lo >= hi:
-            continue
-
-        def f(r, kn=knots, vl=vals, sg=sign):
-            rr = np.atleast_1d(r)
-            return float((sg * rr * m.density_at(rr, kn, vl))[0])
-
-        val, _ = quad(f, lo, hi, points=[float(k) for k in knots if lo < k < hi] or None,
-                      **_QUAD_OPTS)
-        total += val if r_hi >= 1.0 else -val
-    return total
 
 
 def mean_shift_lock_radius(triplet: LevyTriplet) -> float:
@@ -534,15 +615,8 @@ def clipped_growth(triplet: LevyTriplet) -> tuple[float, float]:
 
 def _tabulated_moment(m: TabulatedMeasure, power: int) -> float:
     """integral |y|**power nu0(dy) over both sides of a tabulated measure."""
-    total = 0.0
-    for knots, vals in m.sides():
-        def f(r, kn=knots, vl=vals):
-            rr = np.atleast_1d(r)
-            return float((rr ** power * m.density_at(rr, kn, vl))[0])
-        v, _ = quad(f, float(knots[0]), float(knots[-1]),
-                    points=[float(k) for k in knots[1:-1]] or None, **_QUAD_OPTS)
-        total += v
-    return total
+    return float(sum(_side_integral(side, power, side.knots[0], side.knots[-1])
+                     for side in _sides(m)))
 
 
 def clipped_second_moment(triplet: LevyTriplet, v) -> np.ndarray | float:
@@ -559,24 +633,13 @@ def clipped_second_moment(triplet: LevyTriplet, v) -> np.ndarray | float:
         weights = np.asarray(m.weights)
         out = m.rate * np.minimum(1.0, (v_arr[..., None] * atoms) ** 2) @ weights
     else:
-        out = np.array([_tabulated_clipped_second(m, float(x)) for x in v_arr.ravel()]
-                       ).reshape(v_arr.shape)
+        with np.errstate(divide="ignore"):
+            r_clip = 1.0 / v_arr
+        out = np.zeros_like(v_arr)
+        for side in _sides(m):
+            out = out + (v_arr * v_arr * _side_integral(side, 2, side.knots[0], r_clip)
+                         + _side_integral(side, 0, r_clip, side.knots[-1]))
     return out if np.ndim(v) else float(out[0])
-
-
-def _tabulated_clipped_second(m: TabulatedMeasure, v: float) -> float:
-    total = 0.0
-    for knots, vals in m.sides():
-        def f(r, kn=knots, vl=vals):
-            rr = np.atleast_1d(r)
-            return float((np.minimum(1.0, (rr * v) ** 2) * m.density_at(rr, kn, vl))[0])
-        pts = [float(k) for k in knots[1:-1]]
-        if v != 0.0 and knots[0] < 1.0 / abs(v) < knots[-1]:
-            pts.append(1.0 / abs(v))
-        val, _ = quad(f, float(knots[0]), float(knots[-1]),
-                      points=sorted(set(pts)) or None, **_QUAD_OPTS)
-        total += val
-    return total
 
 
 # ---------------------------------------------------------------------------

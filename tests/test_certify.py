@@ -265,8 +265,19 @@ def test_total_jump_mass_tabulated_power_law():
 
 
 def test_total_jump_mass_tabulated_trapezoid_fallback():
+    # a piece with a zero knot is linear in log r: 2 (1 - log2(r)) on [1, 2]
     mass = levy.total_jump_mass(levy.TabulatedMeasure((1.0, 2.0), (2.0, 0.0)))
-    assert mass == pytest.approx(1.0, rel=1e-12)
+    assert mass == pytest.approx(2.0 * (1.0 / math.log(2.0) - 1.0), rel=1e-12)
+
+
+def test_total_jump_mass_rising_ramp_bounds_real_cumulant():
+    """2 * mass bounds Re K, as frequency_integral's divergence note states."""
+    measure = levy.TabulatedMeasure((1.0, 2.0), (0.0, 2.0))
+    mass = levy.total_jump_mass(measure)
+    assert mass == pytest.approx(2.0 - 2.0 * (1.0 / math.log(2.0) - 1.0), rel=1e-12)
+    re_k = levy.cumulant_re(levy.LevyTriplet(measure=measure), np.linspace(0.1, 20.0, 400))
+    assert re_k.max() > 2.1
+    assert 2.0 * mass >= re_k.max()
 
 
 def test_frequency_integral_nonconvergence_blows_budget(monkeypatch):

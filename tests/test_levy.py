@@ -5,14 +5,20 @@ against split quadrature of 2*int_0^inf (1-cos u) u**(-1-alpha) du (core on
 [0, 10] plus a Fourier-weighted tail), agreeing to 2e-11 relative.  The
 clipped second moment literal comes from direct quadrature of
 min(1, (yv)^2) against the jump density (1.3e-15 relative agreement).
+The tabulated moment literals were computed by scalar adaptive quadrature
+(scipy.integrate.quad, epsrel 1e-10) of the interpolated density split at
+its knots, and agree with the closed forms to 4e-16 relative.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
+from srdcert import levy
 from srdcert.errors import RejectionError
 from srdcert.levy import (
     CompoundPoisson,
@@ -22,16 +28,20 @@ from srdcert.levy import (
     TabulatedMeasure,
     calibrated_stable,
     check_negdef_inequalities,
+    clipped_growth,
     clipped_second_moment,
     cumulant,
     cumulant_re,
     default_validation_triplets,
     gaussian_triplet,
     homogeneity_exponent,
+    im_linear_coef,
+    mean_shift_deviation_bound,
     poisson_triplet,
     small_signal_bound,
     stable_re_constant,
     stable_triplet,
+    total_jump_mass,
     truncated_mean_shift,
 )
 
@@ -97,6 +107,78 @@ class TestCumulantClosedForms:
             assert cumulant_re(trip, 0.0) == 0.0
 
 
+def bench_table():
+    """31 knots per side of 0.1 |y|**-2 on 1e-3 <= |y| <= 1e3."""
+    pos = np.geomspace(1e-3, 1e3, 31)
+    grid = np.concatenate([-pos[::-1], pos])
+    return TabulatedMeasure(tuple(grid), tuple(0.1 * np.abs(grid) ** -2.0))
+
+
+def zero_knot_table():
+    """One-sided, every other knot zero: each piece is linear in log r."""
+    return TabulatedMeasure((0.2, 0.5, 1.0, 2.0, 5.0), (0.0, 1.5, 0.0, 2.0, 0.0))
+
+
+def steep_table():
+    """Two-sided; the piece on [1, 1.1] is a power law with exponent -145."""
+    return TabulatedMeasure((-2.0, -0.5, 0.5, 1.0, 1.1, 2.0), (0.3, 1.0, 2.0, 1.0, 1e-6, 1e-7))
+
+
+def quad_cumulant(m, s):
+    """Jump cumulant and an error bound by scalar QUADPACK on density_at.
+
+    Piece by piece between knots (split at r = 1): direct quadrature while
+    the phase |s| r stays below 50, else the mass minus cosine- and
+    sine-weighted quadrature (QAWO).
+    """
+    w = abs(s)
+    re = im = err = 0.0
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=1000)
+    signs = [sign for sign in (-1.0, 1.0) if any(sign * y > 0 for y in m.grid)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for sign, (knots, vals) in zip(signs, m.sides()):
+            def g(r, kn=knots, vl=vals):
+                return m.density_at(np.array([r]), kn, vl)[0]
+
+            edges = sorted(set(knots.tolist()) | ({1.0} if knots[0] < 1.0 < knots[-1] else set()))
+            for a, b in zip(edges, edges[1:]):
+                if w * b <= 50.0:
+                    p, e1 = quad(lambda r: 2.0 * math.sin(0.5 * w * r) ** 2 * g(r), a, b, **opts)
+                    odd = (lambda z: z - math.sin(z)) if b <= 1.0 else (lambda z: -math.sin(z))
+                    q, e2 = quad(lambda r: odd(w * r) * g(r), a, b, **opts)
+                    e = e1 + e2
+                else:
+                    mass, e1 = quad(g, a, b, **opts)
+                    c, e2 = quad(g, a, b, weight="cos", wvar=w, maxp1=200, **opts)
+                    sn, e3 = quad(g, a, b, weight="sin", wvar=w, maxp1=200, **opts)
+                    p, q, e = mass - c, -sn, e1 + e2 + e3
+                    if b <= 1.0:
+                        first, e4 = quad(lambda r: r * g(r), a, b, **opts)
+                        q += w * first
+                        e += w * e4
+                re += p
+                im += sign * q
+                err += e
+    return complex(re, im if s > 0 else -im), err
+
+
+def truncated_stable_re(alpha, lo, hi, s):
+    """Re K of the calibrated stable density kept on lo <= |y| <= hi.
+
+    |s|**alpha minus the two cut-off parts 2 scale integral (1 - cos sr)
+    r**(-1-alpha) dr: below lo by its power series, above hi as
+    hi**-alpha / alpha minus a cosine-weighted (QAWF) tail.
+    """
+    scale = 1.0 / stable_re_constant(alpha)
+    inner = sum((-1) ** (n + 1) * s ** (2 * n) * lo ** (2 * n - alpha)
+                / (math.factorial(2 * n) * (2 * n - alpha)) for n in range(1, 12))
+    cos_tail, _ = quad(lambda r: r ** (-1.0 - alpha), hi, np.inf, weight="cos", wvar=abs(s),
+                       epsabs=1e-16)
+    outer = hi ** -alpha / alpha - cos_tail
+    return abs(s) ** alpha - 2.0 * scale * (inner + outer)
+
+
 class TestTabulatedMeasure:
     def symmetric_powerlaw_table(self, alpha=0.7, lo=1e-6, hi=1e6, n=121):
         scale = 1.0 / stable_re_constant(alpha)
@@ -107,10 +189,29 @@ class TestTabulatedMeasure:
 
     def test_matches_stable_closed_form(self):
         # log-linear interpolation is exact on a power law, so the only gap
-        # is the outer truncation at |y| = 1e6 (bounded by 4.7e-5 absolute)
+        # to |s|**0.7 is the truncation to 1e-6 <= |y| <= 1e6, which
+        # truncated_stable_re subtracts
         trip = LevyTriplet(b0=0.0, measure=self.symmetric_powerlaw_table(), name="table")
-        for s in (0.5, 2.0):
-            assert cumulant_re(trip, s) == pytest.approx(abs(s) ** 0.7, rel=1e-4)
+        for s in (0.5, 2.0, 50.0, 1e3, 1e5):
+            expect = truncated_stable_re(0.7, 1e-6, 1e6, s)
+            assert cumulant_re(trip, s) == pytest.approx(expect, rel=1e-11)
+
+    @pytest.mark.parametrize("table", [steep_table, zero_knot_table],
+                             ids=["steep", "zero-knot"])
+    @pytest.mark.parametrize("s", [1e-2, 1.0, 50.0, 1e3, 1e5, 1e6])
+    def test_matches_oscillatory_quadrature(self, table, s):
+        m = table()
+        value, err = levy._tabulated_jump_cumulant(m, s)
+        expect, expect_err = quad_cumulant(m, s)
+        assert abs(value - expect) <= err + expect_err
+        assert err <= 1e-9 * (1.0 + abs(value))
+
+    @pytest.mark.parametrize("table", [bench_table, steep_table, zero_knot_table],
+                             ids=["bench", "steep", "zero-knot"])
+    def test_conjugate_symmetry_exact(self, table):
+        trip = LevyTriplet(measure=table())
+        s = np.array([1e-2, 0.7, 3.0, 64.0, 2e3, 1e6])
+        assert np.array_equal(cumulant(trip, -s), np.conj(cumulant(trip, s)))
 
     def test_imaginary_part_vanishes_for_symmetric_table(self):
         trip = LevyTriplet(b0=0.0, measure=self.symmetric_powerlaw_table(n=41), name="table")
@@ -124,6 +225,17 @@ class TestTabulatedMeasure:
         k = cumulant(trip, 1.0)
         assert k.real > 0
         assert k.imag != pytest.approx(0.0, abs=1e-6)
+
+    def test_single_knot_side_carries_no_mass(self):
+        lone = LevyTriplet(measure=TabulatedMeasure((-1.0, 0.5, 2.0), (3.0, 1.0, 0.5)))
+        pair = LevyTriplet(measure=TabulatedMeasure((0.5, 2.0), (1.0, 0.5)))
+        s = np.array([-40.0, 0.3, 2.0, 1e4])
+        assert np.array_equal(cumulant(lone, s), cumulant(pair, s))
+        assert total_jump_mass(lone.measure) == total_jump_mass(pair.measure)
+        assert np.array_equal(truncated_mean_shift(lone, s), truncated_mean_shift(pair, s))
+        (knots, vals), _ = lone.measure.sides()
+        assert np.array_equal(lone.measure.density_at(np.array([0.5, 1.0]), knots, vals),
+                              [0.0, 0.0])
 
     def test_rejects_grid_inside_cutoff(self):
         with pytest.raises(RejectionError):
@@ -182,6 +294,30 @@ class TestMomentHelpers:
         v = 0.4
         expect = 2.0 * (0.6 * min(1.0, (0.5 * v) ** 2) + 0.4 * min(1.0, (2.0 * v) ** 2))
         assert clipped_second_moment(trip, v) == pytest.approx(expect, rel=1e-14)
+
+    @pytest.mark.parametrize("table,moments,shift,clipped", [
+        (bench_table, (199.9998, 2.7631021115928545, 199.99979999999994),
+         (0.0,) * 8,
+         (0.0, 0.003799979999999999, 0.11978200000000001, 0.35963800000000007,
+          0.3996000000000001, 0.5993500000000003, 1.198, 37.9998)),
+        (zero_knot_table, (4.253660705940763, 9.615016094658076, 26.320192652313835),
+         (9.295202452008116, 9.295202452008116, 6.633081695218702, 0.018453166124195647,
+          0.0, -0.10557396661148202, -0.302458741240767, -0.31981364264995926),
+         (0.0, 0.002632019265231384, 2.1199955781661592, 3.814803538498998,
+          3.8518614976173513, 4.038912290949776, 4.2385664099968725, 4.253660705940763)),
+    ], ids=["bench", "zero-knot"])
+    def test_tabulated_moments_frozen(self, table, moments, shift, clipped):
+        trip = LevyTriplet(measure=table())
+        v = np.array([0.0, 0.01, 0.3, 0.9, 1.0, 1.5, 3.0, 100.0])
+        assert total_jump_mass(trip.measure) == pytest.approx(moments[0], rel=1e-12)
+        assert mean_shift_deviation_bound(trip) == pytest.approx(moments[1], rel=1e-12)
+        assert im_linear_coef(trip) == pytest.approx(2.0 * moments[1], rel=1e-12)
+        assert clipped_growth(trip) == (2.0, pytest.approx(moments[2], rel=1e-12))
+        assert small_signal_bound(trip) == (2.0, pytest.approx(0.5 * moments[2], rel=1e-12))
+        np.testing.assert_allclose(truncated_mean_shift(trip, v), shift, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(clipped_second_moment(trip, v), clipped, rtol=1e-12, atol=0.0)
+        assert truncated_mean_shift(trip, 0.3) == pytest.approx(shift[2], rel=1e-12)
+        assert clipped_second_moment(trip, -0.3) == pytest.approx(clipped[2], rel=1e-12)
 
     def test_small_signal_bound_dominates(self):
         vs = np.linspace(-1.0, 1.0, 201)

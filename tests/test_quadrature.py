@@ -207,3 +207,18 @@ def test_no_module_imports_quad_vec():
             if "quad_vec" in names:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_levy_imports_nothing_from_scipy_integrate():
+    """The tabulated cumulant and moments use the engine and closed forms only."""
+    offenders = []
+    for node in ast.walk(ast.parse((SRC / "levy.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(n == "scipy.integrate" or n.startswith("scipy.integrate.") for n in names):
+            offenders.append(node.lineno)
+    assert not offenders, offenders
