@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc
 
 from . import levy
-from .errors import DivergentNormError, RejectionError
+from .errors import DivergentNormError, QuadratureError, RejectionError
 from .kernels import (
     SPHERE_AREA,
     BoundedBox,
@@ -31,12 +30,12 @@ from .kernels import (
     check_integrability,
     lp_norm,
 )
-from .quadrature import fit_power_law
+from .quadrature import Segment, fit_power_law, integrate_segments
 from .spectral import (
     DEFAULT_S_BOX,
     SpectralProfile,
     build_profile,
-    marginal_exponent_sq,
+    marginal_exponent_grid,
 )
 
 DEFAULT_CANDIDATES = (0.25, 0.5, 0.75, 0.9)
@@ -203,9 +202,11 @@ def frequency_integral(profile: SpectralProfile, threshold: float
     """integral_0^inf (sigma(s)/s) exp(-(1-threshold) sigma^2(s)) ds.
 
     The profiled grid supplies power-law endpoint models (incomplete-gamma
-    closed forms below s_min and above s_max); the middle runs live
-    adaptive quadrature in log frequency; when that quadrature reports no
-    convergence the error is infinite and ``note`` carries its message.
+    closed forms below s_min and above s_max); the middle is one pass of
+    the package's adaptive engine in u = log s, split at u = 0 when that
+    lies inside, whose integrand makes one ``marginal_exponent_grid`` call
+    per subdivision round; when that pass does not converge the error is
+    infinite and ``note`` carries its message.
     Saturating growth at the top of the grid (fitted exponent <= 0.05) or
     flat behaviour at the bottom is flagged divergent.
     """
@@ -243,15 +244,19 @@ def frequency_integral(profile: SpectralProfile, threshold: float
     u_min = lam * float(sig[0])
     head = math.sqrt(math.pi) * float(gammainc(0.5, u_min)) / (q_lo * math.sqrt(lam))
 
-    def integrand(u: float) -> float:
-        ss = math.exp(u)
-        s2 = marginal_exponent_sq(kernel, triplet, ss)
-        return math.sqrt(s2) * math.exp(-lam * s2)
+    def integrand(u: np.ndarray) -> np.ndarray:
+        s2, _ = marginal_exponent_grid(kernel, triplet, np.exp(u))
+        return (np.sqrt(s2) * np.exp(-lam * s2))[:, None]
 
-    middle, mid_err, _, *failure = quad(
-        integrand, math.log(s[0]), math.log(s[-1]),
-        points=[0.0] if s[0] < 1.0 < s[-1] else None,
-        epsabs=1e-12, epsrel=1e-9, limit=300, full_output=1)
+    note = ""
+    try:
+        middle, mid_err = integrate_segments(
+            integrand, [Segment(math.log(s[0]), math.log(s[-1]))], (0.0,),
+            abs_tol=1e-12, rel_tol=1e-9)
+        middle = float(middle[0])
+    except QuadratureError as exc:
+        # no convergence: the error estimate is no bound
+        middle, mid_err, note = exc.partial, math.inf, f"middle quadrature: {exc}"
 
     u_max = lam * float(sig[-1])
     tail = math.sqrt(math.pi) * float(gammaincc(0.5, u_max)) / (q_hi * math.sqrt(lam))
@@ -259,10 +264,6 @@ def frequency_integral(profile: SpectralProfile, threshold: float
     value = head + middle + tail
     error = mid_err + 2.0 * resid_lo * head + 2.0 * resid_hi * tail \
         + profile.sigma_err
-    note = ""
-    if failure:
-        # quad did not converge: its error estimate is no bound
-        error, note = math.inf, f"middle quadrature: {failure[0]}"
     return IntegralEstimate(value=value, error=error, divergent=False, note=note,
                             head=head, middle=middle, tail=tail)
 

@@ -33,17 +33,39 @@ from .kernels import Kernel
 from .spectral import DEFAULT_S_BOX, build_profile, char_marginal
 
 _FMT = "%.17g"
-# the keys each section accepts; any other key is a configuration error
-_KEYS = {
-    "kernel": {"type", "lo", "hi", "dim", "half_width", "width", "exponent", "radius"},
-    "triplet": {"a0", "b0", "jumps", "alpha", "scale", "rate", "atoms", "weights",
-                "grid", "density"},
+# per section: the selector key, its default, and the keys each of its
+# values reads besides the shared ones
+_VARIANT_KEYS = {
+    "kernel": ("type", None, {
+        "box": {"lo", "hi", "dim"},
+        "tent": {"half_width"},
+        "gaussian": {"dim", "width"},
+        "powerlaw": {"exponent", "radius"},
+    }),
+    "triplet": ("jumps", "none", {
+        "none": set(),
+        "stable": {"alpha", "scale"},
+        "poisson": {"rate", "atoms", "weights"},
+        "table": {"grid", "density"},
+    }),
+    "simulate": ("probe", "point", {
+        "point": {"probe_level"},
+        "discrete": {"probe_points"},
+        "gaussian": {"probe_size"},
+    }),
+}
+_SHARED_KEYS = {
+    "kernel": {"type"},
+    "triplet": {"a0", "b0", "jumps"},
     "numerics": {"window", "t_step", "s_lo", "s_hi", "s_points", "thresholds"},
     "simulate": {"n_samples", "lattice_step", "seed", "lags", "threshold", "s_grid",
-                 "probe", "probe_level", "probe_points", "probe_size", "n_triples",
-                 "negdef_samples"},
+                 "probe", "n_triples", "negdef_samples"},
     "sweep": {"parameter", "values"},
 }
+# the keys each section accepts; any other key is a configuration error
+_KEYS = {section: set(shared) for section, shared in _SHARED_KEYS.items()}
+for _section, (_, _, _variants) in _VARIANT_KEYS.items():
+    _KEYS[_section] |= set().union(*_variants.values())
 
 
 def _fmt(x: float) -> str:
@@ -115,15 +137,30 @@ def load_config(path: Path) -> configparser.ConfigParser:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
-    for section, known in _KEYS.items():
+    for section in _KEYS:
         for key in parser[section] if parser.has_section(section) else ():
-            if key not in known:
-                raise ConfigError(f"[{section}] unknown key '{key}'")
+            problem = _key_problem(parser, section, key)
+            if problem:
+                raise ConfigError(problem)
     target = parser.get("sweep", "parameter", fallback="").strip()
     section, dot, key = target.partition(".")
-    if dot and section in _KEYS and key not in _KEYS[section]:
-        raise ConfigError(f"[sweep] parameter {target!r}: [{section}] unknown key '{key}'")
+    problem = _key_problem(parser, section, key) if dot and section in _KEYS else None
+    if problem:
+        raise ConfigError(f"[sweep] parameter {target!r}: {problem}")
     return parser
+
+
+def _key_problem(parser: configparser.ConfigParser, section: str, key: str) -> str | None:
+    """Why ``key`` is not read in ``section``, or None when it is."""
+    if key not in _KEYS[section]:
+        return f"[{section}] unknown key '{key}'"
+    if section not in _VARIANT_KEYS or key in _SHARED_KEYS[section]:
+        return None
+    selector, default, variants = _VARIANT_KEYS[section]
+    value = parser.get(section, selector, fallback=default)
+    if value in variants and key not in variants[value]:
+        return f"[{section}] {selector} = {value} does not read key '{key}'"
+    return None
 
 
 def build_kernel(parser: configparser.ConfigParser) -> Kernel:

@@ -357,13 +357,14 @@ def build_profile(kernel: Kernel, triplet: levy.LevyTriplet, window: float,
                   s_points: int = 40) -> SpectralProfile:
     """Compute a spectral profile over [-window, window]^d.
 
-    Rejects degenerate pairs (vanishing marginal exponent), exploits the
-    lag symmetry ratio(-t) = ratio(t), and tags ratio provenance.
+    Rejects degenerate pairs (vanishing marginal exponent) and a window,
+    step or frequency box that is not finite, exploits the lag symmetry
+    ratio(-t) = ratio(t), and tags ratio provenance.
     """
-    if not (window > 0 and t_step > 0 and t_step <= window):
+    if not (0 < t_step <= window < math.inf):
         raise RejectionError("profile-window",
-                             f"need 0 < t_step <= window, got {t_step}, {window}")
-    if not (0 < s_box[0] < s_box[1]) or s_points < 4:
+                             f"need finite 0 < t_step <= window, got {t_step}, {window}")
+    if not (0 < s_box[0] < s_box[1] < math.inf) or s_points < 4:
         raise RejectionError("profile-sbox", "bad frequency box or point count")
 
     probe = math.sqrt(s_box[0] * s_box[1])

@@ -284,13 +284,30 @@ def test_frequency_integral_nonconvergence_blows_budget(monkeypatch):
     """A middle quadrature that does not converge must not pass silently."""
     certify_module = sys.modules["srdcert.certify"]  # the package exports the function
 
-    def wild_sigma_sq(kernel, triplet, s):
-        return 1.0 + math.sin(1e4 * s) ** 2
+    def wild_sigma_sq_grid(kernel, triplet, s):
+        return 1.0 + np.sin(1e4 * s) ** 2, 0.0
 
-    monkeypatch.setattr(certify_module, "marginal_exponent_sq", wild_sigma_sq)
+    monkeypatch.setattr(certify_module, "marginal_exponent_grid", wild_sigma_sq_grid)
     rep = certify(kernels.box_kernel(), levy.stable_triplet(1.0))
     assert rep.verdict == "inconclusive"
     assert math.isinf(rep.freq_error) and not rep.freq_divergent
     (reason,) = rep.reasons
     assert reason.startswith("frequency integral error inf exceeds 0.001 relative budget")
-    assert "middle quadrature: " in reason and "subdivisions" in reason
+    assert "middle quadrature: " in reason and "target precision not reached" in reason
+
+
+def test_frequency_integral_batches_sigma_sq(monkeypatch, box_stable_profile):
+    """The middle makes one sigma^2 grid call per subdivision round."""
+    certify_module = sys.modules["srdcert.certify"]
+    grid = certify_module.marginal_exponent_grid
+    sizes = []
+
+    def counting_grid(kernel, triplet, s):
+        sizes.append(len(s))
+        return grid(kernel, triplet, s)
+
+    monkeypatch.setattr(certify_module, "marginal_exponent_grid", counting_grid)
+    est = frequency_integral(box_stable_profile, 0.5)
+    assert est.value == pytest.approx(SQRT_2PI, rel=1e-9)
+    assert 1 <= len(sizes) <= 10, sizes
+    assert all(n > 0 and n % 21 == 0 for n in sizes), sizes

@@ -106,10 +106,27 @@ def test_certify_malformed_config_names_line(tmp_path, capsys):
      "values = 1\nsteps = 3\n", "[sweep] unknown key 'steps'"),
     ("[kernel]\ntype = box\n[triplet]\nb0 = 1\n[sweep]\nparameter = triplet.drift\n"
      "values = 1\n", "[triplet] unknown key 'drift'"),
+    ("[kernel]\ntype = box\nwidth = 5.0\n[triplet]\nb0 = 1\n",
+     "[kernel] type = box does not read key 'width'"),
+    ("[kernel]\ntype = box\n[triplet]\njumps = stable\nalpha = 1.0\nrate = 7\n",
+     "[triplet] jumps = stable does not read key 'rate'"),
+    ("[kernel]\ntype = box\n[triplet]\nb0 = 1\nalpha = 1.0\n",
+     "[triplet] jumps = none does not read key 'alpha'"),
+    ("[kernel]\ntype = box\n[triplet]\nb0 = 1\n[simulate]\nprobe_size = 64\n",
+     "[simulate] probe = point does not read key 'probe_size'"),
+    ("[kernel]\ntype = box\n[triplet]\nb0 = 1\n[sweep]\nparameter = kernel.width\n"
+     "values = 2\n", "[sweep] parameter 'kernel.width': [kernel] type = box"
+     " does not read key 'width'"),
+    ("[kernel]\ntype = box\n[triplet]\nb0 = 1\n[numerics]\nwindow = inf\n",
+     "profile-window"),
+    ("[kernel]\ntype = box\n[triplet]\nb0 = 1\n[numerics]\ns_hi = inf\n",
+     "profile-sbox"),
 ], ids=["no-type", "bad-type", "no-exponent", "bad-float", "bad-jumps",
         "degenerate", "no-alpha", "no-atoms", "unknown-triplet-key",
         "unknown-kernel-key", "unknown-numerics-key", "unknown-simulate-key",
-        "unknown-sweep-key", "unknown-sweep-parameter"])
+        "unknown-sweep-key", "unknown-sweep-parameter", "unread-kernel-key",
+        "unread-triplet-key", "unread-gaussian-triplet-key", "unread-probe-key",
+        "unread-sweep-parameter", "infinite-window", "infinite-s-hi"])
 def test_config_validation_exit3(tmp_path, capsys, body, fragment):
     cfg = write_cfg(tmp_path, body)
     assert main(["certify", str(cfg)]) == 3

@@ -7,6 +7,9 @@ the summation order differs.
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -210,15 +213,24 @@ def test_no_module_imports_quad_vec():
 
 
 def test_levy_imports_nothing_from_scipy_integrate():
-    """The tabulated cumulant and moments use the engine and closed forms only."""
+    """Every integral in the package runs on the engine or a closed form."""
     offenders = []
-    for node in ast.walk(ast.parse((SRC / "levy.py").read_text())):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
-        else:
-            continue
-        if any(n == "scipy.integrate" or n.startswith("scipy.integrate.") for n in names):
-            offenders.append(node.lineno)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.integrate" or n.startswith("scipy.integrate.") for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    code = ("import sys, srdcert; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert out.stdout.strip() == "[]"
