@@ -202,11 +202,12 @@ def frequency_integral(profile: SpectralProfile, threshold: float
     """integral_0^inf (sigma(s)/s) exp(-(1-threshold) sigma^2(s)) ds.
 
     The profiled grid supplies power-law endpoint models (incomplete-gamma
-    closed forms below s_min and above s_max); the middle is one pass of
-    the package's adaptive engine in u = log s, split at u = 0 when that
-    lies inside, whose integrand makes one ``marginal_exponent_grid`` call
-    per subdivision round; when that pass does not converge the error is
-    infinite and ``note`` carries its message.
+    closed forms below s_min and above s_max); the middle is one engine
+    pass in u = log s whose integrand makes one ``marginal_exponent_grid``
+    call per subdivision round.  If that pass does not converge the error
+    is infinite and ``note`` carries its message; a failed sigma^2 call
+    raises.  The budget leaves out the sigma^2 error, whose tolerance is
+    1e-10 of the 2-norm of a round's sigma^2 vector, not of each sigma^2.
     Saturating growth at the top of the grid (fitted exponent <= 0.05) or
     flat behaviour at the bottom is flagged divergent.
     """
@@ -244,17 +245,24 @@ def frequency_integral(profile: SpectralProfile, threshold: float
     u_min = lam * float(sig[0])
     head = math.sqrt(math.pi) * float(gammainc(0.5, u_min)) / (q_lo * math.sqrt(lam))
 
+    grid_failures = []
+
     def integrand(u: np.ndarray) -> np.ndarray:
-        s2, _ = marginal_exponent_grid(kernel, triplet, np.exp(u))
+        try:
+            s2, _ = marginal_exponent_grid(kernel, triplet, np.exp(u))
+        except QuadratureError as exc:
+            grid_failures.append(exc)
+            raise
         return (np.sqrt(s2) * np.exp(-lam * s2))[:, None]
 
-    note = ""
     try:
         middle, mid_err = integrate_segments(
             integrand, [Segment(math.log(s[0]), math.log(s[-1]))], (0.0,),
             abs_tol=1e-12, rel_tol=1e-9)
-        middle = float(middle[0])
+        middle, note = float(middle[0]), ""
     except QuadratureError as exc:
+        if grid_failures:
+            raise  # a failed sigma^2 pass is no verdict: it propagates
         # no convergence: the error estimate is no bound
         middle, mid_err, note = exc.partial, math.inf, f"middle quadrature: {exc}"
 
@@ -494,7 +502,7 @@ def certify(kernel: Kernel, triplet: levy.LevyTriplet,
         freq = frequency_integral(profile, choice.threshold)
         if freq.divergent:
             reasons.append(f"frequency integral divergent: {freq.note}")
-        elif freq.error > FREQ_ERROR_BUDGET * freq.value:
+        elif not freq.error <= FREQ_ERROR_BUDGET * freq.value:  # nan fails too
             reasons.append(
                 f"frequency integral error {freq.error:.3g} exceeds"
                 f" {FREQ_ERROR_BUDGET:g} relative budget"

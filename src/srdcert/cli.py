@@ -33,39 +33,19 @@ from .kernels import Kernel
 from .spectral import DEFAULT_S_BOX, build_profile, char_marginal
 
 _FMT = "%.17g"
-# per section: the selector key, its default, and the keys each of its
-# values reads besides the shared ones
-_VARIANT_KEYS = {
-    "kernel": ("type", None, {
-        "box": {"lo", "hi", "dim"},
-        "tent": {"half_width"},
-        "gaussian": {"dim", "width"},
-        "powerlaw": {"exponent", "radius"},
-    }),
-    "triplet": ("jumps", "none", {
-        "none": set(),
-        "stable": {"alpha", "scale"},
-        "poisson": {"rate", "atoms", "weights"},
-        "table": {"grid", "density"},
-    }),
-    "simulate": ("probe", "point", {
-        "point": {"probe_level"},
-        "discrete": {"probe_points"},
-        "gaussian": {"probe_size"},
-    }),
-}
-_SHARED_KEYS = {
-    "kernel": {"type"},
-    "triplet": {"a0", "b0", "jumps"},
+# the keys each section accepts; any other key is a configuration error.
+# A key that the chosen kernel type, jump type or probe does not read is
+# rejected when its section is built (``_Section.reject_unread``).
+_KEYS = {
+    "kernel": {"type", "lo", "hi", "dim", "half_width", "width", "exponent", "radius"},
+    "triplet": {"a0", "b0", "jumps", "alpha", "scale", "rate", "atoms", "weights",
+                "grid", "density"},
     "numerics": {"window", "t_step", "s_lo", "s_hi", "s_points", "thresholds"},
     "simulate": {"n_samples", "lattice_step", "seed", "lags", "threshold", "s_grid",
-                 "probe", "n_triples", "negdef_samples"},
+                 "probe", "probe_level", "probe_points", "probe_size", "n_triples",
+                 "negdef_samples"},
     "sweep": {"parameter", "values"},
 }
-# the keys each section accepts; any other key is a configuration error
-_KEYS = {section: set(shared) for section, shared in _SHARED_KEYS.items()}
-for _section, (_, _, _variants) in _VARIANT_KEYS.items():
-    _KEYS[_section] |= set().union(*_variants.values())
 
 
 def _fmt(x: float) -> str:
@@ -82,18 +62,27 @@ class _Section:
     def __init__(self, parser: configparser.ConfigParser, name: str):
         self.name = name
         self._data = parser[name] if parser.has_section(name) else {}
+        self._read: set[str] = set()
 
     def has(self, key: str) -> bool:
         return key in self._data
 
     def raw(self, key: str, default: str | None = None) -> str | None:
+        self._read.add(key)
         val = self._data.get(key, default)
         return val.strip() if isinstance(val, str) else val
 
     def require(self, key: str) -> str:
         if key not in self._data:
             raise ConfigError(f"[{self.name}] is missing required key '{key}'")
-        return self._data[key].strip()
+        return self.raw(key)
+
+    def reject_unread(self, selector: str, value: str):
+        """Raise ConfigError if the section holds a key no accessor read."""
+        unread = [key for key in self._data if key not in self._read]
+        if unread:
+            raise ConfigError(f"[{self.name}] {selector} = {value}"
+                              f" does not read key '{unread[0]}'")
 
     def text(self, key: str, default: str) -> str:
         return self.raw(key, default)
@@ -137,30 +126,15 @@ def load_config(path: Path) -> configparser.ConfigParser:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
-    for section in _KEYS:
+    for section, known in _KEYS.items():
         for key in parser[section] if parser.has_section(section) else ():
-            problem = _key_problem(parser, section, key)
-            if problem:
-                raise ConfigError(problem)
+            if key not in known:
+                raise ConfigError(f"[{section}] unknown key '{key}'")
     target = parser.get("sweep", "parameter", fallback="").strip()
     section, dot, key = target.partition(".")
-    problem = _key_problem(parser, section, key) if dot and section in _KEYS else None
-    if problem:
-        raise ConfigError(f"[sweep] parameter {target!r}: {problem}")
+    if dot and section in _KEYS and key not in _KEYS[section]:
+        raise ConfigError(f"[sweep] parameter {target!r}: [{section}] unknown key '{key}'")
     return parser
-
-
-def _key_problem(parser: configparser.ConfigParser, section: str, key: str) -> str | None:
-    """Why ``key`` is not read in ``section``, or None when it is."""
-    if key not in _KEYS[section]:
-        return f"[{section}] unknown key '{key}'"
-    if section not in _VARIANT_KEYS or key in _SHARED_KEYS[section]:
-        return None
-    selector, default, variants = _VARIANT_KEYS[section]
-    value = parser.get(section, selector, fallback=default)
-    if value in variants and key not in variants[value]:
-        return f"[{section}] {selector} = {value} does not read key '{key}'"
-    return None
 
 
 def build_kernel(parser: configparser.ConfigParser) -> Kernel:
@@ -169,21 +143,24 @@ def build_kernel(parser: configparser.ConfigParser) -> Kernel:
     if kind is None:
         raise ConfigError("[kernel] is missing required key 'type'")
     if kind == "box":
-        return kernels.box_kernel(lo=sec.floatval("lo", 0.0),
-                                  hi=sec.floatval("hi", 1.0),
-                                  dim=sec.intval("dim", 1))
-    if kind == "tent":
-        return kernels.tent_kernel(sec.floatval("half_width", 1.0))
-    if kind == "gaussian":
-        return kernels.gaussian_kernel(dim=sec.intval("dim", 1),
-                                       width=sec.floatval("width", 1.0))
-    if kind == "powerlaw":
+        kernel = kernels.box_kernel(lo=sec.floatval("lo", 0.0),
+                                    hi=sec.floatval("hi", 1.0),
+                                    dim=sec.intval("dim", 1))
+    elif kind == "tent":
+        kernel = kernels.tent_kernel(sec.floatval("half_width", 1.0))
+    elif kind == "gaussian":
+        kernel = kernels.gaussian_kernel(dim=sec.intval("dim", 1),
+                                         width=sec.floatval("width", 1.0))
+    elif kind == "powerlaw":
         if not sec.has("exponent"):
             raise ConfigError("[kernel] powerlaw needs 'exponent'")
-        return kernels.powerlaw_kernel(sec.floatval("exponent"),
-                                       sec.floatval("radius", 1.0))
-    raise ConfigError(f"[kernel] unknown type {kind!r}"
-                      " (expected box, tent, gaussian, or powerlaw)")
+        kernel = kernels.powerlaw_kernel(sec.floatval("exponent"),
+                                         sec.floatval("radius", 1.0))
+    else:
+        raise ConfigError(f"[kernel] unknown type {kind!r}"
+                          " (expected box, tent, gaussian, or powerlaw)")
+    sec.reject_unread("type", kind)
+    return kernel
 
 
 def build_triplet(parser: configparser.ConfigParser) -> levy.LevyTriplet:
@@ -194,18 +171,17 @@ def build_triplet(parser: configparser.ConfigParser) -> levy.LevyTriplet:
     if jumps == "none":
         if b0 == 0.0 and a0 == 0.0:
             raise ConfigError("[triplet] is degenerate: a0 = b0 = 0, no jumps")
+        measure = levy.NO_JUMPS
         name = f"gaussian(b0={b0:g})" if a0 == 0.0 else f"diffusion(a0={a0:g},b0={b0:g})"
-        return levy.LevyTriplet(a0=a0, b0=b0, name=name)
-    if jumps == "stable":
+    elif jumps == "stable":
         if not sec.has("alpha"):
             raise ConfigError("[triplet] stable jumps need 'alpha'")
         alpha = sec.floatval("alpha")
         scale = sec.floatval("scale", None)
         measure = levy.SymmetricStable(alpha, scale) if scale is not None \
             else levy.calibrated_stable(alpha)
-        return levy.LevyTriplet(a0=a0, b0=b0, measure=measure,
-                                name=f"stable(alpha={alpha:g})")
-    if jumps == "poisson":
+        name = f"stable(alpha={alpha:g})"
+    elif jumps == "poisson":
         atoms = sec.floatlist("atoms")
         if atoms is None:
             raise ConfigError("[triplet] poisson jumps need 'atoms'")
@@ -213,20 +189,20 @@ def build_triplet(parser: configparser.ConfigParser) -> levy.LevyTriplet:
         weights = sec.floatlist("weights")
         if weights is None:
             weights = tuple(1.0 / len(atoms) for _ in atoms)
-        return levy.LevyTriplet(
-            a0=a0, b0=b0,
-            measure=levy.CompoundPoisson(rate, atoms, weights),
-            name=f"poisson(rate={rate:g})")
-    if jumps == "table":
+        measure = levy.CompoundPoisson(rate, atoms, weights)
+        name = f"poisson(rate={rate:g})"
+    elif jumps == "table":
         grid = sec.floatlist("grid")
         density = sec.floatlist("density")
         if grid is None or density is None:
             raise ConfigError("[triplet] tabulated jumps need 'grid' and 'density'")
-        return levy.LevyTriplet(
-            a0=a0, b0=b0, measure=levy.TabulatedMeasure(grid, density),
-            name="tabulated")
-    raise ConfigError(f"[triplet] unknown jumps {jumps!r}"
-                      " (expected none, stable, poisson, or table)")
+        measure = levy.TabulatedMeasure(grid, density)
+        name = "tabulated"
+    else:
+        raise ConfigError(f"[triplet] unknown jumps {jumps!r}"
+                          " (expected none, stable, poisson, or table)")
+    sec.reject_unread("jumps", jumps)
+    return levy.LevyTriplet(a0=a0, b0=b0, measure=measure, name=name)
 
 
 def _numerics(parser: configparser.ConfigParser) -> dict:
@@ -242,10 +218,8 @@ def _numerics(parser: configparser.ConfigParser) -> dict:
     )
 
 
-def _sim_settings(parser: configparser.ConfigParser, seed_override: int | None
-                  ) -> dict:
+def _sim_settings(parser: configparser.ConfigParser) -> dict:
     sec = _Section(parser, "simulate")
-    seed = sec.intval("seed", 0) if seed_override is None else seed_override
     probe_kind = sec.text("probe", "point")
     if probe_kind == "point":
         probe = sim.point_mass(sec.floatval("probe_level", 0.0))
@@ -258,10 +232,10 @@ def _sim_settings(parser: configparser.ConfigParser, seed_override: int | None
         probe = sim.gaussian_quantiles(sec.intval("probe_size", 512))
     else:
         raise ConfigError(f"[simulate] unknown probe {probe_kind!r}")
-    return dict(
+    settings = dict(
         config=sim.SimConfig(n_samples=sec.intval("n_samples", 100_000),
                              lattice_step=sec.floatval("lattice_step", 0.1),
-                             seed=seed),
+                             seed=sec.intval("seed", 0)),
         lags=sec.floatlist("lags", (0.6, 0.8)),
         threshold=sec.floatval("threshold", 0.5),
         s_grid=sec.floatlist("s_grid", (-5.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 5.0)),
@@ -269,6 +243,8 @@ def _sim_settings(parser: configparser.ConfigParser, seed_override: int | None
         n_triples=sec.intval("n_triples", 200),
         negdef_samples=sec.intval("negdef_samples", 20_000),
     )
+    sec.reject_unread("probe", probe_kind)
+    return settings
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +333,7 @@ def cmd_simulate(parser: configparser.ConfigParser, out_dir: Path,
                  verbose: bool) -> int:
     kernel = build_kernel(parser)
     triplet = build_triplet(parser)
-    settings = _sim_settings(parser, None)
+    settings = _sim_settings(parser)
     lags = [(lag,) * kernel.dim for lag in settings["lags"]]
     lags = [(0.0,) * kernel.dim] + [l for l in lags if any(v != 0 for v in l)]
     sample = sim.sample_field(kernel, triplet, lags, settings["config"])
@@ -383,7 +359,7 @@ def cmd_validate(parser: configparser.ConfigParser, out_dir: Path,
                  verbose: bool) -> int:
     kernel = build_kernel(parser)
     triplet = build_triplet(parser)
-    settings = _sim_settings(parser, None)
+    settings = _sim_settings(parser)
     seed = settings["config"].seed
     rows: list[tuple] = []
 

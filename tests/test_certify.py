@@ -16,7 +16,7 @@ from srdcert.certify import (
     frequency_integral,
     srd_integral,
 )
-from srdcert.errors import RejectionError
+from srdcert.errors import QuadratureError, RejectionError
 from srdcert.spectral import build_profile
 
 SQRT_2PI = 2.5066282746310002
@@ -294,6 +294,33 @@ def test_frequency_integral_nonconvergence_blows_budget(monkeypatch):
     (reason,) = rep.reasons
     assert reason.startswith("frequency integral error inf exceeds 0.001 relative budget")
     assert "middle quadrature: " in reason and "target precision not reached" in reason
+
+
+def test_frequency_integral_nan_middle_is_inconclusive(monkeypatch):
+    """A middle that fails on non-finite values gives no certificate."""
+    certify_module = sys.modules["srdcert.certify"]
+
+    def nan_sigma_sq_grid(kernel, triplet, s):
+        return np.full(len(s), np.nan), 0.0
+
+    monkeypatch.setattr(certify_module, "marginal_exponent_grid", nan_sigma_sq_grid)
+    rep = certify(kernels.box_kernel(), levy.stable_triplet(1.0))
+    assert rep.verdict == "inconclusive"
+    assert math.isnan(rep.freq_value) and math.isinf(rep.freq_error)
+    (reason,) = rep.reasons
+    assert "middle quadrature: " in reason and "non-finite values encountered" in reason
+
+
+def test_frequency_integral_sigma_sq_failure_propagates(monkeypatch):
+    """A failed sigma^2 grid call is not the middle's non-convergence."""
+    certify_module = sys.modules["srdcert.certify"]
+
+    def failing_grid(kernel, triplet, s):
+        raise QuadratureError("sigma^2 pass failed")
+
+    monkeypatch.setattr(certify_module, "marginal_exponent_grid", failing_grid)
+    with pytest.raises(QuadratureError, match=r"sigma\^2 pass failed"):
+        certify(kernels.box_kernel(), levy.stable_triplet(1.0))
 
 
 def test_frequency_integral_batches_sigma_sq(monkeypatch, box_stable_profile):

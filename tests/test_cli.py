@@ -112,11 +112,6 @@ def test_certify_malformed_config_names_line(tmp_path, capsys):
      "[triplet] jumps = stable does not read key 'rate'"),
     ("[kernel]\ntype = box\n[triplet]\nb0 = 1\nalpha = 1.0\n",
      "[triplet] jumps = none does not read key 'alpha'"),
-    ("[kernel]\ntype = box\n[triplet]\nb0 = 1\n[simulate]\nprobe_size = 64\n",
-     "[simulate] probe = point does not read key 'probe_size'"),
-    ("[kernel]\ntype = box\n[triplet]\nb0 = 1\n[sweep]\nparameter = kernel.width\n"
-     "values = 2\n", "[sweep] parameter 'kernel.width': [kernel] type = box"
-     " does not read key 'width'"),
     ("[kernel]\ntype = box\n[triplet]\nb0 = 1\n[numerics]\nwindow = inf\n",
      "profile-window"),
     ("[kernel]\ntype = box\n[triplet]\nb0 = 1\n[numerics]\ns_hi = inf\n",
@@ -125,11 +120,24 @@ def test_certify_malformed_config_names_line(tmp_path, capsys):
         "degenerate", "no-alpha", "no-atoms", "unknown-triplet-key",
         "unknown-kernel-key", "unknown-numerics-key", "unknown-simulate-key",
         "unknown-sweep-key", "unknown-sweep-parameter", "unread-kernel-key",
-        "unread-triplet-key", "unread-gaussian-triplet-key", "unread-probe-key",
-        "unread-sweep-parameter", "infinite-window", "infinite-s-hi"])
+        "unread-triplet-key", "unread-gaussian-triplet-key", "infinite-window",
+        "infinite-s-hi"])
 def test_config_validation_exit3(tmp_path, capsys, body, fragment):
     cfg = write_cfg(tmp_path, body)
     assert main(["certify", str(cfg)]) == 3
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, body, fragment", [
+    ("simulate", "[kernel]\ntype = box\n[triplet]\nb0 = 1\n[simulate]\nprobe_size = 64\n",
+     "[simulate] probe = point does not read key 'probe_size'"),
+    ("sweep", "[kernel]\ntype = box\n[triplet]\nb0 = 1\n[sweep]\nparameter = kernel.width\n"
+     "values = 2\n", "[kernel] type = box does not read key 'width'"),
+], ids=["unread-probe-key", "unread-sweep-parameter"])
+def test_unread_key_exit3(tmp_path, capsys, command, body, fragment):
+    """A section is checked for unread keys when the command builds it."""
+    cfg = write_cfg(tmp_path, body)
+    assert main([command, str(cfg), "--output", str(tmp_path / "out")]) == 3
     assert fragment in capsys.readouterr().err
 
 
