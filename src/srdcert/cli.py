@@ -33,6 +33,9 @@ from .kernels import Kernel
 from .spectral import DEFAULT_S_BOX, build_profile, char_marginal
 
 _FMT = "%.17g"
+# rows of samples.csv formatted in one call: whole blocks keep the Python
+# work per row small without holding the text of every row at once
+_SAMPLE_BLOCK = 4096
 # the keys each section accepts; any other key is a configuration error.
 # A key that the chosen kernel type, jump type or probe does not read is
 # rejected when its section is built (``_Section.reject_unread``).
@@ -268,11 +271,14 @@ def _lag_label(lag: tuple) -> str:
 
 def _write_samples(out_dir: Path, sample: sim.FieldSample):
     out_dir.mkdir(parents=True, exist_ok=True)
+    values = sample.values
+    # the rows csv.writer would write: numbers need no quoting, CRLF ends
+    row = ",".join([_FMT] * values.shape[1]) + "\r\n"
     with open(out_dir / "samples.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"lag={_lag_label(lag)}" for lag in sample.lags])
-        for row in sample.values:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh).writerow([f"lag={_lag_label(lag)}" for lag in sample.lags])
+        for start in range(0, len(values), _SAMPLE_BLOCK):
+            block = values[start:start + _SAMPLE_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_validation(out_dir: Path, rows: list[tuple]):
@@ -341,7 +347,7 @@ def cmd_simulate(parser: configparser.ConfigParser, out_dir: Path,
 
     s_grid = np.asarray(settings["s_grid"])
     tol = 4.0 / math.sqrt(settings["config"].n_samples)
-    target = np.array([char_marginal(kernel, triplet, float(s)) for s in s_grid])
+    target = char_marginal(kernel, triplet, s_grid)
     worst = 0.0
     print(f"lattice: {sample.n_cells} cells, step"
           f" {settings['config'].lattice_step:g},"

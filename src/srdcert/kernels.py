@@ -329,9 +329,9 @@ def _lp_power_integral(kernel: Kernel, p: float) -> tuple[float, float]:
 
 
 def integrate_over_support(kernel: Kernel, integrand, shifts=None,
-                           tail_exponent: float = math.inf, tail_coef: float = 0.0,
+                           tail_exponent: float = math.inf, tail_coef=0.0,
                            overlap: bool = False, rel_tol: float = 1e-8
-                           ) -> tuple[np.ndarray, float]:
+                           ) -> tuple[np.ndarray, float | np.ndarray]:
     """integral g(f(t_1 - x), ..., f(t_m - x)) dx for a vector-valued g.
 
     ``integrand`` maps an (m, n) array of kernel values, column j holding
@@ -346,56 +346,97 @@ def integrate_over_support(kernel: Kernel, integrand, shifts=None,
     added to the error.  Breakpoints are the shifted box faces or +-radius
     plus the shifted knots.  ``rel_tol`` applies to the nested cubature in
     d >= 2; 1-D passes use the quadrature default.  Returns (values, error).
+
+    A batch of P independent integrals passes ``shifts`` as a (P, m, d)
+    array.  Each problem gets its own domain and breakpoints, ``integrand``
+    also receives the problem of each point, ``tail_coef`` may hold one
+    bound per problem, and the values (P, k) and errors (P,) come back.
+    In 1-D all problems share one engine pass; in d >= 2 each runs its own
+    box cubature.
     """
     sup = kernel.support
     d = kernel.dim
-    shifts = np.zeros((1, d)) if shifts is None else np.array(
-        [np.atleast_1d(np.asarray(t, dtype=float)) for t in shifts])
+    batched = isinstance(shifts, np.ndarray) and shifts.ndim == 3
+    if batched:
+        sh = shifts.astype(float)
+    else:
+        sh = np.zeros((1, 1, d)) if shifts is None else np.array(
+            [[np.atleast_1d(np.asarray(t, dtype=float)) for t in shifts]])
 
-    def g(x: np.ndarray) -> np.ndarray:
-        pts = shifts[:, None, :] - np.reshape(x, (1, -1, d))
-        return integrand(kernel(pts.reshape(-1, d)).reshape(len(shifts), -1))
+    def run(fv: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return integrand(fv, p) if batched else integrand(fv)
 
-    def breakpoints(*faces: np.ndarray) -> list[float]:
-        knots = [t - k for t in shifts[:, 0].tolist() for k in kernel.knots]
-        return [v for face in faces for v in face.ravel().tolist()] + knots
+    n_prob, m = sh.shape[:2]
+    coefs = (np.zeros(n_prob) + tail_coef).tolist()
 
-    if isinstance(sup, BoundedBox):
-        lo, hi = shifts - np.asarray(sup.hi), shifts - np.asarray(sup.lo)
-        if overlap:
-            lo, hi = lo.max(axis=0, keepdims=True), hi.min(axis=0, keepdims=True)
-            if np.any(lo >= hi):
-                return np.zeros_like(integrand(np.zeros((len(shifts), 1)))[0]), 0.0
-        if d > 1:
-            return integrate_box(g, lo.min(axis=0), hi.max(axis=0),
-                                 abs_tol=ABS_TOL, rel_tol=rel_tol)
-        segs = [Segment(a, b) for a, b in
-                merge_intervals(zip(lo[:, 0].tolist(), hi[:, 0].tolist()))]
-        return integrate_segments(g, segs, breakpoints=breakpoints(lo, hi),
-                                  abs_tol=ABS_TOL)
+    def g(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        pts = sh[p].swapaxes(0, 1) - np.reshape(x, (1, -1, d))
+        return run(kernel(pts.reshape(-1, d)).reshape(m, -1), p)
 
-    if tail_exponent <= d:
+    if not isinstance(sup, BoundedBox) and tail_exponent <= d:
         raise QuadratureError(
             f"spatial tail exponent {tail_exponent:g} <= dim {d}: integral diverges",
             residual=math.inf)
-    # beyond the core every |t - x| >= |x|/2; callers fold that into tail_coef
-    core = max(4.0 * sup.radius, 4.0,
-               2.0 * float(np.max(np.abs(shifts))) + 2.0 * sup.radius)
-    if d > 1:
-        def tail_bound(r: float) -> float:
-            return tail_coef * SPHERE_AREA[d] * r ** (d - tail_exponent) / (tail_exponent - d)
+    # per problem: (lower, upper) corners of the shifted boxes, 1-D segments,
+    # breakpoints and the bound on what the domain leaves out;
+    # None where an empty intersection makes the integral exactly zero
+    domains = []
+    if isinstance(sup, BoundedBox):
+        lows, highs = sh - np.asarray(sup.hi), sh - np.asarray(sup.lo)
+        if overlap:
+            lows, highs = lows.max(axis=1, keepdims=True), highs.min(axis=1, keepdims=True)
+    for i, (t, coef) in enumerate(zip(sh, coefs)):
+        knots = [a - k for a in t[:, 0].tolist() for k in kernel.knots]
+        if isinstance(sup, BoundedBox):
+            lo, hi = lows[i], highs[i]
+            if overlap and np.any(lo >= hi):
+                domains.append(None)
+                continue
+            segs = [Segment(a, b) for a, b in
+                    merge_intervals(zip(lo[:, 0].tolist(), hi[:, 0].tolist()))]
+            domains.append(((lo, hi), segs, lo.ravel().tolist() + hi.ravel().tolist() + knots,
+                            0.0))
+            continue
+        # beyond the core every |t - x| >= |x|/2; callers fold that into tail_coef
+        core = max(4.0 * sup.radius, 4.0, 2.0 * float(np.max(np.abs(t))) + 2.0 * sup.radius)
+        if d > 1:
+            def tail_bound(r: float) -> float:
+                return coef * SPHERE_AREA[d] * r ** (d - tail_exponent) / (tail_exponent - d)
 
-        r = core
-        while tail_bound(r) > ABS_TOL and r < 1e5:
-            r *= 2.0
-        vals, err = integrate_box(g, np.full(d, -r), np.full(d, r),
-                                  abs_tol=ABS_TOL, rel_tol=rel_tol)
-        return vals, err + tail_bound(r)
-    tails, residual = tail_segments(core, tail_exponent, tail_coef, ABS_TOL)
-    vals, err = integrate_segments(
-        g, [Segment(-core, core)] + tails,
-        breakpoints=breakpoints(shifts - sup.radius, shifts + sup.radius), abs_tol=ABS_TOL)
-    return vals, err + residual
+            r = core
+            while tail_bound(r) > ABS_TOL and r < 1e5:
+                r *= 2.0
+            domains.append(((np.full((1, d), -r), np.full((1, d), r)), None, None,
+                            tail_bound(r)))
+            continue
+        tails, residual = tail_segments(core, tail_exponent, coef, ABS_TOL)
+        faces = (t[:, 0] - sup.radius).tolist() + (t[:, 0] + sup.radius).tolist()
+        domains.append((None, [Segment(-core, core)] + tails, faces + knots, residual))
+
+    live = np.array([i for i, dom in enumerate(domains) if dom is not None], dtype=int)
+    if not live.size:
+        zero = np.zeros_like(run(np.zeros((m, 1)), np.zeros(1, dtype=int))[0])
+        return (np.zeros((n_prob,) + zero.shape, zero.dtype), np.zeros(n_prob)) \
+            if batched else (zero, 0.0)
+    if d == 1:
+        vals, errs = integrate_segments(
+            g if len(live) == n_prob else lambda x, p: g(x, live[p]),
+            [domains[i][1] for i in live], [domains[i][2] for i in live], abs_tol=ABS_TOL)
+    else:
+        rows = []
+        for i in live:
+            lo, hi = domains[i][0]
+            rows.append(integrate_box(lambda x, i=i: g(x, np.full(len(x), i)), lo.min(axis=0),
+                                      hi.max(axis=0), abs_tol=ABS_TOL, rel_tol=rel_tol))
+        vals = np.array([v for v, _ in rows])
+        errs = np.array([e for _, e in rows])
+    errs = errs + np.array([domains[i][3] for i in live])
+    if not batched:
+        return vals[0], float(errs[0])
+    out = np.zeros((n_prob,) + vals.shape[1:], vals.dtype)
+    out_err = np.zeros(n_prob)
+    out[live], out_err[live] = vals, errs
+    return out, out_err
 
 
 # ---------------------------------------------------------------------------

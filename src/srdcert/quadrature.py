@@ -14,11 +14,21 @@ Integrand contract: ``func`` takes n nodes, shape (n,) on segments and
 describe *where* the integrand lives (linear segments near the origin,
 log-mapped segments for slowly decaying tails, boxes in d <= 3) and get
 back the k integral values plus an additive error estimate.
+
+Problem axis: one pass integrates many independent problems.  Each keeps
+its own intervals, breakpoints, tolerance, error, interval limit and
+failure, and its bisection decisions read only its own intervals, so it
+gets the values and error of its solo pass; only the integrand calls are
+shared, each round sending the nodes of every running problem together
+with the problem each node belongs to.  ``integrate_segments`` runs each
+segment of an integral as one problem and also takes a batch of
+integrals, whose integrand is told the integral of each node;
+``integrate_box`` makes the inner integrals of each outer round the
+problems of one pass.
 """
 
 from __future__ import annotations
 
-import heapq
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -113,26 +123,62 @@ def merge_intervals(intervals: Sequence[tuple[float, float]]) -> list[tuple[floa
 # the engine
 
 
-def _gk21(func, lo: np.ndarray, hi: np.ndarray, width: int | None):
-    """The GK21 rule on the intervals [lo_i, hi_i].
+def _row_norm(a: np.ndarray) -> np.ndarray:
+    """2-norm of each row of a real or complex (m, k) array."""
+    return np.sqrt(np.add.reduce(np.square(np.abs(a) if a.dtype.kind == "c" else a), axis=1))
+
+
+def _add_by_problem(out: np.ndarray, p: np.ndarray, x: np.ndarray) -> None:
+    """out[p_i] += x_i for the rows of x, each problem's rows summed in order."""
+    if p[0] == p[-1]:
+        out[p[0]] += x.sum(axis=0)
+    else:
+        np.add.at(out, p, x)
+
+
+def _pick(err: np.ndarray, p: np.ndarray, threshold: np.ndarray):
+    """Which of the sorted intervals a round bisects, as an index.
+
+    ``err`` is sorted by (problem, -error) and ``p`` holds the problems.
+    Each problem takes its first interval, then the next ones while the
+    error it has taken stays within its ``threshold``, at most
+    ``_ROUND_INTERVALS``.  The running sums restart at each problem, so a
+    large problem does not swamp the sums of a small one.
+    """
+    if p[0] == p[-1]:
+        taken = err[:_ROUND_INTERVALS - 1].cumsum()
+        return slice(0, 1 + int(taken.searchsorted(threshold[p[0]], side="right")))
+    rank = np.arange(len(p)) - p.searchsorted(p)
+    row = (rank == 0).cumsum() - 1
+    table = np.zeros((row[-1] + 1, rank.max() + 1))
+    table[row, rank] = err
+    taken = table.cumsum(axis=1)[row, rank]
+    pick = rank < _ROUND_INTERVALS
+    pick[1:] &= (rank[1:] == 0) | (taken[:-1] <= threshold[p[1:]])
+    return pick
+
+
+def _gk21(func, prob: np.ndarray, lo: np.ndarray, hi: np.ndarray, width: int | None):
+    """The GK21 rule on the intervals [lo_i, hi_i] of problems prob_i.
 
     Returns (integrals (m, k), errors (m,), rounding errors (m,), k).  The
     error is QUADPACK's dabs * min(1, (200 err / dabs)**1.5), never below
     the rounding term 50 eps h integral |f|; both are 2-norms over the k
-    components.  Intervals go to ``func`` in chunks of at most
-    ``_CHUNK_ELEMENTS`` values; ``width`` is k when known, else the first
-    chunk holds one interval.
+    components.  Intervals go to ``func(nodes, problems)`` in chunks of at
+    most ``_CHUNK_ELEMENTS`` values; ``width`` is k when known, else the
+    first chunk holds one interval.
     """
     parts = []
     start, m = 0, len(lo)
     while start < m:
         step = 1 if width is None else max(1, _CHUNK_ELEMENTS // (21 * width))
         a, b = lo[start:start + step], hi[start:start + step]
+        p = prob[start:start + step]
         start += step
         c = 0.5 * (a + b)
         h = 0.5 * (b - a)
         nodes = c[:, None] + h[:, None] * _K21_NODES
-        fv = np.asarray(func(nodes.ravel()))
+        fv = np.asarray(func(nodes.ravel(), p.repeat(21)))
         fv = fv.reshape(len(a), 21, fv.shape[-1])
         width = fv.shape[-1]
         s_k = _K21_WEIGHTS @ fv
@@ -140,122 +186,170 @@ def _gk21(func, lo: np.ndarray, hi: np.ndarray, width: int | None):
         s_k_abs = _K21_WEIGHTS @ np.abs(fv)
         s_k_dabs = _K21_WEIGHTS @ np.abs(fv - 0.5 * s_k[:, None])
         hc = h[:, None]
-        err = np.linalg.norm((s_k - s_g) * hc, axis=1)
-        dabs = np.linalg.norm(s_k_dabs * hc, axis=1)
+        err = _row_norm((s_k - s_g) * hc)
+        dabs = _row_norm(s_k_dabs * hc)
         scaled = (dabs != 0) & (err != 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            err = np.where(scaled,
-                           dabs * np.minimum(1.0, (200.0 * err / dabs) ** 1.5), err)
-        rnd = np.linalg.norm(50.0 * sys.float_info.epsilon * hc * s_k_abs, axis=1)
+        ratio = 200.0 * err / np.where(scaled, dabs, 1.0)
+        err = np.where(scaled, dabs * np.minimum(1.0, ratio ** 1.5), err)
+        rnd = _row_norm(50.0 * sys.float_info.epsilon * hc * s_k_abs)
         err = np.where(rnd > sys.float_info.min, np.maximum(err, rnd), err)
         parts.append((hc * s_k, err, rnd))
+    if len(parts) == 1:
+        return (*parts[0], width)
     ig, err, rnd = (np.concatenate(p) for p in zip(*parts))
     return ig, err, rnd, width
 
 
-def _adaptive(func, a: float, b: float, points: Sequence[float], abs_tol: float,
-              rel_tol: float, limit: int) -> tuple[np.ndarray, float, str | None]:
-    """Global-adaptive GK21 over [a, b], first split at ``points``.
+def _adaptive(func, prob: np.ndarray, lo: np.ndarray, hi: np.ndarray, abs_tol: float,
+              rel_tol: float, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Global-adaptive GK21 over P independent problems in one pass.
 
-    Each round pops the worst intervals, at most ``_ROUND_INTERVALS``, until
-    the popped error exceeds global error - tol/8, bisects them and
-    evaluates the halves together.  The pass stops once it holds at least
-    two intervals and the global error drops below tol/8 (converged) or
-    below the summed rounding error, when the error turns non-finite, or
-    when it holds ``limit`` intervals; tol = max(abs_tol, rel_tol * |I|)
-    in the 2-norm.  Returns (values, error, failure message or None); the
-    error includes the summed rounding error.
+    Problem j starts from the intervals [lo_i, hi_i] with prob_i = j;
+    ``prob`` is sorted and names every problem 0..P-1.  ``func(x, p)``
+    gets the nodes of a round and the problem of each.  In every round
+    each running problem picks its worst intervals, at most
+    ``_ROUND_INTERVALS``, until the picked error exceeds its global error
+    - tol/8, and the halves of all picked intervals are evaluated
+    together.  A problem stops once it holds at least two intervals and
+    its global error drops below tol/8 (converged) or below its summed
+    rounding error, when its error turns non-finite, or when it holds
+    ``limit`` intervals; tol = max(abs_tol, rel_tol * |I|) in the 2-norm.
+    The decisions of a problem read only its own intervals, so it gets
+    the values and error of its solo pass.  Returns (values (P, k),
+    errors (P,), failures (P,)): a failure is a message, or None where
+    the problem converged; the error includes the summed rounding error.
     """
-    edges = [a] + sorted(p for p in set(points) if a < p < b) + [b]
-    ig, err, rnd, width = _gk21(func, np.array(edges[:-1]), np.array(edges[1:]), None)
-    total = ig.sum(axis=0)
-    global_error = float(err.sum())
-    rounding_error = float(rnd.sum())
-    values = list(ig)
-    heap = [(-e, lo, hi, i) for i, (e, lo, hi) in
-            enumerate(zip(err.tolist(), edges[:-1], edges[1:]))]
-    heapq.heapify(heap)
-    failure = "target precision not reached"
-    while heap and len(heap) < limit:
-        tol = max(abs_tol, rel_tol * float(np.linalg.norm(total)))
-        picked, err_sum = [], 0.0
-        while heap and len(picked) < _ROUND_INTERVALS:
-            if picked and err_sum > global_error - tol / 8:
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    val, err, rnd, width = _gk21(func, prob, lo, hi, None)
+    n_prob = int(prob[-1]) + 1
+    total = np.zeros((n_prob, width), dtype=val.dtype)
+    _add_by_problem(total, prob, val)
+    global_error = np.bincount(prob, err, n_prob)
+    rounding_error = np.bincount(prob, rnd, n_prob)
+    count = np.bincount(prob, minlength=n_prob)
+    tol8 = np.maximum(abs_tol / 8, rel_tol / 8 * _row_norm(total))
+    stopped = count >= limit
+    n_stopped = 0
+    while True:
+        if np.count_nonzero(stopped) > n_stopped:
+            n_stopped = np.count_nonzero(stopped)
+            if n_stopped == n_prob:
                 break
-            picked.append(heapq.heappop(heap))
-            err_sum -= picked[-1][0]
-        neg_err, lo, hi, idx = (np.array(col) for col in zip(*picked))
-        mid = 0.5 * (lo + hi)
-        left, right = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        ig, err, rnd, width = _gk21(func, left, right, width)
+            # the interval arrays hold only the intervals of running problems
+            keep = ~stopped[prob]
+            prob, lo, hi, err = prob[keep], lo[keep], hi[keep], err[keep]
+            val = val[:len(keep)][keep]
+        order = np.lexsort((lo, -err, prob))
+        cp = prob[order]
+        pick = _pick(err[order], cp, global_error - tol8)
+        picked, pp = order[pick], cp[pick]
+        a, b = lo[picked], hi[picked]
+        mid = 0.5 * (a + b)
         m = len(picked)
-        old = np.stack([values[i] for i in idx.tolist()])
-        total = total + (ig[:m] + ig[m:] - old).sum(axis=0)
-        global_error += float((err[:m] + err[m:] + neg_err).sum())
-        rounding_error += float((rnd[:m] + rnd[m:]).sum())
-        n = len(values)
-        values.extend(ig)
-        for j, (e, x1, x2) in enumerate(zip(err.tolist(), left.tolist(), right.tolist())):
-            heapq.heappush(heap, (-e, x1, x2, n + j))
-        if len(heap) >= 2:
-            tol = max(abs_tol, rel_tol * float(np.linalg.norm(total)))
-            if global_error < tol / 8:
-                failure = None
-                break
-            if global_error < rounding_error:
-                failure = "rounding error dominates the target precision"
-                break
-        if not (np.isfinite(global_error) and np.isfinite(rounding_error)):
-            failure = "non-finite values encountered"
-            break
+        ig, e, r, width = _gk21(func, np.concatenate((pp, pp)), np.concatenate((a, mid)),
+                                np.concatenate((mid, b)), width)
+        _add_by_problem(total, pp, ig[:m] + ig[m:] - val[picked])
+        global_error += np.bincount(pp, e[:m] + e[m:] - err[picked], n_prob)
+        rounding_error += np.bincount(pp, r[:m] + r[m:], n_prob)
+        count += np.bincount(pp, minlength=n_prob)
+        # the left half takes the picked interval's place, the right is new;
+        # the values, k per interval, grow in place by doubling
+        n = len(prob)
+        hi[picked], val[picked], err[picked] = mid, ig[:m], e[:m]
+        if n + m > len(val):
+            val = np.concatenate((val[:n], np.empty((n + m, width), dtype=val.dtype)))
+        val[n:n + m] = ig[m:]
+        prob, lo, hi = (np.concatenate(pair) for pair in ((prob, pp), (lo, mid), (hi, b)))
+        err = np.concatenate((err, e[m:]))
+        tol8 = np.maximum(abs_tol / 8, rel_tol / 8 * _row_norm(total))
+        # every problem has two intervals after its first round
+        stopped = ((global_error < np.maximum(tol8, rounding_error))
+                   | ~(global_error + rounding_error < np.inf) | (count >= limit))
+    # a stopped problem keeps the state it stopped in, so the reason reads off
+    # it: converged, else rounding, else non-finite, else the interval limit
+    failure = np.full(n_prob, None, dtype=object)
+    failed = ~(global_error < tol8)
+    if failed.any():
+        failure[failed] = "target precision not reached"
+        failure[failed & ~(global_error + rounding_error < np.inf)] = \
+            "non-finite values encountered"
+        failure[failed & (global_error < rounding_error)] = \
+            "rounding error dominates the target precision"
     return total, global_error + rounding_error, failure
 
 
 def integrate_segments(
-    func: Callable[[np.ndarray], np.ndarray],
-    segments: Sequence[Segment],
-    breakpoints: Sequence[float] = (),
+    func: Callable[..., np.ndarray],
+    segments: Sequence,
+    breakpoints: Sequence = (),
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Integrate a vector-valued ``func`` over a union of segments.
 
     ``func`` maps an (n,) array of points to an (n, k) array, real or
-    complex.  Each segment gets its own adaptive pass, split at the
-    ``breakpoints`` inside it (log-mapped segments ignore them).  Returns
-    the k summed values and the summed error estimate.  Raises
-    :class:`QuadratureError` if any pass fails to converge.
+    complex.  Each segment is one problem of a single engine pass, split at
+    the ``breakpoints`` inside it; a log-mapped segment runs in u = log|x|
+    and ignores them.  Returns the k summed values and the summed error
+    estimate.
+
+    A batch of P independent integrals passes ``segments`` as P sequences
+    of segments and ``breakpoints`` as P sequences of points; ``func(x, p)``
+    then also gets the integral p of each point, and the values (P, k) and
+    errors (P,) come back.  Raises :class:`QuadratureError` naming the
+    first segment that fails to converge, and its integral when there are
+    several.
     """
-    total = None
-    err_total = 0.0
-    for seg in segments:
-        if seg.log:
-            g, a, b = _log_mapped(func, seg)
-            pts = ()
-        else:
-            g, a, b = func, seg.lo, seg.hi
-            pts = breakpoints
-        val, err, failure = _adaptive(g, a, b, pts, abs_tol, rel_tol, _SEGMENT_LIMIT)
-        if failure:
-            raise QuadratureError(
-                f"adaptive quadrature failed on [{a}, {b}]"
-                + (" (log-mapped)" if seg.log else "") + f": {failure}",
-                partial=complex(np.sum(val)) if np.iscomplexobj(val) else float(np.sum(val)),
-                residual=float(err))
-        total = val if total is None else total + val
-        err_total += float(err)
-    if total is None:
-        raise ValueError("no segments to integrate")
-    return total, err_total
+    batched = len(segments) > 0 and not isinstance(segments[0], Segment)
+    groups = segments if batched else [segments]
+    points = (breakpoints if len(breakpoints) else [()] * len(groups)) if batched \
+        else [breakpoints]
+    owner, sign, edges, first = [], [], [], []
+    prob, lo, hi = [], [], []
+    for i, (segs, pts) in enumerate(zip(groups, points)):
+        if not segs:
+            raise ValueError("no segments to integrate")
+        first.append(len(owner))
+        for seg in segs:
+            if seg.log:
+                sign.append(1.0 if seg.lo > 0 else -1.0)
+                cuts = sorted([float(np.log(abs(seg.lo))), float(np.log(abs(seg.hi)))])
+            else:
+                sign.append(0.0)
+                cuts = [seg.lo] + sorted(p for p in set(pts) if seg.lo < p < seg.hi) + [seg.hi]
+            prob += [len(owner)] * (len(cuts) - 1)
+            lo += cuts[:-1]
+            hi += cuts[1:]
+            owner.append(i)
+            edges.append(cuts)
+    mapped = any(sign)
+    owner, sign = np.array(owner), np.array(sign)
 
+    def g(u: np.ndarray, p: np.ndarray) -> np.ndarray:
+        x = u
+        if mapped:
+            s = sign[p]
+            log_nodes = s != 0.0
+            jac = np.ones(len(u))
+            jac[log_nodes] = np.exp(u[log_nodes])
+            x = np.where(log_nodes, s * jac, u)
+        fv = func(x, owner[p]) if batched else func(x)
+        return fv * jac[:, None] if mapped else fv
 
-def _log_mapped(func, seg: Segment):
-    """Substitute u = log|x| on a sign-definite segment."""
-    if seg.lo > 0:
-        a, b = np.log(seg.lo), np.log(seg.hi)
-        return (lambda u: func(np.exp(u)) * np.exp(u)[:, None]), a, b
-    a, b = np.log(-seg.hi), np.log(-seg.lo)
-    return (lambda u: func(-np.exp(u)) * np.exp(u)[:, None]), a, b
+    vals, errs, failure = _adaptive(g, np.array(prob), lo, hi, abs_tol, rel_tol, _SEGMENT_LIMIT)
+    bad = failure.nonzero()[0]
+    if bad.size:
+        j = bad[0]
+        val = vals[j]
+        raise QuadratureError(
+            "adaptive quadrature failed on "
+            + (f"integral {owner[j]} of {len(groups)}, " if len(groups) > 1 else "")
+            + f"[{edges[j][0]}, {edges[j][-1]}]"
+            + (" (log-mapped)" if sign[j] else "") + f": {failure[j]}",
+            partial=complex(np.sum(val)) if np.iscomplexobj(val) else float(np.sum(val)),
+            residual=float(errs[j]))
+    vals, errs = np.add.reduceat(vals, first, axis=0), np.add.reduceat(errs, first)
+    return (vals, errs) if batched else (vals[0], float(errs[0]))
 
 
 def tail_segments(
@@ -298,9 +392,10 @@ def integrate_box(
 ) -> tuple[np.ndarray, float]:
     """Vector-valued integral over an axis-aligned box in d <= 3 dimensions.
 
-    ``func`` maps an (n, d) array of points to an (n, k) array.  The last
-    axis is integrated with batched nodes; each outer axis runs the same
-    engine over a function that computes one inner integral per node.  The
+    ``func`` maps an (n, d) array of points to an (n, k) array.  The axes
+    are integrated one inside the other: the nodes of one round on an
+    outer axis fix the leading coordinates of as many inner integrals, and
+    those are the problems of one engine pass on the next axis.  The
     error is the outer estimate plus the largest inner one, which is
     pessimistic but safe.
     """
@@ -311,37 +406,27 @@ def integrate_box(
     d = lo.size
     inner_err = 0.0
 
-    def level(prefix: tuple[float, ...]):
-        k = len(prefix)
-        if k == d - 1:
-            def innermost(x):
-                pts = np.empty((len(x), d))
-                pts[:, :k] = prefix
-                pts[:, k] = x
-                return func(pts)
+    def axis_pass(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Integrals over axes j..d-1, one problem per row of the (n, j) prefix."""
+        nonlocal inner_err
+        n, j = prefix.shape
 
-            return innermost
+        def f(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+            pts = np.column_stack([prefix[p], x])
+            return func(pts) if j == d - 1 else axis_pass(pts)[0]
 
-        def g(x):
-            nonlocal inner_err
-            rows = []
-            for xv in x.tolist():
-                val, err, failure = _adaptive(level(prefix + (xv,)), lo[k + 1], hi[k + 1],
-                                              (), abs_tol, rel_tol, _BOX_LIMIT)
-                if failure:
-                    raise QuadratureError(
-                        f"inner quadrature failed at depth {k + 1}: {failure}",
-                        residual=float(err))
-                inner_err = max(inner_err, float(err))
-                rows.append(val)
-            return np.array(rows)
+        vals, errs, failure = _adaptive(f, np.arange(n), np.full(n, lo[j]), np.full(n, hi[j]),
+                                        abs_tol, rel_tol, _BOX_LIMIT)
+        bad = failure.nonzero()[0]
+        if bad.size:
+            where = f"inner quadrature failed at depth {j}" if j else "outer quadrature failed"
+            raise QuadratureError(f"{where}: {failure[bad[0]]}", residual=float(errs[bad[0]]))
+        if j:
+            inner_err = max(inner_err, float(errs.max()))
+        return vals, errs
 
-        return g
-
-    val, err, failure = _adaptive(level(()), lo[0], hi[0], (), abs_tol, rel_tol, _BOX_LIMIT)
-    if failure:
-        raise QuadratureError(f"outer quadrature failed: {failure}", residual=float(err))
-    return val, float(err) + inner_err
+    vals, errs = axis_pass(np.empty((1, 0)))
+    return vals[0], float(errs[0]) + inner_err
 
 
 def fit_power_law(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

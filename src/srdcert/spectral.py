@@ -62,8 +62,14 @@ def _complex_tail_coef(kernel: Kernel, triplet: levy.LevyTriplet,
 
 def marginal_exponent_grid(kernel: Kernel, triplet: levy.LevyTriplet,
                            s_values: np.ndarray) -> tuple[np.ndarray, float]:
-    """sigma^2 on a whole frequency grid in one adaptive pass."""
+    """sigma^2 on a whole frequency grid in one adaptive pass.
+
+    A box indicator has f = 1 on its box B, so sigma^2(s) = |B| Re K(s)
+    exactly, with error 0.
+    """
     s_values = np.asarray(s_values, dtype=float)
+    if kernel.indicator and isinstance(kernel.support, BoundedBox):
+        return kernel.support.volume() * levy.cumulant_re(triplet, s_values), 0.0
     s_scale = float(np.max(np.abs(s_values))) if s_values.size else 1.0
     exp_t, coef_t = (math.inf, 0.0)
     if isinstance(kernel.support, DecayEnvelope):
@@ -87,17 +93,38 @@ def marginal_exponent_sq(kernel: Kernel, triplet: levy.LevyTriplet, s: float) ->
     return _mexp_scalar(kernel, triplet, float(s))[0]
 
 
-def char_marginal(kernel: Kernel, triplet: levy.LevyTriplet, u: float) -> complex:
-    """Characteristic function of the field at one point."""
+def marginal_cumulant(kernel: Kernel, triplet: levy.LevyTriplet,
+                      u_values: np.ndarray) -> np.ndarray:
+    """integral K(u f(-x)) dx for each frequency u, in one engine pass.
+
+    Each frequency is one problem of the pass.  exp(-value) is the
+    characteristic function of the field at one point, and the real part
+    is sigma^2(u).
+    """
+    u_values = np.asarray(u_values, dtype=float)
     exp_t, coef_t = (math.inf, 0.0)
     if isinstance(kernel.support, DecayEnvelope):
-        exp_t, coef_t = _complex_tail_coef(kernel, triplet, abs(u))
+        exp_t = _complex_tail_coef(kernel, triplet, 1.0)[0]
+        coef_t = np.array([_complex_tail_coef(kernel, triplet, abs(u))[1]
+                           for u in u_values.tolist()])
 
-    def integrand(fv: np.ndarray) -> np.ndarray:
-        return levy.cumulant(triplet, np.multiply.outer(fv[0], [u]))
+    def integrand(fv: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return levy.cumulant(triplet, (fv[0] * u_values[p])[:, None])
 
-    vals, _ = integrate_over_support(kernel, integrand, None, exp_t, coef_t)
-    return complex(np.exp(-vals[0]))
+    vals, _ = integrate_over_support(kernel, integrand,
+                                     np.zeros((len(u_values), 1, kernel.dim)),
+                                     exp_t, coef_t)
+    return vals[:, 0]
+
+
+def char_marginal(kernel: Kernel, triplet: levy.LevyTriplet, u):
+    """Characteristic function of the field at one point.
+
+    Scalar in, complex out; array in, one engine pass over all frequencies
+    and a complex array out.
+    """
+    phi = np.exp(-marginal_cumulant(kernel, triplet, np.atleast_1d(u)))
+    return phi if np.ndim(u) else complex(phi[0])
 
 
 def char_joint(kernel: Kernel, triplet: levy.LevyTriplet, t, s1: float,
@@ -163,6 +190,38 @@ def _sigma_for(kernel: Kernel, triplet: levy.LevyTriplet, s_values: np.ndarray
         raise RejectionError("degenerate-profile",
                              f"marginal exponent vanishes at s={bad:g}")
     return np.sqrt(out)
+
+
+def joint_integrals(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
+                    s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint cumulant and dependence numerator of many (lag, s1, s2) triples.
+
+    Triple i gives integral K(s1_i f(t_i - x) + s2_i f(-x)) dx, whose exp(-)
+    is the joint characteristic function, and the numerator integral
+    sqrt(Re K(s1_i f(t_i - x)) Re K(s2_i f(-x))) dx.  Each triple is one
+    problem of a single engine pass (in 1-D), with its own shifts (t_i, 0),
+    domain and breakpoints; the numerator runs over the same union of
+    shifted supports, where it vanishes outside their intersection.
+    """
+    s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
+    lags = np.asarray(lags, dtype=float).reshape(len(s1), kernel.dim)
+    exp_t, coef_t = (math.inf, 0.0)
+    if isinstance(kernel.support, DecayEnvelope):
+        scale = np.maximum(np.abs(s1), np.abs(s2)).tolist()
+        exp_t = _complex_tail_coef(kernel, triplet, 1.0)[0]
+        # two shifted copies in the joint term, plus the numerator
+        coef_t = np.array([2.0 * _complex_tail_coef(kernel, triplet, v)[1]
+                           + _re_tail_coef(kernel, triplet, v)[1] for v in scale])
+
+    def integrand(fv: np.ndarray, p: np.ndarray) -> np.ndarray:
+        a, b = fv[0] * s1[p], fv[1] * s2[p]
+        joint = levy.cumulant(triplet, a + b)
+        num = np.sqrt(levy.cumulant_re(triplet, a)) * np.sqrt(levy.cumulant_re(triplet, b))
+        return np.stack([joint, num], axis=1)
+
+    shifts = np.stack([lags, np.zeros_like(lags)], axis=1)
+    vals, _ = integrate_over_support(kernel, integrand, shifts, exp_t, coef_t)
+    return vals[:, 0], vals[:, 1].real
 
 
 def _clamp_ratio(values: np.ndarray) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Command line interface: config parsing, artifacts, exit codes."""
 
 import csv
+import io
 
+import numpy as np
 import pytest
 
+from srdcert import cli
 from srdcert.cli import main
+from srdcert.simulate import FieldSample, SimConfig
 
 EXAMPLE = """
 [kernel]
@@ -210,6 +214,32 @@ def test_simulate_writes_samples(tmp_path, capsys):
     assert lines[0] == "lag=0,lag=0.5"
     assert len(lines) == 4001
     assert "deviation" in capsys.readouterr().out
+
+
+def test_sample_file_bytes(tmp_path):
+    """samples.csv is what csv.writer writes with "%.17g", across blocks."""
+    rng = np.random.default_rng(3)
+    n = cli._SAMPLE_BLOCK + 3
+    values = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    values[:4] = [[0.0, -0.0, 1.0], [-2.5, 1e-320, 123456789012345678.0],
+                  [0.1, -1.0 / 3.0, 5e300], [7.0, -7.0, 2.0 ** -1074]]
+    sample = FieldSample(lags=((0.0,), (0.5,), (1.25,)), values=values, n_cells=1,
+                         config=SimConfig(n_samples=n, lattice_step=0.1),
+                         kernel_name="k", triplet_name="t")
+    cli._write_samples(tmp_path, sample)
+    data = (tmp_path / "samples.csv").read_bytes()
+
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(["lag=0", "lag=0.5", "lag=1.25"])
+    for row in values:
+        writer.writerow(["%.17g" % v for v in row])
+    assert data == ref.getvalue().encode()
+    lines = data.split(b"\n")
+    assert lines[-1] == b"" and all(line.endswith(b"\r") for line in lines[:-1])
+    parsed = np.array([[float(v) for v in line.split(b",")] for line in lines[1:-1]])
+    assert np.array_equal(parsed, values)
+    assert np.array_equal(np.signbit(parsed), np.signbit(values))
 
 
 def test_simulate_deterministic_and_seed_override(tmp_path):

@@ -2,7 +2,8 @@
 
 The engine runs quad_vec's GK21 scheme with all nodes of a round in one
 integrand call, so its values must agree with quad_vec to rounding; only
-the summation order differs.
+the summation order differs.  Problems that share a pass must each agree
+with their own solo pass in the same way.
 """
 
 import ast
@@ -234,3 +235,122 @@ def test_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# the problem axis: many integrals in one pass
+
+
+def _poly(x):
+    return np.stack([x ** 3 + 1.0, x ** 5 - x], axis=1)
+
+
+def _kinks2(x):
+    return np.stack([np.abs(x - 0.3), np.sqrt(np.abs(x + 0.2))], axis=1)
+
+
+def _waves(x):
+    return np.stack([np.cos(40.0 * x), np.sin(40.0 * x) + 0.5], axis=1)
+
+
+def _tails(x):
+    return (1.0 + np.abs(x)[:, None]) ** -np.array([1.5, 2.0])
+
+
+def _peak(x):
+    return np.stack([1.0 / (1e-4 + x * x), np.exp(-x * x)], axis=1)
+
+
+def _edge(x):
+    return np.stack([1.0 / np.sqrt(x), np.log(x)], axis=1)
+
+
+# (integrand, segments, breakpoints) of independent problems: exact after the
+# first rule, kinks at breakpoints, oscillation, log-mapped tails on both
+# sides of a linear core, a sharp peak and endpoint singularities
+PROBLEMS = [
+    (_poly, [Segment(-1.0, 2.0)], ()),
+    (_kinks2, [Segment(-1.0, 1.0)], (0.3, -0.2, 5.0)),
+    (_waves, [Segment(0.0, 3.0)], ()),
+    (_tails, [Segment(-2.0, 2.0), Segment(2.0, 1e8, log=True),
+              Segment(-1e6, -2.0, log=True)], (0.0,)),
+    (_peak, [Segment(-1.0, 1.0)], (0.0,)),
+    (_edge, [Segment(0.0, 1.0)], ()),
+]
+
+
+def _batched(problems):
+    def func(x, p):
+        out = np.empty((len(x), 2))
+        for j, (f, _, _) in enumerate(problems):
+            at = p == j
+            if at.any():
+                out[at] = f(x[at])
+        return out
+
+    return func
+
+
+def test_batch_matches_solo_passes():
+    vals, errs = integrate_segments(_batched(PROBLEMS), [segs for _, segs, _ in PROBLEMS],
+                                    [pts for _, _, pts in PROBLEMS])
+    assert vals.shape == (len(PROBLEMS), 2) and errs.shape == (len(PROBLEMS),)
+    for j, (f, segs, pts) in enumerate(PROBLEMS):
+        solo, solo_err = integrate_segments(f, segs, pts)
+        assert np.linalg.norm(vals[j] - solo) <= 1e-14 * np.linalg.norm(solo), j
+        assert errs[j] == pytest.approx(solo_err, rel=1e-12), j
+
+
+def test_batch_failure_names_the_problem():
+    problems = list(PROBLEMS)
+    problems.insert(2, (lambda x: np.stack([np.sin(1e5 * x)] * 2, axis=1), [Segment(0.0, 1.0)], ()))
+    with pytest.raises(QuadratureError, match=r"integral 2 of 7, \[0\.0, 1\.0\]: target precision"):
+        integrate_segments(_batched(problems), [segs for _, segs, _ in problems],
+                           [pts for _, _, pts in problems])
+
+
+def test_batch_calls_respect_element_budget():
+    k = 300
+    rates = np.geomspace(0.5, 400.0, k)
+    sizes = []
+
+    def func(x, p):
+        sizes.append(len(x) * k)
+        return np.exp(-np.multiply.outer(np.abs(x - 0.1 * p), rates))
+
+    n = 40
+    vals, _ = integrate_segments(func, [[Segment(-1.0, 1.0)]] * n,
+                                 [(0.1 * j,) for j in range(n)])
+    assert vals.shape == (n, k) and len(sizes) > 1
+    assert max(sizes) <= max(quadrature._CHUNK_ELEMENTS, 21 * k)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(quadrature, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("sharpness", [0.0, 1e4])
+def test_box_passes_do_not_follow_outer_nodes(monkeypatch, sharpness):
+    """All inner integrals of an outer round share one engine pass."""
+    outer_nodes = set()
+
+    def func(pts):
+        outer_nodes.update(pts[:, 0].tolist())
+        return (np.exp(-sharpness * pts[:, 0] ** 2) * np.cos(pts[:, 1]))[:, None]
+
+    passes = _count_calls(monkeypatch, "_adaptive")
+    integrate_box(func, (-1.0, 0.0), (1.0, 1.0))
+    if sharpness == 0.0:
+        # a constant in x: two outer rounds (21 and 42 nodes), one pass each
+        assert len(outer_nodes) == 63 and len(passes) == 3
+    else:
+        assert len(outer_nodes) >= 300
+        assert len(passes) - 1 < len(outer_nodes) / 21

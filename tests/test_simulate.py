@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from srdcert import kernels, levy, simulate as S
+from srdcert import kernels, levy, quadrature, simulate as S
 from srdcert.errors import RejectionError
 from srdcert.spectral import build_profile, char_marginal
 
@@ -236,6 +236,50 @@ def test_factorization_bound_holds(kern, triplet):
     assert rep.passed
     assert rep.violations == 0
     assert rep.max_gap > 0.05
+
+
+def _engine_passes(monkeypatch):
+    passes = []
+    adaptive = quadrature._adaptive
+
+    def counting(*args):
+        passes.append(args)
+        return adaptive(*args)
+
+    monkeypatch.setattr(quadrature, "_adaptive", counting)
+    return passes
+
+
+def test_factorization_passes_do_not_grow_with_triples(monkeypatch):
+    """All marginal integrals share one pass, all joint integrals another."""
+    kern = kernels.tent_kernel()
+    tri = levy.poisson_triplet(2.0, atoms=(-0.5, 2.0), weights=(0.6, 0.4))
+    counts = []
+    for n in (10, 200):
+        passes = _engine_passes(monkeypatch)
+        assert S.factorization_check(kern, tri, n_triples=n, seed=3).passed
+        counts.append(len(passes))
+        monkeypatch.undo()
+    assert counts[0] == counts[1]
+
+
+# (violations, max_gap) at n_triples=40, seed=11, tol=1e-8, as computed one
+# triple at a time before the integrals shared engine passes
+FACTORIZATION_REFERENCE = {
+    "box_stable": (kernels.box_kernel(), levy.stable_triplet(1.0), 0.09151976240151603),
+    "box_gaussian": (kernels.box_kernel(), levy.gaussian_triplet(1.0), 0.20460700086571232),
+    "tent_poisson": (kernels.tent_kernel(),
+                     levy.poisson_triplet(2.0, atoms=(-0.5, 2.0), weights=(0.6, 0.4)),
+                     0.2138791819109195),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTORIZATION_REFERENCE))
+def test_factorization_matches_reference(case):
+    kern, tri, max_gap = FACTORIZATION_REFERENCE[case]
+    rep = S.factorization_check(kern, tri, n_triples=40, seed=11, tol=1e-8)
+    assert rep.violations == 0 and rep.max_excess == 0.0
+    assert rep.max_gap == pytest.approx(max_gap, rel=1e-12)
 
 
 def test_covariance_bound_check(box):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srdcert import levy
 from srdcert.certify import default_window, srd_integral
 from srdcert.errors import QuadratureError, RejectionError
 from srdcert.kernels import (
@@ -74,6 +75,33 @@ class TestMarginalExponent:
         k = box_kernel(0.0, 1.0, dim=2)
         assert marginal_exponent_sq(k, gaussian_triplet(1.0), 2.0) == \
             pytest.approx(2.0, rel=1e-8)
+
+    @pytest.mark.parametrize("trip,re_k", [
+        (stable_triplet(1.3), lambda s: np.abs(s) ** 1.3),
+        (gaussian_triplet(0.7), lambda s: 0.35 * s * s),
+        (poisson_triplet(2.0, atoms=(-0.5, 2.0), weights=(0.6, 0.4)),
+         lambda s: 2.0 * (0.6 * (1.0 - np.cos(0.5 * s)) + 0.4 * (1.0 - np.cos(2.0 * s)))),
+    ], ids=["stable", "gaussian", "poisson"])
+    def test_indicator_closed_form(self, trip, re_k):
+        # f = 1 on B, so sigma^2(s) = |B| Re K(s), exactly and with error 0
+        s = np.array([-7.0, -1.5, 0.8, 2.0, 3.3, 11.0])
+        for kern, vol in ((box_kernel(0.0, 2.5), 2.5), (box_kernel(-1.0, 1.0, dim=2), 4.0)):
+            grid, err = marginal_exponent_grid(kern, trip, s)
+            np.testing.assert_allclose(grid, vol * re_k(s), rtol=1e-15, atol=0.0)
+            assert err == 0.0
+
+    def test_indicator_single_cumulant_call(self, monkeypatch):
+        calls = []
+        cumulant_re = levy.cumulant_re
+
+        def counting(triplet, s):
+            calls.append(np.shape(s))
+            return cumulant_re(triplet, s)
+
+        monkeypatch.setattr(levy, "cumulant_re", counting)
+        s = np.geomspace(1e-3, 1e3, 21)
+        marginal_exponent_grid(box_kernel(), stable_triplet(1.0), s)
+        assert calls == [(21,)]
 
     @given(s=st.floats(min_value=1e-2, max_value=1e2))
     @settings(max_examples=20, deadline=None)
