@@ -488,40 +488,46 @@ def certify(kernel: Kernel, triplet: levy.LevyTriplet,
                              f"integrator-kernel moment conditions fail: {bad}")
 
     window, t_step = default_window(kernel, window, t_step)
-    profile = build_profile(kernel, triplet, window=window, t_step=t_step,
-                            s_box=s_box, s_points=s_points)
-
     reasons: list[str] = []
-    choice = choose_threshold(profile, candidates)
-    if not choice.found:
-        why = "; ".join(f"{c:g}: {msg}" for c, msg in choice.rejected)
-        reasons.append(f"no feasible threshold ({why})")
-
+    ratio_method = "none"
+    choice = ThresholdChoice(math.nan, math.nan, "none", ())
     freq = IntegralEstimate(math.nan, math.nan, False, note="skipped")
-    if choice.found:
-        freq = frequency_integral(profile, choice.threshold)
-        if freq.divergent:
-            reasons.append(f"frequency integral divergent: {freq.note}")
-        elif not freq.error <= FREQ_ERROR_BUDGET * freq.value:  # nan fails too
-            reasons.append(
-                f"frequency integral error {freq.error:.3g} exceeds"
-                f" {FREQ_ERROR_BUDGET:g} relative budget"
-                + (f" ({freq.note})" if freq.note else ""))
+    srd = SrdEstimate(math.nan, math.nan, math.nan, math.nan, False, "skipped")
+    try:
+        profile = build_profile(kernel, triplet, window=window, t_step=t_step,
+                                s_box=s_box, s_points=s_points)
+    except QuadratureError as exc:
+        reasons.append(f"profile: {exc}")
+    else:
+        ratio_method = profile.ratio_method
+        choice = choose_threshold(profile, candidates)
+        if not choice.found:
+            why = "; ".join(f"{c:g}: {msg}" for c, msg in choice.rejected)
+            reasons.append(f"no feasible threshold ({why})")
+        else:
+            freq = frequency_integral(profile, choice.threshold)
+            if freq.divergent:
+                reasons.append(f"frequency integral divergent: {freq.note}")
+            elif not freq.error <= FREQ_ERROR_BUDGET * freq.value:  # nan fails too
+                reasons.append(
+                    f"frequency integral error {freq.error:.3g} exceeds"
+                    f" {FREQ_ERROR_BUDGET:g} relative budget"
+                    + (f" ({freq.note})" if freq.note else ""))
 
-    srd = srd_integral(profile)
-    if srd.divergent:
-        reasons.append(f"srd integral divergent: {srd.note or srd.method}")
-    elif srd.tail > TAIL_CAP_FRACTION * srd.value:
-        reasons.append(
-            f"srd tail {srd.tail:.3g} exceeds {TAIL_CAP_FRACTION:.0%}"
-            " of the total: window too small to trust extrapolation")
+        srd = srd_integral(profile)
+        if srd.divergent:
+            reasons.append(f"srd integral divergent: {srd.note or srd.method}")
+        elif srd.tail > TAIL_CAP_FRACTION * srd.value:
+            reasons.append(
+                f"srd tail {srd.tail:.3g} exceeds {TAIL_CAP_FRACTION:.0%}"
+                " of the total: window too small to trust extrapolation")
 
     verdict = "certified-SRD" if not reasons else "inconclusive"
     return CertificateReport(
         kernel_name=kernel.name, triplet_name=triplet.name or repr(triplet),
         dim=kernel.dim, window=float(window), t_step=float(t_step),
-        s_box=profile.s_box, s_points=profile.s_points,
-        ratio_method=profile.ratio_method, integrability=integ,
+        s_box=(float(s_box[0]), float(s_box[1])), s_points=int(s_points),
+        ratio_method=ratio_method, integrability=integ,
         threshold=choice.threshold, threshold_method=choice.method,
         exceedance_measure=choice.exceedance_measure,
         feasible_thresholds=choice.feasible,

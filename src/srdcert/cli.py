@@ -36,88 +36,138 @@ _FMT = "%.17g"
 # rows of samples.csv formatted in one call: whole blocks keep the Python
 # work per row small without holding the text of every row at once
 _SAMPLE_BLOCK = 4096
-# the keys each section accepts; any other key is a configuration error.
-# A key that the chosen kernel type, jump type or probe does not read is
-# rejected when its section is built (``_Section.reject_unread``).
-_KEYS = {
-    "kernel": {"type", "lo", "hi", "dim", "half_width", "width", "exponent", "radius"},
-    "triplet": {"a0", "b0", "jumps", "alpha", "scale", "rate", "atoms", "weights",
-                "grid", "density"},
-    "numerics": {"window", "t_step", "s_lo", "s_hi", "s_points", "thresholds"},
-    "simulate": {"n_samples", "lattice_step", "seed", "lags", "threshold", "s_grid",
-                 "probe", "probe_level", "probe_points", "probe_size", "n_triples",
-                 "negdef_samples"},
-    "sweep": {"parameter", "values"},
+REQUIRED = object()  # schema default of a key that must be given
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+# a value its key's parser rejects "is not" one of these
+_NOT = {float: "a number", int: "an integer", _floats: "a comma-separated number list"}
+
+
+def _stable(alpha: float, scale: float | None):
+    measure = levy.calibrated_stable(alpha) if scale is None \
+        else levy.SymmetricStable(alpha, scale)
+    return measure, f"stable(alpha={alpha:g})"
+
+
+def _poisson(rate: float, atoms: tuple[float, ...], weights: tuple[float, ...] | None):
+    if weights is None:
+        weights = tuple(1.0 / len(atoms) for _ in atoms)
+    return levy.CompoundPoisson(rate, atoms, weights), f"poisson(rate={rate:g})"
+
+
+# The config grammar: each section maps key -> (parser, default or REQUIRED),
+# a selector key -> (choices, default). A choice is (builder, the keys only it
+# reads); the builder takes those keys as keyword arguments, and a jump builder
+# returns (measure, name), name None for no jumps. Any other key is an error.
+# README's grammar block lists the same keys and choices, checked by a test.
+_SCHEMA = {
+    "kernel": {
+        "type": ({
+            "box": (kernels.box_kernel,
+                    {"lo": (float, 0.0), "hi": (float, 1.0), "dim": (int, 1)}),
+            "tent": (kernels.tent_kernel, {"half_width": (float, 1.0)}),
+            "gaussian": (kernels.gaussian_kernel,
+                         {"dim": (int, 1), "width": (float, 1.0)}),
+            "powerlaw": (kernels.powerlaw_kernel,
+                         {"exponent": (float, REQUIRED), "radius": (float, 1.0)}),
+        }, REQUIRED),
+    },
+    "triplet": {
+        "a0": (float, 0.0),
+        "b0": (float, 0.0),
+        "jumps": ({
+            "none": (lambda: (levy.NO_JUMPS, None), {}),
+            "stable": (_stable, {"alpha": (float, REQUIRED), "scale": (float, None)}),
+            "poisson": (_poisson, {"rate": (float, 1.0), "atoms": (_floats, REQUIRED),
+                                   "weights": (_floats, None)}),
+            "table": (lambda grid, density: (levy.TabulatedMeasure(grid, density),
+                                             "tabulated"),
+                      {"grid": (_floats, REQUIRED), "density": (_floats, REQUIRED)}),
+        }, "none"),
+    },
+    "numerics": {
+        "window": (float, None), "t_step": (float, None),
+        "s_lo": (float, DEFAULT_S_BOX[0]), "s_hi": (float, DEFAULT_S_BOX[1]),
+        "s_points": (int, 40), "thresholds": (_floats, DEFAULT_CANDIDATES),
+    },
+    "simulate": {
+        "n_samples": (int, 100_000), "lattice_step": (float, 0.1), "seed": (int, 0),
+        "lags": (_floats, (0.6, 0.8)), "threshold": (float, 0.5),
+        "s_grid": (_floats, (-5.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 5.0)),
+        "n_triples": (int, 200), "negdef_samples": (int, 20_000),
+        "probe": ({
+            "point": (lambda probe_level: sim.point_mass(probe_level),
+                      {"probe_level": (float, 0.0)}),
+            "discrete": (lambda probe_points: sim.finite_discrete(probe_points),
+                         {"probe_points": (_floats, REQUIRED)}),
+            "gaussian": (lambda probe_size: sim.gaussian_quantiles(probe_size),
+                         {"probe_size": (int, 512)}),
+        }, "point"),
+    },
+    "sweep": {"parameter": (str, REQUIRED), "values": (_floats, REQUIRED)},
 }
 
 
-def _fmt(x: float) -> str:
-    return _FMT % x
+def _selectors(schema: dict) -> dict:
+    return {key: entry for key, entry in schema.items() if isinstance(entry[0], dict)}
+
+
+# the keys each section accepts: its own and those of every choice
+_KEYS = {name: set(schema).union(*(keys for sel, _ in _selectors(schema).values()
+                                   for _, keys in sel.values()))
+         for name, schema in _SCHEMA.items()}
 
 
 # ---------------------------------------------------------------------------
 # config access
 
 
-class _Section:
-    """Typed access to one config section with located error messages."""
+def _raw(parser: configparser.ConfigParser, name: str) -> dict[str, str]:
+    return {key: val.strip() for key, val in parser[name].items()} \
+        if parser.has_section(name) else {}
 
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self.name = name
-        self._data = parser[name] if parser.has_section(name) else {}
-        self._read: set[str] = set()
 
-    def has(self, key: str) -> bool:
-        return key in self._data
+def _parse(name: str, raw: dict[str, str], schema: dict, where: str = "") -> dict:
+    """Parse the schema's keys of one section; an empty value is unset."""
+    values = {}
+    for key, (kind, default) in schema.items():
+        text = raw.get(key, "")
+        if text == "":
+            if default is REQUIRED:
+                raise ConfigError(f"[{name}] {where} needs '{key}'" if where
+                                  else f"[{name}] is missing required key '{key}'")
+            values[key] = default
+        elif isinstance(kind, dict):
+            if text not in kind:
+                raise ConfigError(f"[{name}] unknown {key} {text!r}"
+                                  f" (expected {', '.join(kind)})")
+            values[key] = text
+        else:
+            try:
+                values[key] = kind(text)
+            except ValueError:
+                raise ConfigError(f"[{name}] {key} = {text!r} is not {_NOT[kind]}")
+    return values
 
-    def raw(self, key: str, default: str | None = None) -> str | None:
-        self._read.add(key)
-        val = self._data.get(key, default)
-        return val.strip() if isinstance(val, str) else val
 
-    def require(self, key: str) -> str:
-        if key not in self._data:
-            raise ConfigError(f"[{self.name}] is missing required key '{key}'")
-        return self.raw(key)
-
-    def reject_unread(self, selector: str, value: str):
-        """Raise ConfigError if the section holds a key no accessor read."""
-        unread = [key for key in self._data if key not in self._read]
+def _section(parser: configparser.ConfigParser, name: str) -> dict:
+    """The values of one section by key; a selector key holds what the
+    chosen value's builder returns."""
+    raw = _raw(parser, name)
+    schema = _SCHEMA[name]
+    values = _parse(name, raw, schema)
+    for key, (choices, _) in _selectors(schema).items():
+        where = f"{key} = {values[key]}"
+        build, keys = choices[values[key]]
+        unread = [k for k in raw if k not in schema and k not in keys]
         if unread:
-            raise ConfigError(f"[{self.name}] {selector} = {value}"
-                              f" does not read key '{unread[0]}'")
-
-    def text(self, key: str, default: str) -> str:
-        return self.raw(key, default)
-
-    def floatval(self, key: str, default: float | None = None) -> float | None:
-        raw = self.raw(key)
-        if raw is None or raw == "":
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a number")
-
-    def intval(self, key: str, default: int | None = None) -> int | None:
-        raw = self.raw(key)
-        if raw is None or raw == "":
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not an integer")
-
-    def floatlist(self, key: str, default: tuple[float, ...] | None = None
-                  ) -> tuple[float, ...] | None:
-        raw = self.raw(key)
-        if raw is None or raw == "":
-            return default
-        try:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a"
-                              " comma-separated number list")
+            raise ConfigError(f"[{name}] {where} does not read key '{unread[0]}'")
+        values[key] = build(**_parse(name, raw, keys, where))
+    return values
 
 
 def load_config(path: Path) -> configparser.ConfigParser:
@@ -129,10 +179,12 @@ def load_config(path: Path) -> configparser.ConfigParser:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
-    for section, known in _KEYS.items():
-        for key in parser[section] if parser.has_section(section) else ():
+    for name, known in _KEYS.items():
+        raw = _raw(parser, name)
+        for key in raw:
             if key not in known:
-                raise ConfigError(f"[{section}] unknown key '{key}'")
+                raise ConfigError(f"[{name}] unknown key '{key}'")
+        _parse(name, raw, _selectors(_SCHEMA[name]))
     target = parser.get("sweep", "parameter", fallback="").strip()
     section, dot, key = target.partition(".")
     if dot and section in _KEYS and key not in _KEYS[section]:
@@ -141,113 +193,30 @@ def load_config(path: Path) -> configparser.ConfigParser:
 
 
 def build_kernel(parser: configparser.ConfigParser) -> Kernel:
-    sec = _Section(parser, "kernel")
-    kind = sec.raw("type")
-    if kind is None:
-        raise ConfigError("[kernel] is missing required key 'type'")
-    if kind == "box":
-        kernel = kernels.box_kernel(lo=sec.floatval("lo", 0.0),
-                                    hi=sec.floatval("hi", 1.0),
-                                    dim=sec.intval("dim", 1))
-    elif kind == "tent":
-        kernel = kernels.tent_kernel(sec.floatval("half_width", 1.0))
-    elif kind == "gaussian":
-        kernel = kernels.gaussian_kernel(dim=sec.intval("dim", 1),
-                                         width=sec.floatval("width", 1.0))
-    elif kind == "powerlaw":
-        if not sec.has("exponent"):
-            raise ConfigError("[kernel] powerlaw needs 'exponent'")
-        kernel = kernels.powerlaw_kernel(sec.floatval("exponent"),
-                                         sec.floatval("radius", 1.0))
-    else:
-        raise ConfigError(f"[kernel] unknown type {kind!r}"
-                          " (expected box, tent, gaussian, or powerlaw)")
-    sec.reject_unread("type", kind)
-    return kernel
+    return _section(parser, "kernel")["type"]
 
 
 def build_triplet(parser: configparser.ConfigParser) -> levy.LevyTriplet:
-    sec = _Section(parser, "triplet")
-    a0 = sec.floatval("a0", 0.0)
-    b0 = sec.floatval("b0", 0.0)
-    jumps = sec.text("jumps", "none")
-    if jumps == "none":
-        if b0 == 0.0 and a0 == 0.0:
-            raise ConfigError("[triplet] is degenerate: a0 = b0 = 0, no jumps")
-        measure = levy.NO_JUMPS
+    sec = _section(parser, "triplet")
+    a0, b0 = sec["a0"], sec["b0"]
+    measure, name = sec["jumps"]
+    if name is None:  # no jumps: named by the Gaussian part
         name = f"gaussian(b0={b0:g})" if a0 == 0.0 else f"diffusion(a0={a0:g},b0={b0:g})"
-    elif jumps == "stable":
-        if not sec.has("alpha"):
-            raise ConfigError("[triplet] stable jumps need 'alpha'")
-        alpha = sec.floatval("alpha")
-        scale = sec.floatval("scale", None)
-        measure = levy.SymmetricStable(alpha, scale) if scale is not None \
-            else levy.calibrated_stable(alpha)
-        name = f"stable(alpha={alpha:g})"
-    elif jumps == "poisson":
-        atoms = sec.floatlist("atoms")
-        if atoms is None:
-            raise ConfigError("[triplet] poisson jumps need 'atoms'")
-        rate = sec.floatval("rate", 1.0)
-        weights = sec.floatlist("weights")
-        if weights is None:
-            weights = tuple(1.0 / len(atoms) for _ in atoms)
-        measure = levy.CompoundPoisson(rate, atoms, weights)
-        name = f"poisson(rate={rate:g})"
-    elif jumps == "table":
-        grid = sec.floatlist("grid")
-        density = sec.floatlist("density")
-        if grid is None or density is None:
-            raise ConfigError("[triplet] tabulated jumps need 'grid' and 'density'")
-        measure = levy.TabulatedMeasure(grid, density)
-        name = "tabulated"
-    else:
-        raise ConfigError(f"[triplet] unknown jumps {jumps!r}"
-                          " (expected none, stable, poisson, or table)")
-    sec.reject_unread("jumps", jumps)
     return levy.LevyTriplet(a0=a0, b0=b0, measure=measure, name=name)
 
 
 def _numerics(parser: configparser.ConfigParser) -> dict:
-    sec = _Section(parser, "numerics")
-    s_lo = sec.floatval("s_lo", DEFAULT_S_BOX[0])
-    s_hi = sec.floatval("s_hi", DEFAULT_S_BOX[1])
-    return dict(
-        window=sec.floatval("window", None),
-        t_step=sec.floatval("t_step", None),
-        s_box=(s_lo, s_hi),
-        s_points=sec.intval("s_points", 40),
-        candidates=sec.floatlist("thresholds", DEFAULT_CANDIDATES),
-    )
+    sec = _section(parser, "numerics")
+    return dict(window=sec["window"], t_step=sec["t_step"],
+                s_box=(sec["s_lo"], sec["s_hi"]), s_points=sec["s_points"],
+                candidates=sec["thresholds"])
 
 
 def _sim_settings(parser: configparser.ConfigParser) -> dict:
-    sec = _Section(parser, "simulate")
-    probe_kind = sec.text("probe", "point")
-    if probe_kind == "point":
-        probe = sim.point_mass(sec.floatval("probe_level", 0.0))
-    elif probe_kind == "discrete":
-        pts = sec.floatlist("probe_points")
-        if pts is None:
-            raise ConfigError("[simulate] discrete probe needs 'probe_points'")
-        probe = sim.finite_discrete(pts)
-    elif probe_kind == "gaussian":
-        probe = sim.gaussian_quantiles(sec.intval("probe_size", 512))
-    else:
-        raise ConfigError(f"[simulate] unknown probe {probe_kind!r}")
-    settings = dict(
-        config=sim.SimConfig(n_samples=sec.intval("n_samples", 100_000),
-                             lattice_step=sec.floatval("lattice_step", 0.1),
-                             seed=sec.intval("seed", 0)),
-        lags=sec.floatlist("lags", (0.6, 0.8)),
-        threshold=sec.floatval("threshold", 0.5),
-        s_grid=sec.floatlist("s_grid", (-5.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 5.0)),
-        probe=probe,
-        n_triples=sec.intval("n_triples", 200),
-        negdef_samples=sec.intval("negdef_samples", 20_000),
-    )
-    sec.reject_unread("probe", probe_kind)
-    return settings
+    sec = _section(parser, "simulate")
+    sec["config"] = sim.SimConfig(**{key: sec.pop(key) for key in
+                                     ("n_samples", "lattice_step", "seed")})
+    return sec
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +230,7 @@ def _write_certificates(out_dir: Path, reports: list[CertificateReport]):
     with open(out_dir / "certificate.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CertificateReport.CSV_FIELDS)
-        for rep in reports:
-            writer.writerow(rep.csv_row())
+        writer.writerows(rep.csv_row() for rep in reports)
 
 
 def _lag_label(lag: tuple) -> str:
@@ -287,8 +255,7 @@ def _write_validation(out_dir: Path, rows: list[tuple]):
         writer = csv.writer(fh)
         writer.writerow(["check", "scenario", "statistic", "value",
                          "limit", "passed"])
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +264,7 @@ def _write_validation(out_dir: Path, rows: list[tuple]):
 
 def cmd_certify(parser: configparser.ConfigParser, out_dir: Path,
                 verbose: bool) -> int:
-    kernel = build_kernel(parser)
-    triplet = build_triplet(parser)
-    rep = certify(kernel, triplet, **_numerics(parser))
+    rep = certify(build_kernel(parser), build_triplet(parser), **_numerics(parser))
     _write_certificates(out_dir, [rep])
     print(rep.to_text())
     return 0 if rep.certified else 2
@@ -307,11 +272,8 @@ def cmd_certify(parser: configparser.ConfigParser, out_dir: Path,
 
 def cmd_sweep(parser: configparser.ConfigParser, out_dir: Path,
               verbose: bool) -> int:
-    sec = _Section(parser, "sweep")
-    target = sec.raw("parameter")
-    values = sec.floatlist("values")
-    if target is None or values is None:
-        raise ConfigError("[sweep] needs 'parameter' and 'values'")
+    sec = _section(parser, "sweep")
+    target, values = sec["parameter"], sec["values"]
     if "." not in target:
         raise ConfigError(f"[sweep] parameter {target!r} must be"
                           " 'section.key', e.g. triplet.alpha")
@@ -320,15 +282,13 @@ def cmd_sweep(parser: configparser.ConfigParser, out_dir: Path,
         raise ConfigError(f"[sweep] can only sweep triplet or kernel keys,"
                           f" not [{section}]")
     reports = []
+    sections = {s: dict(parser[s]) for s in parser.sections()}
     for value in values:
+        sections.setdefault(section, {})[key] = repr(value)
         patched = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        patched.read_dict({s: dict(parser[s]) for s in parser.sections()})
-        if not patched.has_section(section):
-            patched.add_section(section)
-        patched[section][key] = repr(value)
-        kernel = build_kernel(patched)
-        triplet = build_triplet(patched)
-        rep = certify(kernel, triplet, **_numerics(patched))
+        patched.read_dict(sections)
+        rep = certify(build_kernel(patched), build_triplet(patched),
+                      **_numerics(patched))
         reports.append(rep)
         print(f"{target}={value:g}: {rep.verdict}")
     _write_certificates(out_dir, reports)
@@ -373,7 +333,7 @@ def cmd_validate(parser: configparser.ConfigParser, out_dir: Path,
         rep = levy.check_negdef_inequalities(
             tri, n_samples=settings["negdef_samples"], seed=seed)
         rows.append(("negative-definite", tri.name, "max_excess",
-                     _fmt(rep.max_excess), _fmt(0.0), rep.passed))
+                     _FMT % rep.max_excess, _FMT % 0.0, rep.passed))
         if verbose:
             print(f"negative-definite {tri.name}:"
                   f" {rep.total_violations} violations")
@@ -381,7 +341,7 @@ def cmd_validate(parser: configparser.ConfigParser, out_dir: Path,
     fact = sim.factorization_check(kernel, triplet,
                                    n_triples=settings["n_triples"], seed=seed)
     rows.append(("factorization", f"{kernel.name}/{triplet.name}",
-                 "max_excess", _fmt(fact.max_excess), _fmt(0.0), fact.passed))
+                 "max_excess", _FMT % fact.max_excess, _FMT % 0.0, fact.passed))
     if verbose:
         print(f"factorization {kernel.name}/{triplet.name}:"
               f" {fact.violations} violations, max gap {fact.max_gap:.4g}")
@@ -400,7 +360,7 @@ def cmd_validate(parser: configparser.ConfigParser, out_dir: Path,
                                          settings["config"], sample=sample)
         rows.append(("covariance-bound",
                      f"lag={lag:g}/{settings['probe'].name}",
-                     "lhs", _fmt(rep.lhs), _fmt(rep.rhs + 3.0 * rep.se),
+                     "lhs", _FMT % rep.lhs, _FMT % (rep.rhs + 3.0 * rep.se),
                      rep.passed))
         if verbose:
             print(f"covariance bound lag={lag:g} {settings['probe'].name}:"
@@ -436,9 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            if not cfg.has_section("simulate"):
-                cfg.add_section("simulate")
-            cfg["simulate"]["seed"] = str(args.seed)
+            cfg.read_dict({"simulate": {"seed": str(args.seed)}})
         out_dir = args.output if args.output is not None \
             else args.config.resolve().parent / "out"
         handler = {"certify": cmd_certify, "sweep": cmd_sweep,

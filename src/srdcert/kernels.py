@@ -68,13 +68,11 @@ class BoundedBox:
 
 @dataclass(frozen=True)
 class DecayEnvelope:
-    """Power-decay bound |f(x)| <= amplitude * |x|**(-exponent) for |x| >= radius,
-    together with |f(x)| <= peak inside."""
+    """Power-decay bound |f(x)| <= amplitude * |x|**(-exponent) for |x| >= radius."""
 
     radius: float
     exponent: float
     amplitude: float = 1.0
-    peak: float = 1.0
 
     def __post_init__(self):
         if not (self.radius > 0 and math.isfinite(self.radius)):
@@ -224,7 +222,7 @@ def powerlaw_kernel(exponent: float, radius: float = 1.0) -> Kernel:
     return Kernel(
         dim=1,
         func=f,
-        support=DecayEnvelope(radius=r0, exponent=beta, amplitude=r0 ** beta, peak=1.0),
+        support=DecayEnvelope(radius=r0, exponent=beta, amplitude=r0 ** beta),
         name=f"powerlaw(beta={beta:g},r0={r0:g})",
         closed_norms=norm,
         knots=(-r0, r0),
@@ -276,15 +274,6 @@ def zero_kernel(dim: int = 1) -> Kernel:
         indicator=False,
         continuous=True,
     )
-
-
-BUILTIN_KERNELS = {
-    "box": box_kernel,
-    "tent": tent_kernel,
-    "gaussian": gaussian_kernel,
-    "powerlaw": powerlaw_kernel,
-    "zero": zero_kernel,
-}
 
 
 # ---------------------------------------------------------------------------

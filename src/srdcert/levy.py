@@ -663,9 +663,6 @@ class NegDefReport:
     def passed(self) -> bool:
         return self.total_violations == 0
 
-    def rows(self) -> list[tuple[str, int]]:
-        return sorted(self.violations.items())
-
 
 _CHECKS = (
     "re-nonneg",

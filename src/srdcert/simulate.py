@@ -25,7 +25,6 @@ from .spectral import (
     SpectralProfile,
     joint_integrals,
     marginal_cumulant,
-    max_dependence_ratio,
 )
 
 CHUNK = 1024
@@ -371,10 +370,6 @@ class CovarianceBoundReport:
     def passed(self) -> bool:
         return self.lhs <= self.rhs + 3.0 * self.se
 
-    def row(self) -> tuple:
-        return (self.lag, self.probe_name, self.threshold, self.ratio_at_lag,
-                self.rhs, self.lhs, self.se, self.passed)
-
 
 def covariance_bound_check(profile: SpectralProfile, t, probe: ProbeMeasure,
                            threshold: float, config: SimConfig,
@@ -389,10 +384,7 @@ def covariance_bound_check(profile: SpectralProfile, t, probe: ProbeMeasure,
     """
     kernel, triplet = profile.kernel, profile.triplet
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    ratio = max_dependence_ratio(kernel, triplet, tuple(t_arr),
-                                 s_box=profile.s_box,
-                                 force_grid=profile.ratio_method
-                                 == "grid-approximate")
+    ratio = profile.ratio_at(tuple(t_arr))
     if ratio.value > threshold + ratio.error + 1e-12:
         raise RejectionError(
             "lag-outside-low-dependence",

@@ -2,12 +2,16 @@
 
 import csv
 import io
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from srdcert import cli
 from srdcert.cli import main
+from srdcert.errors import QuadratureError
 from srdcert.simulate import FieldSample, SimConfig
 
 EXAMPLE = """
@@ -96,8 +100,20 @@ def test_certify_malformed_config_names_line(tmp_path, capsys):
     ("[kernel]\ntype = box\nhi = wide\n[triplet]\nb0 = 1\n", "not a number"),
     ("[kernel]\ntype = box\n[triplet]\njumps = fractal\n", "unknown jumps"),
     ("[kernel]\ntype = box\n[triplet]\na0 = 0\nb0 = 0\n", "degenerate"),
-    ("[kernel]\ntype = box\n[triplet]\njumps = stable\n", "need 'alpha'"),
-    ("[kernel]\ntype = box\n[triplet]\njumps = poisson\n", "need 'atoms'"),
+    ("[kernel]\ntype = box\n[triplet]\njumps = stable\n", "needs 'alpha'"),
+    ("[kernel]\ntype = box\n[triplet]\njumps = poisson\n", "needs 'atoms'"),
+    ("[kernel]\ntype = box\n[triplet]\njumps = stable\nalpha =\n",
+     "[triplet] jumps = stable needs 'alpha'"),
+    ("[kernel]\ntype = powerlaw\nexponent =\n[triplet]\nb0 = 1\n",
+     "[kernel] type = powerlaw needs 'exponent'"),
+    ("[kernel]\ntype = box\n[triplet]\njumps = table\ngrid = 0.5, 1.0\n",
+     "[triplet] jumps = table needs 'density'"),
+    ("[kernel]\ntype = tent\nlo = 0\n[triplet]\nb0 = 1\n",
+     "[kernel] type = tent does not read key 'lo'"),
+    ("[kernel]\ntype = box\n[triplet]\nb0 = 1\n[simulate]\nprobe = bogus\n",
+     "[simulate] unknown probe 'bogus'"),
+    ("[kernel]\ntype = box\ndim = 1.5\n[triplet]\nb0 = 1\n",
+     "[kernel] dim = '1.5' is not an integer"),
     ("[kernel]\ntype = box\n[triplet]\njumps = stable\nalpha = 1.0\ngaussian = 4.0\n",
      "[triplet] unknown key 'gaussian'"),
     ("[kernel]\ntype = box\nlength = 2\n[triplet]\nb0 = 1\n",
@@ -121,7 +137,9 @@ def test_certify_malformed_config_names_line(tmp_path, capsys):
     ("[kernel]\ntype = box\n[triplet]\nb0 = 1\n[numerics]\ns_hi = inf\n",
      "profile-sbox"),
 ], ids=["no-type", "bad-type", "no-exponent", "bad-float", "bad-jumps",
-        "degenerate", "no-alpha", "no-atoms", "unknown-triplet-key",
+        "degenerate", "no-alpha", "no-atoms", "empty-alpha", "empty-exponent",
+        "no-density", "unread-tent-key", "bad-probe", "fractional-dim",
+        "unknown-triplet-key",
         "unknown-kernel-key", "unknown-numerics-key", "unknown-simulate-key",
         "unknown-sweep-key", "unknown-sweep-parameter", "unread-kernel-key",
         "unread-triplet-key", "unread-gaussian-triplet-key", "infinite-window",
@@ -143,6 +161,40 @@ def test_unread_key_exit3(tmp_path, capsys, command, body, fragment):
     cfg = write_cfg(tmp_path, body)
     assert main([command, str(cfg), "--output", str(tmp_path / "out")]) == 3
     assert fragment in capsys.readouterr().err
+
+
+def test_certify_profile_failure_inconclusive(tmp_path, monkeypatch):
+    """A quadrature failure while building the profile is a verdict, not a crash."""
+    def failing_profile(*args, **kwargs):
+        raise QuadratureError("profile pass failed")
+
+    monkeypatch.setattr(sys.modules["srdcert.certify"], "build_profile", failing_profile)
+    out = tmp_path / "out"
+    assert main(["certify", str(write_cfg(tmp_path, EXAMPLE)), "--output", str(out)]) == 2
+    assert "reason: profile: profile pass failed" in (out / "report.txt").read_text()
+    assert read_certificate(out)[0]["verdict"] == "inconclusive"
+
+
+def test_readme_grammar_matches_schema():
+    """README's ```ini grammar block lists each section's keys and the
+    values of each selector key exactly as the schema has them."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config grammar", 1)[1].split("```ini\n", 1)[1]
+    keys, choices, section = {}, {}, None
+    for line in block.split("```", 1)[0].splitlines():
+        header = re.match(r"\[(\w+)\]", line)
+        entry = re.match(r"#?\s*(\w+)\s*=", line)
+        if header:
+            section = header.group(1)
+            keys[section] = set()
+        elif entry:
+            keys[section].add(entry.group(1))
+            comment = line.split("#")[-1]
+            if "|" in comment:
+                choices[entry.group(1)] = [v.strip() for v in comment.split("|")]
+    assert keys == cli._KEYS
+    assert choices == {key: list(sel) for schema in cli._SCHEMA.values()
+                       for key, (sel, _) in cli._selectors(schema).items()}
 
 
 def test_certify_nonintegrable_pair_exit3(tmp_path, capsys):
