@@ -27,8 +27,8 @@ from .kernels import (
     DecayEnvelope,
     IntegrabilityReport,
     Kernel,
+    _lp_power_integral,
     check_integrability,
-    lp_norm,
 )
 from .quadrature import Segment, fit_power_law, integrate_segments
 from .spectral import (
@@ -154,9 +154,10 @@ def choose_threshold(profile: SpectralProfile,
 def _envelope_ratio_bound(profile: SpectralProfile) -> float | None:
     """Analytic ratio bound at the window edge for homogeneous envelopes.
 
-    Returns None when unavailable (box support, mixed integrator, or the
-    gamma/2 norm diverges, in which case containment is judged from the
-    grid alone and the SRD integral will flag the divergence).
+    ratio(t) <= C * |t|**(-exponent*gamma/2) for |t| >= 2*radius.  Returns
+    None when unavailable (box support, mixed integrator, or the gamma/2
+    norm diverges, in which case containment is judged from the grid alone
+    and the SRD integral will flag the divergence).
     """
     sup = profile.kernel.support
     if not isinstance(sup, DecayEnvelope):
@@ -167,19 +168,13 @@ def _envelope_ratio_bound(profile: SpectralProfile) -> float | None:
     if profile.window < 2.0 * sup.radius:
         return None
     try:
-        coef = _envelope_tail_coef(profile.kernel, gamma)
+        half_norm = _lp_power_integral(profile.kernel, gamma / 2.0)[0]
     except DivergentNormError:
         return None
-    return coef * profile.window ** (-sup.exponent * gamma / 2.0)
-
-
-def _envelope_tail_coef(kernel: Kernel, gamma: float) -> float:
-    """C with ratio(t) <= C * |t|**(-exponent*gamma/2) for |t| >= 2*radius."""
-    sup = kernel.support
-    half_norm = lp_norm(kernel, gamma / 2.0) ** (gamma / 2.0)
-    full_norm = lp_norm(kernel, gamma) ** gamma
-    return 2.0 * (2.0 ** sup.exponent * sup.amplitude) ** (gamma / 2.0) \
+    full_norm = _lp_power_integral(profile.kernel, gamma)[0]
+    coef = 2.0 * (2.0 ** sup.exponent * sup.amplitude) ** (gamma / 2.0) \
         * half_norm / full_norm
+    return coef * profile.window ** (-sup.exponent * gamma / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,51 +289,39 @@ class SrdEstimate:
 def srd_integral(profile: SpectralProfile) -> SrdEstimate:
     """integral of the maximal dependence ratio over all lags.
 
-    Window part: lattice sum times cell volume.  Tail beyond the window:
-    exact zero for box supports once the window covers the overlap diameter,
-    the analytic envelope bound for homogeneous integrators (divergent
-    exactly when the gamma/2 kernel norm diverges), and otherwise a fitted
-    power law over the outermost quarter of the profile.
+    A homogeneous integrator (Re K = c|v|**gamma) has the frequency-free
+    ratio integral |f(t-x) f(-x)|**(gamma/2) dx / ||f||_gamma^gamma, so Fubini
+    gives the lag integral exactly: ||f||_{gamma/2}^gamma / ||f||_gamma^gamma,
+    finite exactly when f is in L^{gamma/2}.  Mixed triplets sum the lattice
+    times the cell volume and add the tail beyond the window: exact zero for
+    box supports once the window covers the overlap diameter, otherwise a
+    fitted power law over the outermost quarter of the profile.
     """
-    window_part = profile.cell_volume * float(np.sum(profile.ratio_values))
-    base_err = profile.ratio_error * len(profile.ratio_values) * profile.cell_volume
-
     sup = profile.kernel.support
-    if isinstance(sup, BoundedBox):
-        if profile.window >= sup.diameter:
-            return SrdEstimate(value=window_part, window_part=window_part,
-                               tail=0.0, error=base_err, divergent=False,
-                               method="exact-zero-tail",
-                               note="ratios vanish beyond the overlap diameter")
-        return _fitted_tail(profile, window_part, base_err)
-
+    window_part = profile.cell_volume * float(np.sum(profile.ratio_values))
     gamma = levy.homogeneity_exponent(profile.triplet)
-    if gamma is not None and profile.window >= 2.0 * sup.radius:
-        d = profile.dim
-        decay = sup.exponent * gamma / 2.0
+    if gamma is not None:
         try:
-            coef = _envelope_tail_coef(profile.kernel, gamma)
+            half, half_err = _lp_power_integral(profile.kernel, gamma / 2.0)
         except DivergentNormError:
             return SrdEstimate(
                 value=math.inf, window_part=window_part, tail=math.inf,
-                error=math.inf, divergent=True, method="analytic-envelope-bound",
+                error=math.inf, divergent=True, method="closed-form-fubini",
                 note=f"kernel power {gamma / 2.0:g} not integrable:"
-                     f" decay {sup.exponent:g}*{gamma:g}/2 <= dim {d}")
-        if decay <= d:
-            return SrdEstimate(
-                value=math.inf, window_part=window_part, tail=math.inf,
-                error=math.inf, divergent=True, method="analytic-envelope-bound",
-                note=f"ratio tail exponent {decay:g} <= dim {d}")
-        tail = coef * SPHERE_AREA[d] * profile.window ** (d - decay) / (decay - d)
-        return SrdEstimate(value=window_part + tail, window_part=window_part,
-                           tail=tail, error=base_err, divergent=False,
-                           method="analytic-envelope-bound")
+                     f" decay {sup.exponent:g}*{gamma:g}/2 <= dim {profile.dim}")
+        full, full_err = _lp_power_integral(profile.kernel, gamma)
+        value = half * half / full
+        return SrdEstimate(value=value, window_part=value, tail=0.0,
+                           error=value * (2.0 * half_err / half + full_err / full),
+                           divergent=False, method="closed-form-fubini")
 
-    return _fitted_tail(profile, window_part, base_err)
+    base_err = profile.ratio_error * len(profile.ratio_values) * profile.cell_volume
+    if isinstance(sup, BoundedBox) and profile.window >= sup.diameter:
+        return SrdEstimate(value=window_part, window_part=window_part,
+                           tail=0.0, error=base_err, divergent=False,
+                           method="exact-zero-tail",
+                           note="ratios vanish beyond the overlap diameter")
 
-
-def _fitted_tail(profile: SpectralProfile, window_part: float,
-                 base_err: float) -> SrdEstimate:
     d = profile.dim
     radii = np.max(np.abs(profile.t_grid), axis=1)
     outer = radii >= 0.75 * profile.window
@@ -514,13 +497,17 @@ def certify(kernel: Kernel, triplet: levy.LevyTriplet,
                     f" {FREQ_ERROR_BUDGET:g} relative budget"
                     + (f" ({freq.note})" if freq.note else ""))
 
-        srd = srd_integral(profile)
-        if srd.divergent:
-            reasons.append(f"srd integral divergent: {srd.note or srd.method}")
-        elif srd.tail > TAIL_CAP_FRACTION * srd.value:
-            reasons.append(
-                f"srd tail {srd.tail:.3g} exceeds {TAIL_CAP_FRACTION:.0%}"
-                " of the total: window too small to trust extrapolation")
+        try:
+            srd = srd_integral(profile)
+        except QuadratureError as exc:
+            reasons.append(f"srd: {exc}")
+        else:
+            if srd.divergent:
+                reasons.append(f"srd integral divergent: {srd.note or srd.method}")
+            elif srd.tail > TAIL_CAP_FRACTION * srd.value:
+                reasons.append(
+                    f"srd tail {srd.tail:.3g} exceeds {TAIL_CAP_FRACTION:.0%}"
+                    " of the total: window too small to trust extrapolation")
 
     verdict = "certified-SRD" if not reasons else "inconclusive"
     return CertificateReport(

@@ -383,9 +383,7 @@ class SpectralProfile:
         return marginal_exponent_sq(self.kernel, self.triplet, s)
 
     def ratio_at(self, t) -> RatioMax:
-        force = self.ratio_method == "grid-approximate"
-        return max_dependence_ratio(self.kernel, self.triplet, t,
-                                    s_box=self.s_box, force_grid=force)
+        return max_dependence_ratio(self.kernel, self.triplet, t, s_box=self.s_box)
 
     def consistency_gap(self, s_values=None) -> float:
         """max |sigma^2(s) + log|char_marginal(s)|| over probe frequencies."""

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srdcert import kernels, levy
 from srdcert.certify import (
@@ -94,7 +95,7 @@ def test_frequency_integral_flat_profile_diverges(box_stable_profile):
 
 def test_srd_integral_box_exact(box_stable_profile):
     est = srd_integral(box_stable_profile)
-    assert est.method == "exact-zero-tail"
+    assert est.method == "closed-form-fubini"
     assert est.tail == 0.0
     assert est.value == 1.0
 
@@ -102,9 +103,10 @@ def test_srd_integral_box_exact(box_stable_profile):
 def test_srd_integral_tent_stable():
     prof = build_profile(kernels.tent_kernel(), levy.stable_triplet(1.0),
                          window=6.0, t_step=0.05)
-    est = srd_integral(prof)
-    assert est.value == pytest.approx(1.7777794355713503, rel=1e-12)
-    assert abs(est.value - 16.0 / 9.0) < 5e-6
+    lattice_sum = prof.cell_volume * prof.ratio_values.sum()
+    assert lattice_sum == pytest.approx(1.7777794355713503, rel=1e-12)
+    assert abs(lattice_sum - 16.0 / 9.0) < 5e-6
+    assert srd_integral(prof).value == pytest.approx(16.0 / 9.0, rel=1e-12)
 
 
 def test_srd_integral_tent_gaussian():
@@ -119,9 +121,48 @@ def test_srd_integral_envelope_analytic_tail():
                          levy.gaussian_triplet(1.0),
                          window=40.0, t_step=1.0 / 3.0)
     est = srd_integral(prof)
-    assert est.method == "analytic-envelope-bound"
+    assert est.method == "closed-form-fubini"
     assert not est.divergent
-    assert est.tail == pytest.approx(0.0125, rel=1e-12)
+    assert est.tail == 0.0
+    # ||f||_1^2 / ||f||_2^2 = 3^2 / 2.4
+    assert est.value == pytest.approx(3.75, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta, alpha, exact", [
+    (2.0, 1.5, 12.0), (1.6, 1.5, 42.0), (2.5, 1.0, 30.0), (3.0, 0.8, 42.0)])
+def test_certify_powerlaw_stable_closed_form(beta, alpha, exact):
+    """Pairs with f in L^{alpha/2} certify at ||f||_{alpha/2}^alpha / ||f||_alpha^alpha."""
+    rep = certify(kernels.powerlaw_kernel(beta, 1.0), levy.stable_triplet(alpha))
+    assert rep.verdict == "certified-SRD", rep.reasons
+    assert rep.srd_method == "closed-form-fubini"
+    assert rep.srd_value == pytest.approx(exact, rel=1e-12)
+    assert rep.srd_tail == 0.0
+
+
+@given(gamma=st.floats(min_value=0.2, max_value=2.0, exclude_min=True),
+       width=st.floats(min_value=0.1, max_value=10.0))
+@settings(max_examples=25, deadline=None)
+def test_srd_integral_tent_closed_form(gamma, width):
+    """tent(w): (2w/(gamma/2+1))^2 / (2w/(gamma+1)) for every homogeneity gamma."""
+    triplet = levy.gaussian_triplet(1.0) if gamma == 2.0 else levy.stable_triplet(gamma)
+    prof = build_profile(kernels.tent_kernel(width), triplet, window=width, t_step=width)
+    est = srd_integral(prof)
+    assert est.value == pytest.approx(
+        2.0 * width * (gamma + 1.0) / (gamma / 2.0 + 1.0) ** 2, rel=1e-12)
+    assert est.error == 0.0
+
+
+@pytest.mark.parametrize("kernel, alpha, window, t_step, gap", [
+    (kernels.gaussian_kernel(1), 0.7, 20.0, 0.05, 1e-10),
+    (kernels.powerlaw_kernel(3.0, 1.0), 1.5, 40.0, 1.0 / 3.0, 0.05),
+])
+def test_srd_integral_lattice_below_closed_form(kernel, alpha, window, t_step, gap):
+    """The lattice sum approaches the closed form from below; for the power
+    law the gap is the ratio mass past the window."""
+    prof = build_profile(kernel, levy.stable_triplet(alpha), window=window, t_step=t_step)
+    closed = srd_integral(prof).value
+    lattice_sum = prof.cell_volume * float(prof.ratio_values.sum())
+    assert 0.0 <= closed - lattice_sum < gap
 
 
 def test_srd_integral_envelope_divergent():
@@ -190,7 +231,7 @@ def test_certify_box_stable_certified():
 def test_certify_envelope_gaussian_certified():
     rep = certify(kernels.powerlaw_kernel(3.0, 1.0), levy.gaussian_triplet(1.0))
     assert rep.verdict == "certified-SRD"
-    assert rep.srd_method == "analytic-envelope-bound"
+    assert rep.srd_method == "closed-form-fubini"
     assert rep.srd_tail <= TAIL_CAP_FRACTION * rep.srd_value
 
 
@@ -214,8 +255,8 @@ def test_certify_pure_jump_saturation_inconclusive():
 
 
 def test_certify_tail_cap_inconclusive():
-    rep = certify(kernels.powerlaw_kernel(1.5, 1.0), levy.gaussian_triplet(1.0),
-                    window=20.0, t_step=0.5)
+    triplet = levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.5))
+    rep = certify(kernels.powerlaw_kernel(2.0, 1.0), triplet, window=20.0, t_step=0.5)
     assert rep.verdict == "inconclusive"
     assert not rep.srd_divergent
     assert any(r.startswith("srd tail") for r in rep.reasons)

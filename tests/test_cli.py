@@ -175,6 +175,18 @@ def test_certify_profile_failure_inconclusive(tmp_path, monkeypatch):
     assert read_certificate(out)[0]["verdict"] == "inconclusive"
 
 
+def test_certify_srd_failure_inconclusive(tmp_path, monkeypatch):
+    """A failed norm pass of the SRD closed form is a verdict, not a crash."""
+    def failing_norm(*args, **kwargs):
+        raise QuadratureError("norm pass failed")
+
+    monkeypatch.setattr(sys.modules["srdcert.certify"], "_lp_power_integral", failing_norm)
+    out = tmp_path / "out"
+    assert main(["certify", str(write_cfg(tmp_path, EXAMPLE)), "--output", str(out)]) == 2
+    assert "reason: srd: norm pass failed" in (out / "report.txt").read_text()
+    assert read_certificate(out)[0]["verdict"] == "inconclusive"
+
+
 def test_readme_grammar_matches_schema():
     """README's ```ini grammar block lists each section's keys and the
     values of each selector key exactly as the schema has them."""
