@@ -83,8 +83,11 @@ def choose_threshold(profile: SpectralProfile,
                      ) -> ThresholdChoice:
     """Smallest candidate whose exceedance region is safely contained.
 
-    A candidate r is feasible when no lattice ratio at or beyond the margin
-    exceeds it (strict containment, two lattice cells inside the window) and
+    A lag counts toward the exceedance region of a candidate r when its
+    ratio plus the ratio error exceeds r: containment uses the upper end of
+    each ratio's error interval.  A candidate r is feasible when no such lag
+    lies at or beyond the margin (strict containment, two lattice cells
+    inside the window) and
     the outermost shell does not grow versus the next one.  Smaller feasible
     thresholds are preferred: they shrink the covariance-bound constant.
     For one-dimensional indicator kernels the exceedance measure has the
@@ -116,7 +119,7 @@ def choose_threshold(profile: SpectralProfile,
     rejected: list[tuple[float, str]] = []
     feasible: list[float] = []
     for cand in cands:
-        exceed = ratios > cand + profile.ratio_error
+        exceed = ratios + profile.ratio_error > cand
         if exceed.any() and float(radii[exceed].max()) > margin:
             rejected.append((cand, "exceedance region touches the window margin"))
             continue
@@ -143,7 +146,7 @@ def choose_threshold(profile: SpectralProfile,
         measure = 2.0 * length * (1.0 - best)
         method = "analytic-overlap"
     else:
-        exceed = ratios > best + profile.ratio_error
+        exceed = ratios + profile.ratio_error > best
         measure = profile.cell_volume * float(exceed.sum())
         method = "grid-count"
     return ThresholdChoice(threshold=best, exceedance_measure=measure,

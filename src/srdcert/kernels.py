@@ -104,7 +104,6 @@ class Kernel:
     closed_norms: Callable[[float], float | None] | None = None
     knots: tuple[float, ...] = ()
     indicator: bool = False
-    continuous: bool = True
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
@@ -154,7 +153,6 @@ def box_kernel(lo: float = 0.0, hi: float = 1.0, dim: int = 1) -> Kernel:
         name=f"box[{lo:g},{hi:g}]^{dim}",
         closed_norms=lambda p: vol ** (1.0 / p),
         indicator=True,
-        continuous=False,
     )
 
 
@@ -272,7 +270,6 @@ def zero_kernel(dim: int = 1) -> Kernel:
         name="zero",
         closed_norms=lambda p: 0.0,
         indicator=False,
-        continuous=True,
     )
 
 

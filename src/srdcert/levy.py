@@ -673,13 +673,15 @@ _CHECKS = (
     "subadditive-real-diff",
     "sqrt-lower-bound",
 )
+# relative slack of each inequality, per pair
+NEGDEF_TOL = 1e-9
 
 
 def check_negdef_inequalities(triplet: LevyTriplet, n_samples: int = 100_000,
-                              seed: int = 0, tol: float = 1e-9) -> NegDefReport:
+                              seed: int = 0) -> NegDefReport:
     """Sample heavy-tailed frequency pairs and test the cumulant inequalities.
 
-    Checked, with slack tol * (1 + |lhs| + |rhs|) per pair:
+    Checked, with slack NEGDEF_TOL * (1 + |lhs| + |rhs|) per pair:
       * Re K >= 0 and K(-x) = conj(K(x));
       * |K(x) + K(y) - K(x + y)| <= 2 sqrt(Re K(x) Re K(y)), its difference
         form |K(x) + conj(K(y)) - K(x - y)| <= same (conjugation is what the
@@ -711,9 +713,9 @@ def check_negdef_inequalities(triplet: LevyTriplet, n_samples: int = 100_000,
         if bad.any():
             max_excess = max(max_excess, float(excess[bad].max()))
 
-    slack = lambda lhs, rhs: tol * (1.0 + np.abs(lhs) + np.abs(rhs))
+    slack = lambda lhs, rhs: NEGDEF_TOL * (1.0 + np.abs(lhs) + np.abs(rhs))
 
-    record("re-nonneg", np.maximum(-kx.real, -ky.real) - tol * (1.0 + np.abs(kx) + np.abs(ky)))
+    record("re-nonneg", np.maximum(-kx.real, -ky.real) - slack(kx, ky))
     record("conjugate-symmetry", np.abs(kx - np.conj(kmx)) - slack(kx, kmx))
     record("subadditive-complex-sum", np.abs(kx + ky - kxpy) - cross - slack(kx + ky, kxpy))
     record("subadditive-complex-diff",

@@ -33,6 +33,8 @@ MAX_CELLS = 200_000
 # fraction of the peak; the neglected cumulant mass is orders of magnitude
 # below Monte Carlo resolution
 TRUNCATION_FRACTION = 1e-9
+# frequency moduli of the factorization check's triples
+FACTORIZATION_S_RANGE = (0.1, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -73,19 +75,17 @@ def point_mass(u: float = 0.0) -> ProbeMeasure:
     return ProbeMeasure((u,), (1.0,), name=f"point({u:g})")
 
 
-def finite_discrete(points: tuple[float, ...],
-                    weights: tuple[float, ...] | None = None) -> ProbeMeasure:
-    if weights is None:
-        weights = tuple(1.0 / len(points) for _ in points)
-    return ProbeMeasure(tuple(points), weights,
+def finite_discrete(points: tuple[float, ...]) -> ProbeMeasure:
+    """Equal-weight atoms at ``points``."""
+    return ProbeMeasure(tuple(points), tuple(1.0 / len(points) for _ in points),
                         name=f"discrete({len(points)})")
 
 
-def gaussian_quantiles(n: int = 512, scale: float = 1.0) -> ProbeMeasure:
-    """Equal-weight atoms at the midpoint quantiles of a centred normal."""
+def gaussian_quantiles(n: int = 512) -> ProbeMeasure:
+    """Equal-weight atoms at the midpoint quantiles of a standard normal."""
     if n < 1:
         raise RejectionError("probe-measure", "need at least one quantile")
-    qs = ndtri((np.arange(n) + 0.5) / n) * scale
+    qs = ndtri((np.arange(n) + 0.5) / n)
     return ProbeMeasure(tuple(qs), tuple(1.0 / n for _ in range(n)),
                         name=f"gaussian-quantiles({n})")
 
@@ -317,22 +317,20 @@ class FactorizationReport:
 
 def factorization_check(kernel: Kernel, triplet: levy.LevyTriplet,
                         n_triples: int = 200, seed: int = 0,
-                        tol: float = 1e-8, t_max: float | None = None,
-                        s_range: tuple[float, float] = (0.1, 10.0)
-                        ) -> FactorizationReport:
+                        tol: float = 1e-8) -> FactorizationReport:
     """Verify |phi_t(s1,s2) - phi(s1) phi(s2)| <= exp(-D) * 2 * N.
 
     N is the mixed square-root integral and D = sigma^2(s1) + sigma^2(s2)
     - 2N its complement; both sides are deterministic quadratures, so any
-    excess beyond ``tol`` is a genuine inequality failure.
+    excess beyond ``tol`` is a genuine inequality failure.  Lags are
+    uniform up to 1.5 support diameters (6 envelope radii), and frequency
+    moduli log-uniform over FACTORIZATION_S_RANGE.
     """
-    if t_max is None:
-        sup = kernel.support
-        t_max = sup.diameter * 1.5 if isinstance(sup, BoundedBox) \
-            else sup.radius * 6.0
+    sup = kernel.support
+    lag_max = sup.diameter * 1.5 if isinstance(sup, BoundedBox) else sup.radius * 6.0
     rng = np.random.Generator(np.random.Philox(key=seed))
-    lags = rng.uniform(0.0, t_max, size=(n_triples, kernel.dim))
-    log_lo, log_hi = math.log(s_range[0]), math.log(s_range[1])
+    lags = rng.uniform(0.0, lag_max, size=(n_triples, kernel.dim))
+    log_lo, log_hi = (math.log(s) for s in FACTORIZATION_S_RANGE)
     s_pairs = np.exp(rng.uniform(log_lo, log_hi, size=(n_triples, 2)))
     s_pairs *= rng.choice([-1.0, 1.0], size=(n_triples, 2))
 
@@ -378,17 +376,18 @@ def covariance_bound_check(profile: SpectralProfile, t, probe: ProbeMeasure,
     """Check the probe-smoothed covariance bound at lag t.
 
     The bound (2/pi^2) * I(threshold)^2 * ratio(t) only holds where the
-    maximal ratio stays below the threshold, so lags outside that region
-    are rejected.  ``sample`` lets callers reuse one set of field draws
+    maximal ratio plus its error stays below the threshold, so lags outside
+    that region are rejected.  ``sample`` lets callers reuse one set of field draws
     across several probes.
     """
     kernel, triplet = profile.kernel, profile.triplet
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     ratio = profile.ratio_at(tuple(t_arr))
-    if ratio.value > threshold + ratio.error + 1e-12:
+    if ratio.value + ratio.error > threshold + 1e-12:
         raise RejectionError(
             "lag-outside-low-dependence",
-            f"ratio {ratio.value:.6g} at lag {t} exceeds threshold {threshold}")
+            f"ratio {ratio.value:.6g} + error {ratio.error:.3g} at lag {t}"
+            f" exceeds threshold {threshold}")
     freq = frequency_integral(profile, threshold)
     if freq.divergent:
         raise RejectionError("frequency-divergent",

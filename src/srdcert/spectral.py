@@ -34,13 +34,13 @@ REFINE_ROUNDS = 3
 # tail bounds under a decay envelope
 
 
-def _re_tail_coef(kernel: Kernel, triplet: levy.LevyTriplet, s_scale: float,
-                  power: float = 1.0) -> tuple[float, float]:
-    """(exponent, coef) bounding Re K(s f(shift - x))**power tails."""
+def _re_tail_coef(kernel: Kernel, triplet: levy.LevyTriplet,
+                  s_scale: float) -> tuple[float, float]:
+    """(exponent, coef) bounding Re K(s f(shift - x)) tails."""
     sup = kernel.support
     gamma, coef = levy.small_signal_bound(triplet)
     amp = sup.amplitude * 2.0 ** sup.exponent
-    return power * gamma * sup.exponent, (coef * (s_scale * amp) ** gamma) ** power
+    return gamma * sup.exponent, coef * (s_scale * amp) ** gamma
 
 
 def _complex_tail_coef(kernel: Kernel, triplet: levy.LevyTriplet,
@@ -130,31 +130,8 @@ def char_marginal(kernel: Kernel, triplet: levy.LevyTriplet, u):
 def char_joint(kernel: Kernel, triplet: levy.LevyTriplet, t, s1: float,
                s2: float) -> complex:
     """Joint characteristic function E exp(i(s1 X(t) + s2 X(0)))."""
-    out, _ = char_joint_grid(kernel, triplet, t, np.array([s1]), np.array([s2]))
-    return complex(out[0, 0])
-
-
-def char_joint_grid(kernel: Kernel, triplet: levy.LevyTriplet, t,
-                    s1_values: np.ndarray, s2_values: np.ndarray
-                    ) -> tuple[np.ndarray, float]:
-    """Joint characteristic function on an (s1, s2) product grid."""
-    s1_values = np.asarray(s1_values, dtype=float)
-    s2_values = np.asarray(s2_values, dtype=float)
-    n1, n2 = len(s1_values), len(s2_values)
-    s_scale = float(max(np.max(np.abs(s1_values)), np.max(np.abs(s2_values))))
-    exp_t, coef_t = (math.inf, 0.0)
-    if isinstance(kernel.support, DecayEnvelope):
-        exp_t, coef_t = _complex_tail_coef(kernel, triplet, s_scale)
-        coef_t *= 2.0  # two shifted copies contribute
-
-    def integrand(fv: np.ndarray) -> np.ndarray:
-        args = (np.multiply.outer(fv[0], s1_values)[:, :, None]
-                + np.multiply.outer(fv[1], s2_values)[:, None, :])
-        return levy.cumulant(triplet, args.reshape(len(args), -1))
-
-    vals, err = integrate_over_support(kernel, integrand, (t, np.zeros(kernel.dim)),
-                                       exp_t, coef_t)
-    return np.exp(-vals.reshape(n1, n2)), err
+    joint, _ = joint_integrals(kernel, triplet, t, np.array([s1]), np.array([s2]))
+    return complex(np.exp(-joint[0]))
 
 
 def dependence_numerator_grid(kernel: Kernel, triplet: levy.LevyTriplet, t,
@@ -260,8 +237,6 @@ class RatioMax:
     s2: float
     method: str
     error: float
-    s_box: tuple[float, float]
-    resolution: int
 
 
 @lru_cache(maxsize=4096)
@@ -270,35 +245,31 @@ def _gamma_norm_pow(kernel: Kernel, gamma: float) -> float:
 
 
 def max_dependence_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
-                         s_box: tuple[float, float] = DEFAULT_S_BOX,
-                         grid_points: int = DEFAULT_S_POINTS,
-                         refine_rounds: int = REFINE_ROUNDS,
-                         force_grid: bool = False) -> RatioMax:
+                         s_box: tuple[float, float] = DEFAULT_S_BOX) -> RatioMax:
     """sup over (s1, s2) of the dependence ratio at lag t.
 
     Homogeneous integrators (pure Gaussian, pure stable) admit an exact
     frequency-free form: the ratio collapses to
     integral |f(t-x) f(-x)|**(gamma/2) dx / ||f||_gamma^gamma, which for a
     box indicator is the exact overlap fraction prod(1 - |t_i|/L_i)+.  Everything
-    else runs a log-grid search over ``s_box`` squared, refined around the
-    argmax; the result is tagged "grid-approximate" with the searched box
-    recorded, and is exact only up to that search.
+    else runs a log-grid search of DEFAULT_S_POINTS per axis over ``s_box``
+    squared, then REFINE_ROUNDS 5 x 5 refinements around the argmax; the
+    result is tagged "grid-approximate" and is exact only up to that search.
     """
     gamma = levy.homogeneity_exponent(triplet)
-    if gamma is not None and not force_grid:
+    if gamma is not None:
         value, err = _homogeneous_ratio(kernel, triplet, t, gamma)
         return RatioMax(value=value, s1=math.nan, s2=math.nan,
-                        method="analytic-homogeneous", error=err,
-                        s_box=s_box, resolution=0)
+                        method="analytic-homogeneous", error=err)
 
-    s_vals = np.geomspace(s_box[0], s_box[1], grid_points)
+    s_vals = np.geomspace(s_box[0], s_box[1], DEFAULT_S_POINTS)
     ratios, err = dependence_ratio_grid(kernel, triplet, t, s_vals, s_vals)
     idx = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     best = float(ratios[idx])
     b1, b2 = float(s_vals[idx[0]]), float(s_vals[idx[1]])
 
-    spacing = (s_box[1] / s_box[0]) ** (1.0 / (grid_points - 1))
-    for _ in range(refine_rounds):
+    spacing = (s_box[1] / s_box[0]) ** (1.0 / (DEFAULT_S_POINTS - 1))
+    for _ in range(REFINE_ROUNDS):
         spacing = spacing ** 0.5
         g1 = np.geomspace(b1 / spacing, b1 * spacing, 5)
         g2 = np.geomspace(b2 / spacing, b2 * spacing, 5)
@@ -311,8 +282,7 @@ def max_dependence_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
             b1, b2 = float(g1[sidx[0]]), float(g2[sidx[1]])
         err = max(err, sub_err)
 
-    return RatioMax(value=best, s1=b1, s2=b2, method="grid-approximate",
-                    error=err, s_box=s_box, resolution=grid_points)
+    return RatioMax(value=best, s1=b1, s2=b2, method="grid-approximate", error=err)
 
 
 def _homogeneous_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
@@ -379,28 +349,15 @@ class SpectralProfile:
     def cell_volume(self) -> float:
         return self.t_step ** self.dim
 
-    def sigma_sq_at(self, s: float) -> float:
-        return marginal_exponent_sq(self.kernel, self.triplet, s)
-
     def ratio_at(self, t) -> RatioMax:
         return max_dependence_ratio(self.kernel, self.triplet, t, s_box=self.s_box)
 
-    def consistency_gap(self, s_values=None) -> float:
-        """max |sigma^2(s) + log|char_marginal(s)|| over probe frequencies."""
-        if s_values is None:
-            s_values = np.geomspace(self.s_box[0] * 10, self.s_box[1] / 10, 5)
-        worst = 0.0
-        for s in s_values:
-            sig = self.sigma_sq_at(float(s))
-            mod = abs(char_marginal(self.kernel, self.triplet, float(s)))
-            if mod <= 0.0:
-                continue
-            worst = max(worst, abs(sig + math.log(mod)))
-        return worst
-
 
 def t_lattice(window: float, step: float, dim: int) -> np.ndarray:
-    """Symmetric lattice over [-window, window]^dim, always containing 0."""
+    """Symmetric lattice over [-window, window]^dim, always containing 0.
+
+    Row order is point-symmetric: ``t_lattice(...)[::-1] == -t_lattice(...)``.
+    """
     n = int(round(window / step))
     axis = step * np.arange(-n, n + 1)
     if dim == 1:
@@ -433,27 +390,17 @@ def build_profile(kernel: Kernel, triplet: levy.LevyTriplet, window: float,
     sigma_sq, sigma_err = marginal_exponent_grid(kernel, triplet, s_grid)
 
     lattice = t_lattice(window, t_step, kernel.dim)
-    ratio_values = np.empty(lattice.shape[0])
-    cache: dict[tuple[float, ...], tuple[float, float, str]] = {}
-    ratio_err = 0.0
-    method = ""
-    for i, t in enumerate(lattice):
-        # ratio(-t) = ratio(t), so fold each lag onto a canonical sign
-        tt = tuple(float(v) for v in t)
-        key = max(tt, tuple(-v for v in tt))
-        if key in cache:
-            val, e, method = cache[key]
-        else:
-            rm = max_dependence_ratio(kernel, triplet, t, s_box=s_box)
-            val, e, method = rm.value, rm.error, rm.method
-            cache[key] = (val, e, method)
-        ratio_values[i] = val
-        ratio_err = max(ratio_err, e)
+    # ratio(-t) = ratio(t) and the lattice is point-symmetric, so evaluate
+    # the first half up to the origin and mirror it
+    half = [max_dependence_ratio(kernel, triplet, t, s_box=s_box)
+            for t in lattice[:len(lattice) // 2 + 1]]
+    values = np.array([rm.value for rm in half])
 
     return SpectralProfile(
         kernel=kernel, triplet=triplet, window=float(window), t_step=float(t_step),
         s_grid=s_grid, sigma_sq=np.asarray(sigma_sq), sigma_err=sigma_err,
-        t_grid=lattice, ratio_values=ratio_values, ratio_error=ratio_err,
-        ratio_method=method, s_box=(float(s_box[0]), float(s_box[1])),
+        t_grid=lattice, ratio_values=np.concatenate([values, values[-2::-1]]),
+        ratio_error=max(rm.error for rm in half),
+        ratio_method=half[-1].method, s_box=(float(s_box[0]), float(s_box[1])),
         s_points=int(s_points),
     )

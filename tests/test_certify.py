@@ -205,6 +205,19 @@ def test_choose_threshold_window_too_small():
     assert all("margin" in msg for _, msg in ch.rejected)
 
 
+def test_choose_threshold_containment_uses_ratio_upper_bound():
+    # lags +-2.75 sit in the inner shell, beyond the margin 2.5; their ratio
+    # is below 0.25 but ratio + error is not, so 0.25 is not contained
+    prof = build_profile(kernels.box_kernel(), levy.stable_triplet(1.0),
+                         window=3.0, t_step=0.25)
+    ratios = prof.ratio_values.copy()
+    ratios[np.isclose(np.abs(prof.t_grid[:, 0]), 2.75)] = 0.2495
+    prof = dataclasses.replace(prof, ratio_values=ratios, ratio_error=1e-3)
+    ch = choose_threshold(prof)
+    assert ch.threshold == 0.5
+    assert (0.25, "exceedance region touches the window margin") in ch.rejected
+
+
 def test_choose_threshold_rejects_bad_candidates(box_stable_profile):
     with pytest.raises(RejectionError):
         choose_threshold(box_stable_profile, candidates=(0.5, 1.0))

@@ -40,8 +40,7 @@ def strip_closed_norms(kernel: Kernel) -> Kernel:
     """Clone without registered norms, forcing the quadrature path."""
     return Kernel(dim=kernel.dim, func=kernel.func, support=kernel.support,
                   name=kernel.name + "-noclosed", closed_norms=None,
-                  knots=kernel.knots, indicator=kernel.indicator,
-                  continuous=kernel.continuous)
+                  knots=kernel.knots, indicator=kernel.indicator)
 
 
 class TestEvaluation:

@@ -303,3 +303,18 @@ def test_covariance_bound_rejects_high_dependence_lag(box):
     with pytest.raises(RejectionError) as exc:
         S.covariance_bound_check(prof, (0.2,), S.point_mass(0.0), 0.5, cfg)
     assert exc.value.condition == "lag-outside-low-dependence"
+
+
+def test_covariance_bound_rejects_lag_on_ratio_upper_bound():
+    # the ratio itself is below the threshold, its upper bound is not
+    tent = kernels.tent_kernel()
+    tri = levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.0))
+    prof = build_profile(tent, tri, window=3.0, t_step=0.2)
+    rm = prof.ratio_at((1.0,))
+    assert rm.value == pytest.approx(0.39266636, abs=1e-8)
+    assert rm.error > 0.0
+    cfg = S.SimConfig(n_samples=100, lattice_step=0.25, seed=1)
+    with pytest.raises(RejectionError) as exc:
+        S.covariance_bound_check(prof, (1.0,), S.point_mass(0.0),
+                                 rm.value + rm.error / 2.0, cfg)
+    assert exc.value.condition == "lag-outside-low-dependence"
