@@ -217,8 +217,8 @@ def frequency_integral(profile: SpectralProfile, threshold: float
     kernel, triplet = profile.kernel, profile.triplet
 
     if (triplet.b0 == 0.0 and isinstance(kernel.support, BoundedBox)
-            and math.isfinite(levy.total_jump_mass(triplet.measure))):
-        mass = levy.total_jump_mass(triplet.measure)
+            and math.isfinite(levy.abs_moment(triplet.measure, 0))):
+        mass = levy.abs_moment(triplet.measure, 0)
         bound = 2.0 * mass * kernel.support.volume()
         return IntegralEstimate(
             value=math.inf, error=math.inf, divergent=True,
@@ -245,19 +245,19 @@ def frequency_integral(profile: SpectralProfile, threshold: float
 
     grid_failures = []
 
-    def integrand(u: np.ndarray) -> np.ndarray:
+    def integrand(u: np.ndarray, _) -> np.ndarray:
         try:
-            s2, _ = marginal_exponent_grid(kernel, triplet, np.exp(u))
+            s2 = marginal_exponent_grid(kernel, triplet, np.exp(u))[0]
         except QuadratureError as exc:
             grid_failures.append(exc)
             raise
         return (np.sqrt(s2) * np.exp(-lam * s2))[:, None]
 
     try:
-        middle, mid_err = integrate_segments(
-            integrand, [Segment(math.log(s[0]), math.log(s[-1]))], (0.0,),
+        (middle,), (mid_err,) = integrate_segments(
+            integrand, [[Segment(math.log(s[0]), math.log(s[-1]))]], [(0.0,)],
             abs_tol=1e-12, rel_tol=1e-9)
-        middle, note = float(middle[0]), ""
+        middle, mid_err, note = float(middle[0]), float(mid_err), ""
     except QuadratureError as exc:
         if grid_failures:
             raise  # a failed sigma^2 pass is no verdict: it propagates

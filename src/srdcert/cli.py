@@ -28,7 +28,7 @@ from .certify import (
     certify,
     default_window,
 )
-from .errors import ConfigError, RejectionError, SrdcertError
+from .errors import ConfigError, QuadratureError, RejectionError, SrdcertError
 from .kernels import Kernel
 from .spectral import DEFAULT_S_BOX, build_profile, char_marginal
 
@@ -338,28 +338,49 @@ def cmd_validate(parser: configparser.ConfigParser, out_dir: Path,
             print(f"negative-definite {tri.name}:"
                   f" {rep.total_violations} violations")
 
-    fact = sim.factorization_check(kernel, triplet,
-                                   n_triples=settings["n_triples"], seed=seed)
-    rows.append(("factorization", f"{kernel.name}/{triplet.name}",
-                 "max_excess", _FMT % fact.max_excess, _FMT % 0.0, fact.passed))
-    if verbose:
-        print(f"factorization {kernel.name}/{triplet.name}:"
-              f" {fact.violations} violations, max gap {fact.max_gap:.4g}")
+    def failed_check(check: str, scenario: str, error: str) -> None:
+        # a check whose quadrature fails is a failed check, not a crash
+        rows.append((check, scenario, "quadrature-error", error, "", False))
+        if verbose:
+            print(f"{check} {scenario}: {error}")
+
+    try:
+        fact = sim.factorization_check(kernel, triplet,
+                                       n_triples=settings["n_triples"], seed=seed)
+    except QuadratureError as exc:
+        failed_check("factorization", f"{kernel.name}/{triplet.name}", str(exc))
+    else:
+        rows.append(("factorization", f"{kernel.name}/{triplet.name}",
+                     "max_excess", _FMT % fact.max_excess, _FMT % 0.0, fact.passed))
+        if verbose:
+            print(f"factorization {kernel.name}/{triplet.name}:"
+                  f" {fact.violations} violations, max gap {fact.max_gap:.4g}")
 
     num = _numerics(parser)
     window, t_step = default_window(kernel, num["window"], num["t_step"])
-    profile = build_profile(kernel, triplet, window=window, t_step=t_step,
-                            s_box=num["s_box"], s_points=num["s_points"])
+    profile_error = None
+    try:
+        profile = build_profile(kernel, triplet, window=window, t_step=t_step,
+                                s_box=num["s_box"], s_points=num["s_points"])
+    except QuadratureError as exc:
+        profile_error = f"profile: {exc}"
     for lag in settings["lags"]:
         t = (lag,) * kernel.dim
+        scenario = f"lag={lag:g}/{settings['probe'].name}"
+        if profile_error:
+            failed_check("covariance-bound", scenario, profile_error)
+            continue
         sample = sim.sample_field(kernel, triplet,
                                   [(0.0,) * kernel.dim, t],
                                   settings["config"])
-        rep = sim.covariance_bound_check(profile, t, settings["probe"],
-                                         settings["threshold"],
-                                         settings["config"], sample=sample)
-        rows.append(("covariance-bound",
-                     f"lag={lag:g}/{settings['probe'].name}",
+        try:
+            rep = sim.covariance_bound_check(profile, t, settings["probe"],
+                                             settings["threshold"],
+                                             settings["config"], sample=sample)
+        except QuadratureError as exc:
+            failed_check("covariance-bound", scenario, str(exc))
+            continue
+        rows.append(("covariance-bound", scenario,
                      "lhs", _FMT % rep.lhs, _FMT % (rep.rhs + 3.0 * rep.se),
                      rep.passed))
         if verbose:
@@ -370,7 +391,8 @@ def cmd_validate(parser: configparser.ConfigParser, out_dir: Path,
     failed = [r for r in rows if not r[-1]]
     print(f"validation: {len(rows) - len(failed)}/{len(rows)} checks passed")
     for row in failed:
-        print(f"  FAILED {row[0]} ({row[1]}): {row[2]}={row[3]} limit {row[4]}")
+        print(f"  FAILED {row[0]} ({row[1]}): {row[2]}={row[3]}"
+              + (f" limit {row[4]}" if row[4] else ""))
     return 0 if not failed else 2
 
 

@@ -301,68 +301,53 @@ def _lp_power_integral(kernel: Kernel, p: float) -> tuple[float, float]:
         closed = kernel.closed_norms(p)
         if closed is not None:
             return float(closed) ** p, 0.0
-    if isinstance(sup, BoundedBox):
-        val, err = integrate_over_support(kernel, lambda fv: np.abs(fv.T) ** p)
-    else:
-        val, err = integrate_over_support(kernel, lambda fv: np.abs(fv.T) ** p,
-                                          tail_exponent=p * sup.exponent,
-                                          tail_coef=sup.amplitude ** p, rel_tol=1e-9)
-    return float(val[0]), err
+    val, err = integrate_over_support(kernel, lambda fv, _: np.abs(fv.T) ** p,
+                                      np.zeros((1, 1, kernel.dim)), [(p, 1.0)])
+    return float(val[0, 0]), float(err[0])
 
 
 # ---------------------------------------------------------------------------
 # integrals over the support
 
 
-def integrate_over_support(kernel: Kernel, integrand, shifts=None,
-                           tail_exponent: float = math.inf, tail_coef=0.0,
+def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth=(),
                            overlap: bool = False, rel_tol: float = 1e-8
-                           ) -> tuple[np.ndarray, float | np.ndarray]:
-    """integral g(f(t_1 - x), ..., f(t_m - x)) dx for a vector-valued g.
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """P integrals, problem p giving integral g_p(f(t_1 - x), ..., f(t_m - x)) dx.
 
-    ``integrand`` maps an (m, n) array of kernel values, column j holding
-    f(t_1 - x_j), ..., f(t_m - x_j), to the (n, k) values of g at the n
-    points; each batch of points costs one kernel call.  ``shifts`` lists
-    t_1..t_m and defaults to the single lag 0.  A box
-    support is integrated over the union of the shifted boxes, or over
-    their intersection when ``overlap`` promises that g vanishes wherever
-    one kernel value does; an empty intersection gives exact zeros.  Under
-    a decay envelope g must be bounded by tail_coef * |x|**(-tail_exponent)
-    beyond a core radius, and the bound on what the domain leaves out is
-    added to the error.  Breakpoints are the shifted box faces or +-radius
-    plus the shifted knots.  ``rel_tol`` applies to the nested cubature in
-    d >= 2; 1-D passes use the quadrature default.  Returns (values, error).
+    ``shifts`` is a (P, m, d) array holding the shifts t_1..t_m of each
+    problem.  ``integrand(fv, p)`` maps an (m, n) array of kernel values,
+    column j holding f(t_1 - x_j), ..., f(t_m - x_j), and the problem of
+    each point to the (n, k) values of g; each batch of points costs one
+    kernel call.  A box support is integrated over the union of the
+    shifted boxes, or over their intersection when ``overlap`` promises
+    that g vanishes wherever one kernel value does; an empty intersection
+    gives exact zeros.  Breakpoints are the shifted box faces or +-radius
+    plus the shifted knots.
 
-    A batch of P independent integrals passes ``shifts`` as a (P, m, d)
-    array.  Each problem gets its own domain and breakpoints, ``integrand``
-    also receives the problem of each point, ``tail_coef`` may hold one
-    bound per problem, and the values (P, k) and errors (P,) come back.
-    In 1-D all problems share one engine pass; in d >= 2 each runs its own
-    box cubature.
+    ``growth`` states how g grows in the kernel values: terms
+    (gamma_k, C_k), C_k a number or one value per problem, promising
+    |g| <= sum_k C_k v**gamma_k wherever every |f(t_j - x)| <= v.  Under a
+    decay envelope |f(x)| <= amp |x|**(-beta) this alone sets the tail:
+    beyond the core |x| >= 4, every |t_j - x| >= |x|/2, so g is bounded by
+    sum_k C_k (amp 2**beta)**gamma_k |x|**(-beta min gamma), the minimum
+    over terms with a nonzero C_k, and the bound on what the domain leaves
+    out is added to the error.  Box supports need no growth.
+
+    ``rel_tol`` applies to the nested cubature in d >= 2; 1-D passes use
+    the quadrature default.  Returns the values (P, k) and errors (P,).  In
+    1-D all problems share one engine pass; in d >= 2 each runs its own box
+    cubature.
     """
     sup = kernel.support
     d = kernel.dim
-    batched = isinstance(shifts, np.ndarray) and shifts.ndim == 3
-    if batched:
-        sh = shifts.astype(float)
-    else:
-        sh = np.zeros((1, 1, d)) if shifts is None else np.array(
-            [[np.atleast_1d(np.asarray(t, dtype=float)) for t in shifts]])
-
-    def run(fv: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return integrand(fv, p) if batched else integrand(fv)
-
+    sh = np.asarray(shifts, dtype=float)
     n_prob, m = sh.shape[:2]
-    coefs = (np.zeros(n_prob) + tail_coef).tolist()
 
     def g(x: np.ndarray, p: np.ndarray) -> np.ndarray:
         pts = sh[p].swapaxes(0, 1) - np.reshape(x, (1, -1, d))
-        return run(kernel(pts.reshape(-1, d)).reshape(m, -1), p)
+        return integrand(kernel(pts.reshape(-1, d)).reshape(m, -1), p)
 
-    if not isinstance(sup, BoundedBox) and tail_exponent <= d:
-        raise QuadratureError(
-            f"spatial tail exponent {tail_exponent:g} <= dim {d}: integral diverges",
-            residual=math.inf)
     # per problem: (lower, upper) corners of the shifted boxes, 1-D segments,
     # breakpoints and the bound on what the domain leaves out;
     # None where an empty intersection makes the integral exactly zero
@@ -371,7 +356,17 @@ def integrate_over_support(kernel: Kernel, integrand, shifts=None,
         lows, highs = sh - np.asarray(sup.hi), sh - np.asarray(sup.lo)
         if overlap:
             lows, highs = lows.max(axis=1, keepdims=True), highs.min(axis=1, keepdims=True)
-    for i, (t, coef) in enumerate(zip(sh, coefs)):
+    else:
+        terms = [(gamma, np.zeros(n_prob) + c) for gamma, c in growth]
+        terms = [(gamma, c) for gamma, c in terms if np.any(c != 0.0)]
+        tail_exponent = sup.exponent * min((gamma for gamma, _ in terms), default=math.inf)
+        reach = sup.amplitude * 2.0 ** sup.exponent
+        coefs = sum((c * reach ** gamma for gamma, c in terms), np.zeros(n_prob)).tolist()
+        if tail_exponent <= d:
+            raise QuadratureError(
+                f"spatial tail exponent {tail_exponent:g} <= dim {d}: integral diverges",
+                residual=math.inf)
+    for i, t in enumerate(sh):
         knots = [a - k for a in t[:, 0].tolist() for k in kernel.knots]
         if isinstance(sup, BoundedBox):
             lo, hi = lows[i], highs[i]
@@ -383,11 +378,10 @@ def integrate_over_support(kernel: Kernel, integrand, shifts=None,
             domains.append(((lo, hi), segs, lo.ravel().tolist() + hi.ravel().tolist() + knots,
                             0.0))
             continue
-        # beyond the core every |t - x| >= |x|/2; callers fold that into tail_coef
         core = max(4.0 * sup.radius, 4.0, 2.0 * float(np.max(np.abs(t))) + 2.0 * sup.radius)
         if d > 1:
             def tail_bound(r: float) -> float:
-                return coef * SPHERE_AREA[d] * r ** (d - tail_exponent) / (tail_exponent - d)
+                return coefs[i] * SPHERE_AREA[d] * r ** (d - tail_exponent) / (tail_exponent - d)
 
             r = core
             while tail_bound(r) > ABS_TOL and r < 1e5:
@@ -395,15 +389,14 @@ def integrate_over_support(kernel: Kernel, integrand, shifts=None,
             domains.append(((np.full((1, d), -r), np.full((1, d), r)), None, None,
                             tail_bound(r)))
             continue
-        tails, residual = tail_segments(core, tail_exponent, coef, ABS_TOL)
+        tails, residual = tail_segments(core, tail_exponent, coefs[i], ABS_TOL)
         faces = (t[:, 0] - sup.radius).tolist() + (t[:, 0] + sup.radius).tolist()
         domains.append((None, [Segment(-core, core)] + tails, faces + knots, residual))
 
     live = np.array([i for i, dom in enumerate(domains) if dom is not None], dtype=int)
     if not live.size:
-        zero = np.zeros_like(run(np.zeros((m, 1)), np.zeros(1, dtype=int))[0])
-        return (np.zeros((n_prob,) + zero.shape, zero.dtype), np.zeros(n_prob)) \
-            if batched else (zero, 0.0)
+        zero = np.zeros_like(integrand(np.zeros((m, 1)), np.zeros(1, dtype=int))[0])
+        return np.zeros((n_prob,) + zero.shape, zero.dtype), np.zeros(n_prob)
     if d == 1:
         vals, errs = integrate_segments(
             g if len(live) == n_prob else lambda x, p: g(x, live[p]),
@@ -417,8 +410,6 @@ def integrate_over_support(kernel: Kernel, integrand, shifts=None,
         vals = np.array([v for v, _ in rows])
         errs = np.array([e for _, e in rows])
     errs = errs + np.array([domains[i][3] for i in live])
-    if not batched:
-        return vals[0], float(errs[0])
     out = np.zeros((n_prob,) + vals.shape[1:], vals.dtype)
     out_err = np.zeros(n_prob)
     out[live], out_err[live] = vals, errs
@@ -476,12 +467,11 @@ def _drift_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> Integrability
     asympt = abs(triplet.a0 + shift0)
     sup = kernel.support
 
-    def integrand(fv: np.ndarray) -> np.ndarray:
+    def integrand(fv: np.ndarray, _) -> np.ndarray:
         v = fv.T
         out = np.abs(v) * np.abs(triplet.a0 + levy.truncated_mean_shift(triplet, v))
         return np.where(v == 0.0, 0.0, out)
 
-    tail = (math.inf, 0.0)
     if isinstance(sup, DecayEnvelope):
         beta = sup.exponent
         if asympt > 0.0 and beta <= kernel.dim:
@@ -497,11 +487,11 @@ def _drift_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> Integrability
             reach = 1.5 * max((sup.amplitude / lock) ** (1.0 / beta), sup.radius)
             kernel = dataclasses.replace(kernel, support=BoundedBox(
                 (-reach,) * kernel.dim, (reach,) * kernel.dim))
-        else:
-            dev = levy.mean_shift_deviation_bound(triplet)
-            tail = (beta, sup.amplitude * (asympt + dev))
-    val, err = integrate_over_support(kernel, integrand, None, *tail, rel_tol=1e-9)
-    return IntegrabilityCondition(key, True, float(val[0]), err)
+    # |a0 + shift(v)| <= |a0 + shift(0)| + sup |shift(v) - shift(0)|
+    growth = [(1.0, asympt + levy.mean_shift_deviation_bound(triplet))]
+    val, err = integrate_over_support(kernel, integrand, np.zeros((1, 1, kernel.dim)), growth,
+                                      rel_tol=1e-9)
+    return IntegrabilityCondition(key, True, float(val[0, 0]), float(err[0]))
 
 
 def _gaussian_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> IntegrabilityCondition:
@@ -523,17 +513,14 @@ def _jump_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> IntegrabilityC
     growth, coef = levy.clipped_growth(triplet)
     sup = kernel.support
 
-    def integrand(fv: np.ndarray) -> np.ndarray:
+    def integrand(fv: np.ndarray, _) -> np.ndarray:
         v = fv.T
         return np.where(v == 0.0, 0.0, levy.clipped_second_moment(triplet, v))
 
-    tail = (math.inf, 0.0)
-    if isinstance(sup, DecayEnvelope):
-        beta = sup.exponent
-        if growth * beta <= kernel.dim:
-            return IntegrabilityCondition(
-                key, False, math.inf,
-                note=f"clipped moment ~ |f|^{growth:g}, {growth:g}*{beta:g} <= dim")
-        tail = (growth * beta, coef * sup.amplitude ** growth)
-    val, err = integrate_over_support(kernel, integrand, None, *tail, rel_tol=1e-9)
-    return IntegrabilityCondition(key, True, float(val[0]), err)
+    if isinstance(sup, DecayEnvelope) and growth * sup.exponent <= kernel.dim:
+        return IntegrabilityCondition(
+            key, False, math.inf,
+            note=f"clipped moment ~ |f|^{growth:g}, {growth:g}*{sup.exponent:g} <= dim")
+    val, err = integrate_over_support(kernel, integrand, np.zeros((1, 1, kernel.dim)),
+                                      [(growth, coef)], rel_tol=1e-9)
+    return IntegrabilityCondition(key, True, float(val[0, 0]), float(err[0]))

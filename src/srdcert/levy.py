@@ -147,20 +147,21 @@ class TabulatedMeasure:
 LevyMeasure = Union[NoJumps, SymmetricStable, CompoundPoisson, TabulatedMeasure]
 
 
-def total_jump_mass(measure: LevyMeasure) -> float:
-    """Total mass of the jump measure; inf for stable densities.
+def abs_moment(measure: LevyMeasure, k: int) -> float:
+    """integral |y|**k nu0(dy); inf for stable densities.
 
-    Finite mass means the real cumulant part is globally bounded by twice
-    the mass, which downstream turns bounded-support kernels into bounded
-    marginal exponents.
+    k = 0 is the total mass.  Finite mass means the real cumulant part is
+    globally bounded by twice the mass, which downstream turns
+    bounded-support kernels into bounded marginal exponents.
     """
     if isinstance(measure, NoJumps):
         return 0.0
     if isinstance(measure, SymmetricStable):
         return math.inf
     if isinstance(measure, CompoundPoisson):
-        return measure.rate
-    return _tabulated_moment(measure, 0)
+        return measure.rate * float(np.asarray(measure.weights) @ np.abs(measure.atoms) ** k)
+    return float(sum(_side_integral(side, k, side.knots[0], side.knots[-1])
+                     for side in _sides(measure)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +339,19 @@ def _tabulated_jump_cumulant(m: TabulatedMeasure, s: float) -> tuple[complex, fl
     for side in sides:
         knots = side.knots
         if r_cut > knots[0]:
-            def f(u, side=side):
+            def f(u, _, side=side):
                 r = np.exp(u)
                 z = sa * r
                 w = side.density(r) * r
                 q = np.where(u <= 0.0, _z_minus_sin(z), -np.sin(z))
                 return np.stack([_one_minus_cos(z) * w, q * w], axis=1)
 
-            val, err = integrate_segments(
-                f, [Segment(math.log(knots[0]), math.log(min(knots[-1], r_cut)))],
-                breakpoints=[0.0, *np.log(knots)], abs_tol=1e-14, rel_tol=1e-11)
+            (val,), (err,) = integrate_segments(
+                f, [[Segment(math.log(knots[0]), math.log(min(knots[-1], r_cut)))]],
+                [[0.0, *np.log(knots)]], abs_tol=1e-14, rel_tol=1e-11)
             re_total += float(val[0])
             im_odd += side.sign * float(val[1])
-            err_total += err
+            err_total += float(err)
         if r_cut < knots[-1]:
             mass = float(_side_integral(side, 0, r_cut, knots[-1]))
             first = float(_side_integral(side, 1, r_cut, 1.0))
@@ -503,13 +504,9 @@ def small_signal_bound(triplet: LevyTriplet) -> tuple[float, float]:
     m = triplet.measure
     if isinstance(m, SymmetricStable):
         parts.append((m.alpha, m.scale * stable_re_constant(m.alpha)))
-    elif isinstance(m, CompoundPoisson):
-        atoms = np.asarray(m.atoms)
-        weights = np.asarray(m.weights)
+    elif not isinstance(m, NoJumps):
         # 1 - cos(vy) <= (vy)^2 / 2 for all v
-        parts.append((2.0, m.rate * float(weights @ (atoms * atoms / 2.0))))
-    elif isinstance(m, TabulatedMeasure):
-        parts.append((2.0, 0.5 * _tabulated_moment(m, 2)))
+        parts.append((2.0, 0.5 * abs_moment(m, 2)))
     if not parts:
         raise RejectionError("degenerate-triplet", "no growing cumulant part")
     gamma = min(g for g, _ in parts)
@@ -523,13 +520,9 @@ def im_linear_coef(triplet: LevyTriplet) -> float:
     Uses |sin z| <= |z|; symmetric measures contribute nothing beyond the
     drift, so pure stable triplets get exactly |a0|.
     """
-    m = triplet.measure
-    coef = abs(triplet.a0)
-    if isinstance(m, CompoundPoisson):
-        coef += 2.0 * m.rate * float(np.asarray(m.weights) @ np.abs(m.atoms))
-    elif isinstance(m, TabulatedMeasure):
-        coef += 2.0 * _tabulated_moment(m, 1)
-    return coef
+    if isinstance(triplet.measure, SymmetricStable):
+        return abs(triplet.a0)
+    return abs(triplet.a0) + 2.0 * abs_moment(triplet.measure, 1)
 
 
 def homogeneity_exponent(triplet: LevyTriplet) -> float | None:
@@ -589,12 +582,9 @@ def mean_shift_lock_radius(triplet: LevyTriplet) -> float:
 
 def mean_shift_deviation_bound(triplet: LevyTriplet) -> float:
     """Upper bound on sup_v |shift(v) - shift(0)|."""
-    m = triplet.measure
-    if isinstance(m, (NoJumps, SymmetricStable)):
+    if isinstance(triplet.measure, SymmetricStable):
         return 0.0
-    if isinstance(m, CompoundPoisson):
-        return m.rate * float(np.asarray(m.weights) @ np.abs(m.atoms))
-    return _tabulated_moment(m, 1)
+    return abs_moment(triplet.measure, 1)
 
 
 def clipped_growth(triplet: LevyTriplet) -> tuple[float, float]:
@@ -604,19 +594,9 @@ def clipped_growth(triplet: LevyTriplet) -> tuple[float, float]:
     covers the finite-second-moment variants.
     """
     m = triplet.measure
-    if isinstance(m, NoJumps):
-        return 2.0, 0.0
     if isinstance(m, SymmetricStable):
         return m.alpha, 2.0 * m.scale * (1.0 / m.alpha + 1.0 / (2.0 - m.alpha))
-    if isinstance(m, CompoundPoisson):
-        return 2.0, m.rate * float(np.asarray(m.weights) @ np.square(m.atoms))
-    return 2.0, _tabulated_moment(m, 2)
-
-
-def _tabulated_moment(m: TabulatedMeasure, power: int) -> float:
-    """integral |y|**power nu0(dy) over both sides of a tabulated measure."""
-    return float(sum(_side_integral(side, power, side.knots[0], side.knots[-1])
-                     for side in _sides(m)))
+    return 2.0, abs_moment(m, 2)
 
 
 def clipped_second_moment(triplet: LevyTriplet, v) -> np.ndarray | float:

@@ -9,22 +9,24 @@ one vectorized integrand call, so the Python cost is per round, not per
 node.  Rounds are evaluated in chunks of at most ``_CHUNK_ELEMENTS``
 integrand values to bound memory.
 
-Integrand contract: ``func`` takes n nodes, shape (n,) on segments and
-(n, d) in boxes, and returns an (n, k) array, real or complex.  Callers
-describe *where* the integrand lives (linear segments near the origin,
-log-mapped segments for slowly decaying tails, boxes in d <= 3) and get
-back the k integral values plus an additive error estimate.
+Integrand contract: ``func`` takes n nodes, shape (n,) on segments (with
+the integral of each) and (n, d) in boxes, and returns an (n, k) array,
+real or complex.  Callers describe *where* the integrand lives (linear
+segments near the origin, log-mapped segments for slowly decaying tails,
+boxes in d <= 3) and get back the k integral values plus an additive
+error estimate.
 
 Problem axis: one pass integrates many independent problems.  Each keeps
 its own intervals, breakpoints, tolerance, error, interval limit and
 failure, and its bisection decisions read only its own intervals, so it
 gets the values and error of its solo pass; only the integrand calls are
 shared, each round sending the nodes of every running problem together
-with the problem each node belongs to.  ``integrate_segments`` runs each
-segment of an integral as one problem and also takes a batch of
-integrals, whose integrand is told the integral of each node;
-``integrate_box`` makes the inner integrals of each outer round the
-problems of one pass.
+with the problem each node belongs to.  ``integrate_segments`` takes only
+batches: P integrals, each a list of segments, whose integrand is told
+the integral of each node and whose values (P, k) and errors (P,) come
+back; a single integral is a batch of one.  Each segment of an integral
+is one problem of the pass.  ``integrate_box`` makes the inner integrals
+of each outer round the problems of one pass.
 """
 
 from __future__ import annotations
@@ -279,34 +281,28 @@ def _adaptive(func, prob: np.ndarray, lo: np.ndarray, hi: np.ndarray, abs_tol: f
 
 
 def integrate_segments(
-    func: Callable[..., np.ndarray],
-    segments: Sequence,
+    func: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    segments: Sequence[Sequence[Segment]],
     breakpoints: Sequence = (),
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """Integrate a vector-valued ``func`` over a union of segments.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate P independent vector-valued integrals in one engine pass.
 
-    ``func`` maps an (n,) array of points to an (n, k) array, real or
-    complex.  Each segment is one problem of a single engine pass, split at
-    the ``breakpoints`` inside it; a log-mapped segment runs in u = log|x|
-    and ignores them.  Returns the k summed values and the summed error
-    estimate.
-
-    A batch of P independent integrals passes ``segments`` as P sequences
-    of segments and ``breakpoints`` as P sequences of points; ``func(x, p)``
-    then also gets the integral p of each point, and the values (P, k) and
-    errors (P,) come back.  Raises :class:`QuadratureError` naming the
-    first segment that fails to converge, and its integral when there are
-    several.
+    Integral p runs over the union of the segments in ``segments[p]``,
+    split at the points of ``breakpoints[p]`` inside each (no breakpoints
+    when ``breakpoints`` is empty); a log-mapped segment runs in
+    u = log|x| and ignores them.  ``func(x, p)`` maps an (n,) array of
+    points and the integral of each to an (n, k) array, real or complex.
+    Each segment is one problem of the pass.  Returns the values (P, k)
+    and the summed error estimates (P,).  Raises :class:`QuadratureError`
+    naming the first segment that fails to converge, and its integral when
+    there are several.
     """
-    batched = len(segments) > 0 and not isinstance(segments[0], Segment)
-    groups = segments if batched else [segments]
-    points = (breakpoints if len(breakpoints) else [()] * len(groups)) if batched \
-        else [breakpoints]
+    points = breakpoints if len(breakpoints) else [()] * len(segments)
     owner, sign, edges, first = [], [], [], []
     prob, lo, hi = [], [], []
-    for i, (segs, pts) in enumerate(zip(groups, points)):
+    for i, (segs, pts) in enumerate(zip(segments, points)):
         if not segs:
             raise ValueError("no segments to integrate")
         first.append(len(owner))
@@ -326,15 +322,13 @@ def integrate_segments(
     owner, sign = np.array(owner), np.array(sign)
 
     def g(u: np.ndarray, p: np.ndarray) -> np.ndarray:
-        x = u
-        if mapped:
-            s = sign[p]
-            log_nodes = s != 0.0
-            jac = np.ones(len(u))
-            jac[log_nodes] = np.exp(u[log_nodes])
-            x = np.where(log_nodes, s * jac, u)
-        fv = func(x, owner[p]) if batched else func(x)
-        return fv * jac[:, None] if mapped else fv
+        if not mapped:
+            return func(u, owner[p])
+        s = sign[p]
+        log_nodes = s != 0.0
+        jac = np.ones(len(u))
+        jac[log_nodes] = np.exp(u[log_nodes])
+        return func(np.where(log_nodes, s * jac, u), owner[p]) * jac[:, None]
 
     vals, errs, failure = _adaptive(g, np.array(prob), lo, hi, abs_tol, rel_tol, _SEGMENT_LIMIT)
     bad = failure.nonzero()[0]
@@ -343,13 +337,12 @@ def integrate_segments(
         val = vals[j]
         raise QuadratureError(
             "adaptive quadrature failed on "
-            + (f"integral {owner[j]} of {len(groups)}, " if len(groups) > 1 else "")
+            + (f"integral {owner[j]} of {len(segments)}, " if len(segments) > 1 else "")
             + f"[{edges[j][0]}, {edges[j][-1]}]"
             + (" (log-mapped)" if sign[j] else "") + f": {failure[j]}",
             partial=complex(np.sum(val)) if np.iscomplexobj(val) else float(np.sum(val)),
             residual=float(errs[j]))
-    vals, errs = np.add.reduceat(vals, first, axis=0), np.add.reduceat(errs, first)
-    return (vals, errs) if batched else (vals[0], float(errs[0]))
+    return np.add.reduceat(vals, first, axis=0), np.add.reduceat(errs, first)
 
 
 def tail_segments(

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import levy
 from .errors import QuadratureError, RejectionError
-from .kernels import BoundedBox, DecayEnvelope, Kernel, integrate_over_support, lp_norm
+from .kernels import BoundedBox, Kernel, integrate_over_support, lp_norm
 
 RATIO_CLAMP_TOL = 1e-9
 DEFAULT_S_BOX = (1e-3, 1e3)
@@ -31,33 +31,20 @@ REFINE_ROUNDS = 3
 
 
 # ---------------------------------------------------------------------------
-# tail bounds under a decay envelope
-
-
-def _re_tail_coef(kernel: Kernel, triplet: levy.LevyTriplet,
-                  s_scale: float) -> tuple[float, float]:
-    """(exponent, coef) bounding Re K(s f(shift - x)) tails."""
-    sup = kernel.support
-    gamma, coef = levy.small_signal_bound(triplet)
-    amp = sup.amplitude * 2.0 ** sup.exponent
-    return gamma * sup.exponent, coef * (s_scale * amp) ** gamma
-
-
-def _complex_tail_coef(kernel: Kernel, triplet: levy.LevyTriplet,
-                       s_scale: float) -> tuple[float, float]:
-    """(exponent, coef) bounding |K(s f(shift - x))| tails."""
-    sup = kernel.support
-    exp_re, coef_re = _re_tail_coef(kernel, triplet, s_scale)
-    c_im = levy.im_linear_coef(triplet)
-    if c_im == 0.0:
-        return exp_re, coef_re
-    amp = sup.amplitude * 2.0 ** sup.exponent
-    exp_im = sup.exponent
-    return min(exp_re, exp_im), coef_re + c_im * s_scale * amp
-
-
-# ---------------------------------------------------------------------------
 # integrals over the kernel support
+
+
+def _growth(triplet: levy.LevyTriplet, scale, re: float = 1.0, im: float = 0.0) -> list:
+    """Growth terms of re * Re K(s v) + im * |Im K(s v)| in v, for |s| <= scale."""
+    gamma, coef = levy.small_signal_bound(triplet)
+    return [(gamma, re * coef * scale ** gamma),
+            (1.0, im * levy.im_linear_coef(triplet) * scale)]
+
+
+def _shifts(kernel: Kernel, *lags) -> np.ndarray:
+    """The shifts (lags..., 0) as a batch of one problem."""
+    return np.array([[np.atleast_1d(np.asarray(t, dtype=float)) for t in lags]
+                     + [np.zeros(kernel.dim)]])
 
 
 def marginal_exponent_grid(kernel: Kernel, triplet: levy.LevyTriplet,
@@ -71,15 +58,13 @@ def marginal_exponent_grid(kernel: Kernel, triplet: levy.LevyTriplet,
     if kernel.indicator and isinstance(kernel.support, BoundedBox):
         return kernel.support.volume() * levy.cumulant_re(triplet, s_values), 0.0
     s_scale = float(np.max(np.abs(s_values))) if s_values.size else 1.0
-    exp_t, coef_t = (math.inf, 0.0)
-    if isinstance(kernel.support, DecayEnvelope):
-        exp_t, coef_t = _re_tail_coef(kernel, triplet, s_scale)
 
-    def integrand(fv: np.ndarray) -> np.ndarray:
+    def integrand(fv: np.ndarray, _) -> np.ndarray:
         return levy.cumulant_re(triplet, np.multiply.outer(fv[0], s_values))
 
-    vals, err = integrate_over_support(kernel, integrand, None, exp_t, coef_t)
-    return np.maximum(vals, 0.0), err
+    vals, err = integrate_over_support(kernel, integrand, _shifts(kernel),
+                                       _growth(triplet, s_scale))
+    return np.maximum(vals[0], 0.0), float(err[0])
 
 
 @lru_cache(maxsize=200_000)
@@ -102,18 +87,13 @@ def marginal_cumulant(kernel: Kernel, triplet: levy.LevyTriplet,
     is sigma^2(u).
     """
     u_values = np.asarray(u_values, dtype=float)
-    exp_t, coef_t = (math.inf, 0.0)
-    if isinstance(kernel.support, DecayEnvelope):
-        exp_t = _complex_tail_coef(kernel, triplet, 1.0)[0]
-        coef_t = np.array([_complex_tail_coef(kernel, triplet, abs(u))[1]
-                           for u in u_values.tolist()])
 
     def integrand(fv: np.ndarray, p: np.ndarray) -> np.ndarray:
         return levy.cumulant(triplet, (fv[0] * u_values[p])[:, None])
 
     vals, _ = integrate_over_support(kernel, integrand,
                                      np.zeros((len(u_values), 1, kernel.dim)),
-                                     exp_t, coef_t)
+                                     _growth(triplet, np.abs(u_values), im=1.0))
     return vals[:, 0]
 
 
@@ -145,18 +125,15 @@ def dependence_numerator_grid(kernel: Kernel, triplet: levy.LevyTriplet, t,
     s1_values = np.asarray(s1_values, dtype=float)
     s2_values = np.asarray(s2_values, dtype=float)
     s_scale = float(max(np.max(np.abs(s1_values)), np.max(np.abs(s2_values))))
-    exp_t, coef_t = (math.inf, 0.0)
-    if isinstance(kernel.support, DecayEnvelope):
-        exp_t, coef_t = _re_tail_coef(kernel, triplet, s_scale)
 
-    def integrand(fv: np.ndarray) -> np.ndarray:
+    def integrand(fv: np.ndarray, _) -> np.ndarray:
         u = np.sqrt(levy.cumulant_re(triplet, np.multiply.outer(fv[0], s1_values)))
         w = np.sqrt(levy.cumulant_re(triplet, np.multiply.outer(fv[1], s2_values)))
         return (u[:, :, None] * w[:, None, :]).reshape(len(u), -1)
 
-    vals, err = integrate_over_support(kernel, integrand, (t, np.zeros(kernel.dim)),
-                                       exp_t, coef_t, overlap=True)
-    return vals.reshape(len(s1_values), len(s2_values)), err
+    vals, err = integrate_over_support(kernel, integrand, _shifts(kernel, t),
+                                       _growth(triplet, s_scale), overlap=True)
+    return vals.reshape(len(s1_values), len(s2_values)), float(err[0])
 
 
 def _sigma_for(kernel: Kernel, triplet: levy.LevyTriplet, s_values: np.ndarray
@@ -182,13 +159,8 @@ def joint_integrals(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
     """
     s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
     lags = np.asarray(lags, dtype=float).reshape(len(s1), kernel.dim)
-    exp_t, coef_t = (math.inf, 0.0)
-    if isinstance(kernel.support, DecayEnvelope):
-        scale = np.maximum(np.abs(s1), np.abs(s2)).tolist()
-        exp_t = _complex_tail_coef(kernel, triplet, 1.0)[0]
-        # two shifted copies in the joint term, plus the numerator
-        coef_t = np.array([2.0 * _complex_tail_coef(kernel, triplet, v)[1]
-                           + _re_tail_coef(kernel, triplet, v)[1] for v in scale])
+    # two shifted copies in the joint term, plus the numerator
+    growth = _growth(triplet, np.maximum(np.abs(s1), np.abs(s2)), re=3.0, im=2.0)
 
     def integrand(fv: np.ndarray, p: np.ndarray) -> np.ndarray:
         a, b = fv[0] * s1[p], fv[1] * s2[p]
@@ -197,7 +169,7 @@ def joint_integrals(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
         return np.stack([joint, num], axis=1)
 
     shifts = np.stack([lags, np.zeros_like(lags)], axis=1)
-    vals, _ = integrate_over_support(kernel, integrand, shifts, exp_t, coef_t)
+    vals, _ = integrate_over_support(kernel, integrand, shifts, growth)
     return vals[:, 0], vals[:, 1].real
 
 
@@ -248,17 +220,26 @@ def max_dependence_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
                          s_box: tuple[float, float] = DEFAULT_S_BOX) -> RatioMax:
     """sup over (s1, s2) of the dependence ratio at lag t.
 
-    Homogeneous integrators (pure Gaussian, pure stable) admit an exact
-    frequency-free form: the ratio collapses to
-    integral |f(t-x) f(-x)|**(gamma/2) dx / ||f||_gamma^gamma, which for a
-    box indicator is the exact overlap fraction prod(1 - |t_i|/L_i)+.  Everything
+    A box indicator f = 1_B gives sqrt(Re K(s f)) = sqrt(Re K(s)) 1_B, so for
+    every triplet the ratio is the overlap fraction
+    vol(B & (B + t)) / vol(B) = prod(1 - |t_i|/L_i)+ at all frequencies,
+    exactly.  Homogeneous integrators (pure Gaussian, pure stable) admit an
+    exact frequency-free form on any kernel: the ratio collapses to
+    integral |f(t-x) f(-x)|**(gamma/2) dx / ||f||_gamma^gamma.  Both are
+    tagged "analytic-homogeneous" and use no frequency grid.  Everything
     else runs a log-grid search of DEFAULT_S_POINTS per axis over ``s_box``
     squared, then REFINE_ROUNDS 5 x 5 refinements around the argmax; the
     result is tagged "grid-approximate" and is exact only up to that search.
     """
+    sup = kernel.support
+    if kernel.indicator and isinstance(sup, BoundedBox):
+        widths = np.subtract(sup.hi, sup.lo)
+        overlap = np.maximum(1.0 - np.abs(np.atleast_1d(t)) / widths, 0.0)
+        return RatioMax(value=float(np.prod(overlap)), s1=math.nan, s2=math.nan,
+                        method="analytic-homogeneous", error=0.0)
     gamma = levy.homogeneity_exponent(triplet)
     if gamma is not None:
-        value, err = _homogeneous_ratio(kernel, triplet, t, gamma)
+        value, err = _homogeneous_ratio(kernel, t, gamma)
         return RatioMax(value=value, s1=math.nan, s2=math.nan,
                         method="analytic-homogeneous", error=err)
 
@@ -285,33 +266,16 @@ def max_dependence_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
     return RatioMax(value=best, s1=b1, s2=b2, method="grid-approximate", error=err)
 
 
-def _homogeneous_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
-                       gamma: float) -> tuple[float, float]:
-    sup = kernel.support
-    if kernel.indicator and isinstance(sup, BoundedBox):
-        # f = 1 on B, so the ratio is vol(B & (B + t)) / vol(B), exactly
-        widths = np.subtract(sup.hi, sup.lo)
-        overlap = np.maximum(1.0 - np.abs(np.atleast_1d(t)) / widths, 0.0)
-        return float(np.prod(overlap)), 0.0
-    exp_t, coef_t = (math.inf, 0.0)
-    if isinstance(sup, DecayEnvelope):
-        exp_t = gamma * sup.exponent
-        coef_t = (sup.amplitude * 2.0 ** sup.exponent) ** gamma
-
-    def integrand(fv: np.ndarray) -> np.ndarray:
+def _homogeneous_ratio(kernel: Kernel, t, gamma: float) -> tuple[float, float]:
+    def integrand(fv: np.ndarray, _) -> np.ndarray:
         return (np.abs(fv[0] * fv[1]) ** (gamma / 2.0))[:, None]
 
-    vals, err = integrate_over_support(kernel, integrand, (t, np.zeros(kernel.dim)),
-                                       exp_t, coef_t, overlap=True)
-    num = float(vals[0])
+    vals, err = integrate_over_support(kernel, integrand, _shifts(kernel, t),
+                                       [(gamma, 1.0)], overlap=True)
     den = _gamma_norm_pow(kernel, gamma)
     if den <= 0.0:
         raise RejectionError("degenerate-profile", "kernel gamma-norm vanishes")
-    value = num / den
-    if value > 1.0 + RATIO_CLAMP_TOL:
-        raise QuadratureError(f"homogeneous ratio overshoots 1: {value}",
-                              partial=value, residual=value - 1.0)
-    return min(max(value, 0.0), 1.0), err / den
+    return float(_clamp_ratio(vals[0, 0] / den)), float(err[0]) / den
 
 
 # ---------------------------------------------------------------------------

@@ -369,3 +369,32 @@ def test_validate_bad_probe_exit3(tmp_path, capsys):
     body = EXAMPLE + "\n[simulate]\nprobe = discrete\n"
     assert main(["validate", str(write_cfg(tmp_path, body))]) == 3
     assert "probe_points" in capsys.readouterr().err
+
+
+def test_validate_quadrature_failure_is_failed_check(tmp_path, capsys):
+    # the factorization check and the profile both fail to converge on this pair
+    body = """
+[kernel]
+type = powerlaw
+exponent = 1.5
+
+[triplet]
+jumps = poisson
+atoms = 1.0
+
+[simulate]
+n_samples = 500
+lags = 0.6
+n_triples = 4
+negdef_samples = 200
+"""
+    out = tmp_path / "out"
+    assert main(["validate", str(write_cfg(tmp_path, body)), "--output", str(out)]) == 2
+    with open(out / "validation.csv") as fh:
+        rows = {r["check"]: r for r in csv.DictReader(fh)}
+    for check in ("factorization", "covariance-bound"):
+        assert rows[check]["passed"] == "False"
+        assert rows[check]["statistic"] == "quadrature-error"
+        assert "target precision not reached" in rows[check]["value"]
+    assert rows["covariance-bound"]["value"].startswith("profile: ")
+    assert "5/7 checks passed" in capsys.readouterr().out

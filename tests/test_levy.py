@@ -26,6 +26,7 @@ from srdcert.levy import (
     NO_JUMPS,
     SymmetricStable,
     TabulatedMeasure,
+    abs_moment,
     calibrated_stable,
     check_negdef_inequalities,
     clipped_growth,
@@ -41,7 +42,6 @@ from srdcert.levy import (
     small_signal_bound,
     stable_re_constant,
     stable_triplet,
-    total_jump_mass,
     truncated_mean_shift,
 )
 
@@ -231,7 +231,7 @@ class TestTabulatedMeasure:
         pair = LevyTriplet(measure=TabulatedMeasure((0.5, 2.0), (1.0, 0.5)))
         s = np.array([-40.0, 0.3, 2.0, 1e4])
         assert np.array_equal(cumulant(lone, s), cumulant(pair, s))
-        assert total_jump_mass(lone.measure) == total_jump_mass(pair.measure)
+        assert abs_moment(lone.measure, 0) == abs_moment(pair.measure, 0)
         assert np.array_equal(truncated_mean_shift(lone, s), truncated_mean_shift(pair, s))
         (knots, vals), _ = lone.measure.sides()
         assert np.array_equal(lone.measure.density_at(np.array([0.5, 1.0]), knots, vals),
@@ -309,7 +309,7 @@ class TestMomentHelpers:
     def test_tabulated_moments_frozen(self, table, moments, shift, clipped):
         trip = LevyTriplet(measure=table())
         v = np.array([0.0, 0.01, 0.3, 0.9, 1.0, 1.5, 3.0, 100.0])
-        assert total_jump_mass(trip.measure) == pytest.approx(moments[0], rel=1e-12)
+        assert abs_moment(trip.measure, 0) == pytest.approx(moments[0], rel=1e-12)
         assert mean_shift_deviation_bound(trip) == pytest.approx(moments[1], rel=1e-12)
         assert im_linear_coef(trip) == pytest.approx(2.0 * moments[1], rel=1e-12)
         assert clipped_growth(trip) == (2.0, pytest.approx(moments[2], rel=1e-12))

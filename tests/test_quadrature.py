@@ -25,6 +25,12 @@ from srdcert.quadrature import Segment, integrate_box, integrate_segments
 SRC = Path(__file__).resolve().parents[1] / "src" / "srdcert"
 
 
+def one(func, segs, breakpoints=(), **kw):
+    """A single integral of ``func(x)`` as a batch of one: (values, error)."""
+    vals, errs = integrate_segments(lambda x, p: func(x), [segs], [breakpoints], **kw)
+    return vals[0], errs[0]
+
+
 def scalar_form(func):
     """quad_vec's view of a batched integrand: one point in, k values out."""
     return lambda x: func(np.array([x]))[0]
@@ -78,7 +84,7 @@ def reference(func, seg, breakpoints, abs_tol, rel_tol):
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
 def test_matches_quad_vec(case, rel_tol):
     func, seg, breakpoints = BATTERY[case]
-    val, err = integrate_segments(func, [seg], breakpoints, abs_tol=1e-12, rel_tol=rel_tol)
+    val, err = one(func, [seg], breakpoints, abs_tol=1e-12, rel_tol=rel_tol)
     ref, ref_err = reference(func, seg, breakpoints, 1e-12, rel_tol)
     assert val.shape == ref.shape and val.dtype == ref.dtype
     np.testing.assert_allclose(val, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
@@ -103,7 +109,7 @@ def test_box_matches_nested_quad_vec():
 
 
 def _segments_case(func, segs, exact, rel_tol=1e-10):
-    val, err = integrate_segments(func, segs, rel_tol=rel_tol)
+    val, err = one(func, segs, rel_tol=rel_tol)
     return np.linalg.norm(val - np.asarray(exact)), err
 
 
@@ -155,7 +161,7 @@ def test_error_estimate_bounds_actual_error(case):
 
 def test_limit_raises():
     with pytest.raises(QuadratureError, match="target precision not reached"):
-        integrate_segments(lambda x: np.sin(1e5 * x)[:, None], [Segment(0.0, 1.0)])
+        one(lambda x: np.sin(1e5 * x)[:, None], [Segment(0.0, 1.0)])
 
 
 def test_box_limit_raises():
@@ -166,8 +172,7 @@ def test_box_limit_raises():
 
 def test_non_finite_raises():
     with pytest.raises(QuadratureError, match="non-finite"):
-        integrate_segments(lambda x: np.where(x > 0.5, np.nan, x)[:, None],
-                           [Segment(0.0, 1.0)])
+        one(lambda x: np.where(x > 0.5, np.nan, x)[:, None], [Segment(0.0, 1.0)])
 
 
 @pytest.mark.parametrize("k", [1, 40, 625, 4000])
@@ -179,7 +184,7 @@ def test_integrand_calls_respect_element_budget(k):
         sizes.append(len(x) * k)
         return np.exp(-np.multiply.outer(np.abs(x - 0.1), rates))
 
-    integrate_segments(func, [Segment(-1.0, 1.0)], breakpoints=(0.1,))
+    one(func, [Segment(-1.0, 1.0)], breakpoints=(0.1,))
     assert len(sizes) > 1
     # one interval's 21 nodes is the smallest batch the rule can take
     assert max(sizes) <= max(quadrature._CHUNK_ELEMENTS, 21 * k)
@@ -193,7 +198,7 @@ def test_round_is_one_call_per_chunk():
         calls.append(len(x))
         return np.sqrt(np.abs(x))[:, None]
 
-    integrate_segments(func, [Segment(-1.0, 1.0)])
+    one(func, [Segment(-1.0, 1.0)])
     assert calls[0] == 21
     assert all(n % 21 == 0 for n in calls)
     assert max(calls) > 21
@@ -296,7 +301,7 @@ def test_batch_matches_solo_passes():
                                     [pts for _, _, pts in PROBLEMS])
     assert vals.shape == (len(PROBLEMS), 2) and errs.shape == (len(PROBLEMS),)
     for j, (f, segs, pts) in enumerate(PROBLEMS):
-        solo, solo_err = integrate_segments(f, segs, pts)
+        solo, solo_err = one(f, segs, pts)
         assert np.linalg.norm(vals[j] - solo) <= 1e-14 * np.linalg.norm(solo), j
         assert errs[j] == pytest.approx(solo_err, rel=1e-12), j
 

@@ -27,6 +27,8 @@ from srdcert.kernels import (
 )
 from srdcert.levy import gaussian_triplet, poisson_triplet, stable_triplet
 from srdcert.spectral import (
+    DEFAULT_S_BOX,
+    DEFAULT_S_POINTS,
     _clamp_ratio,
     build_profile,
     char_joint,
@@ -193,10 +195,9 @@ class TestDependenceRatio:
     def test_grid_agrees_with_homogeneous(self):
         # an indicator's ratio is the overlap fraction for every triplet
         trip = levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.0))
-        grid = max_dependence_ratio(box_kernel(), trip, 0.4)
-        assert grid.method == "grid-approximate"
-        assert grid.value == pytest.approx(0.6, abs=1e-9)
-        assert math.isfinite(grid.s1) and math.isfinite(grid.s2)
+        s = np.geomspace(*DEFAULT_S_BOX, DEFAULT_S_POINTS)
+        grid, _ = dependence_ratio_grid(box_kernel(), trip, 0.4, s, s)
+        assert float(grid.max()) == pytest.approx(0.6, abs=1e-9)
 
     def test_lag_symmetry(self):
         trip = poisson_triplet(1.0, atoms=(1.0,))
@@ -241,7 +242,8 @@ class TestProfile:
         assert np.all(prof.ratio_values[outer] < 1e-12)
 
     def test_profile_symmetry(self):
-        prof = build_profile(box_kernel(), poisson_triplet(1.0, atoms=(1.0,)),
+        trip = levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.0))
+        prof = build_profile(tent_kernel(), trip,
                              window=1.5, t_step=0.5, s_points=8)
         vals = prof.ratio_values
         assert np.allclose(vals, vals[::-1], atol=1e-12)
@@ -311,3 +313,27 @@ def test_indicator_ratio_closed_form_matches_quadrature(dim, lag):
         assert exact.value == pytest.approx(
             np.prod(np.maximum(1.0 - np.abs(lag) / 2.0, 0.0)), abs=1e-15)
         assert exact.value == pytest.approx(quad.value, abs=1e-12)
+
+
+def _bench_table() -> levy.TabulatedMeasure:
+    pos = np.geomspace(1e-3, 1e3, 31)
+    grid = np.concatenate([-pos[::-1], pos])
+    return levy.TabulatedMeasure(tuple(grid), tuple(0.1 * np.abs(grid) ** -2.0))
+
+
+@pytest.mark.parametrize("dim, lags", [(1, ((0.3,), (-0.75,))), (2, ((0.3, -0.6), (0.5, 0.5)))])
+def test_indicator_ratio_is_overlap_for_every_triplet(monkeypatch, dim, lags):
+    """f = 1_B makes the ratio the overlap fraction at every frequency, so no
+    triplet needs a cumulant value."""
+    def no_cumulant(triplet, s):
+        raise AssertionError("levy.cumulant_re called")
+
+    monkeypatch.setattr(levy, "cumulant_re", no_cumulant)
+    poisson = levy.CompoundPoisson(2.0, (-0.5, 2.0), (0.6, 0.4))
+    triplets = (levy.LevyTriplet(b0=1.0, measure=poisson), levy.LevyTriplet(measure=poisson),
+                levy.LevyTriplet(b0=1.0, measure=_bench_table()))
+    for trip in triplets:
+        for lag in lags:
+            rm = max_dependence_ratio(box_kernel(dim=dim), trip, lag)
+            assert rm.method == "analytic-homogeneous" and rm.error == 0.0
+            assert rm.value == np.prod(np.maximum(1.0 - np.abs(lag), 0.0))
