@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
 from . import levy
 from .errors import DivergentNormError, QuadratureError, RejectionError
@@ -199,7 +198,7 @@ def frequency_integral(profile: SpectralProfile, threshold: float
                        ) -> IntegralEstimate:
     """integral_0^inf (sigma(s)/s) exp(-(1-threshold) sigma^2(s)) ds.
 
-    The profiled grid supplies power-law endpoint models (incomplete-gamma
+    The profiled grid supplies power-law endpoint models (erf and erfc
     closed forms below s_min and above s_max); the middle is one engine
     pass in u = log s whose integrand makes one ``marginal_exponent_grid``
     call per subdivision round.  If that pass does not converge the error
@@ -241,7 +240,7 @@ def frequency_integral(profile: SpectralProfile, threshold: float
                  " integrand decays like 1/s")
 
     u_min = lam * float(sig[0])
-    head = math.sqrt(math.pi) * float(gammainc(0.5, u_min)) / (q_lo * math.sqrt(lam))
+    head = math.sqrt(math.pi) * math.erf(math.sqrt(u_min)) / (q_lo * math.sqrt(lam))
 
     grid_failures = []
 
@@ -265,7 +264,7 @@ def frequency_integral(profile: SpectralProfile, threshold: float
         middle, mid_err, note = exc.partial, math.inf, f"middle quadrature: {exc}"
 
     u_max = lam * float(sig[-1])
-    tail = math.sqrt(math.pi) * float(gammaincc(0.5, u_max)) / (q_hi * math.sqrt(lam))
+    tail = math.sqrt(math.pi) * math.erfc(math.sqrt(u_max)) / (q_hi * math.sqrt(lam))
 
     value = head + middle + tail
     error = mid_err + 2.0 * resid_lo * head + 2.0 * resid_hi * tail \

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.special import exprel as _exprel
-from scipy.special import gamma as _gamma_fn
 
 from .errors import QuadratureError, RejectionError
 from .quadrature import Segment, integrate_segments
@@ -202,7 +200,7 @@ def stable_re_constant(alpha: float) -> float:
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha={alpha} outside (0, 2)")
-    return math.pi / (_gamma_fn(1.0 + alpha) * math.sin(math.pi * alpha / 2.0))
+    return math.pi / (math.gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0))
 
 
 def calibrated_stable(alpha: float) -> SymmetricStable:
@@ -414,8 +412,8 @@ def _sides(m: TabulatedMeasure) -> list[_Side]:
 def _piece_moment(a, slope, p, lo, hi, q):
     """integral_lo^hi (r/lo)**q (a + slope log(r/lo)) (r/lo)**p dr.
 
-    In t = log(r/lo) this is lo L (a E1(eL) + slope L E2(eL)) with
-    L = log(hi/lo), e = p + q + 1, E1(x) = integral_0^1 exp(xu) du and
+    In t = log(r/lo) this is lo L (a E1(eL) + slope L E2(eL)) with L = log(hi/lo),
+    e = p + q + 1, E1(x) = integral_0^1 exp(xu) du = expm1(x)/x (1 at x = 0) and
     E2(x) = integral_0^1 u exp(xu) du.  Vectorized; zero where lo == hi.
     """
     L = np.log(hi / lo)
@@ -425,7 +423,8 @@ def _piece_moment(a, slope, p, lo, hi, q):
     series = sum(xs ** n / (math.factorial(n) * (n + 2)) for n in range(18))
     xl = np.where(small, 1.0, x)
     e2 = np.where(small, series, (np.exp(xl) * (xl - 1.0) + 1.0) / (xl * xl))
-    return lo * L * (a * _exprel(x) + slope * L * e2)
+    e1 = np.where(x == 0.0, 1.0, np.expm1(x) / np.where(x == 0.0, 1.0, x))
+    return lo * L * (a * e1 + slope * L * e2)
 
 
 def _piece_integral(side: _Side, idx, lo, hi, q: int):

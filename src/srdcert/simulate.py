@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import levy
 from .certify import frequency_integral
@@ -85,7 +85,7 @@ def gaussian_quantiles(n: int = 512) -> ProbeMeasure:
     """Equal-weight atoms at the midpoint quantiles of a standard normal."""
     if n < 1:
         raise RejectionError("probe-measure", "need at least one quantile")
-    qs = ndtri((np.arange(n) + 0.5) / n)
+    qs = [NormalDist().inv_cdf((k + 0.5) / n) for k in range(n)]
     return ProbeMeasure(tuple(qs), tuple(1.0 / n for _ in range(n)),
                         name=f"gaussian-quantiles({n})")
 

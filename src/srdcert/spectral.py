@@ -159,8 +159,10 @@ def joint_integrals(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
     """
     s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
     lags = np.asarray(lags, dtype=float).reshape(len(s1), kernel.dim)
-    # two shifted copies in the joint term, plus the numerator
-    growth = _growth(triplet, np.maximum(np.abs(s1), np.abs(s2)), re=3.0, im=2.0)
+    # |K(a+b)| <= 2**gamma C (sv)**gamma + 2 C_im sv; the numerator <= C (sv)**gamma
+    gamma = levy.small_signal_bound(triplet)[0]
+    growth = _growth(triplet, np.maximum(np.abs(s1), np.abs(s2)), re=2.0 ** gamma + 1.0,
+                     im=2.0)
 
     def integrand(fv: np.ndarray, p: np.ndarray) -> np.ndarray:
         a, b = fv[0] * s1[p], fv[1] * s2[p]
@@ -205,8 +207,6 @@ class RatioMax:
     """Supremum of the dependence ratio over frequencies at one lag."""
 
     value: float
-    s1: float
-    s2: float
     method: str
     error: float
 
@@ -235,13 +235,12 @@ def max_dependence_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
     if kernel.indicator and isinstance(sup, BoundedBox):
         widths = np.subtract(sup.hi, sup.lo)
         overlap = np.maximum(1.0 - np.abs(np.atleast_1d(t)) / widths, 0.0)
-        return RatioMax(value=float(np.prod(overlap)), s1=math.nan, s2=math.nan,
-                        method="analytic-homogeneous", error=0.0)
+        return RatioMax(value=float(np.prod(overlap)), method="analytic-homogeneous",
+                        error=0.0)
     gamma = levy.homogeneity_exponent(triplet)
     if gamma is not None:
         value, err = _homogeneous_ratio(kernel, t, gamma)
-        return RatioMax(value=value, s1=math.nan, s2=math.nan,
-                        method="analytic-homogeneous", error=err)
+        return RatioMax(value=value, method="analytic-homogeneous", error=err)
 
     s_vals = np.geomspace(s_box[0], s_box[1], DEFAULT_S_POINTS)
     ratios, err = dependence_ratio_grid(kernel, triplet, t, s_vals, s_vals)
@@ -263,7 +262,7 @@ def max_dependence_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
             b1, b2 = float(g1[sidx[0]]), float(g2[sidx[1]])
         err = max(err, sub_err)
 
-    return RatioMax(value=best, s1=b1, s2=b2, method="grid-approximate", error=err)
+    return RatioMax(value=best, method="grid-approximate", error=err)
 
 
 def _homogeneous_ratio(kernel: Kernel, t, gamma: float) -> tuple[float, float]:

@@ -18,6 +18,7 @@ from srdcert.certify import (
     srd_integral,
 )
 from srdcert.errors import QuadratureError, RejectionError
+from srdcert.quadrature import fit_power_law
 from srdcert.spectral import build_profile
 
 SQRT_2PI = 2.5066282746310002
@@ -63,6 +64,31 @@ def test_frequency_integral_scale_invariant(scale):
     target = math.sqrt(math.pi) / (0.5 * math.sqrt(0.5))
     assert est.value == pytest.approx(target, rel=1e-10)
     assert est.value == pytest.approx(5.0132565492620005, rel=1e-12)
+
+
+def test_frequency_integral_ends_match_scipy_incomplete_gamma(box_stable_profile):
+    """The power-law ends are sqrt(pi) P(1/2, u) / (q sqrt(lam)) and the same with
+    Q(1/2, u): erf and erfc of sqrt(u)."""
+    from scipy.special import gammainc, gammaincc  # reference only
+    tiny = np.finfo(float).tiny
+    for u in np.concatenate([[0.0], np.geomspace(1e-12, 800.0, 400)]):
+        assert math.erf(math.sqrt(u)) == pytest.approx(gammainc(0.5, u), rel=1e-14, abs=0.0)
+        if gammaincc(0.5, u) >= tiny:
+            assert math.erfc(math.sqrt(u)) == pytest.approx(gammaincc(0.5, u), rel=1e-12,
+                                                            abs=0.0)
+        else:
+            assert math.erfc(math.sqrt(u)) < tiny
+    s, lam = box_stable_profile.s_grid, 0.5
+    for c in np.geomspace(2e-9, 1.6, 12):
+        prof = dataclasses.replace(box_stable_profile,
+                                   sigma_sq=c * box_stable_profile.sigma_sq)
+        sig = prof.sigma_sq
+        est = frequency_integral(prof, 1.0 - lam)
+        q_lo, q_hi = fit_power_law(s[:4], sig[:4])[1], fit_power_law(s[-4:], sig[-4:])[1]
+        head = math.sqrt(math.pi) * gammainc(0.5, lam * sig[0]) / (q_lo * math.sqrt(lam))
+        tail = math.sqrt(math.pi) * gammaincc(0.5, lam * sig[-1]) / (q_hi * math.sqrt(lam))
+        assert est.head == pytest.approx(head, rel=1e-14, abs=0.0)
+        assert est.tail == pytest.approx(tail, rel=1e-12, abs=tiny)
 
 
 def test_frequency_integral_threshold_validation(box_stable_profile):

@@ -59,6 +59,12 @@ class TestStableConstant:
     def test_matches_quadrature_oracle(self, alpha, expected):
         assert stable_re_constant(alpha) == pytest.approx(expected, rel=1e-9)
 
+    def test_matches_scipy_gamma_form(self):
+        from scipy.special import gamma  # reference only
+        for alpha in np.linspace(0.0, 2.0, 401)[1:-1]:
+            expect = math.pi / (gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0))
+            assert stable_re_constant(alpha) == pytest.approx(expect, rel=2e-15, abs=0.0)
+
     def test_alpha_one_is_pi(self):
         assert stable_re_constant(1.0) == pytest.approx(math.pi, rel=1e-14)
 
@@ -236,6 +242,20 @@ class TestTabulatedMeasure:
         (knots, vals), _ = lone.measure.sides()
         assert np.array_equal(lone.measure.density_at(np.array([0.5, 1.0]), knots, vals),
                               [0.0, 0.0])
+
+    def test_piece_moment_e1_matches_scipy_exprel(self):
+        """With lo = 1 and slope 0 the piece moment is L E1((p + 1) L), L = log hi;
+        p = -1 and its neighbours put x at 0 and at +-1e-16 (+-1e-28 for the
+        short piece)."""
+        from scipy.special import exprel  # reference only
+        p = np.concatenate([[-1.0, -1.0 + 2.0 ** -52, -1.0 - 2.0 ** -53],
+                            np.linspace(-51.0, 49.0, 20001)])
+        for hi in (math.e, 1.0 + 1e-12):
+            L = math.log(hi)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = levy._piece_moment(1.0, 0.0, p, 1.0, hi, 0)
+            np.testing.assert_allclose(got, L * exprel((p + 1.0) * L), rtol=1e-15, atol=0.0)
 
     def test_rejects_grid_inside_cutoff(self):
         with pytest.raises(RejectionError):

@@ -33,6 +33,13 @@ def test_probe_measure_factories():
     assert abs(sum(p * w for p, w in zip(gq.points, gq.weights))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 512, 4096])
+def test_gaussian_quantiles_match_scipy_ndtri(n):
+    from scipy.special import ndtri  # reference only
+    expect = ndtri((np.arange(n) + 0.5) / n)
+    np.testing.assert_allclose(S.gaussian_quantiles(n).points, expect, rtol=0.0, atol=3e-15)
+
+
 def test_probe_measure_char_bounded():
     s = np.linspace(-20.0, 20.0, 101)
     for probe in (S.point_mass(0.3), S.finite_discrete((-1.0, 0.5, 2.0)),

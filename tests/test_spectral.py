@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srdcert import levy
+from srdcert import levy, spectral
 from srdcert.certify import default_window, srd_integral
 from srdcert.errors import QuadratureError, RejectionError
 from srdcert.kernels import (
     box_kernel,
     gaussian_kernel,
+    integrate_over_support,
     powerlaw_kernel,
     tent_kernel,
     zero_kernel,
@@ -155,6 +156,29 @@ class TestCharacteristicFunctions:
     def test_zero_frequency_is_one(self):
         got = char_joint(box_kernel(), stable_triplet(1.0), 0.5, 0.0, 0.0)
         assert got == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("trip", [
+        gaussian_triplet(1.0),
+        levy.LevyTriplet(measure=levy.calibrated_stable(1.5)),
+        levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.0)),
+        poisson_triplet(2.0, atoms=(1.0,)),
+    ], ids=["gaussian", "stable-1.5", "mixed-stable-1", "poisson"])
+    def test_joint_growth_bounds_the_integrand(self, monkeypatch, trip):
+        """The growth handed to the engine bounds |K(a + b)| + sqrt(Re K(a) Re K(b))
+        wherever |a|, |b| <= S v, for v up to 1/(2S); a = b = S v is the worst case."""
+        captured = []
+
+        def capture(kernel, integrand, shifts, growth=(), **kw):
+            captured.append(growth)
+            return integrate_over_support(kernel, integrand, shifts, growth, **kw)
+
+        monkeypatch.setattr(spectral, "integrate_over_support", capture)
+        s1, s2 = np.array([0.7]), np.array([-1.3])
+        spectral.joint_integrals(powerlaw_kernel(3.0), trip, np.array([0.4]), s1, s2)
+        v = np.geomspace(1e-6, 1.0 / (2.0 * 1.3), 200)
+        bound = sum(np.asarray(c, dtype=float)[0] * v ** g for g, c in captured[0])
+        worst = np.abs(levy.cumulant(trip, 2.6 * v)) + levy.cumulant_re(trip, 1.3 * v)
+        assert np.all(worst <= bound * (1.0 + 1e-12))
 
 
 class TestDependenceRatio:
