@@ -35,6 +35,7 @@ from .spectral import (
     SpectralProfile,
     build_profile,
     marginal_exponent_grid,
+    separable_exponent,
 )
 
 DEFAULT_CANDIDATES = (0.25, 0.5, 0.75, 0.9)
@@ -139,8 +140,7 @@ def choose_threshold(profile: SpectralProfile,
 
     best = feasible[0]
     kernel = profile.kernel
-    if (profile.dim == 1 and kernel.indicator
-            and isinstance(kernel.support, BoundedBox)):
+    if profile.dim == 1 and kernel.indicator:
         length = kernel.support.hi[0] - kernel.support.lo[0]
         measure = 2.0 * length * (1.0 - best)
         method = "analytic-overlap"
@@ -164,10 +164,8 @@ def _envelope_ratio_bound(profile: SpectralProfile) -> float | None:
     sup = profile.kernel.support
     if not isinstance(sup, DecayEnvelope):
         return None
-    gamma = levy.homogeneity_exponent(profile.triplet)
-    if gamma is None:
-        return None
-    if profile.window < 2.0 * sup.radius:
+    gamma = separable_exponent(profile.kernel, profile.triplet)
+    if gamma is None or profile.window < 2.0 * sup.radius:
         return None
     try:
         half_norm = _lp_power_integral(profile.kernel, gamma / 2.0)[0]
@@ -203,8 +201,8 @@ def frequency_integral(profile: SpectralProfile, threshold: float
     pass in u = log s whose integrand makes one ``marginal_exponent_grid``
     call per subdivision round.  If that pass does not converge the error
     is infinite and ``note`` carries its message; a failed sigma^2 call
-    raises.  The budget leaves out the sigma^2 error, whose tolerance is
-    1e-10 of the 2-norm of a round's sigma^2 vector, not of each sigma^2.
+    raises.  The budget leaves out the error of these sigma^2 values,
+    each held to its own tolerance.
     Saturating growth at the top of the grid (fitted exponent <= 0.05) or
     flat behaviour at the bottom is flagged divergent.
     """
@@ -291,17 +289,18 @@ class SrdEstimate:
 def srd_integral(profile: SpectralProfile) -> SrdEstimate:
     """integral of the maximal dependence ratio over all lags.
 
-    A homogeneous integrator (Re K = c|v|**gamma) has the frequency-free
-    ratio integral |f(t-x) f(-x)|**(gamma/2) dx / ||f||_gamma^gamma, so Fubini
-    gives the lag integral exactly: ||f||_{gamma/2}^gamma / ||f||_gamma^gamma,
-    finite exactly when f is in L^{gamma/2}.  Mixed triplets sum the lattice
-    times the cell volume and add the tail beyond the window: exact zero for
-    box supports once the window covers the overlap diameter, otherwise a
-    fitted power law over the outermost quarter of the profile.
+    Where Re K(s f) = Re K(s) |f|**gamma (``separable_exponent``) the ratio
+    is integral |f(t-x) f(-x)|**(gamma/2) dx / ||f||_gamma^gamma at every
+    frequency, so Fubini gives ||f||_{gamma/2}^gamma / ||f||_gamma^gamma,
+    finite exactly when f is in L^{gamma/2} (|B| for a box indicator).
+    Non-factorising pairs sum the lattice times the cell volume and add the
+    tail beyond the window: exact zero for box supports once the window
+    covers the overlap diameter, otherwise a fitted power law over the
+    outermost quarter of the profile.
     """
     sup = profile.kernel.support
     window_part = profile.cell_volume * float(np.sum(profile.ratio_values))
-    gamma = levy.homogeneity_exponent(profile.triplet)
+    gamma = separable_exponent(profile.kernel, profile.triplet)
     if gamma is not None:
         try:
             half, half_err = _lp_power_integral(profile.kernel, gamma / 2.0)

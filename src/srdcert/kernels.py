@@ -110,6 +110,8 @@ class Kernel:
             raise RejectionError("kernel-dim", f"dim={self.dim} unsupported")
         if isinstance(self.support, BoundedBox) and self.support.dim != self.dim:
             raise RejectionError("kernel-dim", "support box dimension mismatch")
+        if self.indicator and not isinstance(self.support, BoundedBox):
+            raise RejectionError("kernel-indicator", "an indicator kernel needs a box support")
 
     def __call__(self, x) -> np.ndarray:
         pts = np.asarray(x, dtype=float)
@@ -499,11 +501,11 @@ def _gaussian_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> Integrabil
     if triplet.b0 == 0.0:
         return IntegrabilityCondition(key, True, 0.0, note="no gaussian part")
     try:
-        sq = lp_norm(kernel, 2.0)
+        sq = _lp_power_integral(kernel, 2.0)[0]
     except DivergentNormError:
         return IntegrabilityCondition(key, False, math.inf,
                                       note="kernel not square integrable")
-    return IntegrabilityCondition(key, True, triplet.b0 * sq * sq)
+    return IntegrabilityCondition(key, True, triplet.b0 * sq)
 
 
 def _jump_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> IntegrabilityCondition:

@@ -414,17 +414,18 @@ def _piece_moment(a, slope, p, lo, hi, q):
 
     In t = log(r/lo) this is lo L (a E1(eL) + slope L E2(eL)) with L = log(hi/lo),
     e = p + q + 1, E1(x) = integral_0^1 exp(xu) du = expm1(x)/x (1 at x = 0) and
-    E2(x) = integral_0^1 u exp(xu) du.  Vectorized; zero where lo == hi.
+    E2(x) = integral_0^1 u exp(xu) du = (exp(x) - E1(x))/x.  Vectorized; zero
+    where lo == hi, +inf where E1 overflows (x > 709.78).
     """
     L = np.log(hi / lo)
     x = (p + q + 1.0) * L
     small = np.abs(x) < 0.5
     xs = np.where(small, x, 0.0)
     series = sum(xs ** n / (math.factorial(n) * (n + 2)) for n in range(18))
-    xl = np.where(small, 1.0, x)
-    e2 = np.where(small, series, (np.exp(xl) * (xl - 1.0) + 1.0) / (xl * xl))
-    e1 = np.where(x == 0.0, 1.0, np.expm1(x) / np.where(x == 0.0, 1.0, x))
-    return lo * L * (a * e1 + slope * L * e2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e1 = np.where(x == 0.0, 1.0, np.expm1(x) / x)
+        e2 = np.where(small, series, (np.exp(x) - e1) / x)
+        return np.where(np.isinf(e1), np.inf, lo * L * (a * e1 + slope * L * e2))
 
 
 def _piece_integral(side: _Side, idx, lo, hi, q: int):

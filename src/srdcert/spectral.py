@@ -22,7 +22,7 @@ import numpy as np
 
 from . import levy
 from .errors import QuadratureError, RejectionError
-from .kernels import BoundedBox, Kernel, integrate_over_support, lp_norm
+from .kernels import Kernel, _lp_power_integral, integrate_over_support
 
 RATIO_CLAMP_TOL = 1e-9
 DEFAULT_S_BOX = (1e-3, 1e3)
@@ -41,60 +41,63 @@ def _growth(triplet: levy.LevyTriplet, scale, re: float = 1.0, im: float = 0.0) 
             (1.0, im * levy.im_linear_coef(triplet) * scale)]
 
 
-def _shifts(kernel: Kernel, *lags) -> np.ndarray:
-    """The shifts (lags..., 0) as a batch of one problem."""
-    return np.array([[np.atleast_1d(np.asarray(t, dtype=float)) for t in lags]
-                     + [np.zeros(kernel.dim)]])
+def _shifts(kernel: Kernel, t) -> np.ndarray:
+    """The shifts (t, 0) as a batch of one problem."""
+    return np.array([[np.atleast_1d(np.asarray(t, dtype=float)), np.zeros(kernel.dim)]])
+
+
+def separable_exponent(kernel: Kernel, triplet: levy.LevyTriplet) -> float | None:
+    """gamma with Re K(s f(x)) = Re K(s) |f(x)|**gamma for all s and x, else None:
+    a homogeneous integrator's exponent, or 2 for an indicator (values 0, 1)."""
+    gamma = levy.homogeneity_exponent(triplet)
+    return 2.0 if gamma is None and kernel.indicator else gamma
+
+
+def _marginal_pass(kernel: Kernel, triplet: levy.LevyTriplet, s: np.ndarray, cumulant,
+                   im: float) -> tuple[np.ndarray, np.ndarray]:
+    """integral cumulant(triplet, s_p f(-x)) dx, frequency p as problem p of one pass."""
+    return integrate_over_support(
+        kernel, lambda fv, p: cumulant(triplet, (fv[0] * s[p])[:, None]),
+        np.zeros((len(s), 1, kernel.dim)), _growth(triplet, np.abs(s), im=im))
 
 
 def marginal_exponent_grid(kernel: Kernel, triplet: levy.LevyTriplet,
                            s_values: np.ndarray) -> tuple[np.ndarray, float]:
-    """sigma^2 on a whole frequency grid in one adaptive pass.
+    """sigma^2 on a frequency grid, and the largest error over the grid.
 
-    A box indicator has f = 1 on its box B, so sigma^2(s) = |B| Re K(s)
-    exactly, with error 0.
+    With gamma from ``separable_exponent``, sigma^2(s) = Re K(s) ||f||_gamma^gamma
+    and the error is the norm's; otherwise each frequency is one problem of
+    a single engine pass, held to its own tolerance.
     """
     s_values = np.asarray(s_values, dtype=float)
-    if kernel.indicator and isinstance(kernel.support, BoundedBox):
-        return kernel.support.volume() * levy.cumulant_re(triplet, s_values), 0.0
-    s_scale = float(np.max(np.abs(s_values))) if s_values.size else 1.0
-
-    def integrand(fv: np.ndarray, _) -> np.ndarray:
-        return levy.cumulant_re(triplet, np.multiply.outer(fv[0], s_values))
-
-    vals, err = integrate_over_support(kernel, integrand, _shifts(kernel),
-                                       _growth(triplet, s_scale))
-    return np.maximum(vals[0], 0.0), float(err[0])
+    gamma = separable_exponent(kernel, triplet)
+    if gamma is not None:
+        norm, norm_err = _lp_power_integral(kernel, gamma)
+        re_k = levy.cumulant_re(triplet, s_values)
+        return re_k * norm, norm_err * float(np.max(re_k, initial=0.0))
+    vals, err = _marginal_pass(kernel, triplet, s_values, levy.cumulant_re, 0.0)
+    return np.maximum(vals[:, 0], 0.0), float(np.max(err, initial=0.0))
 
 
 @lru_cache(maxsize=200_000)
-def _mexp_scalar(kernel: Kernel, triplet: levy.LevyTriplet, s: float) -> tuple[float, float]:
-    vals, err = marginal_exponent_grid(kernel, triplet, np.array([s]))
-    return float(vals[0]), err
+def _mexp_scalar(kernel: Kernel, triplet: levy.LevyTriplet, s: float) -> float:
+    return float(marginal_exponent_grid(kernel, triplet, np.array([s]))[0][0])
 
 
 def marginal_exponent_sq(kernel: Kernel, triplet: levy.LevyTriplet, s: float) -> float:
     """sigma^2(s) = integral Re K(s f(-x)) dx, cached per (kernel, triplet, s)."""
-    return _mexp_scalar(kernel, triplet, float(s))[0]
+    return _mexp_scalar(kernel, triplet, float(s))
 
 
 def marginal_cumulant(kernel: Kernel, triplet: levy.LevyTriplet,
                       u_values: np.ndarray) -> np.ndarray:
     """integral K(u f(-x)) dx for each frequency u, in one engine pass.
 
-    Each frequency is one problem of the pass.  exp(-value) is the
-    characteristic function of the field at one point, and the real part
-    is sigma^2(u).
+    exp(-value) is the characteristic function of the field at one point,
+    and the real part is sigma^2(u).
     """
-    u_values = np.asarray(u_values, dtype=float)
-
-    def integrand(fv: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return levy.cumulant(triplet, (fv[0] * u_values[p])[:, None])
-
-    vals, _ = integrate_over_support(kernel, integrand,
-                                     np.zeros((len(u_values), 1, kernel.dim)),
-                                     _growth(triplet, np.abs(u_values), im=1.0))
-    return vals[:, 0]
+    return _marginal_pass(kernel, triplet, np.asarray(u_values, dtype=float),
+                          levy.cumulant, 1.0)[0][:, 0]
 
 
 def char_marginal(kernel: Kernel, triplet: levy.LevyTriplet, u):
@@ -213,31 +216,28 @@ class RatioMax:
 
 @lru_cache(maxsize=4096)
 def _gamma_norm_pow(kernel: Kernel, gamma: float) -> float:
-    return lp_norm(kernel, gamma) ** gamma
+    return _lp_power_integral(kernel, gamma)[0]
 
 
 def max_dependence_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
                          s_box: tuple[float, float] = DEFAULT_S_BOX) -> RatioMax:
     """sup over (s1, s2) of the dependence ratio at lag t.
 
-    A box indicator f = 1_B gives sqrt(Re K(s f)) = sqrt(Re K(s)) 1_B, so for
-    every triplet the ratio is the overlap fraction
-    vol(B & (B + t)) / vol(B) = prod(1 - |t_i|/L_i)+ at all frequencies,
-    exactly.  Homogeneous integrators (pure Gaussian, pure stable) admit an
-    exact frequency-free form on any kernel: the ratio collapses to
-    integral |f(t-x) f(-x)|**(gamma/2) dx / ||f||_gamma^gamma.  Both are
-    tagged "analytic-homogeneous" and use no frequency grid.  Everything
-    else runs a log-grid search of DEFAULT_S_POINTS per axis over ``s_box``
-    squared, then REFINE_ROUNDS 5 x 5 refinements around the argmax; the
-    result is tagged "grid-approximate" and is exact only up to that search.
+    Where ``separable_exponent`` finds gamma the ratio is the same at every
+    frequency: integral |f(t-x) f(-x)|**(gamma/2) dx / ||f||_gamma^gamma,
+    which for a box indicator is the overlap fraction prod(1 - |t_i|/L_i)+,
+    exactly.  Either is tagged "analytic-homogeneous" and uses no frequency
+    grid.  Everything else runs a log-grid search of DEFAULT_S_POINTS per
+    axis over ``s_box`` squared, then REFINE_ROUNDS 5 x 5 refinements around
+    the argmax; the result is tagged "grid-approximate" and is exact only up
+    to that search.
     """
-    sup = kernel.support
-    if kernel.indicator and isinstance(sup, BoundedBox):
-        widths = np.subtract(sup.hi, sup.lo)
+    if kernel.indicator:
+        widths = np.subtract(kernel.support.hi, kernel.support.lo)
         overlap = np.maximum(1.0 - np.abs(np.atleast_1d(t)) / widths, 0.0)
         return RatioMax(value=float(np.prod(overlap)), method="analytic-homogeneous",
                         error=0.0)
-    gamma = levy.homogeneity_exponent(triplet)
+    gamma = separable_exponent(kernel, triplet)
     if gamma is not None:
         value, err = _homogeneous_ratio(kernel, t, gamma)
         return RatioMax(value=value, method="analytic-homogeneous", error=err)
@@ -344,13 +344,11 @@ def build_profile(kernel: Kernel, triplet: levy.LevyTriplet, window: float,
     if not (0 < s_box[0] < s_box[1] < math.inf) or s_points < 4:
         raise RejectionError("profile-sbox", "bad frequency box or point count")
 
-    probe = math.sqrt(s_box[0] * s_box[1])
-    if marginal_exponent_sq(kernel, triplet, probe) <= 1e-14:
-        raise RejectionError("degenerate-profile",
-                             "marginal exponent vanishes at the probe frequency")
-
     s_grid = np.geomspace(s_box[0], s_box[1], s_points)
     sigma_sq, sigma_err = marginal_exponent_grid(kernel, triplet, s_grid)
+    if not np.max(sigma_sq) > 1e-14:
+        raise RejectionError("degenerate-profile",
+                             "marginal exponent vanishes on the frequency grid")
 
     lattice = t_lattice(window, t_step, kernel.dim)
     # ratio(-t) = ratio(t) and the lattice is point-symmetric, so evaluate

@@ -360,6 +360,17 @@ def test_total_jump_mass_rising_ramp_bounds_real_cumulant():
     assert 2.0 * mass >= re_k.max()
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_box_indicator_srd_is_fubini_for_any_triplet(dim):
+    """Re K(s 1_B) = Re K(s) 1_B for every triplet, so the SRD integral is
+    ||1_B||_1^2 / ||1_B||_2^2 = |B| with no lattice sum."""
+    trip = levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.0))
+    rep = certify(kernels.box_kernel(dim=dim), trip, window=3.0, t_step=0.3)
+    assert rep.verdict == "certified-SRD"
+    assert rep.srd_method == "closed-form-fubini"
+    assert rep.srd_value == 1.0 and rep.srd_error == 0.0 and rep.srd_tail == 0.0
+
+
 def test_frequency_integral_nonconvergence_blows_budget(monkeypatch):
     """A middle quadrature that does not converge must not pass silently."""
     certify_module = sys.modules["srdcert.certify"]  # the package exports the function

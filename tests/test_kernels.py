@@ -102,6 +102,13 @@ class TestEvaluation:
             box_kernel(1.0, 0.0)
 
 
+    def test_indicator_needs_box_support(self):
+        with pytest.raises(RejectionError) as exc:
+            Kernel(dim=1, func=lambda pts: np.ones(pts.shape[0]),
+                   support=DecayEnvelope(radius=1.0, exponent=2.0), indicator=True)
+        assert exc.value.condition == "kernel-indicator"
+
+
 class TestNorms:
     def test_box_all_orders(self):
         k = box_kernel(0.0, 2.0)

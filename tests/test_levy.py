@@ -257,6 +257,19 @@ class TestTabulatedMeasure:
                 got = levy._piece_moment(1.0, 0.0, p, 1.0, hi, 0)
             np.testing.assert_allclose(got, L * exprel((p + 1.0) * L), rtol=1e-15, atol=0.0)
 
+    def test_piece_moment_zero_slope_overflow(self):
+        """A zero-slope piece is finite wherever E1(x) is (x <= 709), +inf
+        beyond, never NaN, and warns of no overflow while finite."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            finite = levy._piece_moment(1.0, 0.0, np.array([700.0, 705.0, 708.0]), 1.0,
+                                        math.e, 0)
+        assert np.all(np.isfinite(finite)) and np.all(np.diff(finite) > 0)
+        beyond = levy._piece_moment(1.0, 0.0, np.array([709.0, 720.0, 1e4]), 1.0, math.e, 0)
+        assert np.all(beyond == np.inf)
+        sloped = levy._piece_moment(1.0, -0.5, np.array([705.0, 720.0]), 1.0, math.e, 1)
+        assert not np.any(np.isnan(sloped))
+
     def test_rejects_grid_inside_cutoff(self):
         with pytest.raises(RejectionError):
             TabulatedMeasure((1e-12, 1.0), (1.0, 1.0))

@@ -105,6 +105,41 @@ class TestMarginalExponent:
         marginal_exponent_grid(box_kernel(), stable_triplet(1.0), s)
         assert calls == [(21,)]
 
+    def test_grid_is_one_problem_per_frequency(self):
+        """Each frequency of a non-factorising pair gets its solo value, so the
+        grid agrees with one-frequency calls across six decades."""
+        kern = powerlaw_kernel(3.0)
+        trip = levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.5))
+        s = np.geomspace(1e-3, 1e3, 40)
+        grid, _ = marginal_exponent_grid(kern, trip, s)
+        solo = np.array([marginal_exponent_grid(kern, trip, [v])[0][0] for v in s])
+        np.testing.assert_allclose(grid, solo, rtol=1e-14, atol=0.0)
+        assert np.array_equal(grid, [marginal_exponent_sq(kern, trip, v) for v in s])
+        assert spectral.separable_exponent(kern, trip) is None
+
+    @pytest.mark.parametrize("kern,trip,exact", [
+        (powerlaw_kernel(1.5), stable_triplet(1.0), lambda s: 6.0 * np.abs(s)),
+        (tent_kernel(), stable_triplet(1.0), np.abs),
+        (gaussian_kernel(), gaussian_triplet(0.7),
+         lambda s: 0.7 * s * s / 2.0 * math.sqrt(math.pi / 2.0)),
+    ], ids=["powerlaw-stable", "tent-stable", "gaussian-gaussian"])
+    def test_factorising_closed_form(self, kern, trip, exact):
+        # Re K(s f) = Re K(s) |f|**gamma, so sigma^2 = Re K(s) ||f||_gamma^gamma
+        s = np.array([-7.0, 1e-3, 0.8, 2.0, 1e3])
+        grid, err = marginal_exponent_grid(kern, trip, s)
+        np.testing.assert_allclose(grid, exact(s), rtol=1e-14, atol=0.0)
+        assert err == 0.0
+
+    @pytest.mark.parametrize("kern,trip,gamma", [
+        (box_kernel(), levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.0)), 2.0),
+        (box_kernel(), stable_triplet(0.7), 0.7),
+        (tent_kernel(), gaussian_triplet(), 2.0),
+        (tent_kernel(), levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.0)), None),
+        (powerlaw_kernel(1.5), poisson_triplet(), None),
+    ], ids=["box-mixed", "box-stable", "tent-gaussian", "tent-mixed", "powerlaw-poisson"])
+    def test_separable_exponent(self, kern, trip, gamma):
+        assert spectral.separable_exponent(kern, trip) == gamma
+
     @given(s=st.floats(min_value=1e-2, max_value=1e2))
     @settings(max_examples=20, deadline=None)
     def test_evenness(self, s):
