@@ -19,6 +19,7 @@ import numpy as np
 from . import levy
 from .errors import DivergentNormError, QuadratureError, RejectionError
 from .quadrature import (
+    DEFAULT_ABS_TOL,
     Segment,
     integrate_box,
     integrate_segments,
@@ -26,7 +27,6 @@ from .quadrature import (
     tail_segments,
 )
 
-ABS_TOL = 1e-12
 # surface area of the unit sphere in R^d, d = 1, 2, 3
 SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -324,8 +324,9 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     kernel call.  A box support is integrated over the union of the
     shifted boxes, or over their intersection when ``overlap`` promises
     that g vanishes wherever one kernel value does; an empty intersection
-    gives exact zeros.  Breakpoints are the shifted box faces or +-radius
-    plus the shifted knots.
+    gives exact zeros.  The shifted box faces cut the domain in every
+    dimension (breakpoints in 1-D, where +-radius and the shifted knots
+    cut too), so no interval straddles a face where f may jump.
 
     ``growth`` states how g grows in the kernel values: terms
     (gamma_k, C_k), C_k a number or one value per problem, promising
@@ -337,9 +338,8 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     out is added to the error.  Box supports need no growth.
 
     ``rel_tol`` applies to the nested cubature in d >= 2; 1-D passes use
-    the quadrature default.  Returns the values (P, k) and errors (P,).  In
-    1-D all problems share one engine pass; in d >= 2 each runs its own box
-    cubature.
+    the quadrature default.  All problems share one engine pass in every
+    dimension.  Returns the values (P, k) and errors (P,).
     """
     sup = kernel.support
     d = kernel.dim
@@ -350,8 +350,8 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
         pts = sh[p].swapaxes(0, 1) - np.reshape(x, (1, -1, d))
         return integrand(kernel(pts.reshape(-1, d)).reshape(m, -1), p)
 
-    # per problem: (lower, upper) corners of the shifted boxes, 1-D segments,
-    # breakpoints and the bound on what the domain leaves out;
+    # per problem: the region, 1-D (segments, breakpoints) or in d >= 2 the
+    # corners of the shifted boxes, and the bound on what it leaves out;
     # None where an empty intersection makes the integral exactly zero
     domains = []
     if isinstance(sup, BoundedBox):
@@ -374,11 +374,11 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
             lo, hi = lows[i], highs[i]
             if overlap and np.any(lo >= hi):
                 domains.append(None)
-                continue
-            segs = [Segment(a, b) for a, b in
-                    merge_intervals(zip(lo[:, 0].tolist(), hi[:, 0].tolist()))]
-            domains.append(((lo, hi), segs, lo.ravel().tolist() + hi.ravel().tolist() + knots,
-                            0.0))
+            elif d > 1:
+                domains.append((np.concatenate((lo, hi)), 0.0))
+            else:
+                segs = [Segment(a, b) for a, b in merge_intervals(np.hstack((lo, hi)).tolist())]
+                domains.append(((segs, np.vstack((lo, hi))[:, 0].tolist() + knots), 0.0))
             continue
         core = max(4.0 * sup.radius, 4.0, 2.0 * float(np.max(np.abs(t))) + 2.0 * sup.radius)
         if d > 1:
@@ -386,32 +386,24 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
                 return coefs[i] * SPHERE_AREA[d] * r ** (d - tail_exponent) / (tail_exponent - d)
 
             r = core
-            while tail_bound(r) > ABS_TOL and r < 1e5:
+            while tail_bound(r) > DEFAULT_ABS_TOL and r < 1e5:
                 r *= 2.0
-            domains.append(((np.full((1, d), -r), np.full((1, d), r)), None, None,
-                            tail_bound(r)))
+            domains.append((np.array([[-r] * d, [r] * d]), tail_bound(r)))
             continue
-        tails, residual = tail_segments(core, tail_exponent, coefs[i], ABS_TOL)
+        tails, residual = tail_segments(core, tail_exponent, coefs[i], DEFAULT_ABS_TOL)
         faces = (t[:, 0] - sup.radius).tolist() + (t[:, 0] + sup.radius).tolist()
-        domains.append((None, [Segment(-core, core)] + tails, faces + knots, residual))
+        domains.append((([Segment(-core, core)] + tails, faces + knots), residual))
 
     live = np.array([i for i, dom in enumerate(domains) if dom is not None], dtype=int)
     if not live.size:
         zero = np.zeros_like(integrand(np.zeros((m, 1)), np.zeros(1, dtype=int))[0])
         return np.zeros((n_prob,) + zero.shape, zero.dtype), np.zeros(n_prob)
-    if d == 1:
-        vals, errs = integrate_segments(
-            g if len(live) == n_prob else lambda x, p: g(x, live[p]),
-            [domains[i][1] for i in live], [domains[i][2] for i in live], abs_tol=ABS_TOL)
-    else:
-        rows = []
-        for i in live:
-            lo, hi = domains[i][0]
-            rows.append(integrate_box(lambda x, i=i: g(x, np.full(len(x), i)), lo.min(axis=0),
-                                      hi.max(axis=0), abs_tol=ABS_TOL, rel_tol=rel_tol))
-        vals = np.array([v for v, _ in rows])
-        errs = np.array([e for _, e in rows])
-    errs = errs + np.array([domains[i][3] for i in live])
+    h = g if len(live) == n_prob else lambda x, p: g(x, live[p])
+    regions = [domains[i][0] for i in live]
+    # one engine call: segments and their breakpoints in 1-D, box corners else
+    vals, errs = (integrate_segments(h, *zip(*regions)) if d == 1
+                  else integrate_box(h, regions, rel_tol=rel_tol))
+    errs = errs + np.array([domains[i][1] for i in live])
     out = np.zeros((n_prob,) + vals.shape[1:], vals.dtype)
     out_err = np.zeros(n_prob)
     out[live], out_err[live] = vals, errs

@@ -9,24 +9,24 @@ one vectorized integrand call, so the Python cost is per round, not per
 node.  Rounds are evaluated in chunks of at most ``_CHUNK_ELEMENTS``
 integrand values to bound memory.
 
-Integrand contract: ``func`` takes n nodes, shape (n,) on segments (with
-the integral of each) and (n, d) in boxes, and returns an (n, k) array,
+Integrand contract: ``func`` takes n nodes, shape (n,) on segments and
+(n, d) in boxes, with the integral of each, and returns an (n, k) array,
 real or complex.  Callers describe *where* the integrand lives (linear
 segments near the origin, log-mapped segments for slowly decaying tails,
-boxes in d <= 3) and get back the k integral values plus an additive
-error estimate.
+boxes in d <= 3) and *where it jumps* (breakpoints, box corners), and get
+back the k integral values plus an additive error estimate.
 
 Problem axis: one pass integrates many independent problems.  Each keeps
 its own intervals, breakpoints, tolerance, error, interval limit and
 failure, and its bisection decisions read only its own intervals, so it
 gets the values and error of its solo pass; only the integrand calls are
 shared, each round sending the nodes of every running problem together
-with the problem each node belongs to.  ``integrate_segments`` takes only
-batches: P integrals, each a list of segments, whose integrand is told
-the integral of each node and whose values (P, k) and errors (P,) come
-back; a single integral is a batch of one.  Each segment of an integral
-is one problem of the pass.  ``integrate_box`` makes the inner integrals
-of each outer round the problems of one pass.
+with the problem each node belongs to.  Both entry points take only
+batches of P integrals and return values (P, k) and errors (P,); a
+single integral is a batch of one.  ``integrate_segments`` makes each
+segment of an integral one problem of the pass; ``integrate_box`` makes
+the inner integrals of each outer round, of every box, the problems of
+one pass.
 """
 
 from __future__ import annotations
@@ -377,49 +377,57 @@ def tail_segments(
 
 
 def integrate_box(
-    func: Callable[[np.ndarray], np.ndarray],
-    lo: Sequence[float],
-    hi: Sequence[float],
+    func: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    corners: Sequence[np.ndarray],
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = 1e-8,
-) -> tuple[np.ndarray, float]:
-    """Vector-valued integral over an axis-aligned box in d <= 3 dimensions.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate P independent vector-valued integrals over boxes in d <= 3.
 
-    ``func`` maps an (n, d) array of points to an (n, k) array.  The axes
-    are integrated one inside the other: the nodes of one round on an
-    outer axis fix the leading coordinates of as many inner integrals, and
-    those are the problems of one engine pass on the next axis.  The
-    error is the outer estimate plus the largest inner one, which is
-    pessimistic but safe.
+    Integral p runs over the bounding box of the points ``corners[p]``, a
+    (P, c, d) array, each axis cut at every corner coordinate on it as at
+    breakpoints.  ``func(x, p)`` maps (n, d) points and the integral of
+    each to an (n, k) array.  The axes nest: the nodes of one round on an
+    outer axis, of every integral, fix the leading coordinates of the inner
+    integrals that make up one engine pass on the next axis.  Returns the
+    values (P, k) and errors (P,): the outer estimate plus the integral's
+    largest inner one.  Raises :class:`QuadratureError` naming the failing
+    depth, and the integral when there are several.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.shape != hi.shape or lo.ndim != 1 or not 1 <= lo.size <= 3:
+    edges = np.sort(np.asarray(corners, dtype=float), axis=1)
+    if edges.ndim != 3 or not 1 <= edges.shape[2] <= 3:
         raise ValueError("integrate_box supports boxes in 1..3 dimensions")
-    d = lo.size
-    inner_err = 0.0
+    n_int, _, d = edges.shape
+    cut = edges[:, :-1] < edges[:, 1:]
+    if not cut.any(axis=1).all():
+        raise ValueError("empty box")
+    inner_err = np.zeros(n_int)
 
-    def axis_pass(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Integrals over axes j..d-1, one problem per row of the (n, j) prefix."""
-        nonlocal inner_err
-        n, j = prefix.shape
+    def axis_pass(prefix: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Integrals over axes j..d-1, one problem per row of the (n, j) prefix,
+        row r in integral top[r] and starting from its pieces on axis j."""
+        j = prefix.shape[1]
+        rows, piece = cut[top, :, j].nonzero()
 
         def f(x: np.ndarray, p: np.ndarray) -> np.ndarray:
             pts = np.column_stack([prefix[p], x])
-            return func(pts) if j == d - 1 else axis_pass(pts)[0]
+            return func(pts, top[p]) if j == d - 1 else axis_pass(pts, top[p])[0]
 
-        vals, errs, failure = _adaptive(f, np.arange(n), np.full(n, lo[j]), np.full(n, hi[j]),
-                                        abs_tol, rel_tol, _BOX_LIMIT)
+        owner = top[rows]
+        vals, errs, failure = _adaptive(f, rows, edges[owner, piece, j],
+                                        edges[owner, piece + 1, j], abs_tol, rel_tol, _BOX_LIMIT)
         bad = failure.nonzero()[0]
         if bad.size:
+            i = bad[0]
             where = f"inner quadrature failed at depth {j}" if j else "outer quadrature failed"
-            raise QuadratureError(f"{where}: {failure[bad[0]]}", residual=float(errs[bad[0]]))
+            where += f" on integral {top[i]} of {n_int}" if n_int > 1 else ""
+            raise QuadratureError(f"{where}: {failure[i]}", residual=float(errs[i]))
         if j:
-            inner_err = max(inner_err, float(errs.max()))
+            np.maximum.at(inner_err, top, errs)
         return vals, errs
 
-    vals, errs = axis_pass(np.empty((1, 0)))
-    return vals[0], float(errs[0]) + inner_err
+    vals, errs = axis_pass(np.empty((n_int, 0)), np.arange(n_int))
+    return vals, errs + inner_err
 
 
 def fit_power_law(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

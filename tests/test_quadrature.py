@@ -31,6 +31,12 @@ def one(func, segs, breakpoints=(), **kw):
     return vals[0], errs[0]
 
 
+def box(func, lo, hi, **kw):
+    """A single box integral of ``func(pts)`` as a batch of one: (values, error)."""
+    vals, errs = integrate_box(lambda x, p: func(x), [[lo, hi]], **kw)
+    return vals[0], errs[0]
+
+
 def scalar_form(func):
     """quad_vec's view of a batched integrand: one point in, k values out."""
     return lambda x: func(np.array([x]))[0]
@@ -96,7 +102,7 @@ def test_box_matches_nested_quad_vec():
         x, y = pts[:, 0], pts[:, 1]
         return np.stack([np.exp(-x * x - 2.0 * y * y), np.cos(3.0 * x * y)], axis=1)
 
-    val, _ = integrate_box(func, (-1.0, -0.5), (1.5, 1.0))
+    val, _ = box(func, (-1.0, -0.5), (1.5, 1.0))
     ref, _ = quad_vec(
         lambda x: quad_vec(lambda y: func(np.array([[x, y]]))[0], -0.5, 1.0,
                            epsabs=1e-12, epsrel=1e-8, limit=500)[0],
@@ -114,7 +120,7 @@ def _segments_case(func, segs, exact, rel_tol=1e-10):
 
 
 def _box_case(func, lo, hi, exact):
-    val, err = integrate_box(func, lo, hi)
+    val, err = box(func, lo, hi)
     return np.linalg.norm(val - np.asarray(exact)), err
 
 
@@ -166,8 +172,7 @@ def test_limit_raises():
 
 def test_box_limit_raises():
     with pytest.raises(QuadratureError):
-        integrate_box(lambda p: np.sin(1e5 * p[:, 0] * p[:, 1])[:, None],
-                      (0.0, 0.0), (1.0, 1.0))
+        box(lambda p: np.sin(1e5 * p[:, 0] * p[:, 1])[:, None], (0.0, 0.0), (1.0, 1.0))
 
 
 def test_non_finite_raises():
@@ -322,6 +327,72 @@ def test_batch_failure_names_the_problem():
                            [pts for _, _, pts in problems])
 
 
+def _box_gauss(p):
+    return np.stack([np.exp(-np.sum(p * p, axis=1)), np.cos(p[:, 0])], axis=1)
+
+
+def _box_kink(p):
+    return np.stack([np.prod(np.abs(p - 0.3), axis=1), np.abs(p[:, -1] + 0.2)], axis=1)
+
+
+def _box_waves(p):
+    return np.stack([np.cos(20.0 * np.prod(p, axis=1)), np.sin(5.0 * p[:, 0]) + 0.5], axis=1)
+
+
+def _box_union(p):
+    """1 on [0, 1]^d plus 2 on [0.4, 1.4]^d: jumps on the faces of both boxes."""
+    return np.stack([np.all((p >= 0.0) & (p <= 1.0), axis=1)
+                     + 2.0 * np.all((p >= 0.4) & (p <= 1.4), axis=1), p[:, 0]], axis=1)
+
+
+def _box_peak(p):
+    return np.stack([1.0 / (0.1 + np.sum(p * p, axis=1)), np.ones(len(p))], axis=1)
+
+
+def _box_problems(d):
+    """(integrand, corners) of independent boxes in d dimensions, 4 corners
+    each: a smooth box, kinks cut at the corner coordinates 0.3 and -0.2,
+    oscillation, the union of two boxes cut at all their faces and a peak."""
+    def cube(*values):
+        return np.array([[v] * d for v in values], dtype=float)
+
+    return [(_box_gauss, cube(-1.0, 1.5, -1.0, 1.5)),
+            (_box_kink, cube(-1.0, 1.0, 0.3, -0.2)),
+            (_box_waves, cube(0.0, 1.0, 0.0, 1.0)),
+            (_box_union, cube(0.0, 1.0, 0.4, 1.4)),
+            (_box_peak, cube(-1.0, 1.0, 0.0, 0.0))]
+
+
+def _batched_box(problems):
+    return _batched([(f, corners, ()) for f, corners in problems])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_box_batch_matches_solo_boxes(d):
+    problems = _box_problems(d)
+    vals, errs = integrate_box(_batched_box(problems), [c for _, c in problems])
+    assert vals.shape == (len(problems), 2) and errs.shape == (len(problems),)
+    for j, (f, corners) in enumerate(problems):
+        solo, solo_err = integrate_box(lambda x, p: f(x), [corners])
+        assert np.linalg.norm(vals[j] - solo[0]) <= 1e-14 * np.linalg.norm(solo[0]), j
+        assert errs[j] == pytest.approx(solo_err[0], rel=1e-12), j
+
+
+def test_box_cuts_at_corner_coordinates():
+    """The union of two squares integrates its jumps exactly once cut at their faces."""
+    val, err = integrate_box(lambda x, p: _box_union(x), [_box_problems(2)[3][1]])
+    assert val[0, 0] == pytest.approx(1.0 + 2.0, abs=1e-13) and err[0] < 1e-10
+
+
+def test_box_batch_failure_names_the_integral():
+    problems = _box_problems(2)
+    problems.insert(2, (lambda p: np.stack([np.sin(1e5 * p[:, 0] * p[:, 1])] * 2, axis=1),
+                        np.array([[0.0, 0.0], [1.0, 1.0]] * 2)))
+    with pytest.raises(QuadratureError,
+                       match=r"at depth 1 on integral 2 of 6: target precision not reached"):
+        integrate_box(_batched_box(problems), [c for _, c in problems])
+
+
 def test_batch_calls_respect_element_budget():
     k = 300
     rates = np.geomspace(0.5, 400.0, k)
@@ -360,7 +431,7 @@ def test_box_passes_do_not_follow_outer_nodes(monkeypatch, sharpness):
         return (np.exp(-sharpness * pts[:, 0] ** 2) * np.cos(pts[:, 1]))[:, None]
 
     passes = _count_calls(monkeypatch, "_adaptive")
-    integrate_box(func, (-1.0, 0.0), (1.0, 1.0))
+    box(func, (-1.0, 0.0), (1.0, 1.0))
     if sharpness == 0.0:
         # a constant in x: two outer rounds (21 and 42 nodes), one pass each
         assert len(outer_nodes) == 63 and len(passes) == 3

@@ -215,6 +215,24 @@ class TestCharacteristicFunctions:
         worst = np.abs(levy.cumulant(trip, 2.6 * v)) + levy.cumulant_re(trip, 1.3 * v)
         assert np.all(worst <= bound * (1.0 + 1e-12))
 
+    @pytest.mark.parametrize("trip", [
+        stable_triplet(1.0),
+        levy.LevyTriplet(b0=1.0, measure=levy.CompoundPoisson(2.0, (-0.5, 2.0), (0.6, 0.4))),
+    ], ids=["stable-1", "gaussian+poisson"])
+    def test_joint_integrals_2d_box_closed_form(self, trip):
+        """On the unit square the shifted boxes overlap on area A = prod(1 - |t_i|)+,
+        where the joint integrand is K(s1 + s2); each keeps 1 - A alone."""
+        rng = np.random.default_rng(5)
+        lags = rng.uniform(0.0, 1.5, (12, 2))
+        s1, s2 = (rng.uniform(0.1, 10.0, 12) * rng.choice([-1.0, 1.0], 12) for _ in range(2))
+        joint, num = spectral.joint_integrals(box_kernel(dim=2), trip, lags, s1, s2)
+        area = np.prod(np.maximum(1.0 - lags, 0.0), axis=1)
+        k1, k2 = levy.cumulant(trip, s1), levy.cumulant(trip, s2)
+        exact = area * levy.cumulant(trip, s1 + s2) + (1.0 - area) * (k1 + k2)
+        exact_num = area * np.sqrt(k1.real * k2.real)
+        assert np.all(np.abs(joint - exact) <= 1e-12 * (1.0 + np.abs(exact)))
+        assert np.all(np.abs(num - exact_num) <= 1e-12 * (1.0 + exact_num))
+
 
 class TestDependenceRatio:
     def test_stable_box_equals_tent(self):
