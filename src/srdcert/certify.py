@@ -196,13 +196,14 @@ def frequency_integral(profile: SpectralProfile, threshold: float
                        ) -> IntegralEstimate:
     """integral_0^inf (sigma(s)/s) exp(-(1-threshold) sigma^2(s)) ds.
 
-    The profiled grid supplies power-law endpoint models (erf and erfc
-    closed forms below s_min and above s_max); the middle is one engine
-    pass in u = log s whose integrand makes one ``marginal_exponent_grid``
-    call per subdivision round.  If that pass does not converge the error
-    is infinite and ``note`` carries its message; a failed sigma^2 call
-    raises.  The budget leaves out the error of these sigma^2 values,
-    each held to its own tolerance.
+    A one-term ``levy.power_terms`` gives sigma^2 = C s**gamma for any kernel
+    and the value sqrt(pi / (1-threshold)) / gamma, its rounding the error.
+    Other pairs fit power-law ends to the profiled grid (erf and erfc closed
+    forms below s_min and above s_max) and integrate the middle in one
+    engine pass in u = log s, one ``marginal_exponent_grid`` call per round.
+    A middle that does not converge makes the error infinite, its message
+    in ``note``; a failed sigma^2 call raises.  The budget leaves out the
+    error of those sigma^2 values, each held to its own tolerance.
     Saturating growth at the top of the grid (fitted exponent <= 0.05) or
     flat behaviour at the bottom is flagged divergent.
     """
@@ -212,6 +213,11 @@ def frequency_integral(profile: SpectralProfile, threshold: float
     s = profile.s_grid
     sig = profile.sigma_sq
     kernel, triplet = profile.kernel, profile.triplet
+
+    terms = levy.power_terms(triplet) or ()
+    if len(terms) == 1:
+        value = math.sqrt(math.pi / lam) / terms[0][1]
+        return IntegralEstimate(value=value, error=4.0 * math.ulp(value), divergent=False)
 
     if (triplet.b0 == 0.0 and isinstance(kernel.support, BoundedBox)
             and math.isfinite(levy.abs_moment(triplet.measure, 0))):

@@ -9,6 +9,7 @@ when available, and breakpoints that keep quadrature sharp.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -244,13 +245,17 @@ def tabulated_kernel(axes: tuple[np.ndarray, ...], values: np.ndarray,
         if len(a) < 2 or np.any(np.diff(a) <= 0):
             raise RejectionError("kernel-table", "axes must be strictly increasing")
 
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp = RegularGridInterpolator(axes, values, method="linear",
-                                     bounds_error=False, fill_value=0.0)
-
     def f(pts: np.ndarray) -> np.ndarray:
-        return np.asarray(interp(pts), dtype=float)
+        # the cell of each point along each axis and its offset there;
+        # Kernel.__call__ sets zero outside the grid
+        cells = [np.clip(np.searchsorted(a, x, side="right") - 1, 0, len(a) - 2)
+                 for a, x in zip(axes, pts.T)]
+        frac = [(x - a[i]) / (a[i + 1] - a[i]) for a, x, i in zip(axes, pts.T, cells)]
+        out = np.zeros(len(pts))
+        for corner in itertools.product((0, 1), repeat=dim):
+            weight = np.prod([t if c else 1.0 - t for c, t in zip(corner, frac)], axis=0)
+            out += weight * values[tuple(i + c for i, c in zip(cells, corner))]
+        return out
 
     knots = tuple(float(v) for v in axes[0][1:-1][:200]) if dim == 1 else ()
     return Kernel(

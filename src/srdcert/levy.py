@@ -6,8 +6,9 @@ cumulant is
 
     K(s) = -i*s*a0 + 0.5*s**2*b0 - integral(exp(i*s*y) - 1 - i*s*y*1[|y|<=1], nu0(dy))
 
-with Re K >= 0.  Everything downstream (marginal exponents, dependence
-ratios, certification) consumes K through the evaluators here.
+with Re K >= 0, whose Gaussian and stable parts are the terms c |v|**gamma
+of :func:`power_terms`.  Everything downstream (marginal exponents,
+dependence ratios, certification) consumes K through the evaluators here.
 """
 
 from __future__ import annotations
@@ -241,6 +242,22 @@ def default_validation_triplets() -> list[LevyTriplet]:
 # cumulant evaluation
 
 
+def _power_parts(triplet: LevyTriplet) -> list[tuple[float, float]]:
+    """(c, gamma) of the Gaussian and stable parts: Re K(v) = c |v|**gamma each."""
+    parts = [(0.5 * triplet.b0, 2.0)] if triplet.b0 > 0.0 else []
+    m = triplet.measure
+    if isinstance(m, SymmetricStable):
+        parts.append((m.scale * stable_re_constant(m.alpha), m.alpha))
+    return parts
+
+
+def power_terms(triplet: LevyTriplet) -> tuple[tuple[float, float], ...] | None:
+    """((c_k, gamma_k), ...) when Re K(v) = sum_k c_k |v|**gamma_k exactly (Gaussian,
+    stable, or both), else None."""
+    known = isinstance(triplet.measure, (NoJumps, SymmetricStable))
+    return tuple(_power_parts(triplet)) if known else None
+
+
 def cumulant(triplet: LevyTriplet, s) -> np.ndarray | complex:
     """K(s), vectorised over ``s``.
 
@@ -250,12 +267,10 @@ def cumulant(triplet: LevyTriplet, s) -> np.ndarray | complex:
     other variants are closed-form.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = (-1j * triplet.a0) * s_arr + (0.5 * triplet.b0) * s_arr * s_arr
-    out = out.astype(complex)
+    out = (-1j * triplet.a0) * s_arr + sum(
+        (c * np.abs(s_arr) ** gamma for c, gamma in _power_parts(triplet)), 0.0)
     m = triplet.measure
-    if isinstance(m, SymmetricStable):
-        out += (m.scale * stable_re_constant(m.alpha)) * np.abs(s_arr) ** m.alpha
-    elif isinstance(m, CompoundPoisson):
+    if isinstance(m, CompoundPoisson):
         atoms = np.asarray(m.atoms)
         weights = np.asarray(m.weights)
         phase = np.exp(1j * s_arr[..., None] * atoms)
@@ -271,16 +286,12 @@ def cumulant(triplet: LevyTriplet, s) -> np.ndarray | complex:
 def cumulant_re(triplet: LevyTriplet, s) -> np.ndarray | float:
     """Re K(s) >= 0, computed through |s| so evenness holds exactly."""
     s_arr = np.abs(np.atleast_1d(np.asarray(s, dtype=float)))
-    out = (0.5 * triplet.b0) * s_arr * s_arr
+    out = sum((c * s_arr ** gamma for c, gamma in _power_parts(triplet)), np.zeros_like(s_arr))
     m = triplet.measure
-    if isinstance(m, SymmetricStable):
-        out = out + (m.scale * stable_re_constant(m.alpha)) * s_arr ** m.alpha
-    elif isinstance(m, CompoundPoisson):
+    if isinstance(m, CompoundPoisson):
         atoms = np.asarray(m.atoms)
         weights = np.asarray(m.weights)
-        # 1 - cos via half-angle, stable near 0
-        half = np.sin(0.5 * s_arr[..., None] * atoms)
-        out = out + m.rate * (2.0 * half * half) @ weights
+        out = out + m.rate * _one_minus_cos(s_arr[..., None] * atoms) @ weights
     elif isinstance(m, TabulatedMeasure):
         out = out + np.array([_tabulated_jump_cumulant(m, float(x))[0].real
                               for x in s_arr.ravel()]).reshape(s_arr.shape)
@@ -289,6 +300,7 @@ def cumulant_re(triplet: LevyTriplet, s) -> np.ndarray | float:
 
 
 def _one_minus_cos(z: np.ndarray) -> np.ndarray:
+    """1 - cos z via the half angle, stable near 0."""
     h = np.sin(0.5 * z)
     return 2.0 * h * h
 
@@ -496,22 +508,15 @@ def small_signal_bound(triplet: LevyTriplet) -> tuple[float, float]:
     """(gamma, coef) with Re K(v) <= coef * |v|**gamma for |v| <= 1.
 
     Used to truncate tail integrals where the kernel has already decayed.
-    gamma is the slowest growth exponent among the triplet's parts.
+    The terms are the power terms and, for other jumps, (1/2) integral
+    y**2 nu0(dy) |v|**2 (1 - cos z <= z**2 / 2); gamma is the slowest.
     """
-    parts: list[tuple[float, float]] = []
-    if triplet.b0 > 0.0:
-        parts.append((2.0, 0.5 * triplet.b0))
-    m = triplet.measure
-    if isinstance(m, SymmetricStable):
-        parts.append((m.alpha, m.scale * stable_re_constant(m.alpha)))
-    elif not isinstance(m, NoJumps):
-        # 1 - cos(vy) <= (vy)^2 / 2 for all v
-        parts.append((2.0, 0.5 * abs_moment(m, 2)))
+    parts = _power_parts(triplet)
+    if power_terms(triplet) is None:
+        parts.append((0.5 * abs_moment(triplet.measure, 2), 2.0))
     if not parts:
         raise RejectionError("degenerate-triplet", "no growing cumulant part")
-    gamma = min(g for g, _ in parts)
-    coef = sum(c for _, c in parts)
-    return gamma, coef
+    return min(g for _, g in parts), sum(c for c, _ in parts)
 
 
 def im_linear_coef(triplet: LevyTriplet) -> float:
@@ -523,20 +528,6 @@ def im_linear_coef(triplet: LevyTriplet) -> float:
     if isinstance(triplet.measure, SymmetricStable):
         return abs(triplet.a0)
     return abs(triplet.a0) + 2.0 * abs_moment(triplet.measure, 1)
-
-
-def homogeneity_exponent(triplet: LevyTriplet) -> float | None:
-    """gamma when Re K(v) = coef * |v|**gamma exactly, else None.
-
-    Pure Gaussian gives 2, pure calibrated-or-not stable gives alpha; any
-    mixture breaks exact homogeneity.
-    """
-    m = triplet.measure
-    if triplet.b0 > 0.0 and isinstance(m, NoJumps):
-        return 2.0
-    if triplet.b0 == 0.0 and isinstance(m, SymmetricStable):
-        return m.alpha
-    return None
 
 
 def truncated_mean_shift(triplet: LevyTriplet, v) -> np.ndarray | float:

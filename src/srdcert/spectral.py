@@ -48,9 +48,9 @@ def _shifts(kernel: Kernel, t) -> np.ndarray:
 
 def separable_exponent(kernel: Kernel, triplet: levy.LevyTriplet) -> float | None:
     """gamma with Re K(s f(x)) = Re K(s) |f(x)|**gamma for all s and x, else None:
-    a homogeneous integrator's exponent, or 2 for an indicator (values 0, 1)."""
-    gamma = levy.homogeneity_exponent(triplet)
-    return 2.0 if gamma is None and kernel.indicator else gamma
+    a one-term ``levy.power_terms`` exponent, or 2 for an indicator (values 0, 1)."""
+    terms = levy.power_terms(triplet) or ()
+    return terms[0][1] if len(terms) == 1 else (2.0 if kernel.indicator else None)
 
 
 def _marginal_pass(kernel: Kernel, triplet: levy.LevyTriplet, s: np.ndarray, cumulant,
@@ -65,18 +65,22 @@ def marginal_exponent_grid(kernel: Kernel, triplet: levy.LevyTriplet,
                            s_values: np.ndarray) -> tuple[np.ndarray, float]:
     """sigma^2 on a frequency grid, and the largest error over the grid.
 
-    With gamma from ``separable_exponent``, sigma^2(s) = Re K(s) ||f||_gamma^gamma
-    and the error is the norm's; otherwise each frequency is one problem of
-    a single engine pass, held to its own tolerance.
+    Where ``levy.power_terms`` gives Re K(v) = sum_k c_k |v|**gamma_k, sigma^2 is
+    sum_k c_k |s|**gamma_k ||f||_gamma_k^gamma_k, with the norms' errors, and on an
+    indicator |B| Re K(s); otherwise one engine pass, one problem per frequency.
     """
     s_values = np.asarray(s_values, dtype=float)
-    gamma = separable_exponent(kernel, triplet)
-    if gamma is not None:
+    terms = levy.power_terms(triplet)
+    if terms is None and not kernel.indicator:
+        vals, err = _marginal_pass(kernel, triplet, s_values, levy.cumulant_re, 0.0)
+        return np.maximum(vals[:, 0], 0.0), float(np.max(err, initial=0.0))
+    parts = [(levy.cumulant_re(triplet, s_values), 2.0)] if kernel.indicator \
+        else [(c * np.abs(s_values) ** gamma, gamma) for c, gamma in terms]
+    vals = errs = np.zeros_like(s_values)
+    for re_k, gamma in parts:
         norm, norm_err = _lp_power_integral(kernel, gamma)
-        re_k = levy.cumulant_re(triplet, s_values)
-        return re_k * norm, norm_err * float(np.max(re_k, initial=0.0))
-    vals, err = _marginal_pass(kernel, triplet, s_values, levy.cumulant_re, 0.0)
-    return np.maximum(vals[:, 0], 0.0), float(np.max(err, initial=0.0))
+        vals, errs = vals + re_k * norm, errs + re_k * norm_err
+    return vals, float(np.max(errs, initial=0.0))
 
 
 @lru_cache(maxsize=200_000)

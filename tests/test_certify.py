@@ -31,6 +31,16 @@ def box_stable_profile():
                          window=3.0, t_step=0.025)
 
 
+# Re K = s**2/2 + 1 - cos s is no power sum, so this pair takes the fitted
+# ends and the middle pass of the frequency integral
+BOX_POISSON = (kernels.box_kernel(), levy.poisson_triplet(1.0, atoms=(1.0,), b0=1.0))
+
+
+@pytest.fixture(scope="module")
+def box_poisson_profile():
+    return build_profile(*BOX_POISSON, window=3.0, t_step=0.025)
+
+
 @pytest.fixture(scope="module")
 def box_gaussian_profile():
     return build_profile(kernels.box_kernel(), levy.gaussian_triplet(1.0),
@@ -66,7 +76,7 @@ def test_frequency_integral_scale_invariant(scale):
     assert est.value == pytest.approx(5.0132565492620005, rel=1e-12)
 
 
-def test_frequency_integral_ends_match_scipy_incomplete_gamma(box_stable_profile):
+def test_frequency_integral_ends_match_scipy_incomplete_gamma(box_poisson_profile):
     """The power-law ends are sqrt(pi) P(1/2, u) / (q sqrt(lam)) and the same with
     Q(1/2, u): erf and erfc of sqrt(u)."""
     from scipy.special import gammainc, gammaincc  # reference only
@@ -78,10 +88,10 @@ def test_frequency_integral_ends_match_scipy_incomplete_gamma(box_stable_profile
                                                             abs=0.0)
         else:
             assert math.erfc(math.sqrt(u)) < tiny
-    s, lam = box_stable_profile.s_grid, 0.5
+    s, lam = box_poisson_profile.s_grid, 0.5
     for c in np.geomspace(2e-9, 1.6, 12):
-        prof = dataclasses.replace(box_stable_profile,
-                                   sigma_sq=c * box_stable_profile.sigma_sq)
+        prof = dataclasses.replace(box_poisson_profile,
+                                   sigma_sq=c * box_poisson_profile.sigma_sq)
         sig = prof.sigma_sq
         est = frequency_integral(prof, 1.0 - lam)
         q_lo, q_hi = fit_power_law(s[:4], sig[:4])[1], fit_power_law(s[-4:], sig[-4:])[1]
@@ -89,6 +99,24 @@ def test_frequency_integral_ends_match_scipy_incomplete_gamma(box_stable_profile
         tail = math.sqrt(math.pi) * gammaincc(0.5, lam * sig[-1]) / (q_hi * math.sqrt(lam))
         assert est.head == pytest.approx(head, rel=1e-14, abs=0.0)
         assert est.tail == pytest.approx(tail, rel=1e-12, abs=tiny)
+
+
+def test_frequency_integral_one_term_closed_form(monkeypatch):
+    """stable(0.04) on a box: sigma^2 = s**0.04 grows too slowly for the fitted
+    ends, which read saturation; the one-term closed form certifies with
+    sqrt(pi / 0.75) / 0.04, making no fit and no middle pass."""
+    certify_module = sys.modules["srdcert.certify"]
+
+    def unused(*args):
+        raise AssertionError("fit or middle pass")
+
+    monkeypatch.setattr(certify_module, "fit_power_law", unused)
+    monkeypatch.setattr(certify_module, "marginal_exponent_grid", unused)
+    rep = certify(kernels.box_kernel(), levy.stable_triplet(0.04), window=3.0, t_step=0.025)
+    assert rep.verdict == "certified-SRD" and rep.threshold == 0.25
+    assert rep.freq_value == math.sqrt(math.pi / 0.75) / 0.04
+    assert rep.freq_value == pytest.approx(51.1663353973, rel=1e-11)
+    assert 0.0 < rep.freq_error <= 8.0 * np.finfo(float).eps * rep.freq_value
 
 
 def test_frequency_integral_threshold_validation(box_stable_profile):
@@ -107,9 +135,9 @@ def test_frequency_integral_bounded_exponent_diverges():
     assert "finite jump mass" in est.note
 
 
-def test_frequency_integral_flat_profile_diverges(box_stable_profile):
-    flat = dataclasses.replace(box_stable_profile,
-                               sigma_sq=np.ones_like(box_stable_profile.sigma_sq))
+def test_frequency_integral_flat_profile_diverges(box_poisson_profile):
+    flat = dataclasses.replace(box_poisson_profile,
+                               sigma_sq=np.ones_like(box_poisson_profile.sigma_sq))
     est = frequency_integral(flat, 0.25)
     assert est.divergent
     assert "low-frequency" in est.note
@@ -379,7 +407,7 @@ def test_frequency_integral_nonconvergence_blows_budget(monkeypatch):
         return 1.0 + np.sin(1e4 * s) ** 2, 0.0
 
     monkeypatch.setattr(certify_module, "marginal_exponent_grid", wild_sigma_sq_grid)
-    rep = certify(kernels.box_kernel(), levy.stable_triplet(1.0))
+    rep = certify(*BOX_POISSON)
     assert rep.verdict == "inconclusive"
     assert math.isinf(rep.freq_error) and not rep.freq_divergent
     (reason,) = rep.reasons
@@ -395,7 +423,7 @@ def test_frequency_integral_nan_middle_is_inconclusive(monkeypatch):
         return np.full(len(s), np.nan), 0.0
 
     monkeypatch.setattr(certify_module, "marginal_exponent_grid", nan_sigma_sq_grid)
-    rep = certify(kernels.box_kernel(), levy.stable_triplet(1.0))
+    rep = certify(*BOX_POISSON)
     assert rep.verdict == "inconclusive"
     assert math.isnan(rep.freq_value) and math.isinf(rep.freq_error)
     (reason,) = rep.reasons
@@ -411,11 +439,12 @@ def test_frequency_integral_sigma_sq_failure_propagates(monkeypatch):
 
     monkeypatch.setattr(certify_module, "marginal_exponent_grid", failing_grid)
     with pytest.raises(QuadratureError, match=r"sigma\^2 pass failed"):
-        certify(kernels.box_kernel(), levy.stable_triplet(1.0))
+        certify(*BOX_POISSON)
 
 
-def test_frequency_integral_batches_sigma_sq(monkeypatch, box_stable_profile):
+def test_frequency_integral_batches_sigma_sq(monkeypatch, box_poisson_profile):
     """The middle makes one sigma^2 grid call per subdivision round."""
+    unpatched = frequency_integral(box_poisson_profile, 0.5).value
     certify_module = sys.modules["srdcert.certify"]
     grid = certify_module.marginal_exponent_grid
     sizes = []
@@ -425,7 +454,7 @@ def test_frequency_integral_batches_sigma_sq(monkeypatch, box_stable_profile):
         return grid(kernel, triplet, s)
 
     monkeypatch.setattr(certify_module, "marginal_exponent_grid", counting_grid)
-    est = frequency_integral(box_stable_profile, 0.5)
-    assert est.value == pytest.approx(SQRT_2PI, rel=1e-9)
+    est = frequency_integral(box_poisson_profile, 0.5)
+    assert est.value == pytest.approx(unpatched, rel=1e-9)
     assert 1 <= len(sizes) <= 10, sizes
     assert all(n > 0 and n % 21 == 0 for n in sizes), sizes

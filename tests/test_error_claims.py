@@ -1,0 +1,68 @@
+"""Reported errors against references.
+
+Each row takes one field of one certificate and asserts
+|value - reference| <= reported error + reference error.  A row that fails
+today is ``xfail(strict=True)`` with a reason that names what mends it, so
+the fix flips the row.
+"""
+
+import math
+
+import pytest
+from scipy.integrate import quad  # reference only
+
+from srdcert import kernels, levy
+from srdcert.certify import certify
+
+
+def frequency_reference(sigma_sq, lam: float, gamma_lo: float, c_lo: float
+                        ) -> tuple[float, float]:
+    """integral_0^inf (sigma(s)/s) exp(-lam sigma^2(s)) ds and its error.
+
+    scipy ``quad`` in u = log s over [-60, 8], split every 4 units.  Below
+    s0 = e^-60, where sigma^2 ~ c_lo s**gamma_lo, the head is about
+    2 sqrt(c_lo) s0**(gamma_lo/2) / gamma_lo; twice that joins the error.
+    Above e^8 the integrand is below exp(-lam sigma^2(e^8)), zero here.
+    """
+    def integrand(u: float) -> float:
+        s2 = sigma_sq(math.exp(u))
+        return math.sqrt(s2) * math.exp(-lam * s2)
+
+    value = err = 0.0
+    for lo in range(-60, 8, 4):
+        v, e = quad(integrand, lo, lo + 4, epsabs=1e-15, epsrel=1e-13, limit=200)
+        value, err = value + v, err + e
+    head = 2.0 * math.sqrt(c_lo) * math.exp(-30.0 * gamma_lo) / gamma_lo
+    return value, err + 2.0 * head
+
+
+@pytest.mark.parametrize("sigma_sq,lam,gamma_lo,c_lo,exact", [
+    (lambda s: 2.0 * s ** 0.5, 0.75, 0.5, 2.0, math.sqrt(math.pi / 0.75) / 0.5),
+    (lambda s: 0.5 * s * s, 0.5, 2.0, 0.5, math.sqrt(math.pi / 0.5) / 2.0),
+    (lambda s: s + s * s / 3.0, 0.75, 1.0, 1.0, 1.8447220304128866),
+], ids=["stable-0.5", "gaussian", "tent-gaussian+stable"])
+def test_frequency_reference(sigma_sq, lam, gamma_lo, c_lo, exact):
+    """The reference reproduces sqrt(pi / lam) / gamma for one power term,
+    and the recorded value of the tent Gaussian + stable row."""
+    value, err = frequency_reference(sigma_sq, lam, gamma_lo, c_lo)
+    assert abs(value - exact) <= err + 1e-14 * exact
+
+
+@pytest.fixture(scope="module")
+def tent_gaussian_stable():
+    """The mixed benchmark model: tent kernel, b0 = 1 plus calibrated stable(1)."""
+    trip = levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.0))
+    return certify(kernels.tent_kernel(1.0), trip, window=3.0, t_step=0.2)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the fitted frequency ends of a Gaussian + stable pair understate their"
+    " error; sound closed-form brackets move the value off the benchmark's"
+    " recorded mixed reference, so the row waits for a benchmark change that"
+    " records that reference again"))
+def test_tent_gaussian_stable_freq_value(tent_gaussian_stable):
+    # sigma^2(s) = s ||f||_1 + s**2 ||f||_2^2 / 2 = s + s**2 / 3 on the tent
+    rep = tent_gaussian_stable
+    ref, ref_err = frequency_reference(lambda s: s + s * s / 3.0, 1.0 - rep.threshold,
+                                       gamma_lo=1.0, c_lo=1.0)
+    assert abs(rep.freq_value - ref) <= rep.freq_error + ref_err

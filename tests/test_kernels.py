@@ -93,6 +93,26 @@ class TestEvaluation:
         k = tabulated_kernel((gx, gy), vals)
         assert k.value_at(0.35, 1.15) == pytest.approx(1.5, abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_tabulated_matches_regular_grid_interpolator(self, dim):
+        """The numpy interpolant against scipy's, on random points, on the knots
+        and outside the grid, within 1e-15 of the largest table value."""
+        from scipy.interpolate import RegularGridInterpolator  # reference only
+        rng = np.random.default_rng(11 + dim)
+        axes = tuple(np.sort(rng.uniform(-2.0, 3.0, n)) for n in (9, 6)[:dim])
+        vals = rng.uniform(-1.0, 4.0, tuple(len(a) for a in axes))
+        ref = RegularGridInterpolator(axes, vals, bounds_error=False, fill_value=0.0)
+        k = tabulated_kernel(axes, vals)
+        inside = np.stack([rng.uniform(a[0], a[-1], 500) for a in axes], axis=1)
+        knots = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        outside = np.stack([rng.uniform(-6.0, 7.0, 500) for _ in axes], axis=1)
+        assert (~np.all((outside >= [a[0] for a in axes])
+                        & (outside <= [a[-1] for a in axes]), axis=1)).sum() > 100
+        for pts in (inside, knots, outside):
+            np.testing.assert_allclose(k(pts), ref(pts), rtol=0.0,
+                                       atol=1e-15 * np.abs(vals).max())
+        np.testing.assert_array_equal(k(knots), vals.ravel())
+
     def test_support_validation(self):
         with pytest.raises(RejectionError):
             BoundedBox((0.0,), (0.0,))

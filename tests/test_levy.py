@@ -35,15 +35,19 @@ from srdcert.levy import (
     cumulant_re,
     default_validation_triplets,
     gaussian_triplet,
-    homogeneity_exponent,
     im_linear_coef,
     mean_shift_deviation_bound,
     poisson_triplet,
+    power_terms,
     small_signal_bound,
     stable_re_constant,
     stable_triplet,
     truncated_mean_shift,
 )
+
+# pi / (Gamma(1 + alpha) sin(pi alpha / 2)) at alpha = 1.3 and 0.04
+STABLE_CONST_1_3 = math.pi / (math.gamma(2.3) * math.sin(0.65 * math.pi))
+STABLE_CONST_0_04 = math.pi / (math.gamma(1.04) * math.sin(0.02 * math.pi))
 
 # quadrature oracle values for 2*int_0^inf (1-cos u) u**(-1-alpha) du
 STABLE_CONST_ORACLE = {
@@ -360,12 +364,31 @@ class TestMomentHelpers:
             re = cumulant_re(trip, vs)
             assert np.all(re <= bound * (1 + 1e-12) + 1e-15)
 
-    def test_homogeneity_exponent(self):
-        assert homogeneity_exponent(stable_triplet(0.8)) == 0.8
-        assert homogeneity_exponent(gaussian_triplet()) == 2.0
-        assert homogeneity_exponent(poisson_triplet()) is None
-        mixed = LevyTriplet(b0=1.0, measure=calibrated_stable(1.0))
-        assert homogeneity_exponent(mixed) is None
+    @pytest.mark.parametrize("trip,expect", [
+        (gaussian_triplet(0.7), ((0.35, 2.0),)),
+        (stable_triplet(0.8), ((1.0, 0.8),)),
+        (stable_triplet(1.3, scale=2.5), ((2.5 * STABLE_CONST_1_3, 1.3),)),
+        (LevyTriplet(b0=1.0, measure=calibrated_stable(1.0)), ((0.5, 2.0), (1.0, 1.0))),
+        (LevyTriplet(a0=0.3, b0=0.4, measure=SymmetricStable(0.04, 3.0)),
+         ((0.2, 2.0), (3.0 * STABLE_CONST_0_04, 0.04))),
+    ], ids=["gaussian", "stable", "stable-scaled", "gaussian+stable", "drift+gaussian+stable"])
+    def test_power_terms(self, trip, expect):
+        """Re K(v) = sum_k c_k |v|**gamma_k at random v, signs and decades."""
+        terms = power_terms(trip)
+        assert [g for _, g in terms] == [g for _, g in expect]
+        assert [c for c, _ in terms] == pytest.approx([c for c, _ in expect], rel=1e-14)
+        rng = np.random.default_rng(17)
+        v = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-6.0, 6.0, 200)
+        expect = sum(c * np.abs(v) ** gamma for c, gamma in terms)
+        np.testing.assert_allclose(cumulant_re(trip, v), expect, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("trip", [
+        poisson_triplet(),
+        LevyTriplet(measure=bench_table()),
+        poisson_triplet(2.0, atoms=(-0.5, 2.0), weights=(0.6, 0.4), b0=1.0),
+    ], ids=["poisson", "table", "gaussian+poisson"])
+    def test_power_terms_none_for_other_jumps(self, trip):
+        assert power_terms(trip) is None
 
 
 finite_s = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,

@@ -239,15 +239,36 @@ def test_levy_imports_nothing_from_scipy_integrate():
     assert not offenders, offenders
 
 
+def test_src_imports_no_scipy():
+    """No module under src/ imports scipy, at module level or lazily inside a function."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
+
+
 def test_import_leaves_scipy_integrate_unloaded(tmp_path):
-    """A certify run, Gaussian quantiles and tabulated moments load no scipy module."""
+    """A certify run, Gaussian quantiles, tabulated moments and a tabulated
+    kernel's norm load no scipy module."""
     config = SRC.parents[1] / "configs" / "example.cfg"
     code = "\n".join([
         "import sys",
-        "from srdcert import cli, levy, simulate",
+        "import numpy as np",
+        "from srdcert import cli, kernels, levy, simulate",
         f"assert cli.main(['certify', {str(config)!r}, '--output', {str(tmp_path)!r}]) == 0",
         "simulate.gaussian_quantiles(16)",
         "levy.abs_moment(levy.TabulatedMeasure((-2.0, -0.5, 0.5, 2.0), (0.1, 1.0, 1.0, 0.1)), 2)",
+        "axes = (np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 2.0, 3))",
+        "table = kernels.tabulated_kernel(axes, np.add.outer(1.0 - np.abs(axes[0]), axes[1]))",
+        "assert abs(kernels.lp_norm(table, 1.0) - 6.0) < 1e-9",
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
     ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

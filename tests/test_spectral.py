@@ -140,6 +140,34 @@ class TestMarginalExponent:
     def test_separable_exponent(self, kern, trip, gamma):
         assert spectral.separable_exponent(kern, trip) == gamma
 
+    @pytest.mark.parametrize("kern,alpha", [
+        (tent_kernel(), 1.0),
+        (powerlaw_kernel(3.0), 1.5),
+        (gaussian_kernel(dim=2), 1.5),
+    ], ids=["tent-1", "powerlaw3-1.5", "gaussian2d-1.5"])
+    def test_power_sum_closed_form_matches_engine(self, kern, alpha):
+        """b0 = 1 plus stable: sigma^2 = s**2/2 ||f||_2^2 + s**alpha ||f||_alpha^alpha
+        agrees with one engine problem per frequency within that problem's error."""
+        trip = levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(alpha))
+        s = np.geomspace(1e-3, 1e3, 40)
+        grid, err = marginal_exponent_grid(kern, trip, s)
+        engine, engine_err = spectral._marginal_pass(kern, trip, s, levy.cumulant_re, 0.0)
+        assert np.all(np.abs(grid - engine[:, 0]) <= engine_err + err)
+
+    def test_power_sum_makes_no_engine_pass(self, monkeypatch):
+        """A 3-D Gaussian kernel with b0 = 1 plus stable 1.5 takes closed-form norms."""
+        def no_pass(*args, **kwargs):
+            raise AssertionError("engine pass")
+
+        monkeypatch.setattr(spectral, "_marginal_pass", no_pass)
+        kern = gaussian_kernel(dim=3)
+        trip = levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.5))
+        s = np.geomspace(1e-3, 1e3, 40)
+        grid, err = marginal_exponent_grid(kern, trip, s)
+        exact = 0.5 * s * s * (math.pi / 2.0) ** 1.5 + s ** 1.5 * (math.pi / 1.5) ** 1.5
+        np.testing.assert_allclose(grid, exact, rtol=1e-14, atol=0.0)
+        assert err == 0.0
+
     @given(s=st.floats(min_value=1e-2, max_value=1e2))
     @settings(max_examples=20, deadline=None)
     def test_evenness(self, s):
