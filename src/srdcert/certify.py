@@ -29,7 +29,7 @@ from .kernels import (
     _lp_power_integral,
     check_integrability,
 )
-from .quadrature import Segment, fit_power_law, integrate_segments
+from .quadrature import fit_power_law, integrate_box
 from .spectral import (
     DEFAULT_S_BOX,
     SpectralProfile,
@@ -250,16 +250,16 @@ def frequency_integral(profile: SpectralProfile, threshold: float
 
     def integrand(u: np.ndarray, _) -> np.ndarray:
         try:
-            s2 = marginal_exponent_grid(kernel, triplet, np.exp(u))[0]
+            s2 = marginal_exponent_grid(kernel, triplet, np.exp(u[:, 0]))[0]
         except QuadratureError as exc:
             grid_failures.append(exc)
             raise
         return (np.sqrt(s2) * np.exp(-lam * s2))[:, None]
 
     try:
-        (middle,), (mid_err,) = integrate_segments(
-            integrand, [[Segment(math.log(s[0]), math.log(s[-1]))]], [(0.0,)],
-            abs_tol=1e-12, rel_tol=1e-9)
+        a, b = math.log(s[0]), math.log(s[-1])
+        (middle,), (mid_err,) = integrate_box(
+            integrand, np.clip([a, b, 0.0], a, b)[None, :, None], abs_tol=1e-12, rel_tol=1e-9)
         middle, mid_err, note = float(middle[0]), float(mid_err), ""
     except QuadratureError as exc:
         if grid_failures:

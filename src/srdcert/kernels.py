@@ -19,17 +19,12 @@ import numpy as np
 
 from . import levy
 from .errors import DivergentNormError, QuadratureError, RejectionError
-from .quadrature import (
-    DEFAULT_ABS_TOL,
-    Segment,
-    integrate_box,
-    integrate_segments,
-    merge_intervals,
-    tail_segments,
-)
+from .quadrature import DEFAULT_ABS_TOL, integrate_box
 
 # surface area of the unit sphere in R^d, d = 1, 2, 3
 SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+# Hard ceiling on the reach of a 1-D tail in u = log|x|: exp(80) ~ 5.5e34.
+_MAX_LOG_RANGE = 80.0
 
 
 @dataclass(frozen=True)
@@ -326,12 +321,13 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     problem.  ``integrand(fv, p)`` maps an (m, n) array of kernel values,
     column j holding f(t_1 - x_j), ..., f(t_m - x_j), and the problem of
     each point to the (n, k) values of g; each batch of points costs one
-    kernel call.  A box support is integrated over the union of the
-    shifted boxes, or over their intersection when ``overlap`` promises
-    that g vanishes wherever one kernel value does; an empty intersection
-    gives exact zeros.  The shifted box faces cut the domain in every
-    dimension (breakpoints in 1-D, where +-radius and the shifted knots
-    cut too), so no interval straddles a face where f may jump.
+    kernel call.  g must vanish where every kernel value does:
+    g(0, ..., 0) = 0.  A box support is integrated over the bounding box of
+    the shifted boxes, which that contract makes their union, or over
+    their intersection when ``overlap`` promises that g vanishes wherever
+    one kernel value does; an empty intersection gives exact zeros.  The
+    shifted box faces, and the shifted 1-D knots inside the box, cut every
+    axis, so no interval straddles a face or knot where f may jump.
 
     ``growth`` states how g grows in the kernel values: terms
     (gamma_k, C_k), C_k a number or one value per problem, promising
@@ -340,29 +336,37 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     beyond the core |x| >= 4, every |t_j - x| >= |x|/2, so g is bounded by
     sum_k C_k (amp 2**beta)**gamma_k |x|**(-beta min gamma), the minimum
     over terms with a nonzero C_k, and the bound on what the domain leaves
-    out is added to the error.  Box supports need no growth.
+    out is added to the error.  In 1-D the domain is the core, cut at the
+    shifted faces +-radius and knots, and two tails in u = log|x|, the
+    three summed per problem; in d >= 2 a cube.  Box supports need no
+    growth.
 
-    ``rel_tol`` applies to the nested cubature in d >= 2; 1-D passes use
-    the quadrature default.  All problems share one engine pass in every
-    dimension.  Returns the values (P, k) and errors (P,).
+    ``rel_tol`` applies to the nested cubature in d >= 2; 1-D integrals
+    keep the engine's 1-D default.  All problems share one
+    ``integrate_box`` call in every dimension.  Returns the values (P, k)
+    and errors (P,).
     """
     sup = kernel.support
     d = kernel.dim
     sh = np.asarray(shifts, dtype=float)
     n_prob, m = sh.shape[:2]
 
-    def g(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        pts = sh[p].swapaxes(0, 1) - np.reshape(x, (1, -1, d))
-        return integrand(kernel(pts.reshape(-1, d)).reshape(m, -1), p)
-
-    # per problem: the region, 1-D (segments, breakpoints) or in d >= 2 the
-    # corners of the shifted boxes, and the bound on what it leaves out;
-    # None where an empty intersection makes the integral exactly zero
-    domains = []
+    # Each problem becomes boxes, given as corner sets: the shifted boxes or
+    # their intersection, or under an envelope a core, in 1-D with two tails
+    # in u = log|x| that sign = +-1 maps to x = sign e^u.  The shifted knots
+    # inside a box cut it.  owner is the problem of each box; residual bounds
+    # what a problem's boxes leave out.
+    knots = np.subtract.outer(sh, kernel.knots).reshape(n_prob, -1, d)
+    residual = np.zeros(n_prob)
     if isinstance(sup, BoundedBox):
-        lows, highs = sh - np.asarray(sup.hi), sh - np.asarray(sup.lo)
+        lo, hi = sh - np.asarray(sup.hi), sh - np.asarray(sup.lo)
         if overlap:
-            lows, highs = lows.max(axis=1, keepdims=True), highs.min(axis=1, keepdims=True)
+            lo, hi = lo.max(axis=1, keepdims=True), hi.min(axis=1, keepdims=True)
+        # an empty intersection makes the integral exactly zero
+        owner = (lo < hi).all(axis=(1, 2)).nonzero()[0]
+        cuts = knots.clip(lo.min(axis=1, keepdims=True), hi.max(axis=1, keepdims=True))
+        boxes = np.concatenate((lo, hi, cuts), axis=1)[owner]
+        sign = np.zeros(len(owner))
     else:
         terms = [(gamma, np.zeros(n_prob) + c) for gamma, c in growth]
         terms = [(gamma, c) for gamma, c in terms if np.any(c != 0.0)]
@@ -373,46 +377,63 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
             raise QuadratureError(
                 f"spatial tail exponent {tail_exponent:g} <= dim {d}: integral diverges",
                 residual=math.inf)
-    for i, t in enumerate(sh):
-        knots = [a - k for a in t[:, 0].tolist() for k in kernel.knots]
-        if isinstance(sup, BoundedBox):
-            lo, hi = lows[i], highs[i]
-            if overlap and np.any(lo >= hi):
-                domains.append(None)
-            elif d > 1:
-                domains.append((np.concatenate((lo, hi)), 0.0))
-            else:
-                segs = [Segment(a, b) for a, b in merge_intervals(np.hstack((lo, hi)).tolist())]
-                domains.append(((segs, np.vstack((lo, hi))[:, 0].tolist() + knots), 0.0))
-            continue
-        core = max(4.0 * sup.radius, 4.0, 2.0 * float(np.max(np.abs(t))) + 2.0 * sup.radius)
-        if d > 1:
-            def tail_bound(r: float) -> float:
-                return coefs[i] * SPHERE_AREA[d] * r ** (d - tail_exponent) / (tail_exponent - d)
+        boxes, owner, sign = [], [], []
+        for i, t in enumerate(sh):
+            core = max(4.0 * sup.radius, 4.0, 2.0 * float(np.max(np.abs(t))) + 2.0 * sup.radius)
+            owner.append(i)
+            sign.append(0.0)
+            if d > 1:
+                def tail_bound(r: float) -> float:
+                    return coefs[i] * SPHERE_AREA[d] * r ** (d - tail_exponent) / (tail_exponent - d)
 
-            r = core
-            while tail_bound(r) > DEFAULT_ABS_TOL and r < 1e5:
-                r *= 2.0
-            domains.append((np.array([[-r] * d, [r] * d]), tail_bound(r)))
-            continue
-        tails, residual = tail_segments(core, tail_exponent, coefs[i], DEFAULT_ABS_TOL)
-        faces = (t[:, 0] - sup.radius).tolist() + (t[:, 0] + sup.radius).tolist()
-        domains.append((([Segment(-core, core)] + tails, faces + knots), residual))
+                r = core
+                while tail_bound(r) > DEFAULT_ABS_TOL and r < 1e5:
+                    r *= 2.0
+                boxes.append(np.array([[-r] * d, [r] * d]))
+                residual[i] = tail_bound(r)
+                continue
+            cuts = np.concatenate((t - sup.radius, t + sup.radius, knots[i]))
+            boxes.append(np.concatenate(([[-core], [core]], cuts.clip(-core, core))))
+            if coefs[i] > 0.0:
+                # the tails reach where the remainder 2 C R**(1-p) / (p-1)
+                # drops below the tolerance, or exp(_MAX_LOG_RANGE) times the core
+                q = tail_exponent - 1.0
+                r_needed = (2.0 * coefs[i] / (q * DEFAULT_ABS_TOL)) ** (1.0 / q)
+                r_max = min(max(r_needed, 2.0 * core), core * np.exp(_MAX_LOG_RANGE))
+                residual[i] = 2.0 * coefs[i] * r_max ** (1.0 - tail_exponent) / q
+                tail = np.full_like(boxes[-1], np.log(r_max))
+                tail[0] = np.log(core)
+                boxes += [tail, tail]
+                owner += [i, i]
+                sign += [1.0, -1.0]
+        owner, sign = np.array(owner), np.array(sign)
 
-    live = np.array([i for i, dom in enumerate(domains) if dom is not None], dtype=int)
-    if not live.size:
+    if not owner.size:
         zero = np.zeros_like(integrand(np.zeros((m, 1)), np.zeros(1, dtype=int))[0])
         return np.zeros((n_prob,) + zero.shape, zero.dtype), np.zeros(n_prob)
-    h = g if len(live) == n_prob else lambda x, p: g(x, live[p])
-    regions = [domains[i][0] for i in live]
-    # one engine call: segments and their breakpoints in 1-D, box corners else
-    vals, errs = (integrate_segments(h, *zip(*regions)) if d == 1
-                  else integrate_box(h, regions, rel_tol=rel_tol))
-    errs = errs + np.array([domains[i][1] for i in live])
+
+    mapped = sign.any()
+
+    def g(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """g at the points x of the boxes b, a tail node u at x = sign e^u
+        with the Jacobian e^u."""
+        p = owner[b]
+        if mapped:
+            s, u = sign[b], x[:, 0]
+            log_nodes = s != 0.0
+            jac = np.ones(len(u))
+            jac[log_nodes] = np.exp(u[log_nodes])
+            x = np.where(log_nodes, s * jac, u)
+        pts = sh[p].swapaxes(0, 1) - np.reshape(x, (1, -1, d))
+        vals = integrand(kernel(pts.reshape(-1, d)).reshape(m, -1), p)
+        return vals * jac[:, None] if mapped else vals
+
+    # one engine call in every dimension; 1-D keeps the engine's 1-D tolerance
+    vals, errs = integrate_box(g, boxes, rel_tol=rel_tol if d > 1 else None)
+    # each problem's boxes summed in order: the core, then its tails
     out = np.zeros((n_prob,) + vals.shape[1:], vals.dtype)
-    out_err = np.zeros(n_prob)
-    out[live], out_err[live] = vals, errs
-    return out, out_err
+    np.add.at(out, owner, vals)
+    return out, np.bincount(owner, errs, n_prob) + residual
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import QuadratureError, RejectionError
-from .quadrature import Segment, integrate_segments
+from .quadrature import integrate_box
 
 # Jump sizes below this are treated as absent in tabulated measures; the
 # compensated integrand scales like y**2 there so the truncation error is
@@ -273,10 +273,12 @@ def cumulant(triplet: LevyTriplet, s) -> np.ndarray | complex:
     if isinstance(m, CompoundPoisson):
         atoms = np.asarray(m.atoms)
         weights = np.asarray(m.weights)
-        phase = np.exp(1j * s_arr[..., None] * atoms)
-        jump = m.rate * (1.0 - phase @ weights)
-        m1 = m.rate * float(weights @ (atoms * (np.abs(atoms) <= 1.0)))
-        out += jump + 1j * s_arr * m1
+        z = s_arr[..., None] * atoms
+        # 1 - cos z and z 1[|a| <= 1] - sin z without cancellation near 0
+        inner = np.abs(atoms) <= 1.0
+        q = -np.sin(z)
+        q[..., inner] = _z_minus_sin(z[..., inner])
+        out += m.rate * _one_minus_cos(z) @ weights + 1j * (m.rate * q @ weights)
     elif isinstance(m, TabulatedMeasure):
         out += np.array([_tabulated_jump_cumulant(m, float(x))[0] for x in s_arr.ravel()],
                         dtype=complex).reshape(s_arr.shape)
@@ -308,8 +310,9 @@ def _one_minus_cos(z: np.ndarray) -> np.ndarray:
 def _z_minus_sin(z: np.ndarray) -> np.ndarray:
     """z - sin z, series-stable for small |z|."""
     z = np.asarray(z, dtype=float)
+    out = z - np.sin(z)
     small = np.abs(z) < 1e-4
-    out = np.where(small, z ** 3 / 6.0 - z ** 5 / 120.0, z - np.sin(z))
+    out[small] = z[small] ** 3 / 6.0 - z[small] ** 5 / 120.0
     return out
 
 
@@ -349,16 +352,17 @@ def _tabulated_jump_cumulant(m: TabulatedMeasure, s: float) -> tuple[complex, fl
     for side in sides:
         knots = side.knots
         if r_cut > knots[0]:
-            def f(u, _, side=side):
+            def f(x, _, side=side):
+                u = x[:, 0]
                 r = np.exp(u)
                 z = sa * r
                 w = side.density(r) * r
                 q = np.where(u <= 0.0, _z_minus_sin(z), -np.sin(z))
                 return np.stack([_one_minus_cos(z) * w, q * w], axis=1)
 
-            (val,), (err,) = integrate_segments(
-                f, [[Segment(math.log(knots[0]), math.log(min(knots[-1], r_cut)))]],
-                [[0.0, *np.log(knots)]], abs_tol=1e-14, rel_tol=1e-11)
+            a, b = math.log(knots[0]), math.log(min(knots[-1], r_cut))
+            cuts = np.clip([a, b, 0.0, *np.log(knots)], a, b)
+            (val,), (err,) = integrate_box(f, cuts[None, :, None], abs_tol=1e-14, rel_tol=1e-11)
             re_total += float(val[0])
             im_odd += side.sign * float(val[1])
             err_total += float(err)

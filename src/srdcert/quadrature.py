@@ -9,30 +9,34 @@ one vectorized integrand call, so the Python cost is per round, not per
 node.  Rounds are evaluated in chunks of at most ``_CHUNK_ELEMENTS``
 integrand values to bound memory.
 
-Integrand contract: ``func`` takes n nodes, shape (n,) on segments and
-(n, d) in boxes, with the integral of each, and returns an (n, k) array,
-real or complex.  Callers describe *where* the integrand lives (linear
-segments near the origin, log-mapped segments for slowly decaying tails,
-boxes in d <= 3) and *where it jumps* (breakpoints, box corners), and get
-back the k integral values plus an additive error estimate.
+Integrand contract: ``func`` takes n nodes, shape (n, d), with the
+integral of each, and returns an (n, k) array, real or complex.
+:func:`integrate_box` is the one entry point, in every dimension 1..3:
+callers describe *where* the integrand lives as boxes, each the bounding
+box of a set of corner points, and *where it jumps* by further corner
+points inside it (shifted faces, kernel knots, breakpoints), at whose
+coordinates every axis is cut; they get back the k integral values plus
+an additive error estimate.  The whole bounding box is integrated, so a
+domain that is a union of boxes needs an integrand that vanishes in the
+gaps between them.  Unbounded or slowly decaying ranges are the
+caller's: it integrates in its own coordinates, u = log|x| for a
+power-law tail, and bounds what its boxes leave out.
 
 Problem axis: one pass integrates many independent problems.  Each keeps
-its own intervals, breakpoints, tolerance, error, interval limit and
-failure, and its bisection decisions read only its own intervals, so it
-gets the values and error of its solo pass; only the integrand calls are
-shared, each round sending the nodes of every running problem together
-with the problem each node belongs to.  Both entry points take only
-batches of P integrals and return values (P, k) and errors (P,); a
-single integral is a batch of one.  ``integrate_segments`` makes each
-segment of an integral one problem of the pass; ``integrate_box`` makes
-the inner integrals of each outer round, of every box, the problems of
-one pass.
+its own intervals, tolerance, error, interval limit and failure, and its
+bisection decisions read only its own intervals, so it gets the values
+and error of its solo pass; only the integrand calls are shared, each
+round sending the nodes of every running problem together with the
+problem each node belongs to.  ``integrate_box`` takes only batches of P
+integrals and returns values (P, k) and errors (P,); a single integral
+is a batch of one.  In 1-D each integral is one problem of one pass; in
+d >= 2 the inner integrals of each outer round, of every box, are the
+problems of one pass on the next axis.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,11 +48,9 @@ from .errors import QuadratureError
 DEFAULT_ABS_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-10
 
-# Hard ceiling on log-mapped tail range: exp(80) ~ 5.5e34.
-_MAX_LOG_RANGE = 80.0
-
-# Interval limits of one adaptive pass on a segment and on a box axis.
-_SEGMENT_LIMIT = 2000
+# Interval limits of one adaptive pass on a line (d = 1) and on each axis
+# of a nested box (d >= 2).
+_LINE_LIMIT = 2000
 _BOX_LIMIT = 500
 # Most intervals bisected in one round.
 _ROUND_INTERVALS = 128
@@ -87,38 +89,6 @@ _K21_HALF_WEIGHTS = (0.011694638867371874278064396062192,
                      0.147739104901338491374841515972068)
 _K21_WEIGHTS = np.array(_K21_HALF_WEIGHTS + (0.149445554002916905664936468389821,)
                         + tuple(reversed(_K21_HALF_WEIGHTS)))
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One integration piece on the real line.
-
-    ``lo < hi`` always refers to linear coordinates.  When ``log`` is true
-    the segment must not straddle 0; integration runs in u = log|x| to keep
-    slowly decaying tails cheap.
-    """
-
-    lo: float
-    hi: float
-    log: bool = False
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"empty segment [{self.lo}, {self.hi}]")
-        if self.log and self.lo < 0.0 < self.hi:
-            raise ValueError("log segment must not contain 0")
-
-
-def merge_intervals(intervals: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Union of closed intervals, merged and sorted."""
-    pairs = sorted((lo, hi) for lo, hi in intervals if lo < hi)
-    merged: list[tuple[float, float]] = []
-    for lo, hi in pairs:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -280,107 +250,11 @@ def _adaptive(func, prob: np.ndarray, lo: np.ndarray, hi: np.ndarray, abs_tol: f
     return total, global_error + rounding_error, failure
 
 
-def integrate_segments(
-    func: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    segments: Sequence[Sequence[Segment]],
-    breakpoints: Sequence = (),
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate P independent vector-valued integrals in one engine pass.
-
-    Integral p runs over the union of the segments in ``segments[p]``,
-    split at the points of ``breakpoints[p]`` inside each (no breakpoints
-    when ``breakpoints`` is empty); a log-mapped segment runs in
-    u = log|x| and ignores them.  ``func(x, p)`` maps an (n,) array of
-    points and the integral of each to an (n, k) array, real or complex.
-    Each segment is one problem of the pass.  Returns the values (P, k)
-    and the summed error estimates (P,).  Raises :class:`QuadratureError`
-    naming the first segment that fails to converge, and its integral when
-    there are several.
-    """
-    points = breakpoints if len(breakpoints) else [()] * len(segments)
-    owner, sign, edges, first = [], [], [], []
-    prob, lo, hi = [], [], []
-    for i, (segs, pts) in enumerate(zip(segments, points)):
-        if not segs:
-            raise ValueError("no segments to integrate")
-        first.append(len(owner))
-        for seg in segs:
-            if seg.log:
-                sign.append(1.0 if seg.lo > 0 else -1.0)
-                cuts = sorted([float(np.log(abs(seg.lo))), float(np.log(abs(seg.hi)))])
-            else:
-                sign.append(0.0)
-                cuts = [seg.lo] + sorted(p for p in set(pts) if seg.lo < p < seg.hi) + [seg.hi]
-            prob += [len(owner)] * (len(cuts) - 1)
-            lo += cuts[:-1]
-            hi += cuts[1:]
-            owner.append(i)
-            edges.append(cuts)
-    mapped = any(sign)
-    owner, sign = np.array(owner), np.array(sign)
-
-    def g(u: np.ndarray, p: np.ndarray) -> np.ndarray:
-        if not mapped:
-            return func(u, owner[p])
-        s = sign[p]
-        log_nodes = s != 0.0
-        jac = np.ones(len(u))
-        jac[log_nodes] = np.exp(u[log_nodes])
-        return func(np.where(log_nodes, s * jac, u), owner[p]) * jac[:, None]
-
-    vals, errs, failure = _adaptive(g, np.array(prob), lo, hi, abs_tol, rel_tol, _SEGMENT_LIMIT)
-    bad = failure.nonzero()[0]
-    if bad.size:
-        j = bad[0]
-        val = vals[j]
-        raise QuadratureError(
-            "adaptive quadrature failed on "
-            + (f"integral {owner[j]} of {len(segments)}, " if len(segments) > 1 else "")
-            + f"[{edges[j][0]}, {edges[j][-1]}]"
-            + (" (log-mapped)" if sign[j] else "") + f": {failure[j]}",
-            partial=complex(np.sum(val)) if np.iscomplexobj(val) else float(np.sum(val)),
-            residual=float(errs[j]))
-    return np.add.reduceat(vals, first, axis=0), np.add.reduceat(errs, first)
-
-
-def tail_segments(
-    core_radius: float,
-    decay_exponent: float,
-    decay_coef: float,
-    abs_tol: float,
-) -> tuple[list[Segment], float]:
-    """Log-mapped two-sided tail segments for a 1-D integrand bounded by
-    ``decay_coef * |x|**(-decay_exponent)`` beyond ``core_radius``.
-
-    Returns the segments plus the analytic residual beyond their reach; the
-    residual is what the caller should add to its error estimate.
-    """
-    p = decay_exponent
-    if p <= 1.0:
-        raise QuadratureError(
-            f"tail decay exponent {p} <= 1: integral diverges", residual=np.inf)
-    # radius where the analytic remainder 2*coef*R^(1-p)/(p-1) drops below tol
-    if decay_coef <= 0.0:
-        return [], 0.0
-    r_needed = (2.0 * decay_coef / ((p - 1.0) * max(abs_tol, 1e-300))) ** (1.0 / (p - 1.0))
-    r_max = min(max(r_needed, 2.0 * core_radius),
-                core_radius * np.exp(_MAX_LOG_RANGE))
-    residual = 2.0 * decay_coef * r_max ** (1.0 - p) / (p - 1.0)
-    if r_max <= core_radius * (1 + 1e-12):
-        return [], residual
-    return (
-        [Segment(core_radius, r_max, log=True), Segment(-r_max, -core_radius, log=True)],
-        residual,
-    )
-
-
 def integrate_box(
     func: Callable[[np.ndarray, np.ndarray], np.ndarray],
     corners: Sequence[np.ndarray],
     abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = 1e-8,
+    rel_tol: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate P independent vector-valued integrals over boxes in d <= 3.
 
@@ -389,10 +263,14 @@ def integrate_box(
     breakpoints.  ``func(x, p)`` maps (n, d) points and the integral of
     each to an (n, k) array.  The axes nest: the nodes of one round on an
     outer axis, of every integral, fix the leading coordinates of the inner
-    integrals that make up one engine pass on the next axis.  Returns the
-    values (P, k) and errors (P,): the outer estimate plus the integral's
-    largest inner one.  Raises :class:`QuadratureError` naming the failing
-    depth, and the integral when there are several.
+    integrals that make up one engine pass on the next axis.  A pass holds
+    at most ``_LINE_LIMIT`` intervals per problem in 1-D and ``_BOX_LIMIT``
+    on a nested axis; ``rel_tol`` defaults to ``DEFAULT_REL_TOL`` in 1-D
+    and to 1e-8 in d >= 2.  Returns the values (P, k) and errors (P,): the
+    outer estimate plus the integral's largest inner one.  Raises
+    :class:`QuadratureError` with the failing problem's value and error;
+    on the outer axis it names the integral, when there are several, and
+    its extent on that axis, deeper the failing depth.
     """
     edges = np.sort(np.asarray(corners, dtype=float), axis=1)
     if edges.ndim != 3 or not 1 <= edges.shape[2] <= 3:
@@ -401,6 +279,9 @@ def integrate_box(
     cut = edges[:, :-1] < edges[:, 1:]
     if not cut.any(axis=1).all():
         raise ValueError("empty box")
+    if rel_tol is None:
+        rel_tol = DEFAULT_REL_TOL if d == 1 else 1e-8
+    limit = _LINE_LIMIT if d == 1 else _BOX_LIMIT
     inner_err = np.zeros(n_int)
 
     def axis_pass(prefix: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -410,18 +291,27 @@ def integrate_box(
         rows, piece = cut[top, :, j].nonzero()
 
         def f(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-            pts = np.column_stack([prefix[p], x])
-            return func(pts, top[p]) if j == d - 1 else axis_pass(pts, top[p])[0]
+            # on the outer axis the problems are the integrals themselves
+            pts, q = (np.column_stack([prefix[p], x]), top[p]) if j else (x[:, None], p)
+            return func(pts, q) if j == d - 1 else axis_pass(pts, q)[0]
 
         owner = top[rows]
         vals, errs, failure = _adaptive(f, rows, edges[owner, piece, j],
-                                        edges[owner, piece + 1, j], abs_tol, rel_tol, _BOX_LIMIT)
+                                        edges[owner, piece + 1, j], abs_tol, rel_tol, limit)
         bad = failure.nonzero()[0]
         if bad.size:
             i = bad[0]
-            where = f"inner quadrature failed at depth {j}" if j else "outer quadrature failed"
-            where += f" on integral {top[i]} of {n_int}" if n_int > 1 else ""
-            raise QuadratureError(f"{where}: {failure[i]}", residual=float(errs[i]))
+            name = f"integral {top[i]} of {n_int}" if n_int > 1 else ""
+            if j:
+                where = f"inner quadrature failed at depth {j}" + (f" on {name}" if name else "")
+            else:
+                where = (f"adaptive quadrature failed on {name + ', ' if name else ''}"
+                         f"[{float(edges[i, 0, 0])}, {float(edges[i, -1, 0])}]")
+            val = vals[i]
+            raise QuadratureError(
+                f"{where}: {failure[i]}",
+                partial=complex(np.sum(val)) if np.iscomplexobj(val) else float(np.sum(val)),
+                residual=float(errs[i]))
         if j:
             np.maximum.at(inner_err, top, errs)
         return vals, errs

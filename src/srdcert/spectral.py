@@ -160,9 +160,9 @@ def joint_integrals(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
     Triple i gives integral K(s1_i f(t_i - x) + s2_i f(-x)) dx, whose exp(-)
     is the joint characteristic function, and the numerator integral
     sqrt(Re K(s1_i f(t_i - x)) Re K(s2_i f(-x))) dx.  Each triple is one
-    problem of a single engine pass (in 1-D), with its own shifts (t_i, 0),
-    domain and breakpoints; the numerator runs over the same union of
-    shifted supports, where it vanishes outside their intersection.
+    problem of a single engine call, with its own shifts (t_i, 0), domain
+    and cut points; the numerator runs over the same shifted supports,
+    where it vanishes outside their intersection.
     """
     s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
     lags = np.asarray(lags, dtype=float).reshape(len(s1), kernel.dim)

@@ -2,13 +2,14 @@
 
 ``bench/workloads.py`` empties the memo caches before every job,
 ``bench/run.py`` reads the sigma^2 cache statistics, ``bench/spans.py``
-traces the tabulated cumulant, and the workloads call the sampler, the
-factorization check and the ratio search by keyword.
+traces the tabulated cumulant and wraps the integrand handed to the
+quadrature engine, and the workloads call the sampler, the factorization
+check and the ratio search by keyword.
 """
 
 import inspect
 
-from srdcert import kernels, levy, simulate, spectral
+from srdcert import kernels, levy, quadrature, simulate, spectral
 from srdcert.kernels import box_kernel
 from srdcert.levy import stable_triplet
 
@@ -23,6 +24,7 @@ def test_memo_caches_clear_and_report():
 
 def test_traced_and_called_names_keep_their_shape():
     assert callable(levy._tabulated_jump_cumulant)
+    assert next(iter(inspect.signature(quadrature.integrate_box).parameters)) == "func"
     assert "config" in inspect.signature(simulate.sample_field).parameters
     assert "n_triples" in inspect.signature(simulate.factorization_check).parameters
     rm = spectral.max_dependence_ratio(box_kernel(), stable_triplet(1.0), 0.25)

@@ -372,7 +372,8 @@ def test_validate_bad_probe_exit3(tmp_path, capsys):
 
 
 def test_validate_quadrature_failure_is_failed_check(tmp_path, capsys):
-    # the factorization check and the profile both fail to converge on this pair
+    # the profile fails to converge on this pair; the factorization check
+    # converges since the Poisson cumulant no longer cancels in the far tails
     body = """
 [kernel]
 type = powerlaw
@@ -392,9 +393,9 @@ negdef_samples = 200
     assert main(["validate", str(write_cfg(tmp_path, body)), "--output", str(out)]) == 2
     with open(out / "validation.csv") as fh:
         rows = {r["check"]: r for r in csv.DictReader(fh)}
-    for check in ("factorization", "covariance-bound"):
-        assert rows[check]["passed"] == "False"
-        assert rows[check]["statistic"] == "quadrature-error"
-        assert "target precision not reached" in rows[check]["value"]
+    assert rows["factorization"]["passed"] == "True"
+    assert rows["covariance-bound"]["passed"] == "False"
+    assert rows["covariance-bound"]["statistic"] == "quadrature-error"
+    assert "target precision not reached" in rows["covariance-bound"]["value"]
     assert rows["covariance-bound"]["value"].startswith("profile: ")
-    assert "5/7 checks passed" in capsys.readouterr().out
+    assert "6/7 checks passed" in capsys.readouterr().out

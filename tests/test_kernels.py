@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from srdcert import kernels
 from srdcert.errors import DivergentNormError, RejectionError
 from srdcert.kernels import (
     BoundedBox,
@@ -22,6 +23,7 @@ from srdcert.kernels import (
     box_kernel,
     check_integrability,
     gaussian_kernel,
+    integrate_over_support,
     lp_norm,
     powerlaw_kernel,
     tabulated_kernel,
@@ -191,6 +193,51 @@ class TestNorms:
         base = lp_norm(tent_kernel(1.0), p)
         wide = lp_norm(tent_kernel(2.0), p)
         assert wide == pytest.approx(2.0 ** (1.0 / p) * base, rel=1e-12)
+
+
+class TestIntegrateOverSupport:
+    """Every support reaches the engine as boxes of one ``integrate_box`` call."""
+
+    @staticmethod
+    def boxes(monkeypatch, *args, **kw):
+        """(values, errors, the corner sets handed to the engine)."""
+        seen, engine = [], kernels.integrate_box
+
+        def spy(func, corners, **opts):
+            seen.append(np.sort(np.asarray(corners), axis=1))
+            return engine(func, corners, **opts)
+
+        monkeypatch.setattr(kernels, "integrate_box", spy)
+        vals, errs = integrate_over_support(*args, **kw)
+        (corners,) = seen
+        return vals, errs, corners
+
+    def test_knots_outside_the_overlap_do_not_widen_it(self, monkeypatch):
+        # tent shifts 1.5 apart overlap on [0.5, 1]; their knots 0 and 1.5 lie outside
+        vals, errs, corners = self.boxes(
+            monkeypatch, tent_kernel(), lambda fv, _: (fv[0] * fv[1])[:, None],
+            np.array([[[1.5], [0.0]]]), overlap=True)
+        assert (corners[0, 0, 0], corners[0, -1, 0]) == (0.5, 1.0)
+        assert vals[0, 0] == pytest.approx(1.0 / 48.0, rel=1e-14) and errs[0] < 1e-14
+
+    def test_disjoint_supports_are_one_interval(self, monkeypatch):
+        # boxes [-1, 0] and [1, 2]: one interval cut at every face, g = 0 in the gap
+        vals, _, corners = self.boxes(
+            monkeypatch, box_kernel(), lambda fv, _: (fv[0] + 2.0 * fv[1])[:, None],
+            np.array([[[2.0], [0.0]]]))
+        assert corners.shape[0] == 1 and set(corners[0, :, 0]) == {-1.0, 0.0, 1.0, 2.0}
+        assert vals[0, 0] == pytest.approx(3.0, rel=1e-14)
+
+    def test_1d_envelope_is_a_core_and_two_log_tails(self, monkeypatch):
+        k = powerlaw_kernel(1.5)
+        vals, errs, corners = self.boxes(
+            monkeypatch, k, lambda fv, _: fv.T ** 2, np.zeros((2, 1, 1)), [(2.0, 1.0)])
+        # per problem the core [-4, 4] cut at the faces and knots +-1, then the
+        # tails from log 4 in u = log|x|
+        assert corners.shape[0] == 6
+        np.testing.assert_array_equal(corners[0, :, 0], [-4.0, -1.0, -1.0, 1.0, 1.0, 4.0])
+        assert corners[1, 0, 0] == corners[2, 0, 0] == math.log(4.0)
+        assert np.all(np.abs(vals[:, 0] - lp_norm(k, 2.0) ** 2) <= errs)
 
 
 class TestIntegrability:

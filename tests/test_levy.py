@@ -111,6 +111,18 @@ class TestCumulantClosedForms:
         expect_re = 2.0 * (0.6 * (1 - math.cos(-0.5 * 0.3)) + 0.4 * (1 - math.cos(2.0 * 0.3)))
         assert k[1].real == pytest.approx(expect_re, rel=1e-13)
 
+    def test_poisson_real_part_is_cumulant_re(self):
+        """1 - cos z in the half-angle form: no cancellation at small s, and
+        Re K equals cumulant_re bit for bit; at s = 1e-9 it is
+        rate sum_a w_a (s a)**2 / 2 = 1.75e-18."""
+        trip = poisson_triplet(2.0, atoms=(-0.5, 2.0), weights=(0.6, 0.4))
+        s = np.geomspace(1e-12, 1e3, 61)
+        for v in (s, -s):
+            assert np.array_equal(cumulant(trip, v).real, cumulant_re(trip, v))
+        assert cumulant(trip, 1e-9).real == pytest.approx(1.75e-18, rel=1e-9)
+        # Im K = rate sum_a w_a (s a 1[|a| <= 1] - sin(s a)) = -1.6 s + O(s**3)
+        assert cumulant(trip, 1e-9).imag == pytest.approx(-1.6e-9, rel=1e-12)
+
     def test_zero_frequency(self):
         for trip in default_validation_triplets():
             assert cumulant(trip, 0.0) == 0.0

@@ -3,7 +3,9 @@
 The engine runs quad_vec's GK21 scheme with all nodes of a round in one
 integrand call, so its values must agree with quad_vec to rounding; only
 the summation order differs.  Problems that share a pass must each agree
-with their own solo pass in the same way.
+with their own solo pass in the same way.  ``integrate_box`` is the one
+entry point: a 1-D integral is an interval cut at its breakpoints, and a
+slowly decaying tail is integrated in u = log|x| by the integrand.
 """
 
 import ast
@@ -20,15 +22,30 @@ from scipy.special import erf
 
 from srdcert import quadrature
 from srdcert.errors import QuadratureError
-from srdcert.quadrature import Segment, integrate_box, integrate_segments
+from srdcert.quadrature import integrate_box
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "srdcert"
 
 
-def one(func, segs, breakpoints=(), **kw):
-    """A single integral of ``func(x)`` as a batch of one: (values, error)."""
-    vals, errs = integrate_segments(lambda x, p: func(x), [segs], [breakpoints], **kw)
+def line_corners(problems):
+    """(P, c, 1) corners of 1-D problems (func, lo, hi, breakpoints): the
+    ends, then the breakpoints clipped to them, padded with hi."""
+    c = 2 + max(len(pts) for *_, pts in problems)
+    return np.array([np.clip([lo, hi, *pts, *[hi] * (c - 2 - len(pts))], lo, hi)
+                     for _, lo, hi, pts in problems])[:, :, None]
+
+
+def one(func, lo, hi, breakpoints=(), **kw):
+    """A single integral of ``func(x)`` over [lo, hi], cut at the breakpoints
+    inside, as a batch of one: (values, error)."""
+    vals, errs = integrate_box(lambda x, p: func(x[:, 0]),
+                               line_corners([(func, lo, hi, breakpoints)]), **kw)
     return vals[0], errs[0]
+
+
+def log_tail(func, sign):
+    """``func`` on the tail x = sign e^u, in u = log|x| with the Jacobian e^u."""
+    return lambda u: func(sign * np.exp(u)) * np.exp(u)[:, None]
 
 
 def box(func, lo, hi, **kw):
@@ -62,36 +79,30 @@ def single(x):
     return (np.cos(7.0 * x) / (1.0 + x * x))[:, None]
 
 
-# (integrand, segment, breakpoints); a log segment is compared with quad_vec
-# on the mapped integrand func(e^u) e^u
+# (integrand, lo, hi, breakpoints); a log tail runs in u = log|x| on the
+# mapped integrand func(+-e^u) e^u, for the engine and quad_vec alike
 BATTERY = {
-    "breakpoints": (kinks, Segment(-1.0, 1.0), (0.3, -0.2, 5.0)),
-    "complex": (phases, Segment(0.0, 5.0), ()),
-    "log-tail": (power_tail, Segment(1.0, 1e8, log=True), ()),
-    "log-tail-negative": (power_tail, Segment(-1e6, -2.0, log=True), ()),
-    "k=1": (single, Segment(-3.0, 4.0), (0.0,)),
-    "k=625": (gaussian_bumps, Segment(-4.0, 4.0), (0.0,)),
+    "breakpoints": (kinks, -1.0, 1.0, (0.3, -0.2, 5.0)),
+    "complex": (phases, 0.0, 5.0, ()),
+    "log-tail": (log_tail(power_tail, 1.0), 0.0, math.log(1e8), ()),
+    "log-tail-negative": (log_tail(power_tail, -1.0), math.log(2.0), math.log(1e6), ()),
+    "k=1": (single, -3.0, 4.0, (0.0,)),
+    "k=625": (gaussian_bumps, -4.0, 4.0, (0.0,)),
 }
 
 
-def reference(func, seg, breakpoints, abs_tol, rel_tol):
-    f = scalar_form(func)
-    if not seg.log:
-        pts = sorted(p for p in breakpoints if seg.lo < p < seg.hi) or None
-        return quad_vec(f, seg.lo, seg.hi, epsabs=abs_tol, epsrel=rel_tol,
-                        points=pts, limit=2000)
-    sign = 1.0 if seg.lo > 0 else -1.0
-    a, b = sorted((math.log(abs(seg.lo)), math.log(abs(seg.hi))))
-    return quad_vec(lambda u: f(sign * math.exp(u)) * math.exp(u), a, b,
-                    epsabs=abs_tol, epsrel=rel_tol, limit=2000)
+def reference(func, lo, hi, breakpoints, abs_tol, rel_tol):
+    pts = sorted(p for p in breakpoints if lo < p < hi) or None
+    return quad_vec(scalar_form(func), lo, hi, epsabs=abs_tol, epsrel=rel_tol,
+                    points=pts, limit=2000)
 
 
 @pytest.mark.parametrize("case", sorted(BATTERY))
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
 def test_matches_quad_vec(case, rel_tol):
-    func, seg, breakpoints = BATTERY[case]
-    val, err = one(func, [seg], breakpoints, abs_tol=1e-12, rel_tol=rel_tol)
-    ref, ref_err = reference(func, seg, breakpoints, 1e-12, rel_tol)
+    func, lo, hi, breakpoints = BATTERY[case]
+    val, err = one(func, lo, hi, breakpoints, abs_tol=1e-12, rel_tol=rel_tol)
+    ref, ref_err = reference(func, lo, hi, breakpoints, 1e-12, rel_tol)
     assert val.shape == ref.shape and val.dtype == ref.dtype
     np.testing.assert_allclose(val, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
     assert err == pytest.approx(ref_err, rel=1e-6)
@@ -114,8 +125,8 @@ def test_box_matches_nested_quad_vec():
 # closed-form oracles: the estimated error bounds the actual one
 
 
-def _segments_case(func, segs, exact, rel_tol=1e-10):
-    val, err = one(func, segs, rel_tol=rel_tol)
+def _line_case(func, lo, hi, exact, rel_tol=1e-10):
+    val, err = one(func, lo, hi, rel_tol=rel_tol)
     return np.linalg.norm(val - np.asarray(exact)), err
 
 
@@ -125,25 +136,26 @@ def _box_case(func, lo, hi, exact):
 
 
 ORACLES = {
-    "inverse-sqrt endpoint": lambda: _segments_case(
-        lambda x: (1.0 / np.sqrt(x))[:, None], [Segment(0.0, 1.0)], [2.0]),
-    "log endpoint": lambda: _segments_case(
-        lambda x: np.log(x)[:, None], [Segment(0.0, 1.0)], [-1.0]),
-    "polynomials": lambda: _segments_case(
-        lambda x: np.stack([x ** 2, x ** 7, x ** 20], axis=1), [Segment(-1.0, 2.0)],
+    "inverse-sqrt endpoint": lambda: _line_case(
+        lambda x: (1.0 / np.sqrt(x))[:, None], 0.0, 1.0, [2.0]),
+    "log endpoint": lambda: _line_case(
+        lambda x: np.log(x)[:, None], 0.0, 1.0, [-1.0]),
+    "polynomials": lambda: _line_case(
+        lambda x: np.stack([x ** 2, x ** 7, x ** 20], axis=1), -1.0, 2.0,
         [3.0, (2.0 ** 8 - 1.0) / 8.0, (2.0 ** 21 + 1.0) / 21.0]),
-    "oscillation": lambda: _segments_case(
-        lambda x: np.cos(np.multiply.outer(x, [1.0, 10.0, 40.0])), [Segment(0.0, 1.0)],
+    "oscillation": lambda: _line_case(
+        lambda x: np.cos(np.multiply.outer(x, [1.0, 10.0, 40.0])), 0.0, 1.0,
         [math.sin(1.0), math.sin(10.0) / 10.0, math.sin(40.0) / 40.0]),
-    "complex phases": lambda: _segments_case(
-        lambda x: np.exp(1j * np.multiply.outer(x, [2.0, 9.0])), [Segment(0.0, 3.0)],
+    "complex phases": lambda: _line_case(
+        lambda x: np.exp(1j * np.multiply.outer(x, [2.0, 9.0])), 0.0, 3.0,
         [(np.exp(6j) - 1.0) / 2j, (np.exp(27j) - 1.0) / 9j]),
-    "log-mapped power tail": lambda: _segments_case(
-        lambda x: np.abs(x)[:, None] ** -np.array([1.5, 3.0]),
-        [Segment(1.0, 1e10, log=True), Segment(-1e10, -1.0, log=True)],
+    "log-mapped power tail": lambda: _line_case(
+        # both tails, 1 <= |x| <= 1e10, in u = log|x|
+        lambda u: sum(log_tail(lambda x: np.abs(x)[:, None] ** -np.array([1.5, 3.0]), sign)(u)
+                      for sign in (1.0, -1.0)), 0.0, math.log(1e10),
         [2.0 * 2.0 * (1.0 - 1e-5), 2.0 * 0.5 * (1.0 - 1e-20)]),
-    "loose tolerance": lambda: _segments_case(
-        lambda x: np.sqrt(np.abs(np.sin(5.0 * x)))[:, None], [Segment(0.0, math.pi / 5.0)],
+    "loose tolerance": lambda: _line_case(
+        lambda x: np.sqrt(np.abs(np.sin(5.0 * x)))[:, None], 0.0, math.pi / 5.0,
         [2.0 / 5.0 * 1.1981402347355923], rel_tol=1e-4),
     "gaussian box": lambda: _box_case(
         lambda p: np.exp(-np.sum(p * p, axis=1))[:, None], (0.0, 0.0), (1.0, 1.0),
@@ -167,7 +179,7 @@ def test_error_estimate_bounds_actual_error(case):
 
 def test_limit_raises():
     with pytest.raises(QuadratureError, match="target precision not reached"):
-        one(lambda x: np.sin(1e5 * x)[:, None], [Segment(0.0, 1.0)])
+        one(lambda x: np.sin(1e5 * x)[:, None], 0.0, 1.0)
 
 
 def test_box_limit_raises():
@@ -175,9 +187,30 @@ def test_box_limit_raises():
         box(lambda p: np.sin(1e5 * p[:, 0] * p[:, 1])[:, None], (0.0, 0.0), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_failure_carries_partial_and_residual(d):
+    """A failure keeps the failing problem's value and error estimate, and
+    on the outer axis names its extent there."""
+    with pytest.raises(QuadratureError, match=r"failed on \[0\.0, 1\.0\]|at depth 1") as info:
+        box(lambda p: np.sin(1e5 * np.prod(p, axis=1))[:, None], (0.0,) * d, (1.0,) * d)
+    assert math.isfinite(info.value.partial) and 0.0 < info.value.residual < math.inf
+
+
+def test_engine_has_one_entry_point():
+    """The adaptive pass is called from integrate_box alone."""
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               and fn.col_offset == 0 and any(
+                   isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_adaptive"
+                   for n in ast.walk(fn))}
+    assert callers == {"integrate_box"}
+    for path in sorted(SRC.glob("*.py")):
+        assert "_adaptive(" not in path.read_text() or path.name == "quadrature.py", path
+
+
 def test_non_finite_raises():
     with pytest.raises(QuadratureError, match="non-finite"):
-        one(lambda x: np.where(x > 0.5, np.nan, x)[:, None], [Segment(0.0, 1.0)])
+        one(lambda x: np.where(x > 0.5, np.nan, x)[:, None], 0.0, 1.0)
 
 
 @pytest.mark.parametrize("k", [1, 40, 625, 4000])
@@ -189,7 +222,7 @@ def test_integrand_calls_respect_element_budget(k):
         sizes.append(len(x) * k)
         return np.exp(-np.multiply.outer(np.abs(x - 0.1), rates))
 
-    one(func, [Segment(-1.0, 1.0)], breakpoints=(0.1,))
+    one(func, -1.0, 1.0, breakpoints=(0.1,))
     assert len(sizes) > 1
     # one interval's 21 nodes is the smallest batch the rule can take
     assert max(sizes) <= max(quadrature._CHUNK_ELEMENTS, 21 * k)
@@ -203,7 +236,7 @@ def test_round_is_one_call_per_chunk():
         calls.append(len(x))
         return np.sqrt(np.abs(x))[:, None]
 
-    one(func, [Segment(-1.0, 1.0)])
+    one(func, -1.0, 1.0)
     assert calls[0] == 21
     assert all(n % 21 == 0 for n in calls)
     assert max(calls) > 21
@@ -292,8 +325,13 @@ def _waves(x):
     return np.stack([np.cos(40.0 * x), np.sin(40.0 * x) + 0.5], axis=1)
 
 
-def _tails(x):
-    return (1.0 + np.abs(x)[:, None]) ** -np.array([1.5, 2.0])
+def _tails(v):
+    """(1 + |x|)**-[1.5, 2] in v: x = v on the core |v| <= 2, beyond it the
+    tails x = sign(v) 2 e^(|v| - 2), in log|x| with the Jacobian |x|."""
+    core = np.abs(v) <= 2.0
+    x = np.where(core, v, np.sign(v) * 2.0 * np.exp(np.abs(v) - 2.0))
+    jac = np.where(core, 1.0, np.abs(x))
+    return (1.0 + np.abs(x)[:, None]) ** -np.array([1.5, 2.0]) * jac[:, None]
 
 
 def _peak(x):
@@ -304,24 +342,24 @@ def _edge(x):
     return np.stack([1.0 / np.sqrt(x), np.log(x)], axis=1)
 
 
-# (integrand, segments, breakpoints) of independent problems: exact after the
-# first rule, kinks at breakpoints, oscillation, log-mapped tails on both
-# sides of a linear core, a sharp peak and endpoint singularities
+# (integrand, lo, hi, breakpoints) of independent problems: exact after the
+# first rule, kinks at breakpoints, oscillation, log-mapped tails out to 1e8
+# and -1e6 on both sides of a linear core, a sharp peak and endpoint
+# singularities
 PROBLEMS = [
-    (_poly, [Segment(-1.0, 2.0)], ()),
-    (_kinks2, [Segment(-1.0, 1.0)], (0.3, -0.2, 5.0)),
-    (_waves, [Segment(0.0, 3.0)], ()),
-    (_tails, [Segment(-2.0, 2.0), Segment(2.0, 1e8, log=True),
-              Segment(-1e6, -2.0, log=True)], (0.0,)),
-    (_peak, [Segment(-1.0, 1.0)], (0.0,)),
-    (_edge, [Segment(0.0, 1.0)], ()),
+    (_poly, -1.0, 2.0, ()),
+    (_kinks2, -1.0, 1.0, (0.3, -0.2, 5.0)),
+    (_waves, 0.0, 3.0, ()),
+    (_tails, -2.0 - math.log(5e5), 2.0 + math.log(5e7), (-2.0, 0.0, 2.0)),
+    (_peak, -1.0, 1.0, (0.0,)),
+    (_edge, 0.0, 1.0, ()),
 ]
 
 
-def _batched(problems):
+def _batched(funcs):
     def func(x, p):
         out = np.empty((len(x), 2))
-        for j, (f, _, _) in enumerate(problems):
+        for j, f in enumerate(funcs):
             at = p == j
             if at.any():
                 out[at] = f(x[at])
@@ -330,22 +368,24 @@ def _batched(problems):
     return func
 
 
+def _batched_line(problems):
+    return _batched([lambda x, f=f: f(x[:, 0]) for f, *_ in problems])
+
+
 def test_batch_matches_solo_passes():
-    vals, errs = integrate_segments(_batched(PROBLEMS), [segs for _, segs, _ in PROBLEMS],
-                                    [pts for _, _, pts in PROBLEMS])
+    vals, errs = integrate_box(_batched_line(PROBLEMS), line_corners(PROBLEMS))
     assert vals.shape == (len(PROBLEMS), 2) and errs.shape == (len(PROBLEMS),)
-    for j, (f, segs, pts) in enumerate(PROBLEMS):
-        solo, solo_err = one(f, segs, pts)
+    for j, (f, lo, hi, pts) in enumerate(PROBLEMS):
+        solo, solo_err = one(f, lo, hi, pts)
         assert np.linalg.norm(vals[j] - solo) <= 1e-14 * np.linalg.norm(solo), j
         assert errs[j] == pytest.approx(solo_err, rel=1e-12), j
 
 
 def test_batch_failure_names_the_problem():
     problems = list(PROBLEMS)
-    problems.insert(2, (lambda x: np.stack([np.sin(1e5 * x)] * 2, axis=1), [Segment(0.0, 1.0)], ()))
+    problems.insert(2, (lambda x: np.stack([np.sin(1e5 * x)] * 2, axis=1), 0.0, 1.0, ()))
     with pytest.raises(QuadratureError, match=r"integral 2 of 7, \[0\.0, 1\.0\]: target precision"):
-        integrate_segments(_batched(problems), [segs for _, segs, _ in problems],
-                           [pts for _, _, pts in problems])
+        integrate_box(_batched_line(problems), line_corners(problems))
 
 
 def _box_gauss(p):
@@ -385,7 +425,7 @@ def _box_problems(d):
 
 
 def _batched_box(problems):
-    return _batched([(f, corners, ()) for f, corners in problems])
+    return _batched([f for f, _ in problems])
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -424,8 +464,8 @@ def test_batch_calls_respect_element_budget():
         return np.exp(-np.multiply.outer(np.abs(x - 0.1 * p), rates))
 
     n = 40
-    vals, _ = integrate_segments(func, [[Segment(-1.0, 1.0)]] * n,
-                                 [(0.1 * j,) for j in range(n)])
+    vals, _ = integrate_box(lambda x, p: func(x[:, 0], p),
+                            line_corners([(func, -1.0, 1.0, (0.1 * j,)) for j in range(n)]))
     assert vals.shape == (n, k) and len(sizes) > 1
     assert max(sizes) <= max(quadrature._CHUNK_ELEMENTS, 21 * k)
 

@@ -247,13 +247,15 @@ class TestCharacteristicFunctions:
         stable_triplet(1.0),
         levy.LevyTriplet(b0=1.0, measure=levy.CompoundPoisson(2.0, (-0.5, 2.0), (0.6, 0.4))),
     ], ids=["stable-1", "gaussian+poisson"])
-    def test_joint_integrals_2d_box_closed_form(self, trip):
-        """On the unit square the shifted boxes overlap on area A = prod(1 - |t_i|)+,
-        where the joint integrand is K(s1 + s2); each keeps 1 - A alone."""
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_joint_integrals_2d_box_closed_form(self, trip, d):
+        """On the unit cube the shifted boxes overlap on volume A = prod(1 - |t_i|)+,
+        where the joint integrand is K(s1 + s2); each keeps 1 - A alone.  In 1-D
+        the lags past 1 leave a gap between the two boxes, where g(0, 0) = 0."""
         rng = np.random.default_rng(5)
-        lags = rng.uniform(0.0, 1.5, (12, 2))
+        lags = rng.uniform(0.0, 1.5, (12, d))
         s1, s2 = (rng.uniform(0.1, 10.0, 12) * rng.choice([-1.0, 1.0], 12) for _ in range(2))
-        joint, num = spectral.joint_integrals(box_kernel(dim=2), trip, lags, s1, s2)
+        joint, num = spectral.joint_integrals(box_kernel(dim=d), trip, lags, s1, s2)
         area = np.prod(np.maximum(1.0 - lags, 0.0), axis=1)
         k1, k2 = levy.cumulant(trip, s1), levy.cumulant(trip, s2)
         exact = area * levy.cumulant(trip, s1 + s2) + (1.0 - area) * (k1 + k2)
