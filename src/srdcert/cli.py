@@ -199,9 +199,11 @@ def build_kernel(parser: configparser.ConfigParser) -> Kernel:
 def build_triplet(parser: configparser.ConfigParser) -> levy.LevyTriplet:
     sec = _section(parser, "triplet")
     a0, b0 = sec["a0"], sec["b0"]
-    measure, name = sec["jumps"]
-    if name is None:  # no jumps: named by the Gaussian part
-        name = f"gaussian(b0={b0:g})" if a0 == 0.0 else f"diffusion(a0={a0:g},b0={b0:g})"
+    measure, jumps = sec["jumps"]
+    # named by every nonzero part: drift, Gaussian, jumps
+    parts = (f"drift(a0={a0:g})" if a0 else None, f"gaussian(b0={b0:g})" if b0 else None,
+             jumps)
+    name = "+".join(filter(None, parts))
     return levy.LevyTriplet(a0=a0, b0=b0, measure=measure, name=name)
 
 

@@ -90,7 +90,9 @@ class Kernel:
     through ``__call__`` which masks box supports to exact zeros outside.
     ``closed_norms`` maps an order p to the exact L^p norm, returning None
     where no closed form exists.  ``knots`` lists interior 1-D breakpoints
-    (kinks, jumps) passed on to quadrature.
+    (kinks, jumps) passed on to quadrature.  ``even`` promises
+    f(-x) = f(x) bit for bit, which makes every dependence numerator
+    symmetric in its two frequencies.
     """
 
     dim: int
@@ -100,6 +102,7 @@ class Kernel:
     closed_norms: Callable[[float], float | None] | None = None
     knots: tuple[float, ...] = ()
     indicator: bool = False
+    even: bool = False
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
@@ -151,6 +154,7 @@ def box_kernel(lo: float = 0.0, hi: float = 1.0, dim: int = 1) -> Kernel:
         name=f"box[{lo:g},{hi:g}]^{dim}",
         closed_norms=lambda p: vol ** (1.0 / p),
         indicator=True,
+        even=lo == -hi,
     )
 
 
@@ -170,6 +174,7 @@ def tent_kernel(half_width: float = 1.0) -> Kernel:
         name=f"tent(w={w:g})",
         closed_norms=lambda p: (2.0 * w / (p + 1.0)) ** (1.0 / p),
         knots=(0.0,),
+        even=True,
     )
 
 
@@ -193,6 +198,7 @@ def gaussian_kernel(dim: int = 1, width: float = 1.0) -> Kernel:
         support=BoundedBox((-cut,) * dim, (cut,) * dim),
         name=f"gaussian(w={w:g})^{dim}",
         closed_norms=norm,
+        even=True,
     )
 
 
@@ -222,6 +228,7 @@ def powerlaw_kernel(exponent: float, radius: float = 1.0) -> Kernel:
         name=f"powerlaw(beta={beta:g},r0={r0:g})",
         closed_norms=norm,
         knots=(-r0, r0),
+        even=True,
     )
 
 
@@ -344,7 +351,8 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     ``rel_tol`` applies to the nested cubature in d >= 2; 1-D integrals
     keep the engine's 1-D default.  All problems share one
     ``integrate_box`` call in every dimension.  Returns the values (P, k)
-    and errors (P,).
+    and errors (P,); a failure names the failing problem p, "integral p
+    of P" when P > 1, whichever of its boxes failed.
     """
     sup = kernel.support
     d = kernel.dim
@@ -428,8 +436,11 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
         vals = integrand(kernel(pts.reshape(-1, d)).reshape(m, -1), p)
         return vals * jac[:, None] if mapped else vals
 
-    # one engine call in every dimension; 1-D keeps the engine's 1-D tolerance
-    vals, errs = integrate_box(g, boxes, rel_tol=rel_tol if d > 1 else None)
+    # one engine call in every dimension; 1-D keeps the engine's 1-D tolerance,
+    # and a failing box is named by its problem
+    vals, errs = integrate_box(
+        g, boxes, rel_tol=rel_tol if d > 1 else None,
+        name=lambda b: f"integral {owner[b]} of {n_prob}" if n_prob > 1 else "")
     # each problem's boxes summed in order: the core, then its tails
     out = np.zeros((n_prob,) + vals.shape[1:], vals.dtype)
     np.add.at(out, owner, vals)

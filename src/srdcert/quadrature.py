@@ -255,6 +255,7 @@ def integrate_box(
     corners: Sequence[np.ndarray],
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float | None = None,
+    name: Callable[[int], str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate P independent vector-valued integrals over boxes in d <= 3.
 
@@ -269,8 +270,10 @@ def integrate_box(
     and to 1e-8 in d >= 2.  Returns the values (P, k) and errors (P,): the
     outer estimate plus the integral's largest inner one.  Raises
     :class:`QuadratureError` with the failing problem's value and error;
-    on the outer axis it names the integral, when there are several, and
-    its extent on that axis, deeper the failing depth.
+    on the outer axis it names the integral and its extent on that axis,
+    deeper the failing depth.  ``name(p)`` names integral p, by default
+    "integral p of P" when there are several; a caller whose integrals
+    span several boxes names its own.
     """
     edges = np.sort(np.asarray(corners, dtype=float), axis=1)
     if edges.ndim != 3 or not 1 <= edges.shape[2] <= 3:
@@ -283,6 +286,8 @@ def integrate_box(
         rel_tol = DEFAULT_REL_TOL if d == 1 else 1e-8
     limit = _LINE_LIMIT if d == 1 else _BOX_LIMIT
     inner_err = np.zeros(n_int)
+    if name is None:
+        name = lambda p: f"integral {p} of {n_int}" if n_int > 1 else ""
 
     def axis_pass(prefix: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Integrals over axes j..d-1, one problem per row of the (n, j) prefix,
@@ -301,11 +306,11 @@ def integrate_box(
         bad = failure.nonzero()[0]
         if bad.size:
             i = bad[0]
-            name = f"integral {top[i]} of {n_int}" if n_int > 1 else ""
+            label = name(int(top[i]))
             if j:
-                where = f"inner quadrature failed at depth {j}" + (f" on {name}" if name else "")
+                where = f"inner quadrature failed at depth {j}" + (f" on {label}" if label else "")
             else:
-                where = (f"adaptive quadrature failed on {name + ', ' if name else ''}"
+                where = (f"adaptive quadrature failed on {label + ', ' if label else ''}"
                          f"[{float(edges[i, 0, 0])}, {float(edges[i, -1, 0])}]")
             val = vals[i]
             raise QuadratureError(

@@ -28,6 +28,9 @@ RATIO_CLAMP_TOL = 1e-9
 DEFAULT_S_BOX = (1e-3, 1e3)
 DEFAULT_S_POINTS = 25
 REFINE_ROUNDS = 3
+# Most lags whose refine rounds share one engine pass; bounds the memory of
+# a long (2-D) lag lattice.
+RATIO_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -121,36 +124,61 @@ def char_joint(kernel: Kernel, triplet: levy.LevyTriplet, t, s1: float,
     return complex(np.exp(-joint[0]))
 
 
+def _numerators(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
+                s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dependence numerators of L lags in one engine pass, lag l on the grid
+    s1[l] x s2[l], as values (L, n1, n2) and errors (L,).
+
+    Each lag is one problem whose columns are (i, j) pairs of the grid:
+    all of them, or for an even kernel on square grids (s1 = s2) the upper
+    triangle i <= j, mirrored, since then N(s_i, s_j) = N(s_j, s_i).
+    """
+    n1, n2 = s1.shape[1], s2.shape[1]
+    mirror = kernel.even and np.array_equal(s1, s2)
+    ii, jj = np.triu_indices(n1) if mirror else np.indices((n1, n2)).reshape(2, -1)
+
+    def integrand(fv: np.ndarray, p: np.ndarray) -> np.ndarray:
+        u = np.sqrt(levy.cumulant_re(triplet, fv[0][:, None] * s1[p]))
+        w = np.sqrt(levy.cumulant_re(triplet, fv[1][:, None] * s2[p]))
+        return u[:, ii] * w[:, jj]
+
+    shifts = np.stack([lags, np.zeros_like(lags)], axis=1)
+    scale = np.maximum(np.max(np.abs(s1), axis=1), np.max(np.abs(s2), axis=1))
+    vals, err = integrate_over_support(kernel, integrand, shifts, _growth(triplet, scale),
+                                       overlap=True)
+    out = np.empty((len(lags), n1, n2))
+    out[:, ii, jj] = vals
+    if mirror:
+        out[:, jj, ii] = vals
+    return out, err
+
+
 def dependence_numerator_grid(kernel: Kernel, triplet: levy.LevyTriplet, t,
                               s1_values: np.ndarray, s2_values: np.ndarray
                               ) -> tuple[np.ndarray, float]:
     """integral sqrt(Re K(s1 f(t-x)) Re K(s2 f(-x))) dx on a product grid.
 
     The integrand factorises pointwise, so a grid of n1 x n2 pairs costs
-    n1 + n2 cumulant evaluations per x.
+    n1 + n2 cumulant evaluations per x.  For an even kernel on a square
+    grid the numerator is symmetric, and only the upper triangle's
+    n(n+1)/2 columns are integrated.  The error is the 2-norm over the
+    integrated columns.
     """
-    s1_values = np.asarray(s1_values, dtype=float)
-    s2_values = np.asarray(s2_values, dtype=float)
-    s_scale = float(max(np.max(np.abs(s1_values)), np.max(np.abs(s2_values))))
-
-    def integrand(fv: np.ndarray, _) -> np.ndarray:
-        u = np.sqrt(levy.cumulant_re(triplet, np.multiply.outer(fv[0], s1_values)))
-        w = np.sqrt(levy.cumulant_re(triplet, np.multiply.outer(fv[1], s2_values)))
-        return (u[:, :, None] * w[:, None, :]).reshape(len(u), -1)
-
-    vals, err = integrate_over_support(kernel, integrand, _shifts(kernel, t),
-                                       _growth(triplet, s_scale), overlap=True)
-    return vals.reshape(len(s1_values), len(s2_values)), float(err[0])
+    s1, s2 = (np.asarray(s, dtype=float)[None] for s in (s1_values, s2_values))
+    vals, err = _numerators(kernel, triplet, np.atleast_1d(np.asarray(t, dtype=float))[None],
+                            s1, s2)
+    return vals[0], float(err[0])
 
 
-def _sigma_for(kernel: Kernel, triplet: levy.LevyTriplet, s_values: np.ndarray
-               ) -> np.ndarray:
-    out = np.array([marginal_exponent_sq(kernel, triplet, float(s)) for s in s_values])
-    if np.any(out <= 0.0):
-        bad = float(s_values[np.argmin(out)])
+def _sigma(kernel: Kernel, triplet: levy.LevyTriplet, s: np.ndarray) -> np.ndarray:
+    """sigma at the frequencies s, any shape, from one ``marginal_exponent_grid``
+    call over the distinct ones."""
+    distinct, where = np.unique(s, return_inverse=True)
+    sq = marginal_exponent_grid(kernel, triplet, distinct)[0]
+    if np.any(sq <= 0.0):
         raise RejectionError("degenerate-profile",
-                             f"marginal exponent vanishes at s={bad:g}")
-    return np.sqrt(out)
+                             f"marginal exponent vanishes at s={distinct[np.argmin(sq)]:g}")
+    return np.sqrt(sq)[where].reshape(np.shape(s))
 
 
 def joint_integrals(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
@@ -198,9 +226,8 @@ def dependence_ratio_grid(kernel: Kernel, triplet: levy.LevyTriplet, t,
     s1_values = np.asarray(s1_values, dtype=float)
     s2_values = np.asarray(s2_values, dtype=float)
     num, err = dependence_numerator_grid(kernel, triplet, t, s1_values, s2_values)
-    den = np.outer(_sigma_for(kernel, triplet, s1_values),
-                   _sigma_for(kernel, triplet, s2_values))
-    return _clamp_ratio(num / den), err
+    sig = _sigma(kernel, triplet, np.concatenate((s1_values, s2_values)))
+    return _clamp_ratio(num / np.outer(sig[:len(s1_values)], sig[len(s1_values):])), err
 
 
 def dependence_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t, s1: float,
@@ -231,10 +258,9 @@ def max_dependence_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
     frequency: integral |f(t-x) f(-x)|**(gamma/2) dx / ||f||_gamma^gamma,
     which for a box indicator is the overlap fraction prod(1 - |t_i|/L_i)+,
     exactly.  Either is tagged "analytic-homogeneous" and uses no frequency
-    grid.  Everything else runs a log-grid search of DEFAULT_S_POINTS per
-    axis over ``s_box`` squared, then REFINE_ROUNDS 5 x 5 refinements around
-    the argmax; the result is tagged "grid-approximate" and is exact only up
-    to that search.
+    grid.  Everything else is the frequency search of ``_ratio_search``
+    with this one lag, tagged "grid-approximate": exact only up to that
+    search.
     """
     if kernel.indicator:
         widths = np.subtract(kernel.support.hi, kernel.support.lo)
@@ -245,28 +271,57 @@ def max_dependence_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
     if gamma is not None:
         value, err = _homogeneous_ratio(kernel, t, gamma)
         return RatioMax(value=value, method="analytic-homogeneous", error=err)
+    lag = np.atleast_1d(np.asarray(t, dtype=float))
+    return _ratio_search(kernel, triplet, lag[None], s_box)[0]
 
+
+def _ratio_search(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
+                  s_box: tuple[float, float]) -> list[RatioMax]:
+    """The grid-approximate ratio maximum at each of the (L, d) lags.
+
+    Each lag gets a log grid of DEFAULT_S_POINTS per axis over ``s_box``
+    squared, one engine pass per lag, then REFINE_ROUNDS 5 x 5 grids
+    around its argmax, each narrower.  Lags go in blocks of at most
+    RATIO_BLOCK, and each refine round integrates the grids of all lags of
+    a block in one engine pass, one problem per lag.  Each stage takes
+    sigma from one ``marginal_exponent_grid`` call over its distinct
+    frequencies.
+    """
     s_vals = np.geomspace(s_box[0], s_box[1], DEFAULT_S_POINTS)
-    ratios, err = dependence_ratio_grid(kernel, triplet, t, s_vals, s_vals)
-    idx = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-    best = float(ratios[idx])
-    b1, b2 = float(s_vals[idx[0]]), float(s_vals[idx[1]])
+    sig = _sigma(kernel, triplet, s_vals)
+    den = np.outer(sig, sig)
+    out = []
+    for start in range(0, len(lags), RATIO_BLOCK):
+        block = lags[start:start + RATIO_BLOCK]
+        rows = np.arange(len(block))
+        # the full grid stays one lag per pass, which bounds the peak memory
+        nums, errs = zip(*(_numerators(kernel, triplet, t[None], s_vals[None], s_vals[None])
+                           for t in block))
+        err = np.concatenate(errs)
+        best, i, j = _argmax(_clamp_ratio(np.concatenate(nums) / den))
+        b1, b2 = s_vals[i], s_vals[j]
 
-    spacing = (s_box[1] / s_box[0]) ** (1.0 / (DEFAULT_S_POINTS - 1))
-    for _ in range(REFINE_ROUNDS):
-        spacing = spacing ** 0.5
-        g1 = np.geomspace(b1 / spacing, b1 * spacing, 5)
-        g2 = np.geomspace(b2 / spacing, b2 * spacing, 5)
-        g1 = np.clip(g1, s_box[0], s_box[1])
-        g2 = np.clip(g2, s_box[0], s_box[1])
-        sub, sub_err = dependence_ratio_grid(kernel, triplet, t, g1, g2)
-        sidx = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        if float(sub[sidx]) >= best:
-            best = float(sub[sidx])
-            b1, b2 = float(g1[sidx[0]]), float(g2[sidx[1]])
-        err = max(err, sub_err)
+        spacing = (s_box[1] / s_box[0]) ** (1.0 / (DEFAULT_S_POINTS - 1))
+        for _ in range(REFINE_ROUNDS):
+            spacing = spacing ** 0.5
+            g1 = np.clip(np.geomspace(b1 / spacing, b1 * spacing, 5, axis=1), *s_box)
+            g2 = np.clip(np.geomspace(b2 / spacing, b2 * spacing, 5, axis=1), *s_box)
+            sig = _sigma(kernel, triplet, np.stack((g1, g2)))
+            num, sub_err = _numerators(kernel, triplet, block, g1, g2)
+            sub, i, j = _argmax(_clamp_ratio(num / (sig[0][:, :, None] * sig[1][:, None, :])))
+            take = sub >= best
+            best = np.where(take, sub, best)
+            b1, b2 = np.where(take, g1[rows, i], b1), np.where(take, g2[rows, j], b2)
+            err = np.maximum(err, sub_err)
+        out += [RatioMax(value=float(v), method="grid-approximate", error=float(e))
+                for v, e in zip(best, err)]
+    return out
 
-    return RatioMax(value=best, method="grid-approximate", error=err)
+
+def _argmax(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The largest value of each (n1, n2) grid of an (L, n1, n2) array, at (i, j)."""
+    i, j = np.unravel_index(ratios.reshape(len(ratios), -1).argmax(axis=1), ratios.shape[1:])
+    return ratios[np.arange(len(ratios)), i, j], i, j
 
 
 def _homogeneous_ratio(kernel: Kernel, t, gamma: float) -> tuple[float, float]:
@@ -340,7 +395,9 @@ def build_profile(kernel: Kernel, triplet: levy.LevyTriplet, window: float,
 
     Rejects degenerate pairs (vanishing marginal exponent) and a window,
     step or frequency box that is not finite, exploits the lag symmetry
-    ratio(-t) = ratio(t), and tags ratio provenance.
+    ratio(-t) = ratio(t), and tags ratio provenance.  An indicator or
+    separable pair takes ``max_dependence_ratio`` lag by lag; any other
+    pair runs one ``_ratio_search`` over all lags of the half lattice.
     """
     if not (0 < t_step <= window < math.inf):
         raise RejectionError("profile-window",
@@ -357,8 +414,11 @@ def build_profile(kernel: Kernel, triplet: levy.LevyTriplet, window: float,
     lattice = t_lattice(window, t_step, kernel.dim)
     # ratio(-t) = ratio(t) and the lattice is point-symmetric, so evaluate
     # the first half up to the origin and mirror it
-    half = [max_dependence_ratio(kernel, triplet, t, s_box=s_box)
-            for t in lattice[:len(lattice) // 2 + 1]]
+    lags = lattice[:len(lattice) // 2 + 1]
+    if kernel.indicator or separable_exponent(kernel, triplet) is not None:
+        half = [max_dependence_ratio(kernel, triplet, t, s_box=s_box) for t in lags]
+    else:
+        half = _ratio_search(kernel, triplet, lags, s_box)
     values = np.array([rm.value for rm in half])
 
     return SpectralProfile(

@@ -1,5 +1,6 @@
 """Command line interface: config parsing, artifacts, exit codes."""
 
+import configparser
 import csv
 import io
 import re
@@ -207,6 +208,19 @@ def test_readme_grammar_matches_schema():
     assert keys == cli._KEYS
     assert choices == {key: list(sel) for schema in cli._SCHEMA.values()
                        for key, (sel, _) in cli._selectors(schema).items()}
+
+
+@pytest.mark.parametrize("triplet, name", [
+    ("b0 = 1\njumps = poisson\nrate = 2\natoms = -0.5, 2", "gaussian(b0=1)+poisson(rate=2)"),
+    ("a0 = 0.5\njumps = stable\nalpha = 1", "drift(a0=0.5)+stable(alpha=1)"),
+    ("a0 = -1\nb0 = 2", "drift(a0=-1)+gaussian(b0=2)"),
+    ("b0 = 2", "gaussian(b0=2)"),
+    ("jumps = stable\nalpha = 1", "stable(alpha=1)"),
+], ids=["gaussian+poisson", "drift+stable", "drift+gaussian", "gaussian", "stable"])
+def test_triplet_named_by_every_part(triplet, name):
+    parser = configparser.ConfigParser()
+    parser.read_string(f"[triplet]\n{triplet}\n")
+    assert cli.build_triplet(parser).name == name
 
 
 def test_certify_nonintegrable_pair_exit3(tmp_path, capsys):

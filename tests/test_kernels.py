@@ -130,6 +130,26 @@ class TestEvaluation:
                    support=DecayEnvelope(radius=1.0, exponent=2.0), indicator=True)
         assert exc.value.condition == "kernel-indicator"
 
+    def test_even_kernels_are_symmetric_bit_for_bit(self):
+        even = [box_kernel(-1.0, 1.0, dim=d) for d in (1, 2, 3)] + [
+            box_kernel(-0.3, 0.3), tent_kernel(), tent_kernel(0.7),
+            powerlaw_kernel(1.5), powerlaw_kernel(3.0, radius=0.4)] + [
+            gaussian_kernel(dim=d, width=w) for d in (1, 2, 3) for w in (1.0, 0.3)]
+        rng = np.random.default_rng(11)
+        for k in even:
+            assert k.even, k.name
+            reach = 1.5 * (k.support.hi[0] if isinstance(k.support, BoundedBox) else 4.0)
+            x = rng.uniform(-reach, reach, (2000, k.dim))
+            # faces and the origin, where a sign slip would show first
+            x[:2] = reach / 1.5
+            x[2:4] = 0.0
+            assert np.array_equal(k(-x), k(x)), k.name
+        table = tabulated_kernel((np.linspace(-1.0, 1.0, 5),), np.array([0, 1, 2, 1, 0.0]))
+        for k in (box_kernel(), box_kernel(0.0, 1.0, dim=2), box_kernel(-1.0, 2.0), table,
+                  tabulated_kernel((np.linspace(-1, 1, 3),) * 2, np.ones((3, 3))),
+                  zero_kernel()):
+            assert not k.even, k.name
+
 
 class TestNorms:
     def test_box_all_orders(self):

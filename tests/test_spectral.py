@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srdcert import levy, spectral
+from srdcert import kernels, levy, spectral
 from srdcert.certify import default_window, srd_integral
 from srdcert.errors import QuadratureError, RejectionError
 from srdcert.kernels import (
@@ -444,3 +444,92 @@ def test_indicator_ratio_is_overlap_for_every_triplet(monkeypatch, dim, lags):
             rm = max_dependence_ratio(box_kernel(dim=dim), trip, lag)
             assert rm.method == "analytic-homogeneous" and rm.error == 0.0
             assert rm.value == np.prod(np.maximum(1.0 - np.abs(lag), 0.0))
+
+
+# ---------------------------------------------------------------------------
+# the grid-approximate ratio search
+
+_POISSON = levy.CompoundPoisson(2.0, (-0.5, 2.0), (0.6, 0.4))
+# the two mixed benchmark models on the tent kernel
+_MIXED = {"stable": levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.0)),
+          "poisson": levy.LevyTriplet(b0=1.0, measure=_POISSON)}
+
+
+@pytest.mark.parametrize("kern, lag, s", [
+    (tent_kernel(), 0.4, np.geomspace(*DEFAULT_S_BOX, DEFAULT_S_POINTS)),
+    (gaussian_kernel(dim=2), (0.5, -0.3), np.geomspace(0.1, 10.0, 4)),
+], ids=["tent", "gaussian-2d"])
+def test_even_numerator_triangle_matches_full_grid(kern, lag, s):
+    """An even kernel integrates the upper triangle of a square grid and
+    mirrors it; the full grid agrees within the two error estimates."""
+    trip = _MIXED["poisson"]
+    half, half_err = dependence_numerator_grid(kern, trip, lag, s, s)
+    full, full_err = dependence_numerator_grid(dataclasses.replace(kern, even=False),
+                                               trip, lag, s, s)
+    assert np.array_equal(half, half.T)
+    assert not np.array_equal(full, full.T)
+    assert np.all(np.abs(half - full) <= half_err + full_err)
+
+
+@pytest.mark.parametrize("model", sorted(_MIXED))
+def test_profile_search_matches_per_lag_ratio(monkeypatch, model):
+    """build_profile searches all lags at once, and each lag's maximum is the
+    one max_dependence_ratio finds alone."""
+    kern, trip = tent_kernel(), _MIXED[model]
+    per_lag = {tuple(t): max_dependence_ratio(kern, trip, t) for t in t_lattice(3.0, 0.2, 1)}
+
+    def no_per_lag(*args, **kwargs):
+        raise AssertionError("build_profile searched one lag at a time")
+
+    monkeypatch.setattr(spectral, "max_dependence_ratio", no_per_lag)
+    prof = build_profile(kern, trip, window=3.0, t_step=0.2)
+    expect = [per_lag[tuple(t)].value for t in prof.t_grid]
+    np.testing.assert_allclose(prof.ratio_values, expect, rtol=1e-12, atol=0.0)
+    assert prof.ratio_error == pytest.approx(max(rm.error for rm in per_lag.values()),
+                                             rel=1e-6)
+    assert prof.ratio_method == "grid-approximate"
+
+
+@pytest.mark.parametrize("n_lags", [1, 7, spectral.RATIO_BLOCK, spectral.RATIO_BLOCK + 1])
+def test_refine_rounds_share_one_pass_per_block(monkeypatch, n_lags):
+    """One engine pass per lag on the full grid, then REFINE_ROUNDS passes
+    per block of up to RATIO_BLOCK lags; sigma^2 here is a closed form."""
+    problems = []
+    engine = kernels.integrate_box
+
+    def counted(func, corners, *args, **kwargs):
+        problems.append(len(corners))  # every lag overlaps the tent: one box each
+        return engine(func, corners, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "integrate_box", counted)
+    lags = np.linspace(0.0, 1.5, n_lags).reshape(-1, 1)
+    found = spectral._ratio_search(tent_kernel(), _MIXED["stable"], lags, DEFAULT_S_BOX)
+    expect = []
+    for start in range(0, n_lags, spectral.RATIO_BLOCK):
+        block = min(spectral.RATIO_BLOCK, n_lags - start)
+        expect += [1] * block + [block] * spectral.REFINE_ROUNDS
+    assert problems == expect
+    assert len(found) == n_lags and found[0].value == pytest.approx(1.0, abs=1e-10)
+
+
+def test_numerator_failure_names_the_caller_problem():
+    """Three engine boxes (a core and two log tails) make one integral."""
+    with pytest.raises(QuadratureError, match=r"failed on \[-4\.0, 4\.0\]") as info:
+        max_dependence_ratio(powerlaw_kernel(3.0), poisson_triplet(1.0), 0.0)
+    assert "integral" not in str(info.value)
+
+
+def test_refine_failure_names_the_lag_in_its_block(monkeypatch):
+    """Lag 3 does not overlap the tent, so the failing engine box 0 is lag 1."""
+    cumulant_re = levy.cumulant_re
+    rng = np.random.default_rng(5)
+
+    def noisy_refine(triplet, v):
+        out = cumulant_re(triplet, v)
+        # refine rounds evaluate 5 frequencies per node, the full grid 25
+        return out * (1.0 + 0.1 * rng.random(out.shape)) if out.shape[-1] == 5 else out
+
+    monkeypatch.setattr(levy, "cumulant_re", noisy_refine)
+    with pytest.raises(QuadratureError, match=r"failed on integral 1 of 2, "):
+        spectral._ratio_search(tent_kernel(), _MIXED["stable"], np.array([[3.0], [0.5]]),
+                               DEFAULT_S_BOX)
