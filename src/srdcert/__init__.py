@@ -63,9 +63,7 @@ from .simulate import (
 from .spectral import (
     SpectralProfile,
     build_profile,
-    char_joint,
     char_marginal,
-    dependence_ratio,
     marginal_exponent_sq,
     max_dependence_ratio,
 )
@@ -85,7 +83,7 @@ __all__ = [
     "FieldSample", "ProbeMeasure", "SimConfig", "covariance_bound_check",
     "empirical_char", "factorization_check", "finite_discrete",
     "gaussian_quantiles", "point_mass", "probe_smoothed_cov", "sample_field",
-    "SpectralProfile", "build_profile", "char_joint", "char_marginal",
-    "dependence_ratio", "marginal_exponent_sq", "max_dependence_ratio",
+    "SpectralProfile", "build_profile", "char_marginal",
+    "marginal_exponent_sq", "max_dependence_ratio",
     "__version__",
 ]

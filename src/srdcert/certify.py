@@ -90,9 +90,10 @@ def choose_threshold(profile: SpectralProfile,
     inside the window) and
     the outermost shell does not grow versus the next one.  Smaller feasible
     thresholds are preferred: they shrink the covariance-bound constant.
-    For one-dimensional indicator kernels the exceedance measure has the
-    exact overlap form, tagged "analytic-overlap"; otherwise it is the cell
-    count times cell volume, tagged "grid-count".
+    Where the pair is separable and the kernel registers
+    ``closed_exceedance``, the exceedance measure is that closed form,
+    tagged "analytic-overlap"; otherwise it is the cell count times cell
+    volume, tagged "grid-count".
     """
     if not candidates:
         raise RejectionError("threshold-candidates", "no candidates supplied")
@@ -139,10 +140,9 @@ def choose_threshold(profile: SpectralProfile,
                                rejected=tuple(rejected))
 
     best = feasible[0]
-    kernel = profile.kernel
-    if profile.dim == 1 and kernel.indicator:
-        length = kernel.support.hi[0] - kernel.support.lo[0]
-        measure = 2.0 * length * (1.0 - best)
+    gamma = separable_exponent(profile.kernel, profile.triplet)
+    if gamma is not None and profile.kernel.closed_exceedance is not None:
+        measure = profile.kernel.closed_exceedance(best, gamma)
         method = "analytic-overlap"
     else:
         exceed = ratios + profile.ratio_error > best

@@ -89,10 +89,15 @@ class Kernel:
     ``func`` maps an (n, dim) array of points to n values; evaluation goes
     through ``__call__`` which masks box supports to exact zeros outside.
     ``closed_norms`` maps an order p to the exact L^p norm, returning None
-    where no closed form exists.  ``knots`` lists interior 1-D breakpoints
-    (kinks, jumps) passed on to quadrature.  ``even`` promises
-    f(-x) = f(x) bit for bit, which makes every dependence numerator
-    symmetric in its two frequencies.
+    where no closed form exists.  ``closed_overlap(lags, gamma)`` maps
+    (L, dim) lags to the exact integral |f(t-x) f(-x)|**(gamma/2) dx /
+    ||f||_gamma^gamma at each, and ``closed_exceedance(r, gamma)`` is the
+    measure of {t: overlap > r}.  ``knots`` lists interior 1-D breakpoints
+    (kinks, jumps) passed on to quadrature.  ``indicator`` promises only
+    values in {0, 1}: then Re K(s f) = Re K(s) f, so sigma^2 is
+    ||f||_1 Re K(s) and the ratio separates for every triplet.  ``even``
+    promises f(-x) = f(x) bit for bit, which makes every dependence
+    numerator symmetric in its two frequencies.
     """
 
     dim: int
@@ -100,6 +105,8 @@ class Kernel:
     support: Support
     name: str = ""
     closed_norms: Callable[[float], float | None] | None = None
+    closed_overlap: Callable[[np.ndarray, float], np.ndarray] | None = None
+    closed_exceedance: Callable[[float, float], float] | None = None
     knots: tuple[float, ...] = ()
     indicator: bool = False
     even: bool = False
@@ -109,6 +116,8 @@ class Kernel:
             raise RejectionError("kernel-dim", f"dim={self.dim} unsupported")
         if isinstance(self.support, BoundedBox) and self.support.dim != self.dim:
             raise RejectionError("kernel-dim", "support box dimension mismatch")
+        if isinstance(self.support, DecayEnvelope) and self.dim != 1:
+            raise RejectionError("kernel-dim", f"a decay envelope needs dim 1, got {self.dim}")
         if self.indicator and not isinstance(self.support, BoundedBox):
             raise RejectionError("kernel-indicator", "an indicator kernel needs a box support")
 
@@ -139,13 +148,26 @@ class Kernel:
 
 
 def box_kernel(lo: float = 0.0, hi: float = 1.0, dim: int = 1) -> Kernel:
-    """Indicator of the box [lo, hi]^dim."""
+    """Indicator of the box [lo, hi]^dim.
+
+    The overlap at lag t is prod(1 - |t_i|/L)+, L = hi - lo, for every
+    gamma: a product of d uniform variables on the lags' 2L-cube, so it
+    exceeds r on the measure (2L)^d (1 - r sum_{k<d} ln(1/r)**k / k!).
+    """
     if not lo < hi:
         raise RejectionError("kernel-box", f"need lo < hi, got {lo} >= {hi}")
-    vol = (hi - lo) ** dim
+    length = float(hi) - float(lo)
+    vol = length ** dim
 
     def f(pts: np.ndarray) -> np.ndarray:
         return np.ones(pts.shape[0])
+
+    def overlap(lags: np.ndarray, gamma: float) -> np.ndarray:
+        return np.prod(np.maximum(1.0 - np.abs(lags) / length, 0.0), axis=1)
+
+    def exceedance(r: float, gamma: float) -> float:
+        below = r * sum(math.log(1.0 / r) ** k / math.factorial(k) for k in range(dim))
+        return (2.0 * length) ** dim * (1.0 - below)
 
     return Kernel(
         dim=dim,
@@ -153,6 +175,8 @@ def box_kernel(lo: float = 0.0, hi: float = 1.0, dim: int = 1) -> Kernel:
         support=BoundedBox((lo,) * dim, (hi,) * dim),
         name=f"box[{lo:g},{hi:g}]^{dim}",
         closed_norms=lambda p: vol ** (1.0 / p),
+        closed_overlap=overlap,
+        closed_exceedance=exceedance,
         indicator=True,
         even=lo == -hi,
     )
@@ -179,7 +203,12 @@ def tent_kernel(half_width: float = 1.0) -> Kernel:
 
 
 def gaussian_kernel(dim: int = 1, width: float = 1.0) -> Kernel:
-    """exp(-|x/width|^2), truncated to exact zero where it is < 5e-32."""
+    """exp(-|x/width|^2), truncated to exact zero where it is < 5e-32.
+
+    |f(t-x) f(-x)|**(gamma/2) = exp(-gamma |t|^2 / (4 w^2)) |f(x - t/2)|**gamma
+    makes that factor the overlap, above r on the ball of radius
+    w sqrt(4 ln(1/r) / gamma); the cut changes either by < 1e-30.
+    """
     if not width > 0:
         raise RejectionError("kernel-gaussian", "width must be positive")
     w = float(width)
@@ -192,12 +221,21 @@ def gaussian_kernel(dim: int = 1, width: float = 1.0) -> Kernel:
     def norm(p: float) -> float:
         return (w * math.sqrt(math.pi / p)) ** (dim / p)
 
+    def overlap(lags: np.ndarray, gamma: float) -> np.ndarray:
+        return np.exp(-gamma * np.sum(lags ** 2, axis=1) / (4.0 * w * w))
+
+    def exceedance(r: float, gamma: float) -> float:
+        radius = w * math.sqrt(4.0 * math.log(1.0 / r) / gamma)
+        return SPHERE_AREA[dim] / dim * radius ** dim
+
     return Kernel(
         dim=dim,
         func=f,
         support=BoundedBox((-cut,) * dim, (cut,) * dim),
         name=f"gaussian(w={w:g})^{dim}",
         closed_norms=norm,
+        closed_overlap=overlap,
+        closed_exceedance=exceedance,
         even=True,
     )
 
@@ -270,18 +308,6 @@ def tabulated_kernel(axes: tuple[np.ndarray, ...], values: np.ndarray,
     )
 
 
-def zero_kernel(dim: int = 1) -> Kernel:
-    """Identically zero; exercises the degenerate-field rejection path."""
-    return Kernel(
-        dim=dim,
-        func=lambda pts: np.zeros(pts.shape[0]),
-        support=BoundedBox((0.0,) * dim, (1.0,) * dim),
-        name="zero",
-        closed_norms=lambda p: 0.0,
-        indicator=False,
-    )
-
-
 # ---------------------------------------------------------------------------
 # norms
 
@@ -343,9 +369,9 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     beyond the core |x| >= 4, every |t_j - x| >= |x|/2, so g is bounded by
     sum_k C_k (amp 2**beta)**gamma_k |x|**(-beta min gamma), the minimum
     over terms with a nonzero C_k, and the bound on what the domain leaves
-    out is added to the error.  In 1-D the domain is the core, cut at the
+    out is added to the error.  The domain is the core, cut at the
     shifted faces +-radius and knots, and two tails in u = log|x|, the
-    three summed per problem; in d >= 2 a cube.  Box supports need no
+    three summed per problem (an envelope is 1-D).  Box supports need no
     growth.
 
     ``rel_tol`` applies to the nested cubature in d >= 2; 1-D integrals
@@ -360,7 +386,7 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     n_prob, m = sh.shape[:2]
 
     # Each problem becomes boxes, given as corner sets: the shifted boxes or
-    # their intersection, or under an envelope a core, in 1-D with two tails
+    # their intersection, or under an envelope a core with two tails
     # in u = log|x| that sign = +-1 maps to x = sign e^u.  The shifted knots
     # inside a box cut it.  owner is the problem of each box; residual bounds
     # what a problem's boxes leave out.
@@ -390,16 +416,6 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
             core = max(4.0 * sup.radius, 4.0, 2.0 * float(np.max(np.abs(t))) + 2.0 * sup.radius)
             owner.append(i)
             sign.append(0.0)
-            if d > 1:
-                def tail_bound(r: float) -> float:
-                    return coefs[i] * SPHERE_AREA[d] * r ** (d - tail_exponent) / (tail_exponent - d)
-
-                r = core
-                while tail_bound(r) > DEFAULT_ABS_TOL and r < 1e5:
-                    r *= 2.0
-                boxes.append(np.array([[-r] * d, [r] * d]))
-                residual[i] = tail_bound(r)
-                continue
             cuts = np.concatenate((t - sup.radius, t + sup.radius, knots[i]))
             boxes.append(np.concatenate(([[-core], [core]], cuts.clip(-core, core))))
             if coefs[i] > 0.0:
@@ -471,10 +487,6 @@ class IntegrabilityReport:
     @property
     def all_finite(self) -> bool:
         return all(c.finite is True for c in self.conditions)
-
-    def rows(self) -> list[tuple[str, str, str, str]]:
-        return [(c.key, {True: "finite", False: "divergent", None: "unknown"}[c.finite],
-                 f"{c.value:.17g}", c.note) for c in self.conditions]
 
 
 def check_integrability(kernel: Kernel, triplet: levy.LevyTriplet) -> IntegrabilityReport:

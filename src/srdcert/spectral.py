@@ -44,11 +44,6 @@ def _growth(triplet: levy.LevyTriplet, scale, re: float = 1.0, im: float = 0.0) 
             (1.0, im * levy.im_linear_coef(triplet) * scale)]
 
 
-def _shifts(kernel: Kernel, t) -> np.ndarray:
-    """The shifts (t, 0) as a batch of one problem."""
-    return np.array([[np.atleast_1d(np.asarray(t, dtype=float)), np.zeros(kernel.dim)]])
-
-
 def separable_exponent(kernel: Kernel, triplet: levy.LevyTriplet) -> float | None:
     """gamma with Re K(s f(x)) = Re K(s) |f(x)|**gamma for all s and x, else None:
     a one-term ``levy.power_terms`` exponent, or 2 for an indicator (values 0, 1)."""
@@ -70,7 +65,7 @@ def marginal_exponent_grid(kernel: Kernel, triplet: levy.LevyTriplet,
 
     Where ``levy.power_terms`` gives Re K(v) = sum_k c_k |v|**gamma_k, sigma^2 is
     sum_k c_k |s|**gamma_k ||f||_gamma_k^gamma_k, with the norms' errors, and on an
-    indicator |B| Re K(s); otherwise one engine pass, one problem per frequency.
+    indicator ||f||_1 Re K(s); otherwise one engine pass, one problem per frequency.
     """
     s_values = np.asarray(s_values, dtype=float)
     terms = levy.power_terms(triplet)
@@ -115,13 +110,6 @@ def char_marginal(kernel: Kernel, triplet: levy.LevyTriplet, u):
     """
     phi = np.exp(-marginal_cumulant(kernel, triplet, np.atleast_1d(u)))
     return phi if np.ndim(u) else complex(phi[0])
-
-
-def char_joint(kernel: Kernel, triplet: levy.LevyTriplet, t, s1: float,
-               s2: float) -> complex:
-    """Joint characteristic function E exp(i(s1 X(t) + s2 X(0)))."""
-    joint, _ = joint_integrals(kernel, triplet, t, np.array([s1]), np.array([s2]))
-    return complex(np.exp(-joint[0]))
 
 
 def _numerators(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
@@ -230,12 +218,6 @@ def dependence_ratio_grid(kernel: Kernel, triplet: levy.LevyTriplet, t,
     return _clamp_ratio(num / np.outer(sig[:len(s1_values)], sig[len(s1_values):])), err
 
 
-def dependence_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t, s1: float,
-                     s2: float) -> float:
-    grid, _ = dependence_ratio_grid(kernel, triplet, t, np.array([s1]), np.array([s2]))
-    return float(grid[0, 0])
-
-
 @dataclass(frozen=True)
 class RatioMax:
     """Supremum of the dependence ratio over frequencies at one lag."""
@@ -252,32 +234,36 @@ def _gamma_norm_pow(kernel: Kernel, gamma: float) -> float:
 
 def max_dependence_ratio(kernel: Kernel, triplet: levy.LevyTriplet, t,
                          s_box: tuple[float, float] = DEFAULT_S_BOX) -> RatioMax:
-    """sup over (s1, s2) of the dependence ratio at lag t.
+    """sup over (s1, s2) of the dependence ratio at lag t, from ``_ratio_maxima``."""
+    lag = np.asarray(t, dtype=float).reshape(1, kernel.dim)
+    values, errors, method = _ratio_maxima(kernel, triplet, lag, s_box)
+    return RatioMax(value=float(values[0]), method=method, error=float(errors[0]))
+
+
+def _ratio_maxima(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
+                  s_box: tuple[float, float]) -> tuple[np.ndarray, np.ndarray, str]:
+    """The ratio maximum at each of the (L, d) lags: values, errors, method.
 
     Where ``separable_exponent`` finds gamma the ratio is the same at every
     frequency: integral |f(t-x) f(-x)|**(gamma/2) dx / ||f||_gamma^gamma,
-    which for a box indicator is the overlap fraction prod(1 - |t_i|/L_i)+,
-    exactly.  Either is tagged "analytic-homogeneous" and uses no frequency
-    grid.  Everything else is the frequency search of ``_ratio_search``
-    with this one lag, tagged "grid-approximate": exact only up to that
-    search.
+    from the kernel's ``closed_overlap`` (error 0), else one
+    ``_homogeneous_ratio`` engine pass per lag, tagged
+    "analytic-homogeneous".  Everything else is the frequency search of
+    ``_ratio_search``, tagged "grid-approximate": exact only up to it.
     """
-    if kernel.indicator:
-        widths = np.subtract(kernel.support.hi, kernel.support.lo)
-        overlap = np.maximum(1.0 - np.abs(np.atleast_1d(t)) / widths, 0.0)
-        return RatioMax(value=float(np.prod(overlap)), method="analytic-homogeneous",
-                        error=0.0)
     gamma = separable_exponent(kernel, triplet)
-    if gamma is not None:
-        value, err = _homogeneous_ratio(kernel, t, gamma)
-        return RatioMax(value=value, method="analytic-homogeneous", error=err)
-    lag = np.atleast_1d(np.asarray(t, dtype=float))
-    return _ratio_search(kernel, triplet, lag[None], s_box)[0]
+    if gamma is None:
+        return *_ratio_search(kernel, triplet, lags, s_box), "grid-approximate"
+    if kernel.closed_overlap is not None:
+        return kernel.closed_overlap(lags, gamma), np.zeros(len(lags)), "analytic-homogeneous"
+    values, errors = np.array([_homogeneous_ratio(kernel, t, gamma) for t in lags]).T
+    return values, errors, "analytic-homogeneous"
 
 
 def _ratio_search(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
-                  s_box: tuple[float, float]) -> list[RatioMax]:
-    """The grid-approximate ratio maximum at each of the (L, d) lags.
+                  s_box: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The grid-approximate ratio maximum at each of the (L, d) lags, as
+    values (L,) and errors (L,).
 
     Each lag gets a log grid of DEFAULT_S_POINTS per axis over ``s_box``
     squared, one engine pass per lag, then REFINE_ROUNDS 5 x 5 grids
@@ -290,7 +276,7 @@ def _ratio_search(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
     s_vals = np.geomspace(s_box[0], s_box[1], DEFAULT_S_POINTS)
     sig = _sigma(kernel, triplet, s_vals)
     den = np.outer(sig, sig)
-    out = []
+    values, errors = [], []
     for start in range(0, len(lags), RATIO_BLOCK):
         block = lags[start:start + RATIO_BLOCK]
         rows = np.arange(len(block))
@@ -313,9 +299,9 @@ def _ratio_search(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
             best = np.where(take, sub, best)
             b1, b2 = np.where(take, g1[rows, i], b1), np.where(take, g2[rows, j], b2)
             err = np.maximum(err, sub_err)
-        out += [RatioMax(value=float(v), method="grid-approximate", error=float(e))
-                for v, e in zip(best, err)]
-    return out
+        values.append(best)
+        errors.append(err)
+    return np.concatenate(values), np.concatenate(errors)
 
 
 def _argmax(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,7 +314,7 @@ def _homogeneous_ratio(kernel: Kernel, t, gamma: float) -> tuple[float, float]:
     def integrand(fv: np.ndarray, _) -> np.ndarray:
         return (np.abs(fv[0] * fv[1]) ** (gamma / 2.0))[:, None]
 
-    vals, err = integrate_over_support(kernel, integrand, _shifts(kernel, t),
+    vals, err = integrate_over_support(kernel, integrand, np.array([[t, np.zeros_like(t)]]),
                                        [(gamma, 1.0)], overlap=True)
     den = _gamma_norm_pow(kernel, gamma)
     if den <= 0.0:
@@ -395,9 +381,8 @@ def build_profile(kernel: Kernel, triplet: levy.LevyTriplet, window: float,
 
     Rejects degenerate pairs (vanishing marginal exponent) and a window,
     step or frequency box that is not finite, exploits the lag symmetry
-    ratio(-t) = ratio(t), and tags ratio provenance.  An indicator or
-    separable pair takes ``max_dependence_ratio`` lag by lag; any other
-    pair runs one ``_ratio_search`` over all lags of the half lattice.
+    ratio(-t) = ratio(t), and tags ratio provenance.  One
+    ``_ratio_maxima`` call takes every lag of the half lattice.
     """
     if not (0 < t_step <= window < math.inf):
         raise RejectionError("profile-window",
@@ -414,18 +399,14 @@ def build_profile(kernel: Kernel, triplet: levy.LevyTriplet, window: float,
     lattice = t_lattice(window, t_step, kernel.dim)
     # ratio(-t) = ratio(t) and the lattice is point-symmetric, so evaluate
     # the first half up to the origin and mirror it
-    lags = lattice[:len(lattice) // 2 + 1]
-    if kernel.indicator or separable_exponent(kernel, triplet) is not None:
-        half = [max_dependence_ratio(kernel, triplet, t, s_box=s_box) for t in lags]
-    else:
-        half = _ratio_search(kernel, triplet, lags, s_box)
-    values = np.array([rm.value for rm in half])
+    values, errors, method = _ratio_maxima(kernel, triplet,
+                                           lattice[:len(lattice) // 2 + 1], s_box)
 
     return SpectralProfile(
         kernel=kernel, triplet=triplet, window=float(window), t_step=float(t_step),
         s_grid=s_grid, sigma_sq=np.asarray(sigma_sq), sigma_err=sigma_err,
         t_grid=lattice, ratio_values=np.concatenate([values, values[-2::-1]]),
-        ratio_error=max(rm.error for rm in half),
-        ratio_method=half[-1].method, s_box=(float(s_box[0]), float(s_box[1])),
+        ratio_error=float(np.max(errors)),
+        ratio_method=method, s_box=(float(s_box[0]), float(s_box[1])),
         s_points=int(s_points),
     )

@@ -66,3 +66,18 @@ def test_tent_gaussian_stable_freq_value(tent_gaussian_stable):
     ref, ref_err = frequency_reference(lambda s: s + s * s / 3.0, 1.0 - rep.threshold,
                                        gamma_lo=1.0, c_lo=1.0)
     assert abs(rep.freq_value - ref) <= rep.freq_error + ref_err
+
+
+@pytest.mark.parametrize("kernel, triplet, reference", [
+    # 4 (1 - r (1 + ln(1/r))); the profile's lattice count reads 1.605625
+    (kernels.box_kernel(dim=2), levy.stable_triplet(1.0), 1.6137056388801092),
+    # the disc pi 4 ln(1/r) / 1.5; the profile's lattice count reads 12.463125
+    (kernels.gaussian_kernel(dim=2), levy.stable_triplet(1.5), 11.613792481619212),
+], ids=["box-2d-stable-1", "gaussian-2d-stable-1.5"])
+def test_exceedance_measure(kernel, triplet, reference):
+    """The exceedance region of threshold r = 0.25 at the default window is
+    the closed measure; it reports no error, and the reference's is its
+    rounding."""
+    rep = certify(kernel, triplet)
+    assert (rep.threshold, rep.threshold_method) == (0.25, "analytic-overlap")
+    assert abs(rep.exceedance_measure - reference) <= 1e-12 * reference

@@ -28,7 +28,6 @@ from srdcert.kernels import (
     powerlaw_kernel,
     tabulated_kernel,
     tent_kernel,
-    zero_kernel,
 )
 from srdcert.levy import (
     gaussian_triplet,
@@ -43,6 +42,11 @@ def strip_closed_norms(kernel: Kernel) -> Kernel:
     return Kernel(dim=kernel.dim, func=kernel.func, support=kernel.support,
                   name=kernel.name + "-noclosed", closed_norms=None,
                   knots=kernel.knots, indicator=kernel.indicator)
+
+
+# identically zero: exercises the degenerate paths
+ZERO = Kernel(dim=1, func=lambda pts: np.zeros(pts.shape[0]),
+              support=BoundedBox((0.0,), (1.0,)), name="zero")
 
 
 class TestEvaluation:
@@ -130,6 +134,13 @@ class TestEvaluation:
                    support=DecayEnvelope(radius=1.0, exponent=2.0), indicator=True)
         assert exc.value.condition == "kernel-indicator"
 
+    def test_envelope_needs_dim_one(self):
+        for dim in (2, 3):
+            with pytest.raises(RejectionError) as exc:
+                Kernel(dim=dim, func=lambda pts: np.ones(pts.shape[0]),
+                       support=DecayEnvelope(radius=1.0, exponent=4.0))
+            assert exc.value.condition == "kernel-dim"
+
     def test_even_kernels_are_symmetric_bit_for_bit(self):
         even = [box_kernel(-1.0, 1.0, dim=d) for d in (1, 2, 3)] + [
             box_kernel(-0.3, 0.3), tent_kernel(), tent_kernel(0.7),
@@ -147,7 +158,7 @@ class TestEvaluation:
         table = tabulated_kernel((np.linspace(-1.0, 1.0, 5),), np.array([0, 1, 2, 1, 0.0]))
         for k in (box_kernel(), box_kernel(0.0, 1.0, dim=2), box_kernel(-1.0, 2.0), table,
                   tabulated_kernel((np.linspace(-1, 1, 3),) * 2, np.ones((3, 3))),
-                  zero_kernel()):
+                  ZERO):
             assert not k.even, k.name
 
 
@@ -198,7 +209,7 @@ class TestNorms:
         assert lp_norm(k, 2.0) == pytest.approx((math.pi / 2.0) ** 0.5, rel=1e-8)
 
     def test_zero_kernel_norm(self):
-        assert lp_norm(zero_kernel(), 2.0) == 0.0
+        assert lp_norm(ZERO, 2.0) == 0.0
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
@@ -213,6 +224,24 @@ class TestNorms:
         base = lp_norm(tent_kernel(1.0), p)
         wide = lp_norm(tent_kernel(2.0), p)
         assert wide == pytest.approx(2.0 ** (1.0 / p) * base, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, cells, rel", [(1, 100_000, 1e-4), (2, 1000, 1e-3), (3, 100, 2e-2)])
+@pytest.mark.parametrize("make, reach", [(lambda d: box_kernel(-0.5, 1.5, dim=d), 2.0),
+                                         (lambda d: gaussian_kernel(d, 0.8), 3.0)],
+                         ids=["box", "gaussian"])
+def test_exceedance_hook_matches_lattice_count(make, reach, dim, cells, rel):
+    """The measure of {closed_overlap > r} agrees with the count of the
+    cells of a fine midpoint lattice on [-reach, reach]^d where it holds."""
+    kern = make(dim)
+    h = 2.0 * reach / cells
+    axis = -reach + h * (np.arange(cells) + 0.5)
+    lattice = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    for gamma in (1.0, 1.5, 2.0):
+        overlap = kern.closed_overlap(lattice, gamma)
+        for r in (0.25, 0.6):
+            count = h ** dim * np.count_nonzero(overlap > r)
+            assert count == pytest.approx(kern.closed_exceedance(r, gamma), rel=rel)
 
 
 class TestIntegrateOverSupport:
@@ -330,9 +359,7 @@ class TestIntegrability:
         assert by_key["drift"].value == pytest.approx(0.0, abs=1e-12)
         assert report.all_finite
 
-    def test_report_rows_format(self):
+    def test_report_conditions(self):
         report = check_integrability(box_kernel(), gaussian_triplet())
-        rows = report.rows()
-        assert len(rows) == 3
-        assert {r[0] for r in rows} == {"drift", "gaussian", "jumps"}
-        assert all(r[1] in {"finite", "divergent", "unknown"} for r in rows)
+        assert [c.key for c in report.conditions] == ["drift", "gaussian", "jumps"]
+        assert all(c.finite is True for c in report.conditions)

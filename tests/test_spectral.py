@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srdcert import kernels, levy, spectral
-from srdcert.certify import default_window, srd_integral
+from srdcert.certify import choose_threshold, default_window, srd_integral
 from srdcert.errors import QuadratureError, RejectionError
 from srdcert.kernels import (
     box_kernel,
@@ -24,7 +24,6 @@ from srdcert.kernels import (
     integrate_over_support,
     powerlaw_kernel,
     tent_kernel,
-    zero_kernel,
 )
 from srdcert.levy import gaussian_triplet, poisson_triplet, stable_triplet
 from srdcert.spectral import (
@@ -32,10 +31,8 @@ from srdcert.spectral import (
     DEFAULT_S_POINTS,
     _clamp_ratio,
     build_profile,
-    char_joint,
     char_marginal,
     dependence_numerator_grid,
-    dependence_ratio,
     dependence_ratio_grid,
     marginal_exponent_grid,
     marginal_exponent_sq,
@@ -176,6 +173,13 @@ class TestMarginalExponent:
         assert marginal_exponent_sq(k, trip, s) == marginal_exponent_sq(k, trip, -s)
 
 
+def char_joint(kernel, triplet, t, s1: float, s2: float) -> complex:
+    """E exp(i(s1 X(t) + s2 X(0))) from one ``joint_integrals`` triple."""
+    joint, _ = spectral.joint_integrals(kernel, triplet, np.array([t]), np.array([s1]),
+                                        np.array([s2]))
+    return complex(np.exp(-joint[0]))
+
+
 class TestCharacteristicFunctions:
     def test_marginal_gaussian_box(self):
         got = char_marginal(box_kernel(), gaussian_triplet(1.0), 1.0)
@@ -268,8 +272,9 @@ class TestDependenceRatio:
     def test_stable_box_equals_tent(self):
         trip = stable_triplet(1.0)
         for t, expect in ((0.0, 1.0), (0.25, 0.75), (0.4, 0.6), (0.9, 0.1), (1.5, 0.0)):
-            got = dependence_ratio(box_kernel(), trip, t, 1.0, 3.0)
-            assert got == pytest.approx(expect, abs=1e-11)
+            got, _ = dependence_ratio_grid(box_kernel(), trip, t, [1.0], [3.0])
+            assert got.shape == (1, 1)
+            assert got[0, 0] == pytest.approx(expect, abs=1e-11)
 
     def test_numerator_zero_past_diameter(self):
         s = np.array([0.1, 1.0, 10.0])
@@ -288,6 +293,11 @@ class TestDependenceRatio:
         s = np.geomspace(1e-3, 1e3, 9)
         grid, _ = dependence_ratio_grid(box_kernel(), stable_triplet(1.5), 0.3, s, s)
         assert float(grid.max() - grid.min()) < 1e-10
+
+    def test_lag_must_match_kernel_dim(self):
+        for kern in (box_kernel(dim=2), gaussian_kernel(dim=3)):
+            with pytest.raises(ValueError):
+                max_dependence_ratio(kern, stable_triplet(1.0), 0.3)
 
     def test_tent_gaussian_oracle(self):
         # gamma = 2 collapse: overlap integral / ||tent||_2^2 = 23/32 at t = 0.5
@@ -363,8 +373,10 @@ class TestProfile:
         assert np.all(np.diff(prof.sigma_sq) > 0)
 
     def test_degenerate_kernel_rejected(self):
+        zero = kernels.Kernel(dim=1, func=lambda pts: np.zeros(pts.shape[0]),
+                              support=kernels.BoundedBox((0.0,), (1.0,)), name="zero")
         with pytest.raises(RejectionError) as exc:
-            build_profile(zero_kernel(), gaussian_triplet(1.0), window=2.0, t_step=0.5)
+            build_profile(zero, gaussian_triplet(1.0), window=2.0, t_step=0.5)
         assert exc.value.condition == "degenerate-profile"
 
     def test_bad_window_rejected(self):
@@ -409,10 +421,65 @@ class TestProfile:
         assert srd_integral(prof).window_part == pytest.approx(1.0, abs=1e-9)
 
 
+def strip_hooks(kern: kernels.Kernel) -> kernels.Kernel:
+    """The kernel without its overlap hooks or indicator promise, so every
+    separable ratio is one ``_homogeneous_ratio`` engine pass."""
+    return dataclasses.replace(kern, closed_overlap=None, closed_exceedance=None,
+                               indicator=False)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("make", [lambda d: box_kernel(-0.5, 1.5, dim=d),
+                                  lambda d: gaussian_kernel(d, 0.8)], ids=["box", "gaussian"])
+def test_overlap_hook_matches_engine(make, dim, gamma):
+    """Each closed overlap agrees with quadrature of
+    integral |f(t-x) f(-x)|**(gamma/2) dx / ||f||_gamma^gamma within its error."""
+    kern = make(dim)
+    lags = np.array([[0.3, -0.7, 1.1][:dim], [1.4, 0.2, -0.5][:dim]])[:1 if dim == 3 else 2]
+    hook = kern.closed_overlap(lags, gamma)
+    assert hook.shape == (len(lags),)
+    for t, value in zip(lags, hook):
+        quad, err = spectral._homogeneous_ratio(strip_hooks(kern), t, gamma)
+        assert abs(value - quad) <= err
+        assert 0.0 < value < 1.0
+
+
+def test_indicator_without_hook_takes_quadrature():
+    """``indicator`` promises values in {0, 1} only.  1{|x| <= 1/4} on the
+    support box [-1, 1] overlaps its shift by 0.4 on 0.1 of its length 0.5,
+    not on the box's fraction 1 - 0.4/2 = 0.8, and its exceedance region
+    {1 - 2|t| > 1/4} is a lattice count."""
+    kern = kernels.Kernel(dim=1, func=lambda pts: (np.abs(pts[:, 0]) <= 0.25) * 1.0,
+                          support=kernels.BoundedBox((-1.0,), (1.0,)), indicator=True,
+                          knots=(-0.25, 0.25))
+    rm = max_dependence_ratio(kern, stable_triplet(1.0), 0.4)
+    assert rm.method == "analytic-homogeneous"
+    assert abs(rm.value - 0.2) <= rm.error + 1e-12
+    prof = build_profile(kern, stable_triplet(1.0), window=1.5, t_step=0.05)
+    choice = choose_threshold(prof)
+    assert (choice.threshold, choice.method) == (0.25, "grid-count")
+    assert choice.exceedance_measure == pytest.approx(0.75, rel=1e-12)
+
+
+def test_hooked_profile_makes_no_engine_pass(monkeypatch):
+    """2-D Gaussian + stable(1.5) at the default window: sigma^2 is a power
+    sum and every ratio the closed overlap exp(-1.5 |t|^2 / 4)."""
+    def no_pass(*args, **kwargs):
+        raise AssertionError("engine pass")
+
+    monkeypatch.setattr(spectral, "integrate_over_support", no_pass)
+    kern = gaussian_kernel(dim=2)
+    prof = build_profile(kern, stable_triplet(1.5), *default_window(kern))
+    assert prof.ratio_method == "analytic-homogeneous" and prof.ratio_error == 0.0
+    np.testing.assert_array_equal(
+        prof.ratio_values, np.exp(-1.5 * np.sum(prof.t_grid ** 2, axis=1) / 4.0))
+
+
 @pytest.mark.parametrize("dim, lag", [(1, (0.35,)), (1, (1.2,)), (2, (0.3, -0.6))])
 def test_indicator_ratio_closed_form_matches_quadrature(dim, lag):
     kern = box_kernel(-0.5, 1.5, dim=dim)
-    by_quadrature = dataclasses.replace(kern, indicator=False)
+    by_quadrature = strip_hooks(kern)
     for trip in (stable_triplet(1.0), gaussian_triplet(1.0)):
         exact = max_dependence_ratio(kern, trip, lag)
         quad = max_dependence_ratio(by_quadrature, trip, lag)
@@ -490,6 +557,25 @@ def test_profile_search_matches_per_lag_ratio(monkeypatch, model):
     assert prof.ratio_method == "grid-approximate"
 
 
+@pytest.mark.parametrize("kern, trip, method", [
+    (box_kernel(dim=2), stable_triplet(1.0), "analytic-homogeneous"),
+    (tent_kernel(), stable_triplet(1.0), "analytic-homogeneous"),
+    (tent_kernel(), _MIXED["poisson"], "grid-approximate"),
+], ids=["hook", "engine-per-lag", "search"])
+def test_profile_makes_one_ratio_call(monkeypatch, kern, trip, method):
+    calls = []
+    ratio_maxima = spectral._ratio_maxima
+
+    def counted(kernel, triplet, lags, s_box):
+        calls.append(len(lags))
+        return ratio_maxima(kernel, triplet, lags, s_box)
+
+    monkeypatch.setattr(spectral, "_ratio_maxima", counted)
+    prof = build_profile(kern, trip, window=1.5, t_step=0.5)
+    assert calls == [len(prof.t_grid) // 2 + 1]
+    assert prof.ratio_method == method
+
+
 @pytest.mark.parametrize("n_lags", [1, 7, spectral.RATIO_BLOCK, spectral.RATIO_BLOCK + 1])
 def test_refine_rounds_share_one_pass_per_block(monkeypatch, n_lags):
     """One engine pass per lag on the full grid, then REFINE_ROUNDS passes
@@ -503,13 +589,14 @@ def test_refine_rounds_share_one_pass_per_block(monkeypatch, n_lags):
 
     monkeypatch.setattr(kernels, "integrate_box", counted)
     lags = np.linspace(0.0, 1.5, n_lags).reshape(-1, 1)
-    found = spectral._ratio_search(tent_kernel(), _MIXED["stable"], lags, DEFAULT_S_BOX)
+    values, errors = spectral._ratio_search(tent_kernel(), _MIXED["stable"], lags, DEFAULT_S_BOX)
     expect = []
     for start in range(0, n_lags, spectral.RATIO_BLOCK):
         block = min(spectral.RATIO_BLOCK, n_lags - start)
         expect += [1] * block + [block] * spectral.REFINE_ROUNDS
     assert problems == expect
-    assert len(found) == n_lags and found[0].value == pytest.approx(1.0, abs=1e-10)
+    assert values.shape == errors.shape == (n_lags,)
+    assert values[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_numerator_failure_names_the_caller_problem():
