@@ -495,14 +495,18 @@ def certify(kernel: Kernel, triplet: levy.LevyTriplet,
             why = "; ".join(f"{c:g}: {msg}" for c, msg in choice.rejected)
             reasons.append(f"no feasible threshold ({why})")
         else:
-            freq = frequency_integral(profile, choice.threshold)
-            if freq.divergent:
-                reasons.append(f"frequency integral divergent: {freq.note}")
-            elif not freq.error <= FREQ_ERROR_BUDGET * freq.value:  # nan fails too
-                reasons.append(
-                    f"frequency integral error {freq.error:.3g} exceeds"
-                    f" {FREQ_ERROR_BUDGET:g} relative budget"
-                    + (f" ({freq.note})" if freq.note else ""))
+            try:
+                freq = frequency_integral(profile, choice.threshold)
+            except QuadratureError as exc:
+                reasons.append(f"frequency integral: {exc}")
+            else:
+                if freq.divergent:
+                    reasons.append(f"frequency integral divergent: {freq.note}")
+                elif not freq.error <= FREQ_ERROR_BUDGET * freq.value:  # nan fails too
+                    reasons.append(
+                        f"frequency integral error {freq.error:.3g} exceeds"
+                        f" {FREQ_ERROR_BUDGET:g} relative budget"
+                        + (f" ({freq.note})" if freq.note else ""))
 
         try:
             srd = srd_integral(profile)

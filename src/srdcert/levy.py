@@ -30,6 +30,8 @@ TABLE_INNER_CUTOFF = 1e-8
 # Integration-by-parts terms K of the tabulated cumulant's high-phase
 # closed form (see _tabulated_jump_cumulant).
 _IBP_TERMS = 30
+# Most frequencies in one engine pass of the tabulated cumulant.
+_TABLE_BLOCK = 1024
 _EPS = float(np.finfo(float).eps)
 
 
@@ -102,6 +104,8 @@ class TabulatedMeasure:
 
     grid: tuple[float, ...]
     density: tuple[float, ...]
+    # one _Side per sign with two knots or more (a lone knot bounds no piece)
+    pieces: tuple[_Side, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = tuple(float(g) for g in self.grid)
@@ -119,28 +123,14 @@ class TabulatedMeasure:
             raise RejectionError("table-density", "densities must be finite and >= 0")
         if not any(d > 0.0 for d in dens):
             raise RejectionError("table-density", "density is identically zero")
-
-    def sides(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(|y| knots, density) per sign-definite side, |y| increasing."""
-        g = np.asarray(self.grid)
-        d = np.asarray(self.density)
-        out = []
-        neg = g < 0
-        if neg.any():
-            out.append((-g[neg][::-1], d[neg][::-1]))
-        pos = g > 0
-        if pos.any():
-            out.append((g[pos], d[pos]))
-        return out
-
-    def density_at(self, r: np.ndarray, knots: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """Interpolated density on one side at radii ``r`` (zero outside)."""
-        r = np.asarray(r, dtype=float)
-        if len(knots) < 2:  # a lone knot bounds no piece
-            return np.zeros_like(r)
-        inside = (r >= knots[0]) & (r <= knots[-1])
-        side = _side(1.0, np.asarray(knots, dtype=float), np.asarray(vals, dtype=float))
-        return np.where(inside, side.density(np.clip(r, knots[0], knots[-1])), 0.0)
+        g, d = np.array(grid), np.array(dens)
+        pieces = []
+        for sign in (-1.0, 1.0):
+            knots, vals = sign * g[sign * g > 0], d[sign * g > 0]
+            if len(knots) > 1:
+                order = knots.argsort()
+                pieces.append(_side(sign, knots[order], vals[order]))
+        object.__setattr__(self, "pieces", tuple(pieces))
 
 
 LevyMeasure = Union[NoJumps, SymmetricStable, CompoundPoisson, TabulatedMeasure]
@@ -160,7 +150,7 @@ def abs_moment(measure: LevyMeasure, k: int) -> float:
     if isinstance(measure, CompoundPoisson):
         return measure.rate * float(np.asarray(measure.weights) @ np.abs(measure.atoms) ** k)
     return float(sum(_side_integral(side, k, side.knots[0], side.knots[-1])
-                     for side in _sides(measure)))
+                     for side in measure.pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +252,9 @@ def cumulant(triplet: LevyTriplet, s) -> np.ndarray | complex:
     """K(s), vectorised over ``s``.
 
     Array in, complex array out; scalar in, complex out.  Tabulated jump
-    measures take one :func:`_tabulated_jump_cumulant` value per frequency
-    (adaptive quadrature up to the phase Phi, closed forms beyond); all
-    other variants are closed-form.
+    measures take one :func:`_tabulated_jump_cumulant` call for all of
+    ``s`` (one adaptive pass per side up to the phase Phi, closed forms
+    beyond); all other variants are closed-form.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     out = (-1j * triplet.a0) * s_arr + sum(
@@ -280,8 +270,7 @@ def cumulant(triplet: LevyTriplet, s) -> np.ndarray | complex:
         q[..., inner] = _z_minus_sin(z[..., inner])
         out += m.rate * _one_minus_cos(z) @ weights + 1j * (m.rate * q @ weights)
     elif isinstance(m, TabulatedMeasure):
-        out += np.array([_tabulated_jump_cumulant(m, float(x))[0] for x in s_arr.ravel()],
-                        dtype=complex).reshape(s_arr.shape)
+        out += _tabulated_jump_cumulant(m, s_arr)[0]
     return out if np.ndim(s) else complex(out[0])
 
 
@@ -295,8 +284,7 @@ def cumulant_re(triplet: LevyTriplet, s) -> np.ndarray | float:
         weights = np.asarray(m.weights)
         out = out + m.rate * _one_minus_cos(s_arr[..., None] * atoms) @ weights
     elif isinstance(m, TabulatedMeasure):
-        out = out + np.array([_tabulated_jump_cumulant(m, float(x))[0].real
-                              for x in s_arr.ravel()]).reshape(s_arr.shape)
+        out = out + _tabulated_jump_cumulant(m, s_arr)[0].real
     result = np.maximum(out, 0.0)
     return result if np.ndim(s) else float(result[0])
 
@@ -316,17 +304,19 @@ def _z_minus_sin(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tabulated_jump_cumulant(m: TabulatedMeasure, s: float) -> tuple[complex, float]:
+def _tabulated_jump_cumulant(m: TabulatedMeasure, s) -> tuple[np.ndarray, np.ndarray]:
     """-integral(exp(isy) - 1 - isy 1[|y|<=1]) over the tabulated density.
 
-    Returns (value, error bound).  With z = |s| r each side of the measure
+    Vectorised over the frequencies ``s``: returns (values, error bounds),
+    arrays of the shape of ``s``.  With z = |s| r each side of the measure
     contributes integral (1 - cos z) g(r) dr to the real part and
     integral q(z) g(r) dr, q = z - sin z for r <= 1 and -sin z beyond, to
     the odd imaginary part.  Both integrals split at the phase z = Phi:
 
-    * z <= Phi: one adaptive pass per side in u = log r, from the innermost
-      knot to min(outermost knot, Phi/|s|), split at the log knots and at
-      u = 0.
+    * z <= Phi: adaptive quadrature in u = log r, from the innermost knot
+      to min(outermost knot, Phi/|s|), split at the log knots and at
+      u = 0; per side the frequencies that reach it are the problems of
+      one engine pass.
     * z > Phi: closed forms on each density piece.  Mass and first moment
       come from :func:`_side_integral`; integral g(r) exp(i|s|r) dr is the
       integration-by-parts sum of K terms
@@ -338,47 +328,54 @@ def _tabulated_jump_cumulant(m: TabulatedMeasure, s: float) -> tuple[complex, fl
     K = 30 and Phi = 2 (max|p| + K) over the table's power-law exponents
     p.  On a piece g^(k) / g^(k-1) = (p - k + 1) / r (log pieces take
     p = 0 from k = 2), so past Phi each term is at most half the one
-    before.  An error above 1e-6 (1 + |Re| + |Im|) raises QuadratureError.
+    before.  Frequencies go in blocks of at most ``_TABLE_BLOCK``, which
+    bounds the memory of a call; s = 0 gives exactly 0.  An error above
+    1e-6 (1 + |Re| + |Im|) raises QuadratureError at the first such s.
     """
-    if s == 0.0:
-        return 0.0 + 0.0j, 0.0
-    sa = abs(s)
-    sides = _sides(m)
-    r_cut = 2.0 * (max((np.abs(side.p).max() for side in sides), default=0.0)
-                   + _IBP_TERMS) / sa
-    re_total = 0.0
-    im_odd = 0.0
-    err_total = 0.0
-    for side in sides:
-        knots = side.knots
-        if r_cut > knots[0]:
-            def f(x, _, side=side):
-                u = x[:, 0]
-                r = np.exp(u)
-                z = sa * r
-                w = side.density(r) * r
-                q = np.where(u <= 0.0, _z_minus_sin(z), -np.sin(z))
-                return np.stack([_one_minus_cos(z) * w, q * w], axis=1)
+    s = np.asarray(s, dtype=float)
+    flat = s.ravel()
+    sa = np.abs(flat)
+    re, im, err = np.zeros((3, flat.size))
+    p_max = max((np.abs(side.p).max() for side in m.pieces), default=0.0)
+    with np.errstate(divide="ignore"):
+        r_cut = 2.0 * (p_max + _IBP_TERMS) / sa
+    for start in range(0, flat.size, _TABLE_BLOCK):
+        block = np.arange(start, min(start + _TABLE_BLOCK, flat.size))
+        for side in m.pieces:
+            knots = side.knots
+            head = block[(r_cut[block] > knots[0]) & (sa[block] > 0.0)]
+            if head.size:
+                def f(x, p, side=side, w=sa[head]):
+                    u = x[:, 0]
+                    r = np.exp(u)
+                    z = w[p] * r
+                    g = side.density(r) * r
+                    q = np.where(u <= 0.0, _z_minus_sin(z), -np.sin(z))
+                    return np.stack([_one_minus_cos(z) * g, q * g], axis=1)
 
-            a, b = math.log(knots[0]), math.log(min(knots[-1], r_cut))
-            cuts = np.clip([a, b, 0.0, *np.log(knots)], a, b)
-            (val,), (err,) = integrate_box(f, cuts[None, :, None], abs_tol=1e-14, rel_tol=1e-11)
-            re_total += float(val[0])
-            im_odd += side.sign * float(val[1])
-            err_total += float(err)
-        if r_cut < knots[-1]:
-            mass = float(_side_integral(side, 0, r_cut, knots[-1]))
-            first = float(_side_integral(side, 1, r_cut, 1.0))
-            osc, err = _oscillatory_tail(side, r_cut, sa)
-            re_total += mass - osc.real
-            im_odd += side.sign * (sa * first - osc.imag)
-            err_total += err
-    value = complex(re_total, im_odd if s > 0 else -im_odd)
-    if err_total > 1e-6 * (1.0 + abs(re_total) + abs(im_odd)):
+                b = np.log(np.minimum(knots[-1], r_cut[head]))
+                cuts = np.clip(np.append(0.0, np.log(knots)), math.log(knots[0]), b[:, None])
+                val, e = integrate_box(f, cuts[:, :, None], abs_tol=1e-14, rel_tol=1e-11,
+                                       name=lambda p: f"s={flat[head[p]]}")
+                re[head] += val[:, 0]
+                im[head] += side.sign * val[:, 1]
+                err[head] += e
+            tail = block[r_cut[block] < knots[-1]]
+            if tail.size:
+                mass = _side_integral(side, 0, r_cut[tail], knots[-1])
+                first = _side_integral(side, 1, r_cut[tail], 1.0)
+                osc, e = _oscillatory_tail(side, r_cut[tail], sa[tail])
+                re[tail] += mass - osc.real
+                im[tail] += side.sign * (sa[tail] * first - osc.imag)
+                err[tail] += e
+    value = re + 1j * np.where(flat < 0.0, -im, im)
+    bad = np.flatnonzero(err > 1e-6 * (1.0 + np.abs(re) + np.abs(im)))
+    if bad.size:
+        i = bad[0]
         raise QuadratureError(
-            f"tabulated cumulant quadrature error {err_total:.3e} too large at s={s}",
-            partial=value, residual=err_total)
-    return value, err_total
+            f"tabulated cumulant quadrature error {err[i]:.3e} too large at s={flat[i]}",
+            partial=complex(value[i]), residual=float(err[i]))
+    return value.reshape(s.shape), err.reshape(s.shape)
 
 
 class _Side(NamedTuple):
@@ -413,16 +410,6 @@ def _side(sign: float, knots: np.ndarray, vals: np.ndarray) -> _Side:
     power = (v0 > 0.0) & (v1 > 0.0)
     ratio = np.where(power, v1, 1.0) / np.where(power, v0, 1.0)
     return _Side(sign, knots, v0, np.log(ratio) / width, np.where(power, 0.0, (v1 - v0) / width))
-
-
-def _sides(m: TabulatedMeasure) -> list[_Side]:
-    """The sides of m as in :meth:`TabulatedMeasure.sides`, with y = sign * r.
-
-    A side with a single knot carries no mass and is left out.
-    """
-    signs = [sign for sign in (-1.0, 1.0) if any(sign * g > 0 for g in m.grid)]
-    return [_side(sign, knots, vals) for sign, (knots, vals) in zip(signs, m.sides())
-            if len(knots) > 1]
 
 
 def _piece_moment(a, slope, p, lo, hi, q):
@@ -472,36 +459,47 @@ def _side_integral(side: _Side, q: int, lo, hi):
     return np.where(i == j, within, across)
 
 
-def _oscillatory_tail(side: _Side, r_cut: float, sa: float) -> tuple[complex, float]:
+def _oscillatory_tail(side: _Side, r_cut: np.ndarray, sa: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """integral_{r_cut}^{r_max} g(r) exp(i sa r) dr and its error bound.
 
-    The K-term integration-by-parts sum at both ends of every piece, or of
-    its part beyond r_cut, where sa r >= Phi.  The error is the remainder
-    bound integral |g^(K)| dr / sa**K, in closed form because |g^(K)| is
-    (|p| g + |slope|) r**-K prod_{j=1}^{K-1} |p - j|, plus the rounding of
-    the phase sa r.
+    Vectorised over the pairs (r_cut, sa), each with r_cut below the
+    outermost knot.  The K-term integration-by-parts sum at both ends of
+    every piece, or of its part beyond r_cut, where sa r >= Phi; one row
+    per (pair, piece).  The error is the remainder bound
+    integral |g^(K)| dr / sa**K, in closed form because |g^(K)| is
+    (|p| g + |slope|) r**-K prod_{j=1}^{K-1} |p - j|, taken as a product
+    of ratios below 1 so it cannot overflow, plus the rounding of the
+    phase sa r.
     """
-    idx = np.flatnonzero(side.knots[1:] > r_cut)
+    row, idx = np.nonzero(side.knots[1:] > r_cut[:, None])
+    # every pair has rows, in order: each pair's sum starts at its first row
+    per_pair = lambda v: np.add.reduceat(v, np.searchsorted(row, np.arange(len(r_cut))))
+    w = sa[row]
     p, slope = side.p[idx], side.slope[idx]
-    lo = np.maximum(side.knots[idx], r_cut)
+    lo = np.maximum(side.knots[idx], r_cut[row])
     hi = side.knots[idx + 1]
     # both ends at once: sum_k i**k g^(k) / sa**k at r, with x = sa r, is
-    # g + i (r g' / x) sum_{k=1}^{K-1} prod_{j=1}^{k-1} i (p - j) / x
+    # g + i (r g' / x) sum_{k=1}^{K-1} prod_{j=1}^{k-1} i (p - j) / x,
+    # the sum nested from its last term
+    n = len(idx)
     r = np.concatenate([lo, hi])
     pp = np.concatenate([p, p])
+    ww = np.concatenate([w, w])
     g = side.at(np.concatenate([idx, idx]), r)
-    x = sa * r
-    ratios = 1j * (pp[:, None] - np.arange(1, _IBP_TERMS - 1)) / x[:, None]
-    total = g + 1j * ((pp * g + np.concatenate([slope, slope])) / x) * (
-        1.0 + np.cumprod(ratios, axis=1).sum(axis=1))
-    ends = -1j * np.exp(1j * x) * total / sa
-    value = complex(ends[len(idx):].sum() - ends[:len(idx)].sum())
-    shrink = np.prod(np.abs(p[:, None] - np.arange(1, _IBP_TERMS)) / (sa * lo[:, None]),
-                     axis=1) / (sa * lo)
+    x = ww * r
+    series = np.zeros(len(x), dtype=complex)
+    for j in range(_IBP_TERMS - 2, 0, -1):
+        series = 1j * (pp - j) / x * (1.0 + series)
+    total = g + 1j * ((pp * g + np.concatenate([slope, slope])) / x) * (1.0 + series)
+    ends = -1j * np.exp(1j * x) * total / ww
+    value = per_pair(ends[n:]) - per_pair(ends[:n])
+    shrink = np.prod(np.abs(p[:, None] - np.arange(1, _IBP_TERMS)) / (w * lo)[:, None],
+                     axis=1) / (w * lo)
     a = np.abs(p) * side.at(idx, lo) + np.abs(slope)
-    remainder = float((shrink * _piece_moment(a, 0.0, p, lo, hi, -_IBP_TERMS)).sum())
-    rounding = float((_EPS * (x + 2 * _IBP_TERMS) * np.abs(total)).sum() / sa)
-    return value, remainder + rounding
+    remainder = per_pair(shrink * _piece_moment(a, 0.0, p, lo, hi, -_IBP_TERMS))
+    rounding = _EPS * (x + 2 * _IBP_TERMS) * np.abs(total)
+    return value, remainder + (per_pair(rounding[:n]) + per_pair(rounding[n:])) / sa
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +552,7 @@ def truncated_mean_shift(triplet: LevyTriplet, v) -> np.ndarray | float:
         with np.errstate(divide="ignore"):
             r_hi = 1.0 / np.abs(v_arr)
         out = np.zeros_like(v_arr)
-        for side in _sides(m):
+        for side in m.pieces:
             part = _side_integral(side, 1, np.minimum(1.0, r_hi), np.maximum(1.0, r_hi))
             out = out + side.sign * np.where(r_hi >= 1.0, part, -part)
     return out if np.ndim(v) else float(out[0])
@@ -611,7 +609,7 @@ def clipped_second_moment(triplet: LevyTriplet, v) -> np.ndarray | float:
         with np.errstate(divide="ignore"):
             r_clip = 1.0 / v_arr
         out = np.zeros_like(v_arr)
-        for side in _sides(m):
+        for side in m.pieces:
             out = out + (v_arr * v_arr * _side_integral(side, 2, side.knots[0], r_clip)
                          + _side_integral(side, 0, r_clip, side.knots[-1]))
     return out if np.ndim(v) else float(out[0])
@@ -639,15 +637,6 @@ class NegDefReport:
         return self.total_violations == 0
 
 
-_CHECKS = (
-    "re-nonneg",
-    "conjugate-symmetry",
-    "subadditive-complex-sum",
-    "subadditive-complex-diff",
-    "subadditive-real-sum",
-    "subadditive-real-diff",
-    "sqrt-lower-bound",
-)
 # relative slack of each inequality, per pair
 NEGDEF_TOL = 1e-9
 
@@ -703,8 +692,6 @@ def check_negdef_inequalities(triplet: LevyTriplet, n_samples: int = 100_000,
     lower = np.minimum.reduce([kxpy.real, kxmy.real, rex + rey])
     record("sqrt-lower-bound", gap - lower - slack(gap, lower))
 
-    for check in _CHECKS:
-        violations.setdefault(check, 0)
     return NegDefReport(triplet_name=triplet.name or repr(triplet),
                         n_samples=n_samples, violations=violations,
                         max_excess=max_excess)

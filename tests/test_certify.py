@@ -432,16 +432,39 @@ def test_frequency_integral_nan_middle_is_inconclusive(monkeypatch):
     assert "middle quadrature: " in reason and "non-finite values encountered" in reason
 
 
-def test_frequency_integral_sigma_sq_failure_propagates(monkeypatch):
+def failing_grid(kernel, triplet, s):
+    raise QuadratureError("sigma^2 pass failed")
+
+
+def test_frequency_integral_sigma_sq_failure_propagates(monkeypatch, box_poisson_profile):
     """A failed sigma^2 grid call is not the middle's non-convergence."""
-    certify_module = sys.modules["srdcert.certify"]
-
-    def failing_grid(kernel, triplet, s):
-        raise QuadratureError("sigma^2 pass failed")
-
-    monkeypatch.setattr(certify_module, "marginal_exponent_grid", failing_grid)
+    monkeypatch.setattr(sys.modules["srdcert.certify"], "marginal_exponent_grid", failing_grid)
     with pytest.raises(QuadratureError, match=r"sigma\^2 pass failed"):
-        certify(*BOX_POISSON)
+        frequency_integral(box_poisson_profile, 0.5)
+
+
+def test_certify_sigma_sq_failure_inconclusive(monkeypatch):
+    """certify turns the raise of a failed sigma^2 call into a reason."""
+    monkeypatch.setattr(sys.modules["srdcert.certify"], "marginal_exponent_grid", failing_grid)
+    trip = levy.poisson_triplet(2.0, atoms=(-0.5, 2.0), weights=(0.6, 0.4), b0=1.0)
+    rep = certify(kernels.tent_kernel(), trip, window=3.0, t_step=0.2)
+    assert rep.verdict == "inconclusive"
+    (reason,) = rep.reasons
+    assert reason.startswith("frequency integral: sigma^2 pass failed")
+    assert math.isnan(rep.freq_value)
+
+
+def test_certify_tabulated_table_pin():
+    """Box + b0 = 1 + the 31-knot bench table at the default window: the
+    frequency middle evaluates the tabulated cumulant one array per round."""
+    pos = np.geomspace(1e-3, 1e3, 31)
+    grid = np.concatenate([-pos[::-1], pos])
+    table = levy.TabulatedMeasure(tuple(grid), tuple(0.1 * np.abs(grid) ** -2.0))
+    rep = certify(kernels.box_kernel(), levy.LevyTriplet(b0=1.0, measure=table))
+    assert rep.verdict == "certified-SRD"
+    assert rep.threshold == 0.25
+    assert abs(rep.freq_value - 1.4505889876698472) <= rep.freq_error
+    assert rep.srd_value == 1.0
 
 
 def test_frequency_integral_batches_sigma_sq(monkeypatch, box_poisson_profile):

@@ -188,6 +188,33 @@ def test_certify_srd_failure_inconclusive(tmp_path, monkeypatch):
     assert read_certificate(out)[0]["verdict"] == "inconclusive"
 
 
+def test_certify_sigma_sq_failure_inconclusive(tmp_path, monkeypatch):
+    """A failed sigma^2 call in the frequency integral is a verdict, not a crash."""
+    def failing_grid(*args, **kwargs):
+        raise QuadratureError("sigma^2 pass failed")
+
+    monkeypatch.setattr(sys.modules["srdcert.certify"], "marginal_exponent_grid", failing_grid)
+    body = """
+[kernel]
+type = tent
+
+[triplet]
+b0 = 1
+jumps = poisson
+rate = 2
+atoms = -0.5, 2
+weights = 0.6, 0.4
+
+[numerics]
+window = 3
+t_step = 0.2
+"""
+    out = tmp_path / "out"
+    assert main(["certify", str(write_cfg(tmp_path, body)), "--output", str(out)]) == 2
+    assert "reason: frequency integral: sigma^2 pass failed" in (out / "report.txt").read_text()
+    assert read_certificate(out)[0]["verdict"] == "inconclusive"
+
+
 def test_readme_grammar_matches_schema():
     """README's ```ini grammar block lists each section's keys and the
     values of each selector key exactly as the schema has them."""

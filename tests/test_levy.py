@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from srdcert import levy
-from srdcert.errors import RejectionError
+from srdcert.errors import QuadratureError, RejectionError
 from srdcert.levy import (
     CompoundPoisson,
     LevyTriplet,
@@ -147,7 +147,7 @@ def steep_table():
 
 
 def quad_cumulant(m, s):
-    """Jump cumulant and an error bound by scalar QUADPACK on density_at.
+    """Jump cumulant and an error bound by scalar QUADPACK on the interpolated density.
 
     Piece by piece between knots (split at r = 1): direct quadrature while
     the phase |s| r stays below 50, else the mass minus cosine- and
@@ -156,12 +156,13 @@ def quad_cumulant(m, s):
     w = abs(s)
     re = im = err = 0.0
     opts = dict(epsabs=0.0, epsrel=1e-13, limit=1000)
-    signs = [sign for sign in (-1.0, 1.0) if any(sign * y > 0 for y in m.grid)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        for sign, (knots, vals) in zip(signs, m.sides()):
-            def g(r, kn=knots, vl=vals):
-                return m.density_at(np.array([r]), kn, vl)[0]
+        for side in m.pieces:
+            sign, knots = side.sign, side.knots
+
+            def g(r, side=side):
+                return float(side.density(r))
 
             edges = sorted(set(knots.tolist()) | ({1.0} if knots[0] < 1.0 < knots[-1] else set()))
             for a, b in zip(edges, edges[1:]):
@@ -235,6 +236,39 @@ class TestTabulatedMeasure:
         s = np.array([1e-2, 0.7, 3.0, 64.0, 2e3, 1e6])
         assert np.array_equal(cumulant(trip, -s), np.conj(cumulant(trip, s)))
 
+    def test_one_call_spans_blocks(self, monkeypatch):
+        """One call on more than two blocks of frequencies: each side's passes
+        hold at most a block, the values are the one-frequency values within
+        4 ulp, and conjugate symmetry holds exactly.
+
+        The ulp is of |K| or of the positive side's |K|, whichever is larger:
+        the sides' imaginary parts cancel on this symmetric table, and the
+        engine sums a lone problem in another order than a batch."""
+        pos = np.geomspace(1e-4, 1e7, 1250)
+        s = np.concatenate([-pos[::-1], [0.0], pos])
+        m = bench_table()
+        engine = levy.integrate_box
+        passes = []
+
+        def counting(func, corners, **kwargs):
+            passes.append(len(corners))
+            return engine(func, corners, **kwargs)
+
+        monkeypatch.setattr(levy, "integrate_box", counting)
+        value, err = levy._tabulated_jump_cumulant(m, s)
+        monkeypatch.undo()
+        assert len(passes) > 2 * len(m.pieces) and max(passes) <= levy._TABLE_BLOCK
+        edges = np.arange(0, len(s), levy._TABLE_BLOCK)
+        picks = np.unique(np.concatenate([np.arange(0, len(s), 20), edges, edges[1:] - 1]))
+        half = TabulatedMeasure(m.grid[31:], m.density[31:])
+        solo, scale = np.array([[complex(levy._tabulated_jump_cumulant(t, s[i])[0])
+                                 for t in (m, half)] for i in picks]).T
+        ulp = np.spacing(np.maximum(np.abs(solo), np.abs(scale)))
+        assert np.all(np.abs(value[picks] - solo) <= 4 * ulp)
+        assert value[len(pos)] == 0.0 and err[len(pos)] == 0.0
+        trip = LevyTriplet(measure=m)
+        assert np.array_equal(cumulant(trip, -s), np.conj(cumulant(trip, s)))
+
     def test_imaginary_part_vanishes_for_symmetric_table(self):
         trip = LevyTriplet(b0=0.0, measure=self.symmetric_powerlaw_table(n=41), name="table")
         k = cumulant(trip, 1.7)
@@ -255,9 +289,29 @@ class TestTabulatedMeasure:
         assert np.array_equal(cumulant(lone, s), cumulant(pair, s))
         assert abs_moment(lone.measure, 0) == abs_moment(pair.measure, 0)
         assert np.array_equal(truncated_mean_shift(lone, s), truncated_mean_shift(pair, s))
-        (knots, vals), _ = lone.measure.sides()
-        assert np.array_equal(lone.measure.density_at(np.array([0.5, 1.0]), knots, vals),
-                              [0.0, 0.0])
+        assert [side.sign for side in lone.measure.pieces] == [1.0]
+
+    def test_error_check_names_first_failing_frequency(self, monkeypatch):
+        engine = levy.integrate_box
+
+        def inflated(func, corners, **kwargs):
+            val, err = engine(func, corners, **kwargs)
+            return val, err + 1.0
+
+        monkeypatch.setattr(levy, "integrate_box", inflated)
+        with pytest.raises(QuadratureError, match=r"too large at s=-2\.0") as info:
+            levy._tabulated_jump_cumulant(bench_table(), np.array([0.0, -2.0, 3.0]))
+        assert info.value.residual >= 2.0
+
+    def test_pieces_stay_out_of_eq_hash_repr(self):
+        a, b = bench_table(), bench_table()
+        assert a.pieces is not b.pieces and a == b
+        assert hash(LevyTriplet(measure=a)) == hash(LevyTriplet(measure=b))
+        assert "pieces" not in repr(a)
+        lone_knots = TabulatedMeasure((-1.0, 1.0), (2.0, 3.0))
+        assert lone_knots.pieces == ()
+        assert np.array_equal(cumulant(LevyTriplet(measure=lone_knots), [-3.0, 0.0, 5.0]),
+                              np.zeros(3))
 
     def test_piece_moment_e1_matches_scipy_exprel(self):
         """With lo = 1 and slope 0 the piece moment is L E1((p + 1) L), L = log hi;
