@@ -165,12 +165,15 @@ def _standard_symmetric_stable(u: np.ndarray, e: np.ndarray,
 
     ``u`` uniform on (-pi/2, pi/2), ``e`` standard exponential; the
     exponent (1-alpha)/alpha vanishes at alpha=1 where the value reduces
-    to tan(u) (Cauchy).
+    to sin(u)/cos(u) (Cauchy); the tilt is then exactly 1.0 and is not
+    computed.
     """
+    exponent = (1.0 - alpha) / alpha
     with np.errstate(divide="ignore", over="ignore"):
         core = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-        tilt = (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
-    return core * tilt
+        if exponent == 0.0:
+            return core
+        return core * (np.cos((1.0 - alpha) * u) / e) ** exponent
 
 
 def sample_field(kernel: Kernel, triplet: levy.LevyTriplet, lags,
@@ -240,13 +243,24 @@ def empirical_char(values: np.ndarray, s_grid: np.ndarray
                    ) -> tuple[np.ndarray, float]:
     """Empirical characteristic function and a uniform standard error.
 
+    One real pass over the sample per distinct |s| takes C = mean cos(|s|x)
+    and S = mean sin(|s|x); +s and -s share it through
+    phi(s) = C + i sign(s) S, so phi(-s) = conj(phi(s)) and phi(0) = 1
+    exactly.  Memory is linear in the sample count, whatever the grid.
     Real and imaginary parts each have variance at most 1/n, so the
     complex deviation has standard error at most sqrt(2/n).
     """
     values = np.asarray(values, dtype=float).ravel()
     s_grid = np.asarray(s_grid, dtype=float)
-    phases = np.exp(1j * np.multiply.outer(s_grid, values))
-    return phases.mean(axis=1), math.sqrt(2.0 / len(values))
+    moduli, which = np.unique(np.abs(s_grid), return_inverse=True)
+    cos_mean = np.empty(len(moduli))
+    sin_mean = np.empty(len(moduli))
+    for k, m in enumerate(moduli):
+        phase = m * values
+        cos_mean[k] = np.cos(phase).mean()
+        sin_mean[k] = np.sin(phase).mean()
+    phi = cos_mean[which] + 1j * np.sign(s_grid) * sin_mean[which]
+    return phi, math.sqrt(2.0 / len(values))
 
 
 def exceedance_cov(x0: np.ndarray, xt: np.ndarray, u_levels: np.ndarray,

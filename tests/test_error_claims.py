@@ -68,6 +68,36 @@ def test_tent_gaussian_stable_freq_value(tent_gaussian_stable):
     assert abs(rep.freq_value - ref) <= rep.freq_error + ref_err
 
 
+def one_minus_sinc(z: float) -> float:
+    """1 - sin(z)/z, from its series below |z| < 1e-3 where the difference
+    cancels."""
+    if abs(z) < 1e-3:
+        z2 = z * z
+        return z2 / 6.0 * (1.0 - z2 / 20.0 * (1.0 - z2 / 42.0))
+    return 1.0 - math.sin(z) / z
+
+
+POISSON_RATE, POISSON_ATOMS, POISSON_WEIGHTS = 2.0, (-0.5, 2.0), (0.6, 0.4)
+
+
+def tent_gaussian_poisson_sigma_sq(s: float) -> float:
+    """s**2 ||f||_2^2 / 2 + rate sum_i w_i int (1 - cos(s a_i f)) on the tent
+    f = (1 - |x|)+, whose jump integral is 2 (1 - sin(s a)/(s a))."""
+    jumps = sum(w * one_minus_sinc(s * a) for a, w in zip(POISSON_ATOMS, POISSON_WEIGHTS))
+    return s * s / 3.0 + 2.0 * POISSON_RATE * jumps
+
+
+def test_tent_gaussian_poisson_freq_value():
+    """The other mixed benchmark model: tent kernel, b0 = 1 plus
+    Poisson(2) with atoms -0.5, 2.  Near 0, sigma^2 ~ 1.5 s**2."""
+    trip = levy.LevyTriplet(b0=1.0, measure=levy.CompoundPoisson(
+        POISSON_RATE, POISSON_ATOMS, POISSON_WEIGHTS))
+    rep = certify(kernels.tent_kernel(1.0), trip, window=3.0, t_step=0.2)
+    ref, ref_err = frequency_reference(tent_gaussian_poisson_sigma_sq,
+                                       1.0 - rep.threshold, gamma_lo=2.0, c_lo=1.5)
+    assert abs(rep.freq_value - ref) <= rep.freq_error + ref_err
+
+
 @pytest.mark.parametrize("kernel, triplet, reference", [
     # 4 (1 - r (1 + ln(1/r))); the profile's lattice count reads 1.605625
     (kernels.box_kernel(dim=2), levy.stable_triplet(1.0), 1.6137056388801092),

@@ -1,11 +1,14 @@
 """Lattice sampler and Monte Carlo bound checks."""
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from srdcert import kernels, levy, quadrature, simulate as S
+from srdcert.cli import main
 from srdcert.errors import RejectionError
 from srdcert.spectral import build_profile, char_marginal
 
@@ -148,6 +151,39 @@ def test_standard_stable_sampler_char():
         assert np.abs(phi - target).max() < 4.0 / math.sqrt(n)
 
 
+def _stable_with_tilt(u, e, alpha):
+    """The sampler with its tilt always applied, the reference for alpha = 1."""
+    with np.errstate(divide="ignore", over="ignore"):
+        core = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+        tilt = (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
+    return core * tilt
+
+
+def test_standard_stable_alpha_one_is_tangent():
+    """At alpha = 1 the draws are sin(u) / cos(u) bit for bit, also where
+    cos(u) is within 1e-12 of 0, and so are the tilted reference's."""
+    rng = np.random.Generator(np.random.Philox(key=23))
+    edge = math.pi / 2.0 - np.array([0.0, 1e-16, 1e-14, 1e-13, 1e-12])
+    u = np.concatenate([rng.uniform(-math.pi / 2, math.pi / 2, size=4096),
+                        edge, -edge])
+    e = np.concatenate([rng.standard_exponential(size=4096),
+                        np.zeros(len(edge)), np.full(len(edge), 1e-300)])
+    x = S._standard_symmetric_stable(u, e, 1.0)
+    np.testing.assert_array_equal(x, np.sin(u) / np.cos(u))
+    np.testing.assert_array_equal(x, _stable_with_tilt(u, e, 1.0))
+
+
+def test_example_samples_unchanged_by_alpha_one_shortcut(tmp_path, monkeypatch):
+    """The example config (stable alpha = 1) writes the same samples.csv as
+    the sampler that always applies its tilt."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "example.cfg"
+    assert main(["simulate", str(config), "--output", str(tmp_path / "a")]) == 0
+    monkeypatch.setattr(S, "_standard_symmetric_stable", _stable_with_tilt)
+    assert main(["simulate", str(config), "--output", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "samples.csv").read_bytes()
+            == (tmp_path / "b" / "samples.csv").read_bytes())
+
+
 def test_gaussian_sample_moments(box):
     tri = levy.LevyTriplet(a0=0.3, b0=2.0, name="gauss-drift")
     cfg = S.SimConfig(n_samples=100_000, lattice_step=0.125, seed=5)
@@ -177,6 +213,47 @@ def test_envelope_kernel_sampling():
     phi, _ = S.empirical_char(smp.values, S_GRID)
     target = np.array([char_marginal(kern, tri, float(s)) for s in S_GRID])
     assert np.abs(phi - target).max() < 4.0 / math.sqrt(cfg.n_samples)
+
+
+# ---------------------------------------------------------------------------
+# empirical characteristic function
+
+# unsorted, with a repeated value, 0 and both signs of each modulus
+S_MIXED = np.array([2.0, -0.5, 0.0, 5.0, -2.0, 1.0, 2.0, -5.0, 0.5, -1.0])
+
+
+@pytest.fixture(scope="module")
+def cauchy_values():
+    return np.random.Generator(np.random.Philox(key=29)).standard_cauchy(20_000)
+
+
+def test_empirical_char_matches_complex_mean(cauchy_values):
+    phi, se = S.empirical_char(cauchy_values, S_MIXED)
+    expect = np.exp(1j * np.multiply.outer(S_MIXED, cauchy_values)).mean(axis=1)
+    assert np.abs(phi - expect).max() <= 1e-15
+    assert se == math.sqrt(2.0 / len(cauchy_values))
+
+
+def test_empirical_char_conjugate_symmetry_exact(cauchy_values):
+    phi, _ = S.empirical_char(cauchy_values, S_MIXED)
+    at = {s: p for s, p in zip(S_MIXED, phi)}
+    for s, p in zip(S_MIXED, phi):
+        assert at[-s] == np.conj(p)
+    assert phi[0] == phi[6]
+    assert phi[S_MIXED == 0.0][0] == 1.0
+
+
+def test_empirical_char_memory_linear_in_samples():
+    """10**6 values at 8 frequencies: a few sample-sized arrays of 8 MB,
+    far under one frequency-by-sample complex array (128 MB)."""
+    values = np.random.Generator(np.random.Philox(key=31)).normal(size=1_000_000)
+    tracemalloc.start()
+    try:
+        S.empirical_char(values, S_GRID)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
