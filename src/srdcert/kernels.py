@@ -346,7 +346,7 @@ def _lp_power_integral(kernel: Kernel, p: float) -> tuple[float, float]:
 
 
 def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth=(),
-                           overlap: bool = False, rel_tol: float = 1e-8
+                           overlap: bool = False, rel_tol: float = 1e-8, half: bool = False
                            ) -> tuple[np.ndarray, np.ndarray]:
     """P integrals, problem p giving integral g_p(f(t_1 - x), ..., f(t_m - x)) dx.
 
@@ -374,6 +374,13 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     three summed per problem (an envelope is 1-D).  Box supports need no
     growth.
 
+    ``half`` keeps only the half-space x_1 >= c, c the mean of a problem's
+    shifts on axis 0 (t/2 for the shifts (t, 0)): a box overlap's lower
+    face on axis 0 moves up to c, and an envelope keeps its core from c
+    and the right-hand tail.  It serves an integrand whose integral over
+    the other half is folded into it, and ``growth`` bounds that folded
+    integrand.
+
     ``rel_tol`` applies to the nested cubature in d >= 2; 1-D integrals
     keep the engine's 1-D default.  All problems share one
     ``integrate_box`` call in every dimension.  Returns the values (P, k)
@@ -392,10 +399,13 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     # what a problem's boxes leave out.
     knots = np.subtract.outer(sh, kernel.knots).reshape(n_prob, -1, d)
     residual = np.zeros(n_prob)
+    mid = sh[:, :, 0].mean(axis=1)
     if isinstance(sup, BoundedBox):
         lo, hi = sh - np.asarray(sup.hi), sh - np.asarray(sup.lo)
         if overlap:
             lo, hi = lo.max(axis=1, keepdims=True), hi.min(axis=1, keepdims=True)
+        if half:
+            lo[..., 0] = np.maximum(lo[..., 0], mid[:, None])
         # an empty intersection makes the integral exactly zero
         owner = (lo < hi).all(axis=(1, 2)).nonzero()[0]
         cuts = knots.clip(lo.min(axis=1, keepdims=True), hi.max(axis=1, keepdims=True))
@@ -411,25 +421,29 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
             raise QuadratureError(
                 f"spatial tail exponent {tail_exponent:g} <= dim {d}: integral diverges",
                 residual=math.inf)
+        # the tail signs, +1 mapping to x = e^u and -1 to x = -e^u
+        signs = [1.0] if half else [1.0, -1.0]
         boxes, owner, sign = [], [], []
         for i, t in enumerate(sh):
             core = max(4.0 * sup.radius, 4.0, 2.0 * float(np.max(np.abs(t))) + 2.0 * sup.radius)
+            start = mid[i] if half else -core
             owner.append(i)
             sign.append(0.0)
             cuts = np.concatenate((t - sup.radius, t + sup.radius, knots[i]))
-            boxes.append(np.concatenate(([[-core], [core]], cuts.clip(-core, core))))
+            boxes.append(np.concatenate(([[start], [core]], cuts.clip(start, core))))
             if coefs[i] > 0.0:
-                # the tails reach where the remainder 2 C R**(1-p) / (p-1)
+                # the n tails reach where the remainder n C R**(1-p) / (p-1)
                 # drops below the tolerance, or exp(_MAX_LOG_RANGE) times the core
                 q = tail_exponent - 1.0
-                r_needed = (2.0 * coefs[i] / (q * DEFAULT_ABS_TOL)) ** (1.0 / q)
+                n_coef = len(signs) * coefs[i]
+                r_needed = (n_coef / (q * DEFAULT_ABS_TOL)) ** (1.0 / q)
                 r_max = min(max(r_needed, 2.0 * core), core * np.exp(_MAX_LOG_RANGE))
-                residual[i] = 2.0 * coefs[i] * r_max ** (1.0 - tail_exponent) / q
+                residual[i] = n_coef * r_max ** (1.0 - tail_exponent) / q
                 tail = np.full_like(boxes[-1], np.log(r_max))
                 tail[0] = np.log(core)
-                boxes += [tail, tail]
-                owner += [i, i]
-                sign += [1.0, -1.0]
+                boxes += [tail] * len(signs)
+                owner += [i] * len(signs)
+                sign += signs
         owner, sign = np.array(owner), np.array(sign)
 
     if not owner.size:

@@ -261,14 +261,10 @@ def cumulant(triplet: LevyTriplet, s) -> np.ndarray | complex:
         (c * np.abs(s_arr) ** gamma for c, gamma in _power_parts(triplet)), 0.0)
     m = triplet.measure
     if isinstance(m, CompoundPoisson):
-        atoms = np.asarray(m.atoms)
-        weights = np.asarray(m.weights)
-        z = s_arr[..., None] * atoms
-        # 1 - cos z and z 1[|a| <= 1] - sin z without cancellation near 0
-        inner = np.abs(atoms) <= 1.0
-        q = -np.sin(z)
-        q[..., inner] = _z_minus_sin(z[..., inner])
-        out += m.rate * _one_minus_cos(z) @ weights + 1j * (m.rate * q @ weights)
+        # z 1[|a| <= 1] - sin z without cancellation near 0
+        q = sum((w * (_z_minus_sin(a * s_arr) if abs(a) <= 1.0 else -np.sin(a * s_arr))
+                 for a, w in zip(m.atoms, m.weights)), np.zeros_like(s_arr))
+        out += _poisson_re(m, s_arr) + 1j * (m.rate * q)
     elif isinstance(m, TabulatedMeasure):
         out += _tabulated_jump_cumulant(m, s_arr)[0]
     return out if np.ndim(s) else complex(out[0])
@@ -280,13 +276,19 @@ def cumulant_re(triplet: LevyTriplet, s) -> np.ndarray | float:
     out = sum((c * s_arr ** gamma for c, gamma in _power_parts(triplet)), np.zeros_like(s_arr))
     m = triplet.measure
     if isinstance(m, CompoundPoisson):
-        atoms = np.asarray(m.atoms)
-        weights = np.asarray(m.weights)
-        out = out + m.rate * _one_minus_cos(s_arr[..., None] * atoms) @ weights
+        out = out + _poisson_re(m, s_arr)
     elif isinstance(m, TabulatedMeasure):
         out = out + _tabulated_jump_cumulant(m, s_arr)[0].real
     result = np.maximum(out, 0.0)
     return result if np.ndim(s) else float(result[0])
+
+
+def _poisson_re(m: CompoundPoisson, s: np.ndarray) -> np.ndarray:
+    """Re K of the jumps, rate sum_a w_a (1 - cos(a s)), one atom at a time."""
+    out = np.zeros_like(s)
+    for a, w in zip(m.atoms, m.weights):
+        out += w * _one_minus_cos(a * s)
+    return m.rate * out
 
 
 def _one_minus_cos(z: np.ndarray) -> np.ndarray:

@@ -101,11 +101,13 @@ def _row_norm(a: np.ndarray) -> np.ndarray:
 
 
 def _add_by_problem(out: np.ndarray, p: np.ndarray, x: np.ndarray) -> None:
-    """out[p_i] += x_i for the rows of x, each problem's rows summed in order."""
-    if p[0] == p[-1]:
-        out[p[0]] += x.sum(axis=0)
-    else:
-        np.add.at(out, p, x)
+    """out[p_i] += x_i for the rows of x, p sorted.  Each problem's rows are
+    summed on their own, one ``reduceat`` segment each, so its total does
+    not depend on the rows of other problems beside it."""
+    first = np.ones(len(p), dtype=bool)
+    np.not_equal(p[1:], p[:-1], out=first[1:])
+    first = first.nonzero()[0]
+    out[p[first]] += np.add.reduceat(x, first, axis=0)
 
 
 def _pick(err: np.ndarray, p: np.ndarray, threshold: np.ndarray):

@@ -117,9 +117,14 @@ def _numerators(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
     """Dependence numerators of L lags in one engine pass, lag l on the grid
     s1[l] x s2[l], as values (L, n1, n2) and errors (L,).
 
-    Each lag is one problem whose columns are (i, j) pairs of the grid:
-    all of them, or for an even kernel on square grids (s1 = s2) the upper
-    triangle i <= j, mirrored, since then N(s_i, s_j) = N(s_j, s_i).
+    Each lag is one problem whose columns are (i, j) pairs of the grid,
+    N_ij = integral u_i(t-x) w_j(-x) dx with u_i = sqrt(Re K(s1_i f)) and
+    w_j = sqrt(Re K(s2_j f)).  For an even kernel on a square grid
+    (s1 = s2, so u = w) the point reflection x -> t - x swaps f(t-x) and
+    f(-x) and maps the overlap onto itself, so
+    N_ij = integral over x_1 >= t_1/2 of u_i(t-x) u_j(-x) + u_j(t-x) u_i(-x),
+    symmetric in (i, j): the columns are then the upper triangle i <= j of
+    that symmetrised integrand over the half overlap, mirrored.
     """
     n1, n2 = s1.shape[1], s2.shape[1]
     mirror = kernel.even and np.array_equal(s1, s2)
@@ -128,12 +133,20 @@ def _numerators(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
     def integrand(fv: np.ndarray, p: np.ndarray) -> np.ndarray:
         u = np.sqrt(levy.cumulant_re(triplet, fv[0][:, None] * s1[p]))
         w = np.sqrt(levy.cumulant_re(triplet, fv[1][:, None] * s2[p]))
-        return u[:, ii] * w[:, jj]
+        if not mirror:
+            return u[:, ii] * w[:, jj]
+        # values ordered (frequency, node), so each column takes whole rows
+        u, w = np.ascontiguousarray(u.T), np.ascontiguousarray(w.T)
+        out = u.take(ii, axis=0) * w.take(jj, axis=0)
+        out += u.take(jj, axis=0) * w.take(ii, axis=0)
+        return out.T
 
     shifts = np.stack([lags, np.zeros_like(lags)], axis=1)
     scale = np.maximum(np.max(np.abs(s1), axis=1), np.max(np.abs(s2), axis=1))
-    vals, err = integrate_over_support(kernel, integrand, shifts, _growth(triplet, scale),
-                                       overlap=True)
+    # the symmetrised integrand is a sum of two products
+    vals, err = integrate_over_support(kernel, integrand, shifts,
+                                       _growth(triplet, scale, re=2.0 if mirror else 1.0),
+                                       overlap=True, half=mirror)
     out = np.empty((len(lags), n1, n2))
     out[:, ii, jj] = vals
     if mirror:
@@ -149,8 +162,10 @@ def dependence_numerator_grid(kernel: Kernel, triplet: levy.LevyTriplet, t,
     The integrand factorises pointwise, so a grid of n1 x n2 pairs costs
     n1 + n2 cumulant evaluations per x.  For an even kernel on a square
     grid the numerator is symmetric, and only the upper triangle's
-    n(n+1)/2 columns are integrated.  The error is the 2-norm over the
-    integrated columns.
+    n(n+1)/2 columns are integrated, each as the sum of the pair's two
+    products over the half overlap x_1 >= t_1/2 (``_numerators``), so
+    about half the nodes of the whole overlap.  The error is the 2-norm
+    over the integrated columns.
     """
     s1, s2 = (np.asarray(s, dtype=float)[None] for s in (s1_values, s2_values))
     vals, err = _numerators(kernel, triplet, np.atleast_1d(np.asarray(t, dtype=float))[None],

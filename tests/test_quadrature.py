@@ -381,6 +381,17 @@ def test_batch_matches_solo_passes():
         assert errs[j] == pytest.approx(solo_err, rel=1e-12), j
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_batch_equals_solo_bit_for_bit(k):
+    """A problem's interval sums are its own: batched with others it gets its
+    solo values and error bit for bit, with one component or several."""
+    func = _batched_line(PROBLEMS)
+    vals, errs = integrate_box(lambda x, p: func(x, p)[:, :k], line_corners(PROBLEMS))
+    for j, (f, lo, hi, pts) in enumerate(PROBLEMS):
+        solo, solo_err = one(lambda x, f=f: f(x)[:, :k], lo, hi, pts)
+        assert np.array_equal(vals[j], solo) and errs[j] == solo_err, j
+
+
 def test_batch_failure_names_the_problem():
     problems = list(PROBLEMS)
     problems.insert(2, (lambda x: np.stack([np.sin(1e5 * x)] * 2, axis=1), 0.0, 1.0, ()))

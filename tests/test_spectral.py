@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srdcert import kernels, levy, spectral
+from srdcert import kernels, levy, quadrature, spectral
 from srdcert.certify import choose_threshold, default_window, srd_integral
 from srdcert.errors import QuadratureError, RejectionError
 from srdcert.kernels import (
@@ -522,20 +522,56 @@ _MIXED = {"stable": levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.0)
           "poisson": levy.LevyTriplet(b0=1.0, measure=_POISSON)}
 
 
-@pytest.mark.parametrize("kern, lag, s", [
-    (tent_kernel(), 0.4, np.geomspace(*DEFAULT_S_BOX, DEFAULT_S_POINTS)),
-    (gaussian_kernel(dim=2), (0.5, -0.3), np.geomspace(0.1, 10.0, 4)),
-], ids=["tent", "gaussian-2d"])
-def test_even_numerator_triangle_matches_full_grid(kern, lag, s):
-    """An even kernel integrates the upper triangle of a square grid and
-    mirrors it; the full grid agrees within the two error estimates."""
-    trip = _MIXED["poisson"]
+_GRID = np.geomspace(*DEFAULT_S_BOX, DEFAULT_S_POINTS)
+_B0_STABLE_15 = levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.5))
+
+
+@pytest.mark.parametrize("kern, trip, lag, s", [
+    (tent_kernel(), _MIXED["poisson"], 0.4, _GRID),
+    (gaussian_kernel(dim=2), _MIXED["poisson"], (0.5, -0.3), np.geomspace(0.1, 10.0, 4)),
+    (tent_kernel(), _MIXED["stable"], 1.3, _GRID),
+    (powerlaw_kernel(4.0), _B0_STABLE_15, -0.7, _GRID),
+    (gaussian_kernel(dim=2), _MIXED["stable"], (-0.8, 0.6), np.geomspace(0.1, 10.0, 4)),
+], ids=["tent", "gaussian-2d", "tent-lag-1.3", "powerlaw-envelope", "gaussian-2d-stable"])
+def test_even_numerator_triangle_matches_full_grid(kern, trip, lag, s):
+    """An even kernel integrates the symmetrised upper triangle of a square
+    grid over the half overlap x_1 >= t_1/2 (an envelope: the core from t/2
+    and the right tail) and mirrors it; the full grid agrees within the two
+    error estimates."""
     half, half_err = dependence_numerator_grid(kern, trip, lag, s, s)
     full, full_err = dependence_numerator_grid(dataclasses.replace(kern, even=False),
                                                trip, lag, s, s)
     assert np.array_equal(half, half.T)
     assert not np.array_equal(full, full.T)
     assert np.all(np.abs(half - full) <= half_err + full_err)
+
+
+def test_even_numerator_halves_the_nodes(monkeypatch):
+    """The tent's 25 x 25 grid at lag -0.4 integrates over half the overlap:
+    at most 0.55 of the integrand nodes of the full grid (4 116 of 8 379)."""
+    nodes = []
+    gk21 = quadrature._gk21
+
+    def counted(func, prob, lo, hi, width):
+        nodes[-1] += 21 * len(lo)
+        return gk21(func, prob, lo, hi, width)
+
+    monkeypatch.setattr(quadrature, "_gk21", counted)
+    for even in (True, False):
+        nodes.append(0)
+        dependence_numerator_grid(dataclasses.replace(tent_kernel(), even=even),
+                                  _MIXED["poisson"], -0.4, _GRID, _GRID)
+    assert 0 < nodes[0] <= 0.55 * nodes[1]
+
+
+@pytest.mark.parametrize("model", sorted(_MIXED))
+def test_mixed_ratio_is_symmetric_in_the_lag(model):
+    """ratio(-t) = ratio(t): the searches at t and -t, whose half overlaps lie
+    on opposite sides of 0, agree within their summed errors, inside [0, 1]."""
+    for lag in (0.2, 0.6, 1.4):
+        plus, minus = (max_dependence_ratio(tent_kernel(), _MIXED[model], t) for t in (lag, -lag))
+        assert abs(plus.value - minus.value) <= plus.error + minus.error, lag
+        assert 0.0 <= min(plus.value, minus.value) <= max(plus.value, minus.value) <= 1.0
 
 
 @pytest.mark.parametrize("model", sorted(_MIXED))
@@ -600,10 +636,13 @@ def test_refine_rounds_share_one_pass_per_block(monkeypatch, n_lags):
 
 
 def test_numerator_failure_names_the_caller_problem():
-    """Three engine boxes (a core and two log tails) make one integral."""
-    with pytest.raises(QuadratureError, match=r"failed on \[-4\.0, 4\.0\]") as info:
-        max_dependence_ratio(powerlaw_kernel(3.0), poisson_triplet(1.0), 0.0)
-    assert "integral" not in str(info.value)
+    """Three engine boxes (a core and two log tails) make one integral, and so
+    do an even kernel's two (the half core from t/2 and the right tail)."""
+    for even, core in ((False, r"\[-4\.0, 4\.0\]"), (True, r"\[0\.0, 4\.0\]")):
+        kern = dataclasses.replace(powerlaw_kernel(3.0), even=even)
+        with pytest.raises(QuadratureError, match=r"failed on " + core) as info:
+            max_dependence_ratio(kern, poisson_triplet(1.0), 0.0)
+        assert "integral" not in str(info.value)
 
 
 def test_refine_failure_names_the_lag_in_its_block(monkeypatch):
