@@ -19,7 +19,7 @@ import numpy as np
 
 from . import levy
 from .errors import DivergentNormError, QuadratureError, RejectionError
-from .quadrature import DEFAULT_ABS_TOL, integrate_box
+from .quadrature import DEFAULT_ABS_TOL, Factored, integrate_box
 
 # surface area of the unit sphere in R^d, d = 1, 2, 3
 SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -353,8 +353,10 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     ``shifts`` is a (P, m, d) array holding the shifts t_1..t_m of each
     problem.  ``integrand(fv, p)`` maps an (m, n) array of kernel values,
     column j holding f(t_1 - x_j), ..., f(t_m - x_j), and the problem of
-    each point to the (n, k) values of g; each batch of points costs one
-    kernel call.  g must vanish where every kernel value does:
+    each point to the (n, k) values of g, or to a
+    :class:`~srdcert.quadrature.Factored` value of those columns, whose
+    first factor carries a log tail's Jacobian; each batch of points costs
+    one kernel call.  g must vanish where every kernel value does:
     g(0, ..., 0) = 0.  A box support is integrated over the bounding box of
     the shifted boxes, which that contract makes their union, or over
     their intersection when ``overlap`` promises that g vanishes wherever
@@ -447,7 +449,8 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
         owner, sign = np.array(owner), np.array(sign)
 
     if not owner.size:
-        zero = np.zeros_like(integrand(np.zeros((m, 1)), np.zeros(1, dtype=int))[0])
+        # a factored integrand value expands to its columns
+        zero = np.zeros_like(np.asarray(integrand(np.zeros((m, 1)), np.zeros(1, dtype=int)))[0])
         return np.zeros((n_prob,) + zero.shape, zero.dtype), np.zeros(n_prob)
 
     mapped = sign.any()
@@ -464,7 +467,9 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
             x = np.where(log_nodes, s * jac, u)
         pts = sh[p].swapaxes(0, 1) - np.reshape(x, (1, -1, d))
         vals = integrand(kernel(pts.reshape(-1, d)).reshape(m, -1), p)
-        return vals * jac[:, None] if mapped else vals
+        if not mapped:
+            return vals
+        return vals.scaled(jac) if isinstance(vals, Factored) else vals * jac[:, None]
 
     # one engine call in every dimension; 1-D keeps the engine's 1-D tolerance,
     # and a failing box is named by its problem

@@ -7,10 +7,21 @@ Kronrod) does every integral.  It follows the scheme of
 bisects the worst intervals and evaluates all nodes of all their halves in
 one vectorized integrand call, so the Python cost is per round, not per
 node.  Rounds are evaluated in chunks of at most ``_CHUNK_ELEMENTS``
-integrand values to bound memory.
+elements to bound memory.
 
 Integrand contract: ``func`` takes n nodes, shape (n, d), with the
-integral of each, and returns an (n, k) array, real or complex.
+integral of each, and returns an (n, k) array, real or complex, or a
+:class:`Factored` value: two nonnegative factor tables A (n, n1) and
+B (n, n2), the k column pairs (i, j) it wants, and whether each column is
+the product a_i b_j or the symmetrised a_i b_j + a_j b_i (``mirror``).
+The engine never forms a factored value's columns at the nodes: each
+interval's Kronrod and Gauss sums are the batched matrix products
+A^T diag(kappa_K) B and A^T diag(kappa_G) B, so a node costs n1 + n2
+values instead of k.  Its error estimate replaces QUADPACK's dispersion
+sum kappa |f - I/2|, which needs the columns, by the rule-weighted L2
+dispersion sqrt(2 sum kappa (f - I/2)**2), read off the product of the
+squared factors; by Cauchy-Schwarz (sum kappa = 2) it is never smaller,
+and nonnegative factors make the Kronrod sum itself integral |f|.
 :func:`integrate_box` is the one entry point, in every dimension 1..3:
 callers describe *where* the integrand lives as boxes, each the bounding
 box of a set of corner points, and *where it jumps* by further corner
@@ -37,6 +48,7 @@ problems of one pass on the next axis.
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,8 +66,9 @@ _LINE_LIMIT = 2000
 _BOX_LIMIT = 500
 # Most intervals bisected in one round.
 _ROUND_INTERVALS = 128
-# Most integrand values (nodes x k) requested in one call; a single
-# interval is evaluated whole even when its 21 nodes exceed this.
+# Most elements one integrand call allocates: nodes x k values, or a
+# factored value's node tables and sum matrices; a single interval is
+# evaluated whole even when it exceeds this.
 _CHUNK_ELEMENTS = 2 ** 16
 
 # Gauss-Kronrod 21-point nodes on [-1, 1], descending; the 10 Gauss nodes
@@ -89,6 +102,9 @@ _K21_HALF_WEIGHTS = (0.011694638867371874278064396062192,
                      0.147739104901338491374841515972068)
 _K21_WEIGHTS = np.array(_K21_HALF_WEIGHTS + (0.149445554002916905664936468389821,)
                         + tuple(reversed(_K21_HALF_WEIGHTS)))
+# the Kronrod weights, and the Gauss weights on the 21 Kronrod nodes
+_RULE_WEIGHTS = np.stack((_K21_WEIGHTS, np.zeros(21)))
+_RULE_WEIGHTS[1, 1::2] = _G10_WEIGHTS
 
 
 # ---------------------------------------------------------------------------
@@ -132,46 +148,117 @@ def _pick(err: np.ndarray, p: np.ndarray, threshold: np.ndarray):
     return pick
 
 
-def _gk21(func, prob: np.ndarray, lo: np.ndarray, hi: np.ndarray, width: int | None):
+@dataclass(frozen=True, eq=False)
+class Factored:
+    """An integrand value held as two factors instead of its (n, k) columns.
+
+    ``a`` (n, n1) and ``b`` (n, n2) are nonnegative, and ``cols`` names the
+    k wanted pairs (i, j) as flat indices i n2 + j of the n1 x n2 grid.
+    Column c at node x is a_i(x) b_j(x), or, when ``mirror`` (n1 = n2), the
+    symmetrised a_i(x) b_j(x) + a_j(x) b_i(x).  ``np.asarray`` expands it.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    cols: np.ndarray
+    mirror: bool
+
+    def __array__(self, dtype=None, copy=None):
+        i, j = np.divmod(self.cols, self.b.shape[1])
+        out = self.a[:, i] * self.b[:, j]
+        if self.mirror:
+            out += self.a[:, j] * self.b[:, i]
+        return out
+
+    def scaled(self, w: np.ndarray) -> "Factored":
+        """The value times w (n,) >= 0 at each node, carried by ``a``."""
+        return replace(self, a=self.a * w[:, None])
+
+
+def _expanded_sums(fv: np.ndarray, m: int):
+    """Kronrod sums, Gauss sums, QUADPACK dispersions sum kappa |f - s_k/2|
+    and Kronrod sums of |f| of an (m 21, k) value, each (m, k), and the
+    elements one interval allocates."""
+    fv = fv.reshape(m, 21, fv.shape[-1])
+    s_k = _K21_WEIGHTS @ fv
+    s_g = _G10_WEIGHTS @ fv[:, 1::2]
+    s_abs = _K21_WEIGHTS @ np.abs(fv)
+    disp = _K21_WEIGHTS @ np.abs(fv - 0.5 * s_k[:, None])
+    return s_k, s_g, disp, s_abs, fv[0].size
+
+
+def _factored_sums(fv: Factored, m: int):
+    """The sums of ``_expanded_sums`` for a factored value, as batched matrix
+    products of the factor tables A and B at each interval's nodes: the
+    Kronrod sums K = A^T diag(kappa_K) B, the Gauss sums likewise, and
+    sum kappa f**2 from the squared factors.  A mirror value
+    f = a_i b_j + a_j b_i symmetrises each product, and its square adds the
+    cross term 2 (a_i b_i)(a_j b_j), which rides in the squares' product as
+    21 further nodes.  The dispersion is the L2 one,
+    sqrt(2 sum kappa (f - s_k/2)**2) = sqrt(2 sum kappa f**2 - s_k**2),
+    clamped at 0, and f >= 0 makes sum kappa |f| the Kronrod sum itself.
+    One interval allocates its factor tables and three n1 x n2 sums."""
+    n1, n2 = fv.a.shape[1], fv.b.shape[1]
+    a, b = fv.a.reshape(m, 21, n1), fv.b.reshape(m, 21, n2)
+    left, right = a * a, b * b
+    if fv.mirror:
+        ab = a * b
+        left, right = np.concatenate((left, ab), axis=1), np.concatenate((right, ab), axis=1)
+    weighted = (right.reshape(m, -1, 21, n2) * _K21_WEIGHTS[:, None]).reshape(right.shape)
+    # (m, 3, n1, n2): the Kronrod, Gauss and squared Kronrod sums
+    mats = np.concatenate((a.transpose(0, 2, 1)[:, None] @ (_RULE_WEIGHTS[:, :, None] * b[:, None]),
+                           (left.transpose(0, 2, 1) @ weighted)[:, None]), axis=1)
+    if fv.mirror:
+        mats += mats.swapaxes(2, 3)
+    s_k, s_g, sq = mats.reshape(m, 3, n1 * n2).take(fv.cols, axis=2).transpose(1, 0, 2)
+    disp = np.sqrt(np.maximum(2.0 * sq - s_k * s_k, 0.0))
+    return s_k, s_g, disp, s_k, 21 * (n1 + n2) + 3 * n1 * n2
+
+
+def _gk21(func, prob: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int | None):
     """The GK21 rule on the intervals [lo_i, hi_i] of problems prob_i.
 
-    Returns (integrals (m, k), errors (m,), rounding errors (m,), k).  The
-    error is QUADPACK's dabs * min(1, (200 err / dabs)**1.5), never below
-    the rounding term 50 eps h integral |f|; both are 2-norms over the k
-    components.  Intervals go to ``func(nodes, problems)`` in chunks of at
-    most ``_CHUNK_ELEMENTS`` values; ``width`` is k when known, else the
-    first chunk holds one interval.
+    Returns (integrals (m, k), errors (m,), rounding errors (m,), size).
+    The error is QUADPACK's dabs * min(1, (200 err / dabs)**1.5), never
+    below the rounding term 50 eps h integral |f|; both are 2-norms over
+    the k components.  dabs is h times QUADPACK's dispersion
+    sum kappa |f - s_k/2| of an (n, k) value, or the L2 dispersion
+    sqrt(2 sum kappa (f - s_k/2)**2) of a :class:`Factored` one, whose
+    sums are matrix products of its factors: by Cauchy-Schwarz
+    (sum kappa = 2) that is at least QUADPACK's, so where QUADPACK caps
+    the error at dabs the cap rises, and elsewhere the estimate shrinks by
+    sqrt(L1/L2).  Intervals go to ``func(nodes, problems)`` in chunks of
+    at most ``_CHUNK_ELEMENTS`` elements; ``size`` is what one interval
+    allocates, when known, else the first chunk holds one interval.
     """
     parts = []
     start, m = 0, len(lo)
     while start < m:
-        step = 1 if width is None else max(1, _CHUNK_ELEMENTS // (21 * width))
+        step = 1 if size is None else max(1, _CHUNK_ELEMENTS // size)
         a, b = lo[start:start + step], hi[start:start + step]
         p = prob[start:start + step]
         start += step
         c = 0.5 * (a + b)
         h = 0.5 * (b - a)
         nodes = c[:, None] + h[:, None] * _K21_NODES
-        fv = np.asarray(func(nodes.ravel(), p.repeat(21)))
-        fv = fv.reshape(len(a), 21, fv.shape[-1])
-        width = fv.shape[-1]
-        s_k = _K21_WEIGHTS @ fv
-        s_g = _G10_WEIGHTS @ fv[:, 1::2]
-        s_k_abs = _K21_WEIGHTS @ np.abs(fv)
-        s_k_dabs = _K21_WEIGHTS @ np.abs(fv - 0.5 * s_k[:, None])
+        fv = func(nodes.ravel(), p.repeat(21))
+        if isinstance(fv, Factored):
+            s_k, s_g, disp, s_abs, size = _factored_sums(fv, len(a))
+        else:
+            s_k, s_g, disp, s_abs, size = _expanded_sums(np.asarray(fv), len(a))
         hc = h[:, None]
         err = _row_norm((s_k - s_g) * hc)
-        dabs = _row_norm(s_k_dabs * hc)
+        dabs = _row_norm(disp * hc)
         scaled = (dabs != 0) & (err != 0)
         ratio = 200.0 * err / np.where(scaled, dabs, 1.0)
         err = np.where(scaled, dabs * np.minimum(1.0, ratio ** 1.5), err)
-        rnd = _row_norm(50.0 * sys.float_info.epsilon * hc * s_k_abs)
+        rnd = _row_norm(50.0 * sys.float_info.epsilon * hc * s_abs)
         err = np.where(rnd > sys.float_info.min, np.maximum(err, rnd), err)
         parts.append((hc * s_k, err, rnd))
     if len(parts) == 1:
-        return (*parts[0], width)
+        return (*parts[0], size)
     ig, err, rnd = (np.concatenate(p) for p in zip(*parts))
-    return ig, err, rnd, width
+    return ig, err, rnd, size
 
 
 def _adaptive(func, prob: np.ndarray, lo: np.ndarray, hi: np.ndarray, abs_tol: float,
@@ -194,9 +281,9 @@ def _adaptive(func, prob: np.ndarray, lo: np.ndarray, hi: np.ndarray, abs_tol: f
     the problem converged; the error includes the summed rounding error.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    val, err, rnd, width = _gk21(func, prob, lo, hi, None)
+    val, err, rnd, size = _gk21(func, prob, lo, hi, None)
     n_prob = int(prob[-1]) + 1
-    total = np.zeros((n_prob, width), dtype=val.dtype)
+    total = np.zeros((n_prob, val.shape[1]), dtype=val.dtype)
     _add_by_problem(total, prob, val)
     global_error = np.bincount(prob, err, n_prob)
     rounding_error = np.bincount(prob, rnd, n_prob)
@@ -220,8 +307,8 @@ def _adaptive(func, prob: np.ndarray, lo: np.ndarray, hi: np.ndarray, abs_tol: f
         a, b = lo[picked], hi[picked]
         mid = 0.5 * (a + b)
         m = len(picked)
-        ig, e, r, width = _gk21(func, np.concatenate((pp, pp)), np.concatenate((a, mid)),
-                                np.concatenate((mid, b)), width)
+        ig, e, r, size = _gk21(func, np.concatenate((pp, pp)), np.concatenate((a, mid)),
+                               np.concatenate((mid, b)), size)
         _add_by_problem(total, pp, ig[:m] + ig[m:] - val[picked])
         global_error += np.bincount(pp, e[:m] + e[m:] - err[picked], n_prob)
         rounding_error += np.bincount(pp, r[:m] + r[m:], n_prob)
@@ -231,7 +318,7 @@ def _adaptive(func, prob: np.ndarray, lo: np.ndarray, hi: np.ndarray, abs_tol: f
         n = len(prob)
         hi[picked], val[picked], err[picked] = mid, ig[:m], e[:m]
         if n + m > len(val):
-            val = np.concatenate((val[:n], np.empty((n + m, width), dtype=val.dtype)))
+            val = np.concatenate((val[:n], np.empty((n + m, val.shape[1]), dtype=val.dtype)))
         val[n:n + m] = ig[m:]
         prob, lo, hi = (np.concatenate(pair) for pair in ((prob, pp), (lo, mid), (hi, b)))
         err = np.concatenate((err, e[m:]))
@@ -264,9 +351,11 @@ def integrate_box(
     Integral p runs over the bounding box of the points ``corners[p]``, a
     (P, c, d) array, each axis cut at every corner coordinate on it as at
     breakpoints.  ``func(x, p)`` maps (n, d) points and the integral of
-    each to an (n, k) array.  The axes nest: the nodes of one round on an
-    outer axis, of every integral, fix the leading coordinates of the inner
-    integrals that make up one engine pass on the next axis.  A pass holds
+    each to an (n, k) array or a :class:`Factored` value.  The axes nest:
+    the nodes of one round on an outer axis, of every integral, fix the
+    leading coordinates of the inner integrals that make up one engine
+    pass on the next axis; only that innermost pass sees ``func``'s
+    values, and the outer axes integrate its (n, k) results.  A pass holds
     at most ``_LINE_LIMIT`` intervals per problem in 1-D and ``_BOX_LIMIT``
     on a nested axis; ``rel_tol`` defaults to ``DEFAULT_REL_TOL`` in 1-D
     and to 1e-8 in d >= 2.  Returns the values (P, k) and errors (P,): the

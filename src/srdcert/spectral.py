@@ -23,6 +23,7 @@ import numpy as np
 from . import levy
 from .errors import QuadratureError, RejectionError
 from .kernels import Kernel, _lp_power_integral, integrate_over_support
+from .quadrature import Factored
 
 RATIO_CLAMP_TOL = 1e-9
 DEFAULT_S_BOX = (1e-3, 1e3)
@@ -119,30 +120,29 @@ def _numerators(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
 
     Each lag is one problem whose columns are (i, j) pairs of the grid,
     N_ij = integral u_i(t-x) w_j(-x) dx with u_i = sqrt(Re K(s1_i f)) and
-    w_j = sqrt(Re K(s2_j f)).  For an even kernel on a square grid
+    w_j = sqrt(Re K(s2_j f)).  The integrand is the factored value
+    (u(t-x), w(-x)) with the wanted pairs, so the engine forms each
+    interval's sums as matrix products of the two 21 x n tables and no
+    node ever holds the columns.  For an even kernel on a square grid
     (s1 = s2, so u = w) the point reflection x -> t - x swaps f(t-x) and
     f(-x) and maps the overlap onto itself, so
     N_ij = integral over x_1 >= t_1/2 of u_i(t-x) u_j(-x) + u_j(t-x) u_i(-x),
-    symmetric in (i, j): the columns are then the upper triangle i <= j of
-    that symmetrised integrand over the half overlap, mirrored.
+    symmetric in (i, j): the pairs are then the upper triangle i <= j of
+    that symmetrised (mirror) value over the half overlap, mirrored.
     """
     n1, n2 = s1.shape[1], s2.shape[1]
     mirror = kernel.even and np.array_equal(s1, s2)
     ii, jj = np.triu_indices(n1) if mirror else np.indices((n1, n2)).reshape(2, -1)
+    cols = ii * n2 + jj
+    s = np.concatenate((s1, s2), axis=1)
 
-    def integrand(fv: np.ndarray, p: np.ndarray) -> np.ndarray:
-        u = np.sqrt(levy.cumulant_re(triplet, fv[0][:, None] * s1[p]))
-        w = np.sqrt(levy.cumulant_re(triplet, fv[1][:, None] * s2[p]))
-        if not mirror:
-            return u[:, ii] * w[:, jj]
-        # values ordered (frequency, node), so each column takes whole rows
-        u, w = np.ascontiguousarray(u.T), np.ascontiguousarray(w.T)
-        out = u.take(ii, axis=0) * w.take(jj, axis=0)
-        out += u.take(jj, axis=0) * w.take(ii, axis=0)
-        return out.T
+    def integrand(fv: np.ndarray, p: np.ndarray) -> Factored:
+        # one cumulant call for both factors
+        v = np.sqrt(levy.cumulant_re(triplet, np.repeat(fv, (n1, n2), axis=0).T * s[p]))
+        return Factored(v[:, :n1], v[:, n1:], cols, mirror)
 
     shifts = np.stack([lags, np.zeros_like(lags)], axis=1)
-    scale = np.maximum(np.max(np.abs(s1), axis=1), np.max(np.abs(s2), axis=1))
+    scale = np.max(np.abs(s), axis=1)
     # the symmetrised integrand is a sum of two products
     vals, err = integrate_over_support(kernel, integrand, shifts,
                                        _growth(triplet, scale, re=2.0 if mirror else 1.0),
@@ -160,12 +160,15 @@ def dependence_numerator_grid(kernel: Kernel, triplet: levy.LevyTriplet, t,
     """integral sqrt(Re K(s1 f(t-x)) Re K(s2 f(-x))) dx on a product grid.
 
     The integrand factorises pointwise, so a grid of n1 x n2 pairs costs
-    n1 + n2 cumulant evaluations per x.  For an even kernel on a square
-    grid the numerator is symmetric, and only the upper triangle's
-    n(n+1)/2 columns are integrated, each as the sum of the pair's two
-    products over the half overlap x_1 >= t_1/2 (``_numerators``), so
-    about half the nodes of the whole overlap.  The error is the 2-norm
-    over the integrated columns.
+    n1 + n2 cumulant evaluations per x, and the engine takes it as the
+    factored value of ``_numerators``: each interval's Kronrod and Gauss
+    sums are matrix products of the two factor tables.  For an even kernel
+    on a square grid the numerator is symmetric, and only the upper
+    triangle's n(n+1)/2 pairs are integrated, each as the sum of the
+    pair's two products over the half overlap x_1 >= t_1/2, so about half
+    the nodes of the whole overlap.  The error is the 2-norm over the
+    integrated columns, with the engine's L2 dispersion of a factored
+    value in place of QUADPACK's.
     """
     s1, s2 = (np.asarray(s, dtype=float)[None] for s in (s1_values, s2_values))
     vals, err = _numerators(kernel, triplet, np.atleast_1d(np.asarray(t, dtype=float))[None],
@@ -220,17 +223,6 @@ def _clamp_ratio(values: np.ndarray) -> np.ndarray:
             f"dependence ratio overshoots 1 by {worst - 1.0:.3e}",
             partial=worst, residual=worst - 1.0)
     return np.clip(values, 0.0, 1.0)
-
-
-def dependence_ratio_grid(kernel: Kernel, triplet: levy.LevyTriplet, t,
-                          s1_values: np.ndarray, s2_values: np.ndarray
-                          ) -> tuple[np.ndarray, float]:
-    """Normalised dependence ratio on a frequency product grid, clamped to [0, 1]."""
-    s1_values = np.asarray(s1_values, dtype=float)
-    s2_values = np.asarray(s2_values, dtype=float)
-    num, err = dependence_numerator_grid(kernel, triplet, t, s1_values, s2_values)
-    sig = _sigma(kernel, triplet, np.concatenate((s1_values, s2_values)))
-    return _clamp_ratio(num / np.outer(sig[:len(s1_values)], sig[len(s1_values):])), err
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ from srdcert.cli import main
 from srdcert.spectral import (
     build_profile,
     char_marginal,
-    dependence_ratio_grid,
     marginal_exponent_sq,
     max_dependence_ratio,
 )
+
+from reference import dependence_ratio_grid
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

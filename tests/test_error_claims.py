@@ -8,11 +8,18 @@ the fix flips the row.
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad  # reference only
 
 from srdcert import kernels, levy
 from srdcert.certify import certify
+from srdcert.spectral import (
+    DEFAULT_S_BOX,
+    DEFAULT_S_POINTS,
+    dependence_numerator_grid,
+    max_dependence_ratio,
+)
 
 
 def frequency_reference(sigma_sq, lam: float, gamma_lo: float, c_lo: float
@@ -111,3 +118,65 @@ def test_exceedance_measure(kernel, triplet, reference):
     rep = certify(kernel, triplet)
     assert (rep.threshold, rep.threshold_method) == (0.25, "analytic-overlap")
     assert abs(rep.exceedance_measure - reference) <= 1e-12 * reference
+
+
+# ---------------------------------------------------------------------------
+# dependence numerators and ratios of the two mixed tent models
+
+MIXED = {
+    "stable": (levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.0)),
+               lambda v: abs(v) + 0.5 * v * v, lambda s: s + s * s / 3.0),
+    "poisson": (levy.LevyTriplet(b0=1.0, measure=levy.CompoundPoisson(
+        POISSON_RATE, POISSON_ATOMS, POISSON_WEIGHTS)),
+                lambda v: 0.5 * v * v + POISSON_RATE * sum(
+                    w * 2.0 * math.sin(0.5 * a * v) ** 2
+                    for a, w in zip(POISSON_ATOMS, POISSON_WEIGHTS)),
+                tent_gaussian_poisson_sigma_sq),
+}
+
+
+def tent_numerator_reference(re_k, t: float, s1: float, s2: float) -> tuple[float, float]:
+    """integral sqrt(Re K(s1 f(t - x)) Re K(s2 f(-x))) dx on the tent
+    f = (1 - |x|)+ for 0 < t < 2: scipy ``quad`` over the overlap
+    [t - 1, 1], cut at the kinks x = 0 and x = t inside it and into 16
+    pieces between them, and its error."""
+    def integrand(x: float) -> float:
+        return math.sqrt(re_k(s1 * max(0.0, 1.0 - abs(t - x))) * re_k(s2 * max(0.0, 1.0 - abs(x))))
+
+    kinks = sorted({t - 1.0, 1.0, *(k for k in (0.0, t) if t - 1.0 < k < 1.0)})
+    edges = np.concatenate([np.linspace(lo, hi, 17)[:-1] for lo, hi in zip(kinks, kinks[1:])]
+                           + [[1.0]])
+    value = err = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        v, e = quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-12, limit=200)
+        value, err = value + v, err + e
+    return value, err
+
+
+@pytest.mark.parametrize("lag", [0.4, 1.3])
+@pytest.mark.parametrize("model", sorted(MIXED))
+def test_tent_numerator_columns(model, lag):
+    """The 25 x 25 numerator grid of the ratio search: its s-box corners and
+    the column of its largest ratio lie within the grid's stated error of
+    the reference."""
+    trip, re_k, sigma_sq = MIXED[model]
+    s = np.geomspace(*DEFAULT_S_BOX, DEFAULT_S_POINTS)
+    num, err = dependence_numerator_grid(kernels.tent_kernel(1.0), trip, lag, s, s)
+    sigma = np.sqrt([sigma_sq(v) for v in s])
+    best = np.unravel_index(np.argmax(num / np.outer(sigma, sigma)), num.shape)
+    last = len(s) - 1
+    for i, j in {(0, 0), (0, last), (last, 0), (last, last), best}:
+        ref, ref_err = tent_numerator_reference(re_k, lag, s[i], s[j])
+        assert abs(num[i, j] - ref) <= err + ref_err, (i, j)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the grid-approximate ratio maximum is a lower bound of the supremum and"
+    " its error is the numerator pass's, so value + error stays below the"
+    " supremum; sound suprema are ROADMAP item 8"))
+def test_tent_gaussian_stable_ratio_reaches_supremum_at_lag_1():
+    """At tent lag 1 the supremum of the Gaussian + stable(1) ratio is at
+    least its corner value 0.39269908 (ROADMAP item 8)."""
+    trip = MIXED["stable"][0]
+    rm = max_dependence_ratio(kernels.tent_kernel(1.0), trip, 1.0)
+    assert rm.value + rm.error >= 0.39269908

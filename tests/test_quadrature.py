@@ -9,6 +9,7 @@ slowly decaying tail is integrated in u = log|x| by the integrand.
 """
 
 import ast
+import dataclasses
 import math
 import os
 import subprocess
@@ -20,7 +21,7 @@ import pytest
 from scipy.integrate import quad_vec
 from scipy.special import erf
 
-from srdcert import quadrature
+from srdcert import kernels, levy, quadrature, spectral
 from srdcert.errors import QuadratureError
 from srdcert.quadrature import integrate_box
 
@@ -510,3 +511,120 @@ def test_box_passes_do_not_follow_outer_nodes(monkeypatch, sharpness):
     else:
         assert len(outer_nodes) >= 300
         assert len(passes) - 1 < len(outer_nodes) / 21
+
+
+# ---------------------------------------------------------------------------
+# factored integrand values
+
+
+def _factors(x):
+    """Nonnegative factor tables (n, 25) at the points x: decaying and growing
+    columns with a kink at 0.3, as a numerator grid has."""
+    rates = np.geomspace(0.01, 100.0, 25)
+    a = np.sqrt(np.multiply.outer(np.abs(x - 0.3), rates) + 1e-3)
+    b = np.exp(-np.multiply.outer(x * x, rates))
+    return a, b
+
+
+def _factored(mirror):
+    n = 25
+    i, j = np.triu_indices(n) if mirror else np.indices((n, n)).reshape(2, -1)
+    return lambda x, p: quadrature.Factored(*_factors(x), i * n + j, mirror)
+
+
+def _rule_pair(func, edges, expand=None):
+    """The GK21 integrals of the factored ``func`` on the intervals between
+    the edges, and of ``expand`` (by default ``func``) expanded to its
+    columns."""
+    lo, hi = edges[:-1], edges[1:]
+    prob = np.zeros(len(lo), dtype=int)
+    expand = expand or func
+    return (quadrature._gk21(func, prob, lo, hi, None)[0],
+            quadrature._gk21(lambda x, p: np.asarray(expand(x, p)), prob, lo, hi, None)[0])
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["full-grid", "mirror"])
+def test_factored_values_match_expanded_columns(mirror):
+    """Kronrod sums as matrix products of the factors equal the sums of the
+    expanded columns within 1e-14 relative, column by column."""
+    fac, exp = _rule_pair(_factored(mirror), np.linspace(-1.0, 2.0, 8))
+    assert fac.shape == exp.shape == (7, 325 if mirror else 625)
+    assert np.all(np.abs(fac - exp) <= 1e-14 * np.abs(exp))
+
+
+def test_factored_round_spans_several_chunks():
+    """A round of 60 factored intervals takes several integrand calls, each
+    within the element budget, and still matches the expanded columns."""
+    func, calls = _factored(False), []
+    size = 21 * (25 + 25) + 3 * 25 * 25
+
+    def counted(x, p):
+        calls.append(len(x) // 21)
+        return func(x, p)
+
+    fac, exp = _rule_pair(counted, np.linspace(-1.0, 2.0, 61), expand=func)
+    assert len(calls) > 2 and sum(calls) == 60
+    assert max(calls) * size <= quadrature._CHUNK_ELEMENTS
+    assert np.all(np.abs(fac - exp) <= 1e-14 * np.abs(exp))
+
+
+def test_factored_dispersion_is_never_below_quadpacks():
+    """By Cauchy-Schwarz (the Kronrod weights sum to 2) the L2 dispersion of a
+    factored value is at least QUADPACK's dispersion of its columns."""
+    x = 0.5 + 1.5 * quadrature._K21_NODES
+    for mirror in (False, True):
+        fv = _factored(mirror)(x, None)
+        l2 = quadrature._factored_sums(fv, 1)[2]
+        l1 = quadrature._expanded_sums(np.asarray(fv), 1)[2]
+        assert np.all(l2 >= l1 * (1.0 - 1e-12))
+
+
+@pytest.mark.parametrize("even", [True, False], ids=["mirror-right-tail", "full-two-tails"])
+def test_factored_log_tail_matches_expanded_columns(monkeypatch, even):
+    """Under a decay envelope the numerator's log-mapped tails carry the
+    Jacobian e^u on the first factor: the tail boxes' rule sums equal those
+    of the expanded columns within 1e-14 relative."""
+    captured = []
+    engine = kernels.integrate_box
+
+    def capture(func, corners, *args, **kwargs):
+        captured.append((func, np.asarray(corners)))
+        return engine(func, corners, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "integrate_box", capture)
+    kern = dataclasses.replace(kernels.powerlaw_kernel(4.0), even=even)
+    trip = levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.5))
+    s = np.geomspace(0.1, 10.0, 4)
+    spectral.dependence_numerator_grid(kern, trip, -0.7, s, s)
+    (g, corners), = captured
+    tails = range(1, len(corners))
+    assert len(tails) == (1 if even else 2)
+    for box in tails:
+        edges = np.linspace(corners[box].min(), corners[box].max(), 6)
+        func = lambda x, p: g(x[:, None], np.full(len(x), box))
+        assert isinstance(func(edges[:1], None), quadrature.Factored)
+        fac, exp = _rule_pair(func, edges)
+        assert np.all(np.abs(fac - exp) <= 1e-14 * np.abs(exp))
+
+
+def test_numerator_errors_match_the_expanded_path(monkeypatch):
+    """The two mixed tent models' 25 x 25 grids at lags 0.4 and 1.3: each
+    lag's stated error with the L2 dispersion of the factored value lies
+    within a factor 1.5 of the error of the same pass on expanded columns."""
+    models = (levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.0)),
+              levy.LevyTriplet(b0=1.0, measure=levy.CompoundPoisson(2.0, (-0.5, 2.0),
+                                                                    (0.6, 0.4))))
+    lags = np.array([[0.4], [1.3]])
+    s = np.tile(np.geomspace(*spectral.DEFAULT_S_BOX, spectral.DEFAULT_S_POINTS), (2, 1))
+    engine = spectral.integrate_over_support
+
+    def expanded(kernel, integrand, *args, **kwargs):
+        return engine(kernel, lambda fv, p: np.asarray(integrand(fv, p)), *args, **kwargs)
+
+    for trip in models:
+        vals, errs = spectral._numerators(kernels.tent_kernel(), trip, lags, s, s)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "integrate_over_support", expanded)
+            ref_vals, ref_errs = spectral._numerators(kernels.tent_kernel(), trip, lags, s, s)
+        assert np.all(errs <= 1.5 * ref_errs) and np.all(ref_errs <= 1.5 * errs), (errs, ref_errs)
+        assert np.all(np.abs(vals - ref_vals) <= (errs + ref_errs)[:, None, None])

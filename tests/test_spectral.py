@@ -33,12 +33,13 @@ from srdcert.spectral import (
     build_profile,
     char_marginal,
     dependence_numerator_grid,
-    dependence_ratio_grid,
     marginal_exponent_grid,
     marginal_exponent_sq,
     max_dependence_ratio,
     t_lattice,
 )
+
+from reference import dependence_ratio_grid
 
 
 class TestMarginalExponent:
@@ -533,16 +534,31 @@ _B0_STABLE_15 = levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.5))
     (powerlaw_kernel(4.0), _B0_STABLE_15, -0.7, _GRID),
     (gaussian_kernel(dim=2), _MIXED["stable"], (-0.8, 0.6), np.geomspace(0.1, 10.0, 4)),
 ], ids=["tent", "gaussian-2d", "tent-lag-1.3", "powerlaw-envelope", "gaussian-2d-stable"])
-def test_even_numerator_triangle_matches_full_grid(kern, trip, lag, s):
+def test_even_numerator_triangle_matches_full_grid(monkeypatch, kern, trip, lag, s):
     """An even kernel integrates the symmetrised upper triangle of a square
     grid over the half overlap x_1 >= t_1/2 (an envelope: the core from t/2
-    and the right tail) and mirrors it; the full grid agrees within the two
-    error estimates."""
+    and the right tail) and mirrors it; the full grid, whose pass integrates
+    all n x n pairs, agrees within the two error estimates."""
+    columns = []
+    engine = spectral.integrate_over_support
+
+    def counted(kernel, integrand, *args, **kwargs):
+        def recorded(fv, p):
+            value = integrand(fv, p)
+            columns.append((len(value.cols), value.mirror))
+            return value
+
+        return engine(kernel, recorded, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "integrate_over_support", counted)
     half, half_err = dependence_numerator_grid(kern, trip, lag, s, s)
+    n = len(s)
+    assert set(columns) == {(n * (n + 1) // 2, True)}
+    columns.clear()
     full, full_err = dependence_numerator_grid(dataclasses.replace(kern, even=False),
                                                trip, lag, s, s)
+    assert set(columns) == {(n * n, False)}
     assert np.array_equal(half, half.T)
-    assert not np.array_equal(full, full.T)
     assert np.all(np.abs(half - full) <= half_err + full_err)
 
 
@@ -652,8 +668,8 @@ def test_refine_failure_names_the_lag_in_its_block(monkeypatch):
 
     def noisy_refine(triplet, v):
         out = cumulant_re(triplet, v)
-        # refine rounds evaluate 5 frequencies per node, the full grid 25
-        return out * (1.0 + 0.1 * rng.random(out.shape)) if out.shape[-1] == 5 else out
+        # refine rounds evaluate 5 + 5 frequencies per node, the full grid 25 + 25
+        return out * (1.0 + 0.1 * rng.random(out.shape)) if out.shape[-1] == 10 else out
 
     monkeypatch.setattr(levy, "cumulant_re", noisy_refine)
     with pytest.raises(QuadratureError, match=r"failed on integral 1 of 2, "):
