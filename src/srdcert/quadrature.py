@@ -6,8 +6,11 @@ Kronrod) does every integral.  It follows the scheme of
 (Piessens et al., *QUADPACK*, 1983), with one difference: each round
 bisects the worst intervals and evaluates all nodes of all their halves in
 one vectorized integrand call, so the Python cost is per round, not per
-node.  Rounds are evaluated in chunks of at most ``_CHUNK_ELEMENTS``
-elements to bound memory.
+node.  Memory is bounded by ``_CHUNK_ELEMENTS`` twice over: a round's
+picked intervals are evaluated and folded in groups of whole problems,
+whose halves return at most that many values (a problem that alone
+returns more is a group of its own), and each group reaches the
+integrand in chunks of at most that many elements.
 
 Integrand contract: ``func`` takes n nodes, shape (n, d), with the
 integral of each, and returns an (n, k) array, real or complex, or a
@@ -68,7 +71,8 @@ _BOX_LIMIT = 500
 _ROUND_INTERVALS = 128
 # Most elements one integrand call allocates: nodes x k values, or a
 # factored value's node tables and sum matrices; a single interval is
-# evaluated whole even when it exceeds this.
+# evaluated whole even when it exceeds this.  Also the most values (halves
+# x k) that one group of a round's problems returns.
 _CHUNK_ELEMENTS = 2 ** 16
 
 # Gauss-Kronrod 21-point nodes on [-1, 1], descending; the 10 Gauss nodes
@@ -146,6 +150,22 @@ def _pick(err: np.ndarray, p: np.ndarray, threshold: np.ndarray):
     pick = rank < _ROUND_INTERVALS
     pick[1:] &= (rank[1:] == 0) | (taken[:-1] <= threshold[p[1:]])
     return pick
+
+
+def _groups(p: np.ndarray, cap: int) -> list[slice]:
+    """The sorted problems p cut into runs of whole problems, each at most
+    ``cap`` long unless one problem alone is longer."""
+    if len(p) <= cap:
+        return [slice(0, len(p))]
+    ends = np.append((p[1:] != p[:-1]).nonzero()[0] + 1, len(p))
+    groups, start = [], 0
+    while start < len(p):
+        # the last problem end within the cap, else the end of the first problem
+        i = max(ends.searchsorted(start + cap, side="right") - 1,
+                ends.searchsorted(start, side="right"))
+        groups.append(slice(start, int(ends[i])))
+        start = int(ends[i])
+    return groups
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,15 +290,19 @@ def _adaptive(func, prob: np.ndarray, lo: np.ndarray, hi: np.ndarray, abs_tol: f
     gets the nodes of a round and the problem of each.  In every round
     each running problem picks its worst intervals, at most
     ``_ROUND_INTERVALS``, until the picked error exceeds its global error
-    - tol/8, and the halves of all picked intervals are evaluated
-    together.  A problem stops once it holds at least two intervals and
-    its global error drops below tol/8 (converged) or below its summed
-    rounding error, when its error turns non-finite, or when it holds
-    ``limit`` intervals; tol = max(abs_tol, rel_tol * |I|) in the 2-norm.
-    The decisions of a problem read only its own intervals, so it gets
-    the values and error of its solo pass.  Returns (values (P, k),
-    errors (P,), failures (P,)): a failure is a message, or None where
-    the problem converged; the error includes the summed rounding error.
+    - tol/8, and the halves of the picked intervals are evaluated and
+    folded in groups of whole problems (``_groups``), one group when the
+    halves' k values fit in ``_CHUNK_ELEMENTS``.  A problem stops once it
+    holds at least two intervals and its global error drops below tol/8
+    (converged) or below its summed rounding error, when its error turns
+    non-finite, or when it holds ``limit`` intervals; tol =
+    max(abs_tol, rel_tol * |I|) in the 2-norm.  The decisions of a problem
+    read only its own intervals, and its sums only its own rows (one
+    ``reduceat`` segment; ``bincount`` adds exact zeros to the problems
+    outside a group), so it gets the values and error of its solo pass.
+    Returns (values (P, k), errors (P,), failures (P,)): a failure is a
+    message, or None where the problem converged; the error includes the
+    summed rounding error.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     val, err, rnd, size = _gk21(func, prob, lo, hi, None)
@@ -306,22 +330,26 @@ def _adaptive(func, prob: np.ndarray, lo: np.ndarray, hi: np.ndarray, abs_tol: f
         picked, pp = order[pick], cp[pick]
         a, b = lo[picked], hi[picked]
         mid = 0.5 * (a + b)
-        m = len(picked)
-        ig, e, r, size = _gk21(func, np.concatenate((pp, pp)), np.concatenate((a, mid)),
-                               np.concatenate((mid, b)), size)
-        _add_by_problem(total, pp, ig[:m] + ig[m:] - val[picked])
-        global_error += np.bincount(pp, e[:m] + e[m:] - err[picked], n_prob)
-        rounding_error += np.bincount(pp, r[:m] + r[m:], n_prob)
-        count += np.bincount(pp, minlength=n_prob)
-        # the left half takes the picked interval's place, the right is new;
-        # the values, k per interval, grow in place by doubling
-        n = len(prob)
-        hi[picked], val[picked], err[picked] = mid, ig[:m], e[:m]
+        n, m = len(prob), len(picked)
         if n + m > len(val):
+            # the values, k per interval, grow in place by doubling
             val = np.concatenate((val[:n], np.empty((n + m, val.shape[1]), dtype=val.dtype)))
-        val[n:n + m] = ig[m:]
+        right_err = []
+        for g in _groups(pp, _CHUNK_ELEMENTS // (2 * val.shape[1])):
+            at, gp, gm = picked[g], pp[g], mid[g]
+            ig, e, r, size = _gk21(func, np.concatenate((gp, gp)), np.concatenate((a[g], gm)),
+                                   np.concatenate((gm, b[g])), size)
+            h = len(gp)
+            _add_by_problem(total, gp, ig[:h] + ig[h:] - val[at])
+            global_error += np.bincount(gp, e[:h] + e[h:] - err[at], n_prob)
+            rounding_error += np.bincount(gp, r[:h] + r[h:], n_prob)
+            # the left half takes the picked interval's place, the right is new
+            hi[at], val[at], err[at] = gm, ig[:h], e[:h]
+            val[n + g.start:n + g.stop] = ig[h:]
+            right_err.append(e[h:])
+        count += np.bincount(pp, minlength=n_prob)
         prob, lo, hi = (np.concatenate(pair) for pair in ((prob, pp), (lo, mid), (hi, b)))
-        err = np.concatenate((err, e[m:]))
+        err = np.concatenate((err, *right_err))
         tol8 = np.maximum(abs_tol / 8, rel_tol / 8 * _row_norm(total))
         # every problem has two intervals after its first round
         stopped = ((global_error < np.maximum(tol8, rounding_error))

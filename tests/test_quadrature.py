@@ -628,3 +628,89 @@ def test_numerator_errors_match_the_expanded_path(monkeypatch):
             ref_vals, ref_errs = spectral._numerators(kernels.tent_kernel(), trip, lags, s, s)
         assert np.all(errs <= 1.5 * ref_errs) and np.all(ref_errs <= 1.5 * errs), (errs, ref_errs)
         assert np.all(np.abs(vals - ref_vals) <= (errs + ref_errs)[:, None, None])
+
+
+# ---------------------------------------------------------------------------
+# rounds folded in groups of whole problems
+
+_N_WAVES = 16
+
+
+def _waves_factored(x, p):
+    """Mirror values of 325 columns from 25 + 25 nonnegative factors whose
+    oscillations spread the error over the whole line, so that later rounds
+    bisect many intervals of every problem; problem p shifts the phase."""
+    w = np.linspace(1.0, 60.0, 25)
+    a = 1.0 + np.sin(np.multiply.outer(x[:, 0] + 0.1 * p, w)) ** 2
+    b = np.exp(-np.multiply.outer(np.abs(x[:, 0]), w / 60.0))
+    i, j = np.triu_indices(25)
+    return quadrature.Factored(a, b, i * 25 + j, True)
+
+
+def _waves_corners():
+    return line_corners([(None, -1.0, 2.0, ())] * _N_WAVES)
+
+
+def test_groups_cut_whole_problems():
+    p = np.repeat([0, 1, 2, 3], [3, 150, 40, 70])
+    assert quadrature._groups(p, 263) == [slice(0, 263)]
+    # problem 1 alone exceeds the cap of 100 and is a group of its own
+    assert quadrature._groups(p, 100) == [slice(0, 3), slice(3, 153), slice(153, 193),
+                                          slice(193, 263)]
+    assert quadrature._groups(p, 0) == [slice(0, 3), slice(3, 153), slice(153, 193),
+                                        slice(193, 263)]
+    assert quadrature._groups(p, 190) == [slice(0, 153), slice(153, 263)]
+
+
+def test_grouped_rounds_equal_solo_passes(monkeypatch):
+    """16 factored problems of 325 columns: their later rounds return more
+    values than one group holds, and each problem still gets the values and
+    error of its solo pass bit for bit."""
+    groups = []
+    cut = quadrature._groups
+
+    def counted(p, cap):
+        groups.append(cut(p, cap))
+        return groups[-1]
+
+    monkeypatch.setattr(quadrature, "_groups", counted)
+    corners = _waves_corners()
+    vals, errs = integrate_box(_waves_factored, corners)
+    assert max(len(g) for g in groups) >= 3
+    for q in range(_N_WAVES):
+        solo, solo_err = integrate_box(lambda x, p: _waves_factored(x, np.full(len(x), q)),
+                                       corners[:1])
+        assert np.array_equal(vals[q], solo[0]) and errs[q] == solo_err[0], q
+
+
+def test_rule_calls_take_whole_problems_within_the_group_limit(monkeypatch):
+    """Each GK21 call of a round gets the left then the right halves of whole
+    problems' picked intervals, at most _CHUNK_ELEMENTS values (325 per half)
+    unless it holds one problem, and the round's calls cover its picks."""
+    rounds = []
+    pick, gk21 = quadrature._pick, quadrature._gk21
+
+    def picking(err, p, threshold):
+        chosen = pick(err, p, threshold)
+        rounds.append((np.bincount(p[chosen], minlength=_N_WAVES), []))
+        return chosen
+
+    def evaluating(func, prob, lo, hi, size):
+        if rounds:
+            rounds[-1][1].append(prob)
+        return gk21(func, prob, lo, hi, size)
+
+    monkeypatch.setattr(quadrature, "_pick", picking)
+    monkeypatch.setattr(quadrature, "_gk21", evaluating)
+    integrate_box(_waves_factored, _waves_corners())
+    for picked, calls in rounds:
+        covered = np.zeros(_N_WAVES, dtype=int)
+        for prob in calls:
+            half = prob[:len(prob) // 2]
+            assert np.array_equal(prob[len(half):], half)
+            counts = np.bincount(half, minlength=_N_WAVES)
+            assert np.array_equal(counts[counts > 0], picked[counts > 0])
+            assert len(prob) * 325 <= quadrature._CHUNK_ELEMENTS or np.ptp(half) == 0
+            covered += counts
+        assert np.array_equal(covered, picked)
+    assert max(len(calls) for _, calls in rounds) >= 3

@@ -630,8 +630,9 @@ def test_profile_makes_one_ratio_call(monkeypatch, kern, trip, method):
 
 @pytest.mark.parametrize("n_lags", [1, 7, spectral.RATIO_BLOCK, spectral.RATIO_BLOCK + 1])
 def test_refine_rounds_share_one_pass_per_block(monkeypatch, n_lags):
-    """One engine pass per lag on the full grid, then REFINE_ROUNDS passes
-    per block of up to RATIO_BLOCK lags; sigma^2 here is a closed form."""
+    """Per block of up to RATIO_BLOCK lags, the full grids in passes of up to
+    GRID_LAGS lags, then REFINE_ROUNDS passes of the whole block; sigma^2
+    here is a closed form."""
     problems = []
     engine = kernels.integrate_box
 
@@ -645,10 +646,30 @@ def test_refine_rounds_share_one_pass_per_block(monkeypatch, n_lags):
     expect = []
     for start in range(0, n_lags, spectral.RATIO_BLOCK):
         block = min(spectral.RATIO_BLOCK, n_lags - start)
-        expect += [1] * block + [block] * spectral.REFINE_ROUNDS
+        full = [min(spectral.GRID_LAGS, block - g) for g in range(0, block, spectral.GRID_LAGS)]
+        assert len(full) == -(-block // spectral.GRID_LAGS)
+        expect += full + [block] * spectral.REFINE_ROUNDS
     assert problems == expect
     assert values.shape == errors.shape == (n_lags,)
     assert values[0] == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("kern, trip, lags", [
+    (tent_kernel(), _MIXED["stable"], [[-0.4], [0.3], [1.3], [2.5]]),
+    (tent_kernel(), _MIXED["poisson"], [[-0.4], [0.3], [1.3], [2.5]]),
+    (gaussian_kernel(dim=2), _MIXED["stable"], [[0.5, 0.5], [0.0, 0.0], [-1.0, 0.5], [2.0, -1.0]]),
+], ids=["tent-stable", "tent-poisson", "gaussian2d-stable"])
+def test_grid_pass_of_four_lags_equals_one_lag_passes(kern, trip, lags):
+    """The full 25 x 25 grids of GRID_LAGS lags in one engine pass, one
+    problem per lag, equal the grids of one-lag passes bit for bit; lag 2.5
+    does not overlap the tent."""
+    lags = np.array(lags)
+    assert len(lags) == spectral.GRID_LAGS
+    grid = np.tile(_GRID, (len(lags), 1))
+    vals, errs = spectral._numerators(kern, trip, lags, grid, grid)
+    for n, t in enumerate(lags):
+        solo, solo_err = spectral._numerators(kern, trip, t[None], _GRID[None], _GRID[None])
+        assert np.array_equal(vals[n], solo[0]) and errs[n] == solo_err[0], t
 
 
 def test_numerator_failure_names_the_caller_problem():
