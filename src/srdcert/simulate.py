@@ -159,21 +159,19 @@ def _cell_centers(kernel: Kernel, lags: np.ndarray, h: float
     return centers, h ** kernel.dim
 
 
-def _standard_symmetric_stable(u: np.ndarray, e: np.ndarray,
+def _standard_symmetric_stable(u: np.ndarray, e: np.ndarray | None,
                                alpha: float) -> np.ndarray:
     """Symmetric stable variates with char exp(-|s|^alpha).
 
-    ``u`` uniform on (-pi/2, pi/2), ``e`` standard exponential; the
-    exponent (1-alpha)/alpha vanishes at alpha=1 where the value reduces
-    to sin(u)/cos(u) (Cauchy); the tilt is then exactly 1.0 and is not
-    computed.
+    ``u`` uniform on (-pi/2, pi/2), ``e`` standard exponential.  At
+    alpha = 1 the tilt exponent (1-alpha)/alpha vanishes and the value is
+    sin(u)/cos(u) (Cauchy): ``e`` is not read there and may be None.
     """
-    exponent = (1.0 - alpha) / alpha
     with np.errstate(divide="ignore", over="ignore"):
+        if alpha == 1.0:
+            return np.sin(u) / np.cos(u)
         core = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-        if exponent == 0.0:
-            return core
-        return core * (np.cos((1.0 - alpha) * u) / e) ** exponent
+        return core * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
 
 
 def sample_field(kernel: Kernel, triplet: levy.LevyTriplet, lags,
@@ -182,7 +180,13 @@ def sample_field(kernel: Kernel, triplet: levy.LevyTriplet, lags,
 
     Chunked with a counter-based generator: sample i is byte-identical for
     every n_samples >= i+1 under the same seed, because each chunk draws
-    full-size arrays from its own jumped stream and slices.
+    full-size arrays from its own jumped stream and slices.  With jumps a
+    chunk draws per cell the Gaussian part, then the stable uniforms and
+    exponentials (none at alpha = 1, which does not read them) or the
+    Poisson counts and their split.  A purely Gaussian field draws Z R
+    sqrt(b0 h^d) + drift, one normal per lag and sample, with R^T R = W^T W
+    for the cells' kernel weights W: the lattice covariance, so the lattice
+    law.  R comes from QR, as Cholesky fails where W^T W is singular.
     """
     measure = triplet.measure
     if isinstance(measure, levy.TabulatedMeasure):
@@ -195,39 +199,43 @@ def sample_field(kernel: Kernel, triplet: levy.LevyTriplet, lags,
                         for i in range(len(lag_arr))], axis=1)
 
     drift_term = triplet.a0 * vol * weights.sum(axis=0)
-    comp = 0.0
-    if isinstance(measure, levy.CompoundPoisson):
+    shape = (CHUNK, n_cells)
+    if isinstance(measure, levy.NoJumps):
+        factor = np.linalg.qr(weights, mode="r") * math.sqrt(triplet.b0 * vol)
+    elif isinstance(measure, levy.SymmetricStable):
+        cell_scale = (vol * measure.scale * levy.stable_re_constant(measure.alpha)
+                      ) ** (1.0 / measure.alpha)
+    else:
         atoms = np.asarray(measure.atoms)
         pvals = np.asarray(measure.weights)
-        comp = measure.rate * float(
-            np.sum(pvals * atoms * (np.abs(atoms) <= 1.0)))
+        comp = measure.rate * float(np.sum(pvals * atoms * (np.abs(atoms) <= 1.0)))
 
     out = np.empty((config.n_samples, len(lag_arr)))
+    base = np.random.Philox(key=config.seed)
     for chunk_idx in range(0, (config.n_samples + CHUNK - 1) // CHUNK):
-        rng = np.random.Generator(
-            np.random.Philox(key=config.seed).jumped(chunk_idx))
+        rng = np.random.Generator(base.jumped(chunk_idx))
         take = min(CHUNK, config.n_samples - chunk_idx * CHUNK)
-        incr = np.zeros((CHUNK, n_cells))
-        if triplet.b0 > 0.0:
-            incr += rng.normal(scale=math.sqrt(triplet.b0 * vol),
-                               size=(CHUNK, n_cells))
-        if isinstance(measure, levy.SymmetricStable):
-            u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(CHUNK, n_cells))
-            e = rng.standard_exponential(size=(CHUNK, n_cells))
-            cell_scale = (vol * measure.scale
-                          * levy.stable_re_constant(measure.alpha)
-                          ) ** (1.0 / measure.alpha)
-            incr += cell_scale * _standard_symmetric_stable(u, e, measure.alpha)
-        elif isinstance(measure, levy.CompoundPoisson):
-            counts = rng.poisson(lam=measure.rate * vol, size=(CHUNK, n_cells))
-            if len(measure.atoms) == 1:
-                jumps = counts * measure.atoms[0]
+        if isinstance(measure, levy.NoJumps):
+            block = rng.standard_normal((CHUNK, len(factor)))[:take] @ factor
+        else:
+            normal = (rng.normal(scale=math.sqrt(triplet.b0 * vol), size=shape)
+                      if triplet.b0 > 0.0 else None)
+            if isinstance(measure, levy.SymmetricStable):
+                u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=shape)
+                # the chunk's last draw, so leaving it out moves no other
+                e = None if measure.alpha == 1.0 else rng.standard_exponential(size=shape)
+                incr = cell_scale * _standard_symmetric_stable(u, e, measure.alpha)
             else:
-                split = rng.multinomial(counts.ravel(), pvals)
-                jumps = (split @ atoms).reshape(CHUNK, n_cells)
-            incr += jumps - comp * vol
-        block = incr[:take] @ weights + drift_term
-        out[chunk_idx * CHUNK:chunk_idx * CHUNK + take] = block
+                counts = rng.poisson(lam=measure.rate * vol, size=shape)
+                if len(atoms) == 1:
+                    jumps = counts * measure.atoms[0]
+                else:
+                    jumps = (rng.multinomial(counts.ravel(), pvals) @ atoms).reshape(shape)
+                incr = jumps - comp * vol
+            if normal is not None:
+                incr += normal
+            block = incr[:take] @ weights
+        out[chunk_idx * CHUNK:chunk_idx * CHUNK + take] = block + drift_term
     lag_tuples = tuple(tuple(float(v) for v in row) for row in lag_arr)
     return FieldSample(lags=lag_tuples, values=out,
                        n_cells=n_cells, config=config,
@@ -271,27 +279,37 @@ def exceedance_cov(x0: np.ndarray, xt: np.ndarray, u_levels: np.ndarray,
     Counting runs through a 2-D histogram of level ranks and a reverse
     double cumulative sum, so cost is O(n + K*L) rather than O(n*K*L).
     Returns (cov, se, p_u, p_v) with the delta-method standard error.
+    The K x L arrays are updated in place: at most three are held at once.
     """
     x0 = np.asarray(x0, dtype=float)
     xt = np.asarray(xt, dtype=float)
     u_levels = np.asarray(u_levels, dtype=float)
     v_levels = np.asarray(v_levels, dtype=float)
     n = len(x0)
-    iu = np.searchsorted(u_levels, x0, side="left")
-    iv = np.searchsorted(v_levels, xt, side="left")
-    hist = np.zeros((len(u_levels) + 1, len(v_levels) + 1))
-    np.add.at(hist, (iu, iv), 1.0)
-    suffix = hist[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
-    p11 = suffix[1:, 1:] / n
-    p1 = suffix[1:, 0] / n
-    p2 = suffix[0, 1:] / n
+    cols = len(v_levels) + 1
+    rank = np.searchsorted(u_levels, x0, side="left") * cols
+    rank += np.searchsorted(v_levels, xt, side="left")
+    hist = np.bincount(rank, minlength=(len(u_levels) + 1) * cols).reshape(-1, cols)
+    suffix = hist[::-1, ::-1]
+    np.cumsum(suffix, axis=0, out=suffix)
+    np.cumsum(suffix, axis=1, out=suffix)
+    p11 = hist[1:, 1:] / n
+    p1 = hist[1:, 0] / n
+    p2 = hist[0, 1:] / n
+    del hist, suffix
     cov = p11 - np.outer(p1, p2)
     m1 = 1.0 - 2.0 * p1
     m2 = 1.0 - 2.0 * p2
-    second = (p11 * np.outer(m1, m2) + np.outer(p1 ** 2, p2 * m2)
-              + np.outer(p1 * m1, p2 ** 2) + np.outer(p1 ** 2, p2 ** 2))
-    var = np.clip(second - cov ** 2, 0.0, None)
-    return cov, np.sqrt(var / n), p1, p2
+    # second = p11 m1 m2 + p1^2 p2 m2 + p1 m1 p2^2 + p1^2 p2^2, summed in
+    # that order; p11's buffer takes each outer product once p11 is read
+    second = np.outer(m1, m2)
+    second *= p11
+    for a, b in ((p1 ** 2, p2 * m2), (p1 * m1, p2 ** 2), (p1 ** 2, p2 ** 2)):
+        second += np.outer(a, b, out=p11)
+    second -= np.square(cov, out=p11)
+    np.clip(second, 0.0, None, out=second)
+    second /= n
+    return cov, np.sqrt(second, out=second), p1, p2
 
 
 def probe_smoothed_cov(x0: np.ndarray, xt: np.ndarray, probe: ProbeMeasure,

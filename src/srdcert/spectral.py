@@ -133,7 +133,9 @@ def _numerators(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
     f(-x) and maps the overlap onto itself, so
     N_ij = integral over x_1 >= t_1/2 of u_i(t-x) u_j(-x) + u_j(t-x) u_i(-x),
     symmetric in (i, j): the pairs are then the upper triangle i <= j of
-    that symmetrised (mirror) value over the half overlap, mirrored.
+    that symmetrised (mirror) value over the half overlap, mirrored.  A
+    lag's error is the 2-norm over its integrated columns, with the
+    engine's L2 dispersion of a factored value in place of QUADPACK's.
     """
     n1, n2 = s1.shape[1], s2.shape[1]
     mirror = kernel.even and np.array_equal(s1, s2)
@@ -157,28 +159,6 @@ def _numerators(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
     if mirror:
         out[:, jj, ii] = vals
     return out, err
-
-
-def dependence_numerator_grid(kernel: Kernel, triplet: levy.LevyTriplet, t,
-                              s1_values: np.ndarray, s2_values: np.ndarray
-                              ) -> tuple[np.ndarray, float]:
-    """integral sqrt(Re K(s1 f(t-x)) Re K(s2 f(-x))) dx on a product grid.
-
-    The integrand factorises pointwise, so a grid of n1 x n2 pairs costs
-    n1 + n2 cumulant evaluations per x, and the engine takes it as the
-    factored value of ``_numerators``: each interval's Kronrod and Gauss
-    sums are matrix products of the two factor tables.  For an even kernel
-    on a square grid the numerator is symmetric, and only the upper
-    triangle's n(n+1)/2 pairs are integrated, each as the sum of the
-    pair's two products over the half overlap x_1 >= t_1/2, so about half
-    the nodes of the whole overlap.  The error is the 2-norm over the
-    integrated columns, with the engine's L2 dispersion of a factored
-    value in place of QUADPACK's.
-    """
-    s1, s2 = (np.asarray(s, dtype=float)[None] for s in (s1_values, s2_values))
-    vals, err = _numerators(kernel, triplet, np.atleast_1d(np.asarray(t, dtype=float))[None],
-                            s1, s2)
-    return vals[0], float(err[0])
 
 
 def _sigma(kernel: Kernel, triplet: levy.LevyTriplet, s: np.ndarray) -> np.ndarray:

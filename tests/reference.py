@@ -1,8 +1,21 @@
 """Reference helpers shared by the tests; not part of the package."""
 
+import math
+
 import numpy as np
 
-from srdcert.spectral import _clamp_ratio, _sigma, dependence_numerator_grid
+from srdcert import levy, simulate
+from srdcert.spectral import _clamp_ratio, _numerators, _sigma
+
+
+def dependence_numerator_grid(kernel, triplet, t, s1_values, s2_values):
+    """integral sqrt(Re K(s1 f(t-x)) Re K(s2 f(-x))) dx on a product grid, one
+    lag's ``spectral._numerators`` pass, and the 2-norm error over its
+    integrated columns."""
+    s1, s2 = (np.asarray(s, dtype=float)[None] for s in (s1_values, s2_values))
+    vals, err = _numerators(kernel, triplet, np.atleast_1d(np.asarray(t, dtype=float))[None],
+                            s1, s2)
+    return vals[0], float(err[0])
 
 
 def dependence_ratio_grid(kernel, triplet, t, s1_values, s2_values):
@@ -13,3 +26,63 @@ def dependence_ratio_grid(kernel, triplet, t, s1_values, s2_values):
     num, err = dependence_numerator_grid(kernel, triplet, t, s1_values, s2_values)
     sig = _sigma(kernel, triplet, np.concatenate((s1_values, s2_values)))
     return _clamp_ratio(num / np.outer(sig[:len(s1_values)], sig[len(s1_values):])), err
+
+
+def lattice_weights(kernel, lags, step):
+    """Kernel weights f(t_i - c) of the sampler's lattice cells c (cells x
+    lags), and the cell volume."""
+    lag_arr = simulate._as_lag_array(lags, kernel.dim)
+    centers, vol = simulate._cell_centers(kernel, lag_arr, step)
+    return np.stack([kernel(t - centers) for t in lag_arr], axis=1), vol
+
+
+def stable_with_tilt(u, e, alpha):
+    """Standard symmetric stable variates with the tilt always applied."""
+    with np.errstate(divide="ignore", over="ignore"):
+        core = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+        tilt = (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
+    return core * tilt
+
+
+def sample_field(kernel, triplet, lags, config):
+    """The per-cell lattice sampler for every integrator: each chunk's fresh
+    ``Philox(key=seed).jumped(chunk)`` stream draws per cell the Gaussian
+    part, then the stable uniforms and exponentials (also at alpha = 1) or
+    the Poisson counts and their split, into a zero-filled increment array."""
+    measure = triplet.measure
+    lag_arr = simulate._as_lag_array(lags, kernel.dim)
+    weights, vol = lattice_weights(kernel, lag_arr, config.lattice_step)
+    n_cells = len(weights)
+    drift_term = triplet.a0 * vol * weights.sum(axis=0)
+    comp = 0.0
+    if isinstance(measure, levy.CompoundPoisson):
+        atoms = np.asarray(measure.atoms)
+        pvals = np.asarray(measure.weights)
+        comp = measure.rate * float(np.sum(pvals * atoms * (np.abs(atoms) <= 1.0)))
+    chunk = simulate.CHUNK
+    out = np.empty((config.n_samples, len(lag_arr)))
+    for chunk_idx in range(0, (config.n_samples + chunk - 1) // chunk):
+        rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(chunk_idx))
+        take = min(chunk, config.n_samples - chunk_idx * chunk)
+        incr = np.zeros((chunk, n_cells))
+        if triplet.b0 > 0.0:
+            incr += rng.normal(scale=math.sqrt(triplet.b0 * vol), size=(chunk, n_cells))
+        if isinstance(measure, levy.SymmetricStable):
+            u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(chunk, n_cells))
+            e = rng.standard_exponential(size=(chunk, n_cells))
+            cell_scale = (vol * measure.scale * levy.stable_re_constant(measure.alpha)
+                          ) ** (1.0 / measure.alpha)
+            incr += cell_scale * stable_with_tilt(u, e, measure.alpha)
+        elif isinstance(measure, levy.CompoundPoisson):
+            counts = rng.poisson(lam=measure.rate * vol, size=(chunk, n_cells))
+            if len(measure.atoms) == 1:
+                jumps = counts * measure.atoms[0]
+            else:
+                split = rng.multinomial(counts.ravel(), pvals)
+                jumps = (split @ atoms).reshape(chunk, n_cells)
+            incr += jumps - comp * vol
+        out[chunk_idx * chunk:chunk_idx * chunk + take] = incr[:take] @ weights + drift_term
+    return simulate.FieldSample(
+        lags=tuple(tuple(float(v) for v in row) for row in lag_arr), values=out,
+        n_cells=n_cells, config=config, kernel_name=kernel.name,
+        triplet_name=triplet.name or repr(triplet))

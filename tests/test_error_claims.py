@@ -17,9 +17,11 @@ from srdcert.certify import certify
 from srdcert.spectral import (
     DEFAULT_S_BOX,
     DEFAULT_S_POINTS,
-    dependence_numerator_grid,
+    marginal_exponent_grid,
     max_dependence_ratio,
 )
+
+from reference import dependence_numerator_grid
 
 
 def frequency_reference(sigma_sq, lam: float, gamma_lo: float, c_lo: float
@@ -76,11 +78,11 @@ def test_tent_gaussian_stable_freq_value(tent_gaussian_stable):
 
 
 def one_minus_sinc(z: float) -> float:
-    """1 - sin(z)/z, from its series below |z| < 1e-3 where the difference
-    cancels."""
-    if abs(z) < 1e-3:
+    """1 - sin(z)/z, from its series below |z| < 0.1 where the difference
+    cancels; either branch is within about 1e-13 of it, relative."""
+    if abs(z) < 0.1:
         z2 = z * z
-        return z2 / 6.0 * (1.0 - z2 / 20.0 * (1.0 - z2 / 42.0))
+        return z2 / 6.0 * (1.0 - z2 / 20.0 * (1.0 - z2 / 42.0 * (1.0 - z2 / 72.0)))
     return 1.0 - math.sin(z) / z
 
 
@@ -103,6 +105,17 @@ def test_tent_gaussian_poisson_freq_value():
     ref, ref_err = frequency_reference(tent_gaussian_poisson_sigma_sq,
                                        1.0 - rep.threshold, gamma_lo=2.0, c_lo=1.5)
     assert abs(rep.freq_value - ref) <= rep.freq_error + ref_err
+
+
+@pytest.mark.parametrize("s", [1e-3, 1.0, 1e3])
+def test_tent_gaussian_poisson_sigma_sq(s):
+    """sigma^2 of the same model at one frequency, one engine pass, against
+    the closed form; the reference's error is its rounding."""
+    trip = levy.LevyTriplet(b0=1.0, measure=levy.CompoundPoisson(
+        POISSON_RATE, POISSON_ATOMS, POISSON_WEIGHTS))
+    vals, err = marginal_exponent_grid(kernels.tent_kernel(1.0), trip, np.array([s]))
+    ref = tent_gaussian_poisson_sigma_sq(s)
+    assert abs(vals[0] - ref) <= err + 1e-15 * ref
 
 
 @pytest.mark.parametrize("kernel, triplet, reference", [

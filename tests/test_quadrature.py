@@ -25,6 +25,8 @@ from srdcert import kernels, levy, quadrature, spectral
 from srdcert.errors import QuadratureError
 from srdcert.quadrature import integrate_box
 
+from reference import dependence_numerator_grid
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "srdcert"
 
 
@@ -595,7 +597,7 @@ def test_factored_log_tail_matches_expanded_columns(monkeypatch, even):
     kern = dataclasses.replace(kernels.powerlaw_kernel(4.0), even=even)
     trip = levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.5))
     s = np.geomspace(0.1, 10.0, 4)
-    spectral.dependence_numerator_grid(kern, trip, -0.7, s, s)
+    dependence_numerator_grid(kern, trip, -0.7, s, s)
     (g, corners), = captured
     tails = range(1, len(corners))
     assert len(tails) == (1 if even else 2)

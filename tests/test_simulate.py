@@ -1,5 +1,6 @@
 """Lattice sampler and Monte Carlo bound checks."""
 
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,8 @@ from srdcert import kernels, levy, quadrature, simulate as S
 from srdcert.cli import main
 from srdcert.errors import RejectionError
 from srdcert.spectral import build_profile, char_marginal
+
+import reference
 
 S_GRID = np.array([-5.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 5.0])
 
@@ -97,13 +100,15 @@ def test_sample_reproducible(box):
 
 
 def test_sample_prefix_stable_across_chunks(box):
-    """Sample i is identical no matter how many samples follow it."""
-    tri = levy.poisson_triplet(2.0, atoms=(-0.5, 2.0), weights=(0.6, 0.4))
-    big = S.sample_field(box, tri, [(0.0,), (0.5,)],
-                         S.SimConfig(n_samples=1500, lattice_step=0.25, seed=3))
-    small = S.sample_field(box, tri, [(0.0,), (0.5,)],
-                           S.SimConfig(n_samples=700, lattice_step=0.25, seed=3))
-    assert np.array_equal(big.values[:700], small.values)
+    """Sample i is identical no matter how many samples follow it, drawn
+    cell by cell or, for a purely Gaussian field, lag by lag."""
+    for kern, tri in ((box, levy.poisson_triplet(2.0, atoms=(-0.5, 2.0), weights=(0.6, 0.4))),
+                      (kernels.powerlaw_kernel(3.0), levy.LevyTriplet(a0=0.3, b0=1.0))):
+        big = S.sample_field(kern, tri, [(0.0,), (0.5,)],
+                             S.SimConfig(n_samples=1500, lattice_step=0.25, seed=3))
+        small = S.sample_field(kern, tri, [(0.0,), (0.5,)],
+                               S.SimConfig(n_samples=700, lattice_step=0.25, seed=3))
+        assert np.array_equal(big.values[:700], small.values)
 
 
 def test_lattice_cell_cap():
@@ -119,6 +124,77 @@ def test_drift_only_field_is_deterministic(box):
     cfg = S.SimConfig(n_samples=50, lattice_step=0.125, seed=0)
     smp = S.sample_field(box, tri, [(0.0,)], cfg)
     assert np.allclose(smp.values, 0.7, atol=1e-12)
+
+
+# integrators with jumps, each sampled cell by cell; a single Poisson atom
+# inside [-1, 1] is compensated, like the -0.5 of the two-atom measure
+JUMP_TRIPLETS = {
+    "stable-1": levy.stable_triplet(1.0),
+    "stable-1.5": levy.stable_triplet(1.5),
+    "gauss+stable-1": levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.0)),
+    "poisson-1-atom": levy.poisson_triplet(2.0, atoms=(0.5,)),
+    "poisson-2-atoms": levy.poisson_triplet(2.0, atoms=(-0.5, 2.0), weights=(0.6, 0.4)),
+}
+
+
+@pytest.mark.parametrize("a0", [0.0, 0.7])
+@pytest.mark.parametrize("kern", ["box", "powerlaw"])
+@pytest.mark.parametrize("name", sorted(JUMP_TRIPLETS))
+def test_cell_sampler_matches_reference(name, kern, a0):
+    """Bit for bit the reference sampler, which builds each chunk's stream
+    afresh, fills and adds, and draws and applies the stable exponential
+    also at alpha = 1.  1100 samples span a full and a partial chunk; the
+    power law (beta = 6) is truncated to 132 cells."""
+    tri = dataclasses.replace(JUMP_TRIPLETS[name], a0=a0)
+    kernel = kernels.box_kernel() if kern == "box" else kernels.powerlaw_kernel(6.0)
+    cfg = S.SimConfig(n_samples=1100, lattice_step=0.5, seed=19)
+    lags = [(0.0,), (0.6,), (2.5,)]
+    got = S.sample_field(kernel, tri, lags, cfg)
+    ref = reference.sample_field(kernel, tri, lags, cfg)
+    assert got.n_cells == ref.n_cells == (7 if kern == "box" else 132)
+    assert got.values.tobytes() == ref.values.tobytes()
+
+
+@pytest.mark.parametrize("kern,step,lags", [
+    ("powerlaw", 0.25, [(0.0,), (0.5,), (2.0,)]),
+    # a repeated lag: W^T W is singular, where a Cholesky factor fails
+    ("box", 0.125, [(0.0,), (0.5,), (0.5,)]),
+    # one cell for three lags: W^T W has rank 1, and R is 1 x 3
+    ("box", 2.0, [(0.0,), (0.3,), (0.6,)]),
+], ids=["powerlaw", "repeated-lag", "one-cell"])
+def test_gaussian_lag_factor_has_lattice_gram(kern, step, lags):
+    """A purely Gaussian field is Z F + drift, Z the first chunk's standard
+    normals; F, solved from the samples, has F^T F = b0 h W^T W, the
+    lattice covariance, within 1e-12 relative."""
+    kernel = kernels.box_kernel() if kern == "box" else kernels.powerlaw_kernel(3.0)
+    tri = levy.LevyTriplet(a0=0.3, b0=2.0)
+    cfg = S.SimConfig(n_samples=S.CHUNK, lattice_step=step, seed=4)
+    smp = S.sample_field(kernel, tri, lags, cfg)
+    w, vol = reference.lattice_weights(kernel, lags, step)
+    drift = tri.a0 * vol * w.sum(axis=0)
+    z = np.random.Generator(np.random.Philox(key=4)).standard_normal((S.CHUNK, min(w.shape)))
+    factor = np.linalg.lstsq(z, smp.values - drift, rcond=None)[0]
+    gram = tri.b0 * vol * (w.T @ w)
+    assert np.abs(factor.T @ factor - gram).max() <= 1e-12 * np.abs(gram).max()
+
+
+def test_gaussian_lag_moments():
+    """Mean and covariance of the lag values on the envelope lattice are the
+    drift and b0 h W^T W, each within 5 standard errors of its estimate."""
+    kern = kernels.powerlaw_kernel(3.0)
+    tri = levy.LevyTriplet(a0=0.3, b0=2.0)
+    lags = [(0.0,), (0.5,), (2.0,)]
+    cfg = S.SimConfig(n_samples=100_000, lattice_step=0.25, seed=6)
+    vals = S.sample_field(kern, tri, lags, cfg).values
+    w, vol = reference.lattice_weights(kern, lags, cfg.lattice_step)
+    cov = tri.b0 * vol * (w.T @ w)
+    n = cfg.n_samples
+    var = np.diag(cov)
+    assert np.all(np.abs(vals.mean(axis=0) - tri.a0 * vol * w.sum(axis=0))
+                  <= 5.0 * np.sqrt(var / n))
+    # a normal sample covariance has variance (S_ii S_jj + S_ij**2) / n
+    assert np.all(np.abs(np.cov(vals, rowvar=False) - cov)
+                  <= 5.0 * np.sqrt((np.outer(var, var) + cov ** 2) / n))
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +227,6 @@ def test_standard_stable_sampler_char():
         assert np.abs(phi - target).max() < 4.0 / math.sqrt(n)
 
 
-def _stable_with_tilt(u, e, alpha):
-    """The sampler with its tilt always applied, the reference for alpha = 1."""
-    with np.errstate(divide="ignore", over="ignore"):
-        core = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-        tilt = (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
-    return core * tilt
-
-
 def test_standard_stable_alpha_one_is_tangent():
     """At alpha = 1 the draws are sin(u) / cos(u) bit for bit, also where
     cos(u) is within 1e-12 of 0, and so are the tilted reference's."""
@@ -170,15 +238,16 @@ def test_standard_stable_alpha_one_is_tangent():
                         np.zeros(len(edge)), np.full(len(edge), 1e-300)])
     x = S._standard_symmetric_stable(u, e, 1.0)
     np.testing.assert_array_equal(x, np.sin(u) / np.cos(u))
-    np.testing.assert_array_equal(x, _stable_with_tilt(u, e, 1.0))
+    np.testing.assert_array_equal(x, reference.stable_with_tilt(u, e, 1.0))
+    np.testing.assert_array_equal(S._standard_symmetric_stable(u, None, 1.0), x)
 
 
 def test_example_samples_unchanged_by_alpha_one_shortcut(tmp_path, monkeypatch):
     """The example config (stable alpha = 1) writes the same samples.csv as
-    the sampler that always applies its tilt."""
+    the reference sampler, which draws the exponential and applies the tilt."""
     config = Path(__file__).resolve().parents[1] / "configs" / "example.cfg"
     assert main(["simulate", str(config), "--output", str(tmp_path / "a")]) == 0
-    monkeypatch.setattr(S, "_standard_symmetric_stable", _stable_with_tilt)
+    monkeypatch.setattr(S, "sample_field", reference.sample_field)
     assert main(["simulate", str(config), "--output", str(tmp_path / "b")]) == 0
     assert ((tmp_path / "a" / "samples.csv").read_bytes()
             == (tmp_path / "b" / "samples.csv").read_bytes())
@@ -210,6 +279,19 @@ def test_envelope_kernel_sampling():
     cfg = S.SimConfig(n_samples=50_000, lattice_step=0.25, seed=13)
     smp = S.sample_field(kern, tri, [(0.0,)], cfg)
     assert smp.n_cells <= S.MAX_CELLS
+    phi, _ = S.empirical_char(smp.values, S_GRID)
+    target = np.array([char_marginal(kern, tri, float(s)) for s in S_GRID])
+    assert np.abs(phi - target).max() < 4.0 / math.sqrt(cfg.n_samples)
+
+
+def test_envelope_truncation_on_cell_sampler():
+    """Power law beta = 3 with a Poisson integrator samples cell by cell on
+    the lattice truncated 1e9**(1/3) = 1000 radii from the lag."""
+    kern = kernels.powerlaw_kernel(3.0, 1.0)
+    tri = levy.poisson_triplet(1.0, atoms=(1.0,))
+    cfg = S.SimConfig(n_samples=2048, lattice_step=1.0, seed=13)
+    smp = S.sample_field(kern, tri, [(0.0,)], cfg)
+    assert smp.n_cells == 2000
     phi, _ = S.empirical_char(smp.values, S_GRID)
     target = np.array([char_marginal(kern, tri, float(s)) for s in S_GRID])
     assert np.abs(phi - target).max() < 4.0 / math.sqrt(cfg.n_samples)

@@ -32,14 +32,13 @@ from srdcert.spectral import (
     _clamp_ratio,
     build_profile,
     char_marginal,
-    dependence_numerator_grid,
     marginal_exponent_grid,
     marginal_exponent_sq,
     max_dependence_ratio,
     t_lattice,
 )
 
-from reference import dependence_ratio_grid
+from reference import dependence_numerator_grid, dependence_ratio_grid
 
 
 class TestMarginalExponent:
