@@ -27,7 +27,10 @@ from .spectral import (
     marginal_cumulant,
 )
 
+# rows of a sampler chunk, fewer where one rows x cells array would hold
+# more than _CHUNK_ELEMENTS values
 CHUNK = 1024
+_CHUNK_ELEMENTS = CHUNK * 1024
 MAX_CELLS = 200_000
 # envelope kernels are truncated where the decay bound falls below this
 # fraction of the peak; the neglected cumulant mass is orders of magnitude
@@ -163,13 +166,14 @@ def _standard_symmetric_stable(u: np.ndarray, e: np.ndarray | None,
                                alpha: float) -> np.ndarray:
     """Symmetric stable variates with char exp(-|s|^alpha).
 
-    ``u`` uniform on (-pi/2, pi/2), ``e`` standard exponential.  At
-    alpha = 1 the tilt exponent (1-alpha)/alpha vanishes and the value is
-    sin(u)/cos(u) (Cauchy): ``e`` is not read there and may be None.
+    ``u`` uniform on (-pi/2, pi/2), ``e`` standard exponential
+    (Chambers, Mallows & Stuck 1976).  At alpha = 1 the tilt exponent
+    (1-alpha)/alpha vanishes and the value is tan(u) (Cauchy), one vector
+    tangent: ``e`` is not read there and may be None.
     """
+    if alpha == 1.0:
+        return np.tan(u)
     with np.errstate(divide="ignore", over="ignore"):
-        if alpha == 1.0:
-            return np.sin(u) / np.cos(u)
         core = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
         return core * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
 
@@ -180,7 +184,12 @@ def sample_field(kernel: Kernel, triplet: levy.LevyTriplet, lags,
 
     Chunked with a counter-based generator: sample i is byte-identical for
     every n_samples >= i+1 under the same seed, because each chunk draws
-    full-size arrays from its own jumped stream and slices.  With jumps a
+    full-size arrays from its own jumped stream, multiplies them by the
+    weights whole (BLAS rounds a row differently in products of different
+    row counts) and slices.  A chunk has CHUNK rows, fewer where one
+    rows x width array (width the cells, or the factor rows of a Gaussian
+    field) would exceed _CHUNK_ELEMENTS values: the rows depend on the
+    lattice alone, never on n_samples.  With jumps a
     chunk draws per cell the Gaussian part, then the stable uniforms and
     exponentials (none at alpha = 1, which does not read them) or the
     Poisson counts and their split.  A purely Gaussian field draws Z R
@@ -199,7 +208,6 @@ def sample_field(kernel: Kernel, triplet: levy.LevyTriplet, lags,
                         for i in range(len(lag_arr))], axis=1)
 
     drift_term = triplet.a0 * vol * weights.sum(axis=0)
-    shape = (CHUNK, n_cells)
     if isinstance(measure, levy.NoJumps):
         factor = np.linalg.qr(weights, mode="r") * math.sqrt(triplet.b0 * vol)
     elif isinstance(measure, levy.SymmetricStable):
@@ -210,13 +218,16 @@ def sample_field(kernel: Kernel, triplet: levy.LevyTriplet, lags,
         pvals = np.asarray(measure.weights)
         comp = measure.rate * float(np.sum(pvals * atoms * (np.abs(atoms) <= 1.0)))
 
+    width = len(factor) if isinstance(measure, levy.NoJumps) else n_cells
+    rows = max(1, min(CHUNK, _CHUNK_ELEMENTS // width))
+    shape = (rows, width)
     out = np.empty((config.n_samples, len(lag_arr)))
     base = np.random.Philox(key=config.seed)
-    for chunk_idx in range(0, (config.n_samples + CHUNK - 1) // CHUNK):
+    for chunk_idx in range(0, (config.n_samples + rows - 1) // rows):
         rng = np.random.Generator(base.jumped(chunk_idx))
-        take = min(CHUNK, config.n_samples - chunk_idx * CHUNK)
+        take = min(rows, config.n_samples - chunk_idx * rows)
         if isinstance(measure, levy.NoJumps):
-            block = rng.standard_normal((CHUNK, len(factor)))[:take] @ factor
+            block = rng.standard_normal(shape) @ factor
         else:
             normal = (rng.normal(scale=math.sqrt(triplet.b0 * vol), size=shape)
                       if triplet.b0 > 0.0 else None)
@@ -224,18 +235,19 @@ def sample_field(kernel: Kernel, triplet: levy.LevyTriplet, lags,
                 u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=shape)
                 # the chunk's last draw, so leaving it out moves no other
                 e = None if measure.alpha == 1.0 else rng.standard_exponential(size=shape)
-                incr = cell_scale * _standard_symmetric_stable(u, e, measure.alpha)
+                incr = _standard_symmetric_stable(u, e, measure.alpha)
+                incr *= cell_scale
             else:
                 counts = rng.poisson(lam=measure.rate * vol, size=shape)
                 if len(atoms) == 1:
-                    jumps = counts * measure.atoms[0]
+                    incr = counts * measure.atoms[0]
                 else:
-                    jumps = (rng.multinomial(counts.ravel(), pvals) @ atoms).reshape(shape)
-                incr = jumps - comp * vol
+                    incr = (rng.multinomial(counts.ravel(), pvals) @ atoms).reshape(shape)
+                incr -= comp * vol
             if normal is not None:
                 incr += normal
-            block = incr[:take] @ weights
-        out[chunk_idx * CHUNK:chunk_idx * CHUNK + take] = block + drift_term
+            block = incr @ weights
+        out[chunk_idx * rows:chunk_idx * rows + take] = block[:take] + drift_term
     lag_tuples = tuple(tuple(float(v) for v in row) for row in lag_arr)
     return FieldSample(lags=lag_tuples, values=out,
                        n_cells=n_cells, config=config,
@@ -254,19 +266,27 @@ def empirical_char(values: np.ndarray, s_grid: np.ndarray
     One real pass over the sample per distinct |s| takes C = mean cos(|s|x)
     and S = mean sin(|s|x); +s and -s share it through
     phi(s) = C + i sign(s) S, so phi(-s) = conj(phi(s)) and phi(0) = 1
-    exactly.  Memory is linear in the sample count, whatever the grid.
-    Real and imaginary parts each have variance at most 1/n, so the
-    complex deviation has standard error at most sqrt(2/n).
+    exactly.  Both means come from one vector tangent tau = tan(|s|x/2):
+    with r = 1/(1 + tau**2), cos = 2r - 1 and sin = 2 tau r, so
+    C = 2 mean(r) - 1 and S = 2 mean(tau r).  Two sample-sized buffers are
+    reused for every |s|, so memory is linear in the sample count, whatever
+    the grid.  Real and imaginary parts each have variance at most 1/n, so
+    the complex deviation has standard error at most sqrt(2/n).
     """
     values = np.asarray(values, dtype=float).ravel()
     s_grid = np.asarray(s_grid, dtype=float)
     moduli, which = np.unique(np.abs(s_grid), return_inverse=True)
     cos_mean = np.empty(len(moduli))
     sin_mean = np.empty(len(moduli))
+    tau = np.empty_like(values)
+    r = np.empty_like(values)
     for k, m in enumerate(moduli):
-        phase = m * values
-        cos_mean[k] = np.cos(phase).mean()
-        sin_mean[k] = np.sin(phase).mean()
+        np.tan(np.multiply(values, 0.5 * m, out=tau), out=tau)
+        np.multiply(tau, tau, out=r)
+        r += 1.0
+        np.reciprocal(r, out=r)
+        cos_mean[k] = 2.0 * r.mean() - 1.0
+        sin_mean[k] = 2.0 * np.multiply(tau, r, out=tau).mean()
     phi = cos_mean[which] + 1j * np.sign(s_grid) * sin_mean[which]
     return phi, math.sqrt(2.0 / len(values))
 

@@ -37,9 +37,10 @@ def lattice_weights(kernel, lags, step):
 
 
 def stable_with_tilt(u, e, alpha):
-    """Standard symmetric stable variates with the tilt always applied."""
+    """Standard symmetric stable variates with the tilt always applied; the
+    alpha = 1 core sin(u) / cos(u) is taken as tan(u)."""
     with np.errstate(divide="ignore", over="ignore"):
-        core = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+        core = np.tan(u) if alpha == 1.0 else np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
         tilt = (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
     return core * tilt
 
@@ -48,7 +49,9 @@ def sample_field(kernel, triplet, lags, config):
     """The per-cell lattice sampler for every integrator: each chunk's fresh
     ``Philox(key=seed).jumped(chunk)`` stream draws per cell the Gaussian
     part, then the stable uniforms and exponentials (also at alpha = 1) or
-    the Poisson counts and their split, into a zero-filled increment array."""
+    the Poisson counts and their split, into a zero-filled increment array,
+    and multiplies the whole array by the weights.  A chunk has ``CHUNK``
+    rows, fewer where rows x cells would exceed ``_CHUNK_ELEMENTS``."""
     measure = triplet.measure
     lag_arr = simulate._as_lag_array(lags, kernel.dim)
     weights, vol = lattice_weights(kernel, lag_arr, config.lattice_step)
@@ -59,7 +62,7 @@ def sample_field(kernel, triplet, lags, config):
         atoms = np.asarray(measure.atoms)
         pvals = np.asarray(measure.weights)
         comp = measure.rate * float(np.sum(pvals * atoms * (np.abs(atoms) <= 1.0)))
-    chunk = simulate.CHUNK
+    chunk = max(1, min(simulate.CHUNK, simulate._CHUNK_ELEMENTS // n_cells))
     out = np.empty((config.n_samples, len(lag_arr)))
     for chunk_idx in range(0, (config.n_samples + chunk - 1) // chunk):
         rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(chunk_idx))
@@ -81,8 +84,16 @@ def sample_field(kernel, triplet, lags, config):
                 split = rng.multinomial(counts.ravel(), pvals)
                 jumps = (split @ atoms).reshape(chunk, n_cells)
             incr += jumps - comp * vol
-        out[chunk_idx * chunk:chunk_idx * chunk + take] = incr[:take] @ weights + drift_term
+        out[chunk_idx * chunk:chunk_idx * chunk + take] = (incr @ weights)[:take] + drift_term
     return simulate.FieldSample(
         lags=tuple(tuple(float(v) for v in row) for row in lag_arr), values=out,
         n_cells=n_cells, config=config, kernel_name=kernel.name,
         triplet_name=triplet.name or repr(triplet))
+
+
+def ulp_distance(a, b):
+    """Elementwise number of doubles between a and b (0 when equal, +-0
+    included), by their order-preserving integer images."""
+    ia, ib = (np.asarray(v, dtype=float).view(np.int64) for v in (a, b))
+    ia, ib = (np.where(i < 0, np.iinfo(np.int64).min - i, i) for i in (ia, ib))
+    return np.abs(ia - ib)

@@ -45,6 +45,8 @@ from srdcert.levy import (
     truncated_mean_shift,
 )
 
+import reference
+
 # pi / (Gamma(1 + alpha) sin(pi alpha / 2)) at alpha = 1.3 and 0.04
 STABLE_CONST_1_3 = math.pi / (math.gamma(2.3) * math.sin(0.65 * math.pi))
 STABLE_CONST_0_04 = math.pi / (math.gamma(1.04) * math.sin(0.02 * math.pi))
@@ -127,6 +129,44 @@ class TestCumulantClosedForms:
         for trip in default_validation_triplets():
             assert cumulant(trip, 0.0) == 0.0
             assert cumulant_re(trip, 0.0) == 0.0
+
+
+class TestHalfAngleTangent:
+    """levy._sin and levy._one_minus_cos, both from tau = tan(x/2)."""
+
+    @staticmethod
+    def grid():
+        """Both signs of: zeros, the poles (2k+1) pi of tau, +-1e15, 1e-300,
+        subnormals, and random values over [0, 20] and 1e-300..1e15."""
+        rng = np.random.Generator(np.random.Philox(key=41))
+        special = [0.0, 1e15, 1e20, 1e-300, 5e-324, 3 * 5e-324, 1e-310,
+                   2.225073858507201e-308, math.pi / 2]
+        x = np.concatenate([special, (2 * np.arange(200) + 1) * math.pi,
+                            rng.uniform(0.0, 20.0, 20_000),
+                            np.exp(rng.uniform(math.log(1e-300), math.log(1e15), 20_000))])
+        return np.concatenate([x, -x])
+
+    def test_odd_and_even_bit_for_bit(self):
+        x = self.grid()
+        bits = lambda v: v.view(np.int64)
+        assert np.array_equal(bits(levy._sin(-x)), bits(-levy._sin(x)))
+        assert np.array_equal(bits(levy._one_minus_cos(-x)), bits(levy._one_minus_cos(x)))
+        assert np.array_equal(np.signbit(levy._sin(np.array([0.0, -0.0]))), [False, True])
+
+    def test_sin_within_two_ulp_of_libm(self):
+        """Measured 2 ulp (x near 273.3), with numpy's AVX-512 tangent and
+        with libm's; a subnormal x is off by at most 1 ulp, from halving."""
+        x = self.grid()
+        expect = np.array([math.sin(v) for v in x])
+        assert reference.ulp_distance(levy._sin(x), expect).max() <= 2
+
+    def test_one_minus_cos_keeps_relative_accuracy_near_zero(self):
+        """Within 2 ulp of z**2/2 - z**4/24 for 1e-150 <= |z| < 1e-4
+        (measured 2), where 1 - cos z itself would cancel to 0."""
+        z = np.geomspace(1e-150, 1e-4, 4001)[:-1]
+        z = np.concatenate([z, -z])
+        series = z * z / 2.0 - z ** 4 / 24.0
+        assert reference.ulp_distance(levy._one_minus_cos(z), series).max() <= 2
 
 
 def bench_table():

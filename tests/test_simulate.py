@@ -111,6 +111,29 @@ def test_sample_prefix_stable_across_chunks(box):
         assert np.array_equal(big.values[:700], small.values)
 
 
+def test_large_lattice_chunks_are_capped_and_prefix_stable():
+    """Power law beta = 3 + b0 = 1 + Poisson on 8 002 cells: a chunk has
+    2**20 // 8002 = 131 rows, so sample i still does not depend on
+    n_samples, the reference sampler (same rule) agrees bit for bit, and
+    the draw stays in bounded memory (measured 25 MB; 1024-row chunks
+    held 251 MB at 100 samples)."""
+    kern = kernels.powerlaw_kernel(3.0)
+    tri = levy.poisson_triplet(1.0, atoms=(1.0,), b0=1.0)
+    lags = [(0.0,), (0.5,)]
+    small = S.sample_field(kern, tri, lags, S.SimConfig(n_samples=140, lattice_step=0.25))
+    tracemalloc.start()
+    try:
+        big = S.sample_field(kern, tri, lags, S.SimConfig(n_samples=300, lattice_step=0.25))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert big.n_cells == 8002 > S._CHUNK_ELEMENTS // S.CHUNK
+    assert np.array_equal(big.values[:140], small.values)
+    ref = reference.sample_field(kern, tri, lags, big.config)
+    assert big.values.tobytes() == ref.values.tobytes()
+    assert peak < 40 * 2 ** 20
+
+
 def test_lattice_cell_cap():
     slow = kernels.powerlaw_kernel(1.5, 1.0)
     with pytest.raises(RejectionError) as exc:
@@ -228,8 +251,10 @@ def test_standard_stable_sampler_char():
 
 
 def test_standard_stable_alpha_one_is_tangent():
-    """At alpha = 1 the draws are sin(u) / cos(u) bit for bit, also where
-    cos(u) is within 1e-12 of 0, and so are the tilted reference's."""
+    """At alpha = 1 the draws are tan(u) bit for bit, also where cos(u) is
+    within 1e-12 of 0, and so are the tilted reference's.  They stay within
+    2 ulp of sin(u) / cos(u), the edge points included (measured: 2 ulp,
+    with numpy's AVX-512 tangent and with libm's)."""
     rng = np.random.Generator(np.random.Philox(key=23))
     edge = math.pi / 2.0 - np.array([0.0, 1e-16, 1e-14, 1e-13, 1e-12])
     u = np.concatenate([rng.uniform(-math.pi / 2, math.pi / 2, size=4096),
@@ -237,7 +262,8 @@ def test_standard_stable_alpha_one_is_tangent():
     e = np.concatenate([rng.standard_exponential(size=4096),
                         np.zeros(len(edge)), np.full(len(edge), 1e-300)])
     x = S._standard_symmetric_stable(u, e, 1.0)
-    np.testing.assert_array_equal(x, np.sin(u) / np.cos(u))
+    assert x.tobytes() == np.tan(u).tobytes()
+    assert reference.ulp_distance(x, np.sin(u) / np.cos(u)).max() <= 2
     np.testing.assert_array_equal(x, reference.stable_with_tilt(u, e, 1.0))
     np.testing.assert_array_equal(S._standard_symmetric_stable(u, None, 1.0), x)
 
