@@ -522,7 +522,7 @@ def certify(kernel: Kernel, triplet: levy.LevyTriplet,
 
     verdict = "certified-SRD" if not reasons else "inconclusive"
     return CertificateReport(
-        kernel_name=kernel.name, triplet_name=triplet.name or repr(triplet),
+        kernel_name=kernel.name, triplet_name=triplet.name,
         dim=kernel.dim, window=float(window), t_step=float(t_step),
         s_box=(float(s_box[0]), float(s_box[1])), s_points=int(s_points),
         ratio_method=ratio_method, integrability=integ,

@@ -47,22 +47,10 @@ def _floats(raw: str) -> tuple[float, ...]:
 _NOT = {float: "a number", int: "an integer", _floats: "a comma-separated number list"}
 
 
-def _stable(alpha: float, scale: float | None):
-    measure = levy.calibrated_stable(alpha) if scale is None \
-        else levy.SymmetricStable(alpha, scale)
-    return measure, f"stable(alpha={alpha:g})"
-
-
-def _poisson(rate: float, atoms: tuple[float, ...], weights: tuple[float, ...] | None):
-    if weights is None:
-        weights = tuple(1.0 / len(atoms) for _ in atoms)
-    return levy.CompoundPoisson(rate, atoms, weights), f"poisson(rate={rate:g})"
-
-
 # The config grammar: each section maps key -> (parser, default or REQUIRED),
 # a selector key -> (choices, default). A choice is (builder, the keys only it
-# reads); the builder takes those keys as keyword arguments, and a jump builder
-# returns (measure, name), name None for no jumps. Any other key is an error.
+# reads); the builder takes those keys as keyword arguments. Any other key is
+# an error.
 # README's grammar block lists the same keys and choices, checked by a test.
 _SCHEMA = {
     "kernel": {
@@ -80,12 +68,12 @@ _SCHEMA = {
         "a0": (float, 0.0),
         "b0": (float, 0.0),
         "jumps": ({
-            "none": (lambda: (levy.NO_JUMPS, None), {}),
-            "stable": (_stable, {"alpha": (float, REQUIRED), "scale": (float, None)}),
-            "poisson": (_poisson, {"rate": (float, 1.0), "atoms": (_floats, REQUIRED),
-                                   "weights": (_floats, None)}),
-            "table": (lambda grid, density: (levy.TabulatedMeasure(grid, density),
-                                             "tabulated"),
+            "none": (lambda: levy.NO_JUMPS, {}),
+            "stable": (lambda alpha, scale: levy.stable_triplet(alpha, scale).measure,
+                       {"alpha": (float, REQUIRED), "scale": (float, None)}),
+            "poisson": (levy.CompoundPoisson, {"rate": (float, 1.0), "atoms": (_floats, REQUIRED),
+                                               "weights": (_floats, None)}),
+            "table": (levy.TabulatedMeasure,
                       {"grid": (_floats, REQUIRED), "density": (_floats, REQUIRED)}),
         }, "none"),
     },
@@ -198,13 +186,7 @@ def build_kernel(parser: configparser.ConfigParser) -> Kernel:
 
 def build_triplet(parser: configparser.ConfigParser) -> levy.LevyTriplet:
     sec = _section(parser, "triplet")
-    a0, b0 = sec["a0"], sec["b0"]
-    measure, jumps = sec["jumps"]
-    # named by every nonzero part: drift, Gaussian, jumps
-    parts = (f"drift(a0={a0:g})" if a0 else None, f"gaussian(b0={b0:g})" if b0 else None,
-             jumps)
-    name = "+".join(filter(None, parts))
-    return levy.LevyTriplet(a0=a0, b0=b0, measure=measure, name=name)
+    return levy.LevyTriplet(a0=sec["a0"], b0=sec["b0"], measure=sec["jumps"])
 
 
 def _numerics(parser: configparser.ConfigParser) -> dict:

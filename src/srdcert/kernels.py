@@ -88,8 +88,8 @@ class Kernel:
 
     ``func`` maps an (n, dim) array of points to n values; evaluation goes
     through ``__call__`` which masks box supports to exact zeros outside.
-    ``closed_norms`` maps an order p to the exact L^p norm, returning None
-    where no closed form exists.  ``closed_overlap(lags, gamma)`` maps
+    ``closed_norms`` maps an order p to the exact L^p norm, asked only
+    where the norm is finite.  ``closed_overlap(lags, gamma)`` maps
     (L, dim) lags to the exact integral |f(t-x) f(-x)|**(gamma/2) dx /
     ||f||_gamma^gamma at each, and ``closed_exceedance(r, gamma)`` is the
     measure of {t: overlap > r}.  ``knots`` lists interior 1-D breakpoints
@@ -104,7 +104,7 @@ class Kernel:
     func: Callable[[np.ndarray], np.ndarray]
     support: Support
     name: str = ""
-    closed_norms: Callable[[float], float | None] | None = None
+    closed_norms: Callable[[float], float] | None = None
     closed_overlap: Callable[[np.ndarray, float], np.ndarray] | None = None
     closed_exceedance: Callable[[float, float], float] | None = None
     knots: tuple[float, ...] = ()
@@ -253,10 +253,8 @@ def powerlaw_kernel(exponent: float, radius: float = 1.0) -> Kernel:
             tail = np.where(r > 0, (np.maximum(r, 1e-300) / r0) ** (-beta), np.inf)
         return np.minimum(1.0, tail)
 
-    def norm(p: float) -> float | None:
+    def norm(p: float) -> float:
         pb = p * beta
-        if pb <= 1.0:
-            return None
         return (2.0 * r0 * pb / (pb - 1.0)) ** (1.0 / p)
 
     return Kernel(
@@ -333,9 +331,7 @@ def _lp_power_integral(kernel: Kernel, p: float) -> tuple[float, float]:
             f"L^{p:g} norm diverges: decay exponent {sup.exponent:g} * {p:g}"
             f" <= dim {kernel.dim}")
     if kernel.closed_norms is not None:
-        closed = kernel.closed_norms(p)
-        if closed is not None:
-            return float(closed) ** p, 0.0
+        return float(kernel.closed_norms(p)) ** p, 0.0
     val, err = integrate_over_support(kernel, lambda fv, _: np.abs(fv.T) ** p,
                                       np.zeros((1, 1, kernel.dim)), [(p, 1.0)])
     return float(val[0, 0]), float(err[0])
@@ -509,31 +505,44 @@ class IntegrabilityReport:
 
 
 def check_integrability(kernel: Kernel, triplet: levy.LevyTriplet) -> IntegrabilityReport:
-    """Verify the three moment conditions that make the field well defined:
-    the rescaled drift is absolutely integrable, the Gaussian part sees a
-    square-integrable kernel, and the clipped second jump moment of the
-    rescaled measure integrates over space."""
-    conds = (
-        _drift_condition(kernel, triplet),
-        _gaussian_condition(kernel, triplet),
-        _jump_condition(kernel, triplet),
-    )
-    return IntegrabilityReport(kernel_name=kernel.name,
-                               triplet_name=triplet.name or repr(triplet),
-                               conditions=conds)
+    """Verify the three moment conditions that make the field well defined
+    (Rajput & Rosinski, PTRF 82, 1989): the rescaled drift is absolutely
+    integrable, the Gaussian part sees a square-integrable kernel, and the
+    clipped second jump moment of the rescaled measure integrates over space.
+
+    With no jumps or stable ones (``levy.power_terms``) these are closed
+    norms: |a0| integral |f| and, the clipped moment being
+    clipped_second_moment(1) |v|**alpha, that constant times integral
+    |f|**alpha.  Other jumps integrate their conditions over the support.
+    """
+    if levy.power_terms(triplet) is not None:
+        drift = _norm_condition("drift", kernel, abs(triplet.a0), 1.0, "no drift")
+        # no jumps: coefficient 0
+        jumps = _norm_condition("jumps", kernel, levy.clipped_second_moment(triplet, 1.0),
+                                getattr(triplet.measure, "alpha", 2.0), "no jump part")
+    else:
+        drift, jumps = _drift_condition(kernel, triplet), _jump_condition(kernel, triplet)
+    gaussian = _norm_condition("gaussian", kernel, triplet.b0, 2.0, "no gaussian part")
+    return IntegrabilityReport(kernel_name=kernel.name, triplet_name=triplet.name,
+                               conditions=(drift, gaussian, jumps))
+
+
+def _norm_condition(key: str, kernel: Kernel, coef: float, p: float,
+                    absent: str) -> IntegrabilityCondition:
+    """coef * integral |f|**p, divergent with the L^p norm; the note
+    ``absent`` where coef is 0."""
+    if coef == 0.0:
+        return IntegrabilityCondition(key, True, 0.0, note=absent)
+    try:
+        return IntegrabilityCondition(key, True, coef * _lp_power_integral(kernel, p)[0])
+    except DivergentNormError as exc:
+        return IntegrabilityCondition(key, False, math.inf, note=str(exc))
 
 
 def _drift_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> IntegrabilityCondition:
     key = "drift"
-    shift0 = levy.truncated_mean_shift(triplet, 0.0)
-    asympt = abs(triplet.a0 + shift0)
+    asympt = abs(triplet.a0 + levy.truncated_mean_shift(triplet, 0.0))
     sup = kernel.support
-
-    def integrand(fv: np.ndarray, _) -> np.ndarray:
-        v = fv.T
-        out = np.abs(v) * np.abs(triplet.a0 + levy.truncated_mean_shift(triplet, v))
-        return np.where(v == 0.0, 0.0, out)
-
     if isinstance(sup, DecayEnvelope):
         beta = sup.exponent
         if asympt > 0.0 and beta <= kernel.dim:
@@ -541,48 +550,34 @@ def _drift_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> Integrability
                 key, False, math.inf,
                 note=f"drift density ~ {asympt:.3g}*|f|, decay {beta:g} <= dim")
         if asympt == 0.0:
-            lock = levy.mean_shift_lock_radius(triplet)
-            if math.isinf(lock):
-                return IntegrabilityCondition(key, True, 0.0, note="no effective drift")
             # beyond r_lock, |f| <= lock so the shift sits at its limit and
             # the integrand is identically zero
+            lock = levy.mean_shift_lock_radius(triplet)
             reach = 1.5 * max((sup.amplitude / lock) ** (1.0 / beta), sup.radius)
             kernel = dataclasses.replace(kernel, support=BoundedBox(
                 (-reach,) * kernel.dim, (reach,) * kernel.dim))
-    # |a0 + shift(v)| <= |a0 + shift(0)| + sup |shift(v) - shift(0)|
-    growth = [(1.0, asympt + levy.mean_shift_deviation_bound(triplet))]
-    val, err = integrate_over_support(kernel, integrand, np.zeros((1, 1, kernel.dim)), growth,
-                                      rel_tol=1e-9)
-    return IntegrabilityCondition(key, True, float(val[0, 0]), float(err[0]))
-
-
-def _gaussian_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> IntegrabilityCondition:
-    key = "gaussian"
-    if triplet.b0 == 0.0:
-        return IntegrabilityCondition(key, True, 0.0, note="no gaussian part")
-    try:
-        sq = _lp_power_integral(kernel, 2.0)[0]
-    except DivergentNormError:
-        return IntegrabilityCondition(key, False, math.inf,
-                                      note="kernel not square integrable")
-    return IntegrabilityCondition(key, True, triplet.b0 * sq)
+    # |a0 + shift(v)| <= |a0 + shift(0)| + sup |shift(v) - shift(0)|, the
+    # supremum at most the first absolute moment
+    shifted = lambda v: np.abs(v) * np.abs(triplet.a0 + levy.truncated_mean_shift(triplet, v))
+    return _support_condition(key, kernel, shifted,
+                              asympt + levy.abs_moment(triplet.measure, 1), 1.0)
 
 
 def _jump_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> IntegrabilityCondition:
-    key = "jumps"
-    if isinstance(triplet.measure, levy.NoJumps):
-        return IntegrabilityCondition(key, True, 0.0, note="no jump part")
-    growth, coef = levy.clipped_growth(triplet)
     sup = kernel.support
-
-    def integrand(fv: np.ndarray, _) -> np.ndarray:
-        v = fv.T
-        return np.where(v == 0.0, 0.0, levy.clipped_second_moment(triplet, v))
-
-    if isinstance(sup, DecayEnvelope) and growth * sup.exponent <= kernel.dim:
+    if isinstance(sup, DecayEnvelope) and 2.0 * sup.exponent <= kernel.dim:
         return IntegrabilityCondition(
-            key, False, math.inf,
-            note=f"clipped moment ~ |f|^{growth:g}, {growth:g}*{sup.exponent:g} <= dim")
-    val, err = integrate_over_support(kernel, integrand, np.zeros((1, 1, kernel.dim)),
-                                      [(growth, coef)], rel_tol=1e-9)
+            "jumps", False, math.inf, note=f"clipped moment ~ |f|^2, 2*{sup.exponent:g} <= dim")
+    # min(1, (yv)**2) <= (yv)**2
+    return _support_condition("jumps", kernel, lambda v: levy.clipped_second_moment(triplet, v),
+                              levy.abs_moment(triplet.measure, 2), 2.0)
+
+
+def _support_condition(key: str, kernel: Kernel, density, coef: float,
+                       gamma: float) -> IntegrabilityCondition:
+    """integral density(f(x)) dx over the support, density(0) taken as 0,
+    given |density(v)| <= coef |v|**gamma."""
+    val, err = integrate_over_support(
+        kernel, lambda fv, _: np.where(fv.T == 0.0, 0.0, density(fv.T)),
+        np.zeros((1, 1, kernel.dim)), [(gamma, coef)], rel_tol=1e-9)
     return IntegrabilityCondition(key, True, float(val[0, 0]), float(err[0]))

@@ -9,6 +9,9 @@ cumulant is
 with Re K >= 0, whose Gaussian and stable parts are the terms c |v|**gamma
 of :func:`power_terms`.  Everything downstream (marginal exponents,
 dependence ratios, certification) consumes K through the evaluators here.
+Each jump type states its moments once, in the law :func:`_moment`; the
+absolute moments, the truncated mean shift, the clipped second moment and
+the sampler's Poisson compensator all read that law.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ _EPS = float(np.finfo(float).eps)
 class NoJumps:
     """Empty jump measure."""
 
-    def __repr__(self) -> str:
-        return "NoJumps()"
+    name = ""
 
 
 NO_JUMPS = NoJumps()
@@ -63,20 +65,26 @@ class SymmetricStable:
         if not self.scale > 0.0 or not math.isfinite(self.scale):
             raise RejectionError("stable-scale", f"scale={self.scale} must be positive")
 
+    @property
+    def name(self) -> str:
+        return f"stable(alpha={self.alpha:g})"
+
 
 @dataclass(frozen=True)
 class CompoundPoisson:
-    """Finite jump measure rate * sum_i weights[i] * delta(atoms[i])."""
+    """Finite jump measure rate * sum_i weights[i] * delta(atoms[i]); the
+    weights default to equal."""
 
     rate: float
     atoms: tuple[float, ...]
-    weights: tuple[float, ...]
+    weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not self.rate > 0.0 or not math.isfinite(self.rate):
             raise RejectionError("poisson-rate", f"rate={self.rate} must be positive")
         atoms = tuple(float(a) for a in self.atoms)
-        weights = tuple(float(w) for w in self.weights)
+        weights = tuple(float(w) for w in self.weights) if self.weights is not None \
+            else tuple(1.0 / len(atoms) for _ in atoms)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
         if len(atoms) == 0 or len(atoms) != len(weights):
@@ -87,6 +95,10 @@ class CompoundPoisson:
             raise RejectionError("poisson-weights", "weights must be positive")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise RejectionError("poisson-weights", f"weights sum to {sum(weights)}, not 1")
+
+    @property
+    def name(self) -> str:
+        return f"poisson(rate={self.rate:g})"
 
 
 @dataclass(frozen=True)
@@ -104,6 +116,7 @@ class TabulatedMeasure:
 
     grid: tuple[float, ...]
     density: tuple[float, ...]
+    name = "tabulated"
     # one _Side per sign with two knots or more (a lone knot bounds no piece)
     pieces: tuple[_Side, ...] = field(init=False, repr=False, compare=False)
 
@@ -136,6 +149,40 @@ class TabulatedMeasure:
 LevyMeasure = Union[NoJumps, SymmetricStable, CompoundPoisson, TabulatedMeasure]
 
 
+def _moment(measure: LevyMeasure, q: int, lo, hi, signed: bool = False, c=1.0):
+    """integral |c y|**q, times sign(y) if ``signed``, over lo < |c y| <= hi
+    against nu0(dy): a moment of the jumps scaled by c >= 0, vectorised over
+    lo, hi and c.
+
+    The one moment law of each jump type.  Stable with density scale
+    |y|**(-1-alpha): 2 scale c**alpha (hi**e - lo**e) / e, e = q - alpha,
+    finite where 1/c overflows, and 0 if signed.  Poisson: the atoms with
+    |c a| inside, compared as such.  Tabulated: c**q times the closed
+    forms on lo/c < |y| <= hi/c, 0 where that region holds no mass (also
+    where c**q overflows).
+    """
+    lo, hi, c = (np.asarray(x, dtype=float) for x in (lo, hi, c))
+    if isinstance(measure, NoJumps) or (signed and isinstance(measure, SymmetricStable)):
+        return np.zeros(np.broadcast(lo, hi, c).shape)
+    # overflow to inf and 1/0 give the right limits; 0 * inf is masked out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if isinstance(measure, SymmetricStable):
+            e = q - measure.alpha
+            span = np.log(hi / lo) if e == 0.0 else (hi ** e - lo ** e) / e
+            return 2.0 * measure.scale * c ** measure.alpha * span
+        if isinstance(measure, CompoundPoisson):
+            atoms = np.asarray(measure.atoms)
+            y = np.abs(c[..., None] * atoms)
+            inside = (y > lo[..., None]) & (y <= hi[..., None])
+            values = y ** q * np.sign(atoms) if signed else y ** q
+            return measure.rate * (np.where(inside, values, 0.0) @ np.asarray(measure.weights))
+        # 0 and inf are their own images for every c
+        lo_y, hi_y = (np.where((b == 0.0) | (b == math.inf), b, b / c) for b in (lo, hi))
+        total = sum((side.sign if signed else 1.0) * _side_integral(side, q, lo_y, hi_y)
+                    for side in measure.pieces)
+        return np.where(total == 0.0, 0.0, c ** q * total)
+
+
 def abs_moment(measure: LevyMeasure, k: int) -> float:
     """integral |y|**k nu0(dy); inf for stable densities.
 
@@ -143,14 +190,7 @@ def abs_moment(measure: LevyMeasure, k: int) -> float:
     globally bounded by twice the mass, which downstream turns
     bounded-support kernels into bounded marginal exponents.
     """
-    if isinstance(measure, NoJumps):
-        return 0.0
-    if isinstance(measure, SymmetricStable):
-        return math.inf
-    if isinstance(measure, CompoundPoisson):
-        return measure.rate * float(np.asarray(measure.weights) @ np.abs(measure.atoms) ** k)
-    return float(sum(_side_integral(side, k, side.knots[0], side.knots[-1])
-                     for side in measure.pieces))
+    return float(_moment(measure, k, 0.0, math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +203,8 @@ class LevyTriplet:
 
     Degenerate triplets (zero drift, zero variance, no jumps) are rejected:
     the resulting field is a.s. constant and nothing downstream is defined.
+    Without a name the triplet is named by its nonzero parts,
+    drift(a0=...)+gaussian(b0=...)+ the jump measure's name.
     """
 
     a0: float = 0.0
@@ -177,10 +219,14 @@ class LevyTriplet:
             raise RejectionError("variance", f"b0={self.b0} must be finite and >= 0")
         if self.a0 == 0.0 and self.b0 == 0.0 and isinstance(self.measure, NoJumps):
             raise RejectionError("degenerate-triplet", "a0 = b0 = 0 with no jumps")
+        if not self.name:
+            parts = (f"drift(a0={self.a0:g})" if self.a0 else "",
+                     f"gaussian(b0={self.b0:g})" if self.b0 else "", self.measure.name)
+            object.__setattr__(self, "name", "+".join(filter(None, parts)))
 
 
 def gaussian_triplet(b0: float = 1.0, a0: float = 0.0) -> LevyTriplet:
-    return LevyTriplet(a0=a0, b0=b0, name=f"gaussian(b0={b0:g})")
+    return LevyTriplet(a0=a0, b0=b0)
 
 
 def stable_re_constant(alpha: float) -> float:
@@ -202,19 +248,14 @@ def calibrated_stable(alpha: float) -> SymmetricStable:
 def stable_triplet(alpha: float, scale: float | None = None, a0: float = 0.0) -> LevyTriplet:
     """Pure-jump symmetric stable triplet, calibrated unless a scale is given."""
     measure = SymmetricStable(alpha, scale) if scale is not None else calibrated_stable(alpha)
-    return LevyTriplet(a0=a0, b0=0.0, measure=measure,
-                       name=f"stable(alpha={alpha:g})")
+    return LevyTriplet(a0=a0, measure=measure)
 
 
 def poisson_triplet(rate: float = 1.0,
                     atoms: tuple[float, ...] = (1.0,),
                     weights: tuple[float, ...] | None = None,
                     a0: float = 0.0, b0: float = 0.0) -> LevyTriplet:
-    if weights is None:
-        weights = tuple(1.0 / len(atoms) for _ in atoms)
-    return LevyTriplet(a0=a0, b0=b0,
-                       measure=CompoundPoisson(rate, tuple(atoms), tuple(weights)),
-                       name=f"poisson(rate={rate:g})")
+    return LevyTriplet(a0=a0, b0=b0, measure=CompoundPoisson(rate, atoms, weights))
 
 
 def default_validation_triplets() -> list[LevyTriplet]:
@@ -563,25 +604,14 @@ def truncated_mean_shift(triplet: LevyTriplet, v) -> np.ndarray | float:
     """integral y * (1[|yv|<=1] - 1[|y|<=1]) nu0(dy), vectorised over v.
 
     The drift correction that appears when the integrator is scaled by a
-    kernel value v.  Zero for symmetric measures.
+    kernel value v: the signed first moment between 1 and 1/|v|, negated
+    where 1/|v| < 1.  Zero for symmetric measures.
     """
     v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-    m = triplet.measure
-    if isinstance(m, (NoJumps, SymmetricStable)):
-        out = np.zeros_like(v_arr)
-    elif isinstance(m, CompoundPoisson):
-        atoms = np.asarray(m.atoms)
-        weights = np.asarray(m.weights)
-        ind_v = (np.abs(v_arr[..., None] * atoms) <= 1.0).astype(float)
-        ind_1 = (np.abs(atoms) <= 1.0).astype(float)
-        out = m.rate * ((ind_v - ind_1) * atoms) @ weights
-    else:
-        with np.errstate(divide="ignore"):
-            r_hi = 1.0 / np.abs(v_arr)
-        out = np.zeros_like(v_arr)
-        for side in m.pieces:
-            part = _side_integral(side, 1, np.minimum(1.0, r_hi), np.maximum(1.0, r_hi))
-            out = out + side.sign * np.where(r_hi >= 1.0, part, -part)
+    with np.errstate(divide="ignore", over="ignore"):
+        r = 1.0 / np.abs(v_arr)
+    part = _moment(triplet.measure, 1, np.minimum(1.0, r), np.maximum(1.0, r), signed=True)
+    out = np.where(r >= 1.0, part, -part)
     return out if np.ndim(v) else float(out[0])
 
 
@@ -600,45 +630,12 @@ def mean_shift_lock_radius(triplet: LevyTriplet) -> float:
     return 1.0 / max(abs(g) for g in m.grid)
 
 
-def mean_shift_deviation_bound(triplet: LevyTriplet) -> float:
-    """Upper bound on sup_v |shift(v) - shift(0)|."""
-    if isinstance(triplet.measure, SymmetricStable):
-        return 0.0
-    return abs_moment(triplet.measure, 1)
-
-
-def clipped_growth(triplet: LevyTriplet) -> tuple[float, float]:
-    """(g, C) with clipped_second_moment(v) <= C * |v|**g for all v.
-
-    Exact for stable measures; the quadratic bound min(1, (yv)^2) <= (yv)^2
-    covers the finite-second-moment variants.
-    """
-    m = triplet.measure
-    if isinstance(m, SymmetricStable):
-        return m.alpha, 2.0 * m.scale * (1.0 / m.alpha + 1.0 / (2.0 - m.alpha))
-    return 2.0, abs_moment(m, 2)
-
-
 def clipped_second_moment(triplet: LevyTriplet, v) -> np.ndarray | float:
-    """integral min(1, (y*v)**2) nu0(dy), vectorised over v."""
-    v_arr = np.abs(np.atleast_1d(np.asarray(v, dtype=float)))
+    """integral min(1, (y*v)**2) nu0(dy), vectorised over v: the second
+    moment of the jumps scaled by |v| up to 1 plus their mass beyond."""
+    c = np.abs(np.atleast_1d(np.asarray(v, dtype=float)))
     m = triplet.measure
-    if isinstance(m, NoJumps):
-        out = np.zeros_like(v_arr)
-    elif isinstance(m, SymmetricStable):
-        a = m.alpha
-        out = 2.0 * m.scale * (1.0 / a + 1.0 / (2.0 - a)) * v_arr ** a
-    elif isinstance(m, CompoundPoisson):
-        atoms = np.asarray(m.atoms)
-        weights = np.asarray(m.weights)
-        out = m.rate * np.minimum(1.0, (v_arr[..., None] * atoms) ** 2) @ weights
-    else:
-        with np.errstate(divide="ignore"):
-            r_clip = 1.0 / v_arr
-        out = np.zeros_like(v_arr)
-        for side in m.pieces:
-            out = out + (v_arr * v_arr * _side_integral(side, 2, side.knots[0], r_clip)
-                         + _side_integral(side, 0, r_clip, side.knots[-1]))
+    out = _moment(m, 2, 0.0, 1.0, c=c) + _moment(m, 0, 1.0, math.inf, c=c)
     return out if np.ndim(v) else float(out[0])
 
 
@@ -719,6 +716,6 @@ def check_negdef_inequalities(triplet: LevyTriplet, n_samples: int = 100_000,
     lower = np.minimum.reduce([kxpy.real, kxmy.real, rex + rey])
     record("sqrt-lower-bound", gap - lower - slack(gap, lower))
 
-    return NegDefReport(triplet_name=triplet.name or repr(triplet),
+    return NegDefReport(triplet_name=triplet.name,
                         n_samples=n_samples, violations=violations,
                         max_excess=max_excess)

@@ -216,7 +216,7 @@ def sample_field(kernel: Kernel, triplet: levy.LevyTriplet, lags,
     else:
         atoms = np.asarray(measure.atoms)
         pvals = np.asarray(measure.weights)
-        comp = measure.rate * float(np.sum(pvals * atoms * (np.abs(atoms) <= 1.0)))
+        comp = float(levy._moment(measure, 1, 0.0, 1.0, signed=True))
 
     width = len(factor) if isinstance(measure, levy.NoJumps) else n_cells
     rows = max(1, min(CHUNK, _CHUNK_ELEMENTS // width))
@@ -252,7 +252,7 @@ def sample_field(kernel: Kernel, triplet: levy.LevyTriplet, lags,
     return FieldSample(lags=lag_tuples, values=out,
                        n_cells=n_cells, config=config,
                        kernel_name=kernel.name,
-                       triplet_name=triplet.name or repr(triplet))
+                       triplet_name=triplet.name)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +396,7 @@ def factorization_check(kernel: Kernel, triplet: levy.LevyTriplet,
     failed = excess > tol * (1.0 + np.abs(rhs))
     return FactorizationReport(
         kernel_name=kernel.name,
-        triplet_name=triplet.name or repr(triplet),
+        triplet_name=triplet.name,
         n_triples=n_triples, violations=int(failed.sum()),
         max_excess=float(excess[failed].max(initial=0.0)),
         max_gap=float(lhs.max(initial=0.0)))

@@ -30,8 +30,12 @@ from srdcert.kernels import (
     tent_kernel,
 )
 from srdcert.levy import (
+    LevyTriplet,
+    TabulatedMeasure,
+    calibrated_stable,
     gaussian_triplet,
     poisson_triplet,
+    stable_re_constant,
     stable_triplet,
     truncated_mean_shift,
 )
@@ -289,6 +293,27 @@ class TestIntegrateOverSupport:
         assert np.all(np.abs(vals[:, 0] - lp_norm(k, 2.0) ** 2) <= errs)
 
 
+def count_engine_passes(monkeypatch) -> list:
+    """The kernels passed to integrate_over_support from now on, with the
+    norm cache emptied."""
+    calls = []
+    engine = kernels.integrate_over_support
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "integrate_over_support", counted)
+    kernels._lp_power_integral.cache_clear()
+    return calls
+
+
+def stable_clip(alpha, scale=None):
+    """clipped_second_moment(1) of a stable measure, calibrated unless scaled."""
+    scale = 1.0 / stable_re_constant(alpha) if scale is None else scale
+    return 2.0 * scale * (1.0 / alpha + 1.0 / (2.0 - alpha))
+
+
 class TestIntegrability:
     def test_stable_powerlaw_pair(self):
         # the long-tail pair: field exists even though dependence is long
@@ -358,6 +383,54 @@ class TestIntegrability:
         # on the box f = 1 and the shift at v=1 vanishes for these atoms
         assert by_key["drift"].value == pytest.approx(0.0, abs=1e-12)
         assert report.all_finite
+
+    @pytest.mark.parametrize("kernel,trip,drift,gaussian,jumps", [
+        (powerlaw_kernel(1.5), stable_triplet(1.0), 0.0, 0.0, (4.0 / math.pi) * 6.0),
+        # integral |f|**p of the power law is 2 p beta / (p beta - 1)
+        (powerlaw_kernel(3.0), stable_triplet(1.2, a0=0.3), 0.3 * 3.0, 0.0,
+         stable_clip(1.2) * 2.0 * 3.6 / 2.6),
+        (powerlaw_kernel(0.8), stable_triplet(1.5), 0.0, 0.0, stable_clip(1.5) * 12.0),
+        (box_kernel(), stable_triplet(0.7, a0=-2.0), 2.0, 0.0, stable_clip(0.7)),
+        (tent_kernel(2.0), stable_triplet(1.5, scale=2.5), 0.0, 0.0,
+         stable_clip(1.5, 2.5) * 4.0 / 2.5),
+        (tent_kernel(), gaussian_triplet(1.0, a0=0.5), 0.5, 2.0 / 3.0, 0.0),
+        (gaussian_kernel(dim=2), stable_triplet(0.8), 0.0, 0.0, stable_clip(0.8) * math.pi / 0.8),
+        (box_kernel(dim=2), LevyTriplet(a0=1.0, b0=1.0, measure=calibrated_stable(1.5)),
+         1.0, 1.0, stable_clip(1.5)),
+    ], ids=["powerlaw1.5-stable1", "powerlaw3-drift-stable1.2", "powerlaw0.8-stable1.5",
+            "box-drift-stable0.7", "tent-scaled-stable1.5", "tent-drift-gaussian",
+            "gauss2d-stable0.8", "box2d-drift-gaussian-stable1.5"])
+    def test_power_term_pairs_in_closed_form(self, monkeypatch, kernel, trip, drift, gaussian,
+                                             jumps):
+        """No jumps or stable jumps: |a0| ||f||_1, b0 ||f||_2^2 and
+        clipped_second_moment(1) ||f||_alpha^alpha from the closed norms,
+        with no engine pass."""
+        calls = count_engine_passes(monkeypatch)
+        report = check_integrability(kernel, trip)
+        assert calls == []
+        assert report.all_finite
+        values = [c.value for c in report.conditions]
+        np.testing.assert_allclose(values, [drift, gaussian, jumps], rtol=1e-12, atol=0.0)
+
+    def test_power_term_divergence_without_engine_passes(self, monkeypatch):
+        calls = count_engine_passes(monkeypatch)
+        report = check_integrability(powerlaw_kernel(0.8), stable_triplet(1.0, a0=1.0))
+        assert [c.finite for c in report.conditions] == [False, True, False]
+        assert all("diverges" in c.note for c in report.conditions if not c.finite)
+        # a zero drift needs no norm, so an L^1-divergent kernel is fine there
+        report = check_integrability(powerlaw_kernel(0.8), stable_triplet(1.5))
+        assert report.all_finite
+        assert calls == []
+
+    @pytest.mark.parametrize("trip", [
+        poisson_triplet(2.0, atoms=(-0.5, 2.0), weights=(0.6, 0.4)),
+        LevyTriplet(measure=TabulatedMeasure((0.5, 1.0, 2.0), (1.0, 2.0, 1.0))),
+    ], ids=["poisson", "table"])
+    def test_finite_jump_measures_integrate_over_the_support(self, monkeypatch, trip):
+        calls = count_engine_passes(monkeypatch)
+        report = check_integrability(tent_kernel(), trip)
+        assert report.all_finite
+        assert len(calls) == 2
 
     def test_report_conditions(self):
         report = check_integrability(box_kernel(), gaussian_triplet())

@@ -29,14 +29,12 @@ from srdcert.levy import (
     abs_moment,
     calibrated_stable,
     check_negdef_inequalities,
-    clipped_growth,
     clipped_second_moment,
     cumulant,
     cumulant_re,
     default_validation_triplets,
     gaussian_triplet,
     im_linear_coef,
-    mean_shift_deviation_bound,
     poisson_triplet,
     power_terms,
     small_signal_bound,
@@ -416,6 +414,88 @@ class TestTripletValidation:
         with pytest.raises(RejectionError):
             CompoundPoisson(1.0, (0.0,), (1.0,))
 
+    def test_poisson_weights_default_to_equal(self):
+        assert CompoundPoisson(2.0, (1.0, -3.0, 0.5)) == \
+            CompoundPoisson(2.0, (1.0, -3.0, 0.5), (1.0 / 3.0,) * 3)
+
+    @pytest.mark.parametrize("trip,name", [
+        (gaussian_triplet(1.0), "gaussian(b0=1)"),
+        (gaussian_triplet(1.0, a0=0.5), "drift(a0=0.5)+gaussian(b0=1)"),
+        (stable_triplet(1.2, a0=0.3), "drift(a0=0.3)+stable(alpha=1.2)"),
+        (poisson_triplet(2.0, atoms=(-0.5, 2.0), weights=(0.6, 0.4), b0=1.0),
+         "gaussian(b0=1)+poisson(rate=2)"),
+        (LevyTriplet(a0=-1.0), "drift(a0=-1)"),
+        (LevyTriplet(b0=2.0, measure=zero_knot_table()), "gaussian(b0=2)+tabulated"),
+        (LevyTriplet(b0=2.0, measure=zero_knot_table(), name="mine"), "mine"),
+    ])
+    def test_named_by_nonzero_parts(self, trip, name):
+        assert trip.name == name
+
+
+def moment_law_measures():
+    """The measures on which the moment law is pinned to the per-type formulas."""
+    return {
+        "none": NO_JUMPS,
+        **{f"stable-{a:g}": calibrated_stable(a) for a in (0.5, 1.0, 1.5)},
+        "poisson-1": CompoundPoisson(1.0, (1.0,)),
+        "poisson-2": CompoundPoisson(2.0, (-0.5, 2.0), (0.6, 0.4)),
+        "poisson-thirds": CompoundPoisson(1.0, (1.0 / 3.0, 0.1)),
+        "table-one-sided": zero_knot_table(),
+        "table-two-sided": bench_table(),
+    }
+
+
+def moment_law_points(measure):
+    """2e4 Cauchy draws plus 0, +-1e-310, +-5e-324, +-1, +-1/a for each
+    atom a, +-1e300 and +-inf: 1/|v| overflows at the subnormal v and
+    (yv)**2 at the large ones."""
+    rng = np.random.Generator(np.random.Philox(key=30))
+    edge = [0.0, 1e-310, 5e-324, 1.0, 1e300, math.inf]
+    edge += [1.0 / a for a in getattr(measure, "atoms", ())]
+    return np.concatenate([rng.standard_cauchy(20_000), edge, -np.array(edge)])
+
+
+class TestMomentLaw:
+    """abs_moment, truncated_mean_shift and clipped_second_moment read the one
+    moment law levy._moment; each agrees with the per-type formulas it
+    replaced (tests/reference.py) within 2 ulp wherever those are finite."""
+
+    @pytest.mark.parametrize("name", list(moment_law_measures()))
+    def test_matches_per_type_formulas(self, name):
+        m = moment_law_measures()[name]
+        trip = LevyTriplet(a0=1.0, measure=m)
+        v = moment_law_points(m)
+        for k in (0, 1, 2):
+            want, got = reference.abs_moment(m, k), abs_moment(m, k)
+            assert got == want or reference.ulp_distance(got, want) <= 2, k
+        for new, old in ((truncated_mean_shift, reference.truncated_mean_shift),
+                         (clipped_second_moment, reference.clipped_second_moment)):
+            got = new(trip, v)
+            with np.errstate(all="ignore"):
+                want = old(m, v)
+            assert not np.isnan(got).any(), new.__name__
+            finite = np.isfinite(want)
+            ulps = reference.ulp_distance(got[finite], want[finite])
+            assert ulps.max() <= 2, (new.__name__, v[finite][ulps.argmax()])
+            # the reference's nan (tables at huge v) is pinned below
+            np.testing.assert_array_equal(got[np.isinf(want)], want[np.isinf(want)])
+
+    @pytest.mark.parametrize("table", [bench_table, zero_knot_table])
+    def test_table_clipped_moment_is_the_mass_at_large_v(self, table):
+        # (yv)**2 overflows there: the formulas before the law returned
+        # inf * 0 = nan, while min(1, (yv)**2) = 1 on the whole table
+        m = table()
+        v = np.array([1.3e154, 1e200, -1e300, 1e308, math.inf, -math.inf])
+        with np.errstate(all="ignore"):
+            assert np.isnan(reference.clipped_second_moment(m, v[-4:])).all()
+        got = clipped_second_moment(LevyTriplet(measure=m), v)
+        np.testing.assert_array_equal(got, abs_moment(m, 0))
+
+    def test_poisson_compensator(self):
+        m = CompoundPoisson(2.0, (-0.5, 2.0, 0.25), (0.5, 0.3, 0.2))
+        assert float(levy._moment(m, 1, 0.0, 1.0, signed=True)) == \
+            pytest.approx(2.0 * (0.5 * -0.5 + 0.2 * 0.25), rel=1e-15)
+
 
 class TestMomentHelpers:
     def test_mean_shift_zero_for_symmetric(self):
@@ -453,9 +533,9 @@ class TestMomentHelpers:
         trip = LevyTriplet(measure=table())
         v = np.array([0.0, 0.01, 0.3, 0.9, 1.0, 1.5, 3.0, 100.0])
         assert abs_moment(trip.measure, 0) == pytest.approx(moments[0], rel=1e-12)
-        assert mean_shift_deviation_bound(trip) == pytest.approx(moments[1], rel=1e-12)
+        assert abs_moment(trip.measure, 1) == pytest.approx(moments[1], rel=1e-12)
         assert im_linear_coef(trip) == pytest.approx(2.0 * moments[1], rel=1e-12)
-        assert clipped_growth(trip) == (2.0, pytest.approx(moments[2], rel=1e-12))
+        assert abs_moment(trip.measure, 2) == pytest.approx(moments[2], rel=1e-12)
         assert small_signal_bound(trip) == (2.0, pytest.approx(0.5 * moments[2], rel=1e-12))
         np.testing.assert_allclose(truncated_mean_shift(trip, v), shift, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(clipped_second_moment(trip, v), clipped, rtol=1e-12, atol=0.0)
