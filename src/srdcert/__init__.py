@@ -29,7 +29,6 @@ from .kernels import (
     box_kernel,
     check_integrability,
     gaussian_kernel,
-    lp_norm,
     powerlaw_kernel,
     tabulated_kernel,
     tent_kernel,
@@ -76,7 +75,7 @@ __all__ = [
     "ConfigError", "DivergentNormError", "QuadratureError", "RejectionError",
     "SrdcertError",
     "Kernel", "box_kernel", "check_integrability", "gaussian_kernel",
-    "lp_norm", "powerlaw_kernel", "tabulated_kernel", "tent_kernel",
+    "powerlaw_kernel", "tabulated_kernel", "tent_kernel",
     "CompoundPoisson", "LevyTriplet", "NO_JUMPS", "SymmetricStable",
     "TabulatedMeasure", "check_negdef_inequalities", "cumulant",
     "cumulant_re", "gaussian_triplet", "poisson_triplet", "stable_triplet",

@@ -21,9 +21,7 @@ import numpy as np
 from . import levy
 from .errors import DivergentNormError, QuadratureError, RejectionError
 from .kernels import (
-    SPHERE_AREA,
     BoundedBox,
-    DecayEnvelope,
     IntegrabilityReport,
     Kernel,
     _lp_power_integral,
@@ -88,7 +86,11 @@ def choose_threshold(profile: SpectralProfile,
     each ratio's error interval.  A candidate r is feasible when no such lag
     lies at or beyond the margin (strict containment, two lattice cells
     inside the window) and
-    the outermost shell does not grow versus the next one.  Smaller feasible
+    the outermost shell does not grow versus the next one.  On a profiled
+    kernel a separable ratio does not increase along rays (Anderson's
+    theorem, see ``kernels.Profile``), so the margin check bounds every lag
+    beyond the window too; the shell check serves ratios that need not be
+    monotone, such as those of Poisson and tabulated jumps.  Smaller feasible
     thresholds are preferred: they shrink the covariance-bound constant.
     Where the pair is separable and the kernel registers
     ``closed_exceedance``, the exceedance measure is that closed form,
@@ -115,8 +117,6 @@ def choose_threshold(profile: SpectralProfile,
         shell_ok = float(ratios[outer_shell].max()) <= \
             float(ratios[inner_shell].max()) + 1e-12
 
-    envelope_bound = _envelope_ratio_bound(profile)
-
     rejected: list[tuple[float, str]] = []
     feasible: list[float] = []
     for cand in cands:
@@ -126,11 +126,6 @@ def choose_threshold(profile: SpectralProfile,
             continue
         if not shell_ok:
             rejected.append((cand, "ratio not decreasing at the window boundary"))
-            continue
-        if envelope_bound is not None and envelope_bound >= cand:
-            rejected.append(
-                (cand, f"envelope bound {envelope_bound:.3g} at the window"
-                       " does not clear the candidate"))
             continue
         feasible.append(cand)
 
@@ -151,30 +146,6 @@ def choose_threshold(profile: SpectralProfile,
     return ThresholdChoice(threshold=best, exceedance_measure=measure,
                            method=method, feasible=tuple(feasible),
                            rejected=tuple(rejected))
-
-
-def _envelope_ratio_bound(profile: SpectralProfile) -> float | None:
-    """Analytic ratio bound at the window edge for homogeneous envelopes.
-
-    ratio(t) <= C * |t|**(-exponent*gamma/2) for |t| >= 2*radius.  Returns
-    None when unavailable (box support, mixed integrator, or the gamma/2
-    norm diverges, in which case containment is judged from the grid alone
-    and the SRD integral will flag the divergence).
-    """
-    sup = profile.kernel.support
-    if not isinstance(sup, DecayEnvelope):
-        return None
-    gamma = separable_exponent(profile.kernel, profile.triplet)
-    if gamma is None or profile.window < 2.0 * sup.radius:
-        return None
-    try:
-        half_norm = _lp_power_integral(profile.kernel, gamma / 2.0)[0]
-    except DivergentNormError:
-        return None
-    full_norm = _lp_power_integral(profile.kernel, gamma)[0]
-    coef = 2.0 * (2.0 ** sup.exponent * sup.amplitude) ** (gamma / 2.0) \
-        * half_norm / full_norm
-    return coef * profile.window ** (-sup.exponent * gamma / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +322,8 @@ def srd_integral(profile: SpectralProfile) -> SrdEstimate:
             value=math.inf, window_part=window_part, tail=math.inf,
             error=math.inf, divergent=True, method="fitted-tail",
             note=f"fitted decay exponent {decay:.4g} <= dim {d}")
-    tail = amp * SPHERE_AREA[d] * profile.window ** (d - decay) / (decay - d)
+    # the fit reads l-infinity radii, whose sphere of radius rho has measure d 2^d rho^(d-1)
+    tail = amp * d * 2.0 ** d * profile.window ** (d - decay) / (decay - d)
     return SrdEstimate(value=window_part + tail, window_part=window_part,
                        tail=tail, error=base_err + tail * min(1.0, 2.0 * resid),
                        divergent=False, method="fitted-tail",

@@ -2,8 +2,9 @@
 
 A kernel is a deterministic function f on R^d whose shifts weight the
 integrator.  Everything the analytic layer needs is carried as metadata:
-where f lives (a bounded box or a power-decay envelope), closed-form norms
-when available, and breakpoints that keep quadrature sharp.
+where f lives (a bounded box or a power-decay envelope), its radial
+profile, closed-form norms when available, and breakpoints that keep
+quadrature sharp.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from . import levy
 from .errors import DivergentNormError, QuadratureError, RejectionError
 from .quadrature import DEFAULT_ABS_TOL, Factored, integrate_box
 
-# surface area of the unit sphere in R^d, d = 1, 2, 3
-SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 # Hard ceiling on the reach of a 1-D tail in u = log|x|: exp(80) ~ 5.5e34.
 _MAX_LOG_RANGE = 80.0
 
@@ -82,34 +81,67 @@ class DecayEnvelope:
 Support = Union[BoundedBox, DecayEnvelope]
 
 
+@dataclass(frozen=True)
+class Profile:
+    """f(x) = phi(||x - center||) with phi non-increasing in the radius.
+
+    ``phi`` maps an array of radii to values; the single-point integrals
+    take it to end at ``reach`` (inf under a decay envelope).  ``norm`` is
+    2, or inf for the l-infinity norm whose balls are boxes; in d = 1 both
+    are |x - c|.  ``step`` promises phi = 1 below ``reach``: f is then the
+    indicator of a ball.  Such an f is symmetric unimodal about its center,
+    so by Anderson's theorem (Proc. AMS 6, 1955) every overlap
+    integral |f(t-x) f(-x)|**q dx is non-increasing along rays t = rho e,
+    and its level sets are balls, so an integral of g(f(x)) is one
+    integral in the radius.
+    """
+
+    phi: Callable[[np.ndarray], np.ndarray]
+    reach: float
+    center: tuple[float, ...]
+    norm: float = 2.0
+    step: bool = False
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        """phi(||x - center||) at the (n, d) points."""
+        if pts.shape[1] == 1:
+            return self.phi(np.abs(pts[:, 0] - self.center[0]))
+        return self.phi(np.linalg.norm(pts - self.center, ord=self.norm, axis=1))
+
+    def volume(self, dim: int, radius: float = 1.0) -> float:
+        """Measure of the ball of ``radius`` in R^dim: (2 radius)**dim for a
+        box, else 2 pi**(dim/2) / (dim Gamma(dim/2)) radius**dim."""
+        if self.norm == math.inf:
+            return (2.0 * radius) ** dim
+        return 2.0 * math.pi ** (dim / 2.0) / (dim * math.gamma(dim / 2.0)) * radius ** dim
+
+
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """Kernel function plus the metadata the analytic layer consumes.
 
-    ``func`` maps an (n, dim) array of points to n values; evaluation goes
-    through ``__call__`` which masks box supports to exact zeros outside.
-    ``closed_norms`` maps an order p to the exact L^p norm, asked only
-    where the norm is finite.  ``closed_overlap(lags, gamma)`` maps
-    (L, dim) lags to the exact integral |f(t-x) f(-x)|**(gamma/2) dx /
-    ||f||_gamma^gamma at each, and ``closed_exceedance(r, gamma)`` is the
-    measure of {t: overlap > r}.  ``knots`` lists interior 1-D breakpoints
-    (kinks, jumps) passed on to quadrature.  ``indicator`` promises only
-    values in {0, 1}: then Re K(s f) = Re K(s) f, so sigma^2 is
-    ||f||_1 Re K(s) and the ratio separates for every triplet.  ``even``
-    promises f(-x) = f(x) bit for bit, which makes every dependence
-    numerator symmetric in its two frequencies.
+    ``func`` maps an (n, dim) array of points to n values, by default the
+    ``profile``; evaluation goes through ``__call__`` which masks box
+    supports to exact zeros outside.  Every built-in kernel is its
+    :class:`Profile`, and a decay envelope needs one; tabulated kernels
+    have none.  ``closed_norms`` maps an order p to the exact L^p norm,
+    asked only where the norm is finite.  ``closed_overlap(lags, gamma)``
+    maps (L, dim) lags to the exact integral
+    |f(t-x) f(-x)|**(gamma/2) dx / ||f||_gamma^gamma at each, and
+    ``closed_exceedance(r, gamma)`` is the measure of {t: overlap > r}.
+    ``knots`` lists interior 1-D breakpoints (kinks, jumps) passed on to
+    quadrature.
     """
 
     dim: int
-    func: Callable[[np.ndarray], np.ndarray]
     support: Support
+    func: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
     closed_norms: Callable[[float], float] | None = None
     closed_overlap: Callable[[np.ndarray, float], np.ndarray] | None = None
     closed_exceedance: Callable[[float, float], float] | None = None
     knots: tuple[float, ...] = ()
-    indicator: bool = False
-    even: bool = False
+    profile: Profile | None = None
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
@@ -118,8 +150,16 @@ class Kernel:
             raise RejectionError("kernel-dim", "support box dimension mismatch")
         if isinstance(self.support, DecayEnvelope) and self.dim != 1:
             raise RejectionError("kernel-dim", f"a decay envelope needs dim 1, got {self.dim}")
-        if self.indicator and not isinstance(self.support, BoundedBox):
-            raise RejectionError("kernel-indicator", "an indicator kernel needs a box support")
+        if isinstance(self.support, DecayEnvelope) and self.profile is None:
+            raise RejectionError("kernel-profile", "a decay envelope needs a profile")
+        if self.func is None:
+            object.__setattr__(self, "func", self.profile)
+
+    @property
+    def even(self) -> bool:
+        """f(-x) = f(x) bit for bit: a profile centred at 0.  It makes every
+        dependence numerator symmetric in its two frequencies."""
+        return self.profile is not None and not any(self.profile.center)
 
     def __call__(self, x) -> np.ndarray:
         pts = np.asarray(x, dtype=float)
@@ -139,16 +179,13 @@ class Kernel:
             vals = np.where(inside, vals, 0.0)
         return vals[0] if squeeze else vals
 
-    def value_at(self, *coords: float) -> float:
-        return float(self(np.array([coords], dtype=float))[0])
-
 
 # ---------------------------------------------------------------------------
 # built-in kernels
 
 
 def box_kernel(lo: float = 0.0, hi: float = 1.0, dim: int = 1) -> Kernel:
-    """Indicator of the box [lo, hi]^dim.
+    """Indicator of the box [lo, hi]^dim: a step profile in the l-infinity norm.
 
     The overlap at lag t is prod(1 - |t_i|/L)+, L = hi - lo, for every
     gamma: a product of d uniform variables on the lags' 2L-cube, so it
@@ -157,10 +194,6 @@ def box_kernel(lo: float = 0.0, hi: float = 1.0, dim: int = 1) -> Kernel:
     if not lo < hi:
         raise RejectionError("kernel-box", f"need lo < hi, got {lo} >= {hi}")
     length = float(hi) - float(lo)
-    vol = length ** dim
-
-    def f(pts: np.ndarray) -> np.ndarray:
-        return np.ones(pts.shape[0])
 
     def overlap(lags: np.ndarray, gamma: float) -> np.ndarray:
         return np.prod(np.maximum(1.0 - np.abs(lags) / length, 0.0), axis=1)
@@ -171,14 +204,12 @@ def box_kernel(lo: float = 0.0, hi: float = 1.0, dim: int = 1) -> Kernel:
 
     return Kernel(
         dim=dim,
-        func=f,
         support=BoundedBox((lo,) * dim, (hi,) * dim),
         name=f"box[{lo:g},{hi:g}]^{dim}",
-        closed_norms=lambda p: vol ** (1.0 / p),
         closed_overlap=overlap,
         closed_exceedance=exceedance,
-        indicator=True,
-        even=lo == -hi,
+        profile=Profile(np.ones_like, length / 2.0, ((lo + hi) / 2.0,) * dim, math.inf,
+                        step=True),
     )
 
 
@@ -187,18 +218,13 @@ def tent_kernel(half_width: float = 1.0) -> Kernel:
     if not half_width > 0:
         raise RejectionError("kernel-tent", "half_width must be positive")
     w = float(half_width)
-
-    def f(pts: np.ndarray) -> np.ndarray:
-        return np.maximum(1.0 - np.abs(pts[:, 0]) / w, 0.0)
-
     return Kernel(
         dim=1,
-        func=f,
         support=BoundedBox((-w,), (w,)),
         name=f"tent(w={w:g})",
         closed_norms=lambda p: (2.0 * w / (p + 1.0)) ** (1.0 / p),
         knots=(0.0,),
-        even=True,
+        profile=Profile(lambda r: np.maximum(1.0 - r / w, 0.0), w, (0.0,)),
     )
 
 
@@ -213,10 +239,7 @@ def gaussian_kernel(dim: int = 1, width: float = 1.0) -> Kernel:
         raise RejectionError("kernel-gaussian", "width must be positive")
     w = float(width)
     cut = 8.5 * w
-
-    def f(pts: np.ndarray) -> np.ndarray:
-        r2 = np.sum((pts / w) ** 2, axis=1)
-        return np.exp(-r2)
+    profile = Profile(lambda r: np.exp(-(r / w) ** 2), cut, (0.0,) * dim)
 
     def norm(p: float) -> float:
         return (w * math.sqrt(math.pi / p)) ** (dim / p)
@@ -225,18 +248,16 @@ def gaussian_kernel(dim: int = 1, width: float = 1.0) -> Kernel:
         return np.exp(-gamma * np.sum(lags ** 2, axis=1) / (4.0 * w * w))
 
     def exceedance(r: float, gamma: float) -> float:
-        radius = w * math.sqrt(4.0 * math.log(1.0 / r) / gamma)
-        return SPHERE_AREA[dim] / dim * radius ** dim
+        return profile.volume(dim, w * math.sqrt(4.0 * math.log(1.0 / r) / gamma))
 
     return Kernel(
         dim=dim,
-        func=f,
         support=BoundedBox((-cut,) * dim, (cut,) * dim),
         name=f"gaussian(w={w:g})^{dim}",
         closed_norms=norm,
         closed_overlap=overlap,
         closed_exceedance=exceedance,
-        even=True,
+        profile=profile,
     )
 
 
@@ -247,24 +268,17 @@ def powerlaw_kernel(exponent: float, radius: float = 1.0) -> Kernel:
     r0 = float(radius)
     beta = float(exponent)
 
-    def f(pts: np.ndarray) -> np.ndarray:
-        r = np.abs(pts[:, 0])
-        with np.errstate(divide="ignore", over="ignore"):
-            tail = np.where(r > 0, (np.maximum(r, 1e-300) / r0) ** (-beta), np.inf)
-        return np.minimum(1.0, tail)
-
     def norm(p: float) -> float:
         pb = p * beta
         return (2.0 * r0 * pb / (pb - 1.0)) ** (1.0 / p)
 
     return Kernel(
         dim=1,
-        func=f,
         support=DecayEnvelope(radius=r0, exponent=beta, amplitude=r0 ** beta),
         name=f"powerlaw(beta={beta:g},r0={r0:g})",
         closed_norms=norm,
         knots=(-r0, r0),
-        even=True,
+        profile=Profile(lambda r: np.maximum(r / r0, 1.0) ** -beta, math.inf, (0.0,)),
     )
 
 
@@ -310,21 +324,11 @@ def tabulated_kernel(axes: tuple[np.ndarray, ...], values: np.ndarray,
 # norms
 
 
-def lp_norm(kernel: Kernel, p: float) -> float:
-    """L^p norm of the kernel, p > 0.
-
-    Closed forms win when registered; otherwise adaptive quadrature over the
-    support, with log-mapped tails under a decay envelope.  Raises
-    DivergentNormError when the envelope says p * exponent <= dim.
-    """
-    if not (p > 0 and math.isfinite(p)):
-        raise ValueError(f"norm order p={p} must be positive and finite")
-    return _lp_power_integral(kernel, float(p))[0] ** (1.0 / p)
-
-
 @lru_cache(maxsize=4096)
 def _lp_power_integral(kernel: Kernel, p: float) -> tuple[float, float]:
-    """(integral of |f|^p, error estimate)."""
+    """(integral of |f|^p, error estimate), p > 0: a registered closed norm,
+    else ``integrate_over_support``.  Raises DivergentNormError when the
+    decay envelope says p * exponent <= dim."""
     sup = kernel.support
     if isinstance(sup, DecayEnvelope) and p * sup.exponent <= kernel.dim:
         raise DivergentNormError(
@@ -379,16 +383,34 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     the other half is folded into it, and ``growth`` bounds that folded
     integrand.
 
-    ``rel_tol`` applies to the nested cubature in d >= 2; 1-D integrals
-    keep the engine's 1-D default.  All problems share one
-    ``integrate_box`` call in every dimension.  Returns the values (P, k)
-    and errors (P,); a failure names the failing problem p, "integral p
-    of P" when P > 1, whichever of its boxes failed.
+    A problem with one shift on a profiled kernel is the integral of
+    g(f(x)) over R^d, whatever the shift, and f's level sets are balls.  A
+    step profile gives g(1) times the ball's measure, with error 0 and no
+    engine pass, in every dimension.  In d >= 2 the integral is one in the
+    radius, over [0, reach] with the weight d V r**(d-1), V the unit
+    ball's measure; in d = 1 it stays on the line.
+
+    ``rel_tol`` applies to the nested cubature in d >= 2; 1-D integrals,
+    the radial ones included, keep the engine's 1-D default.  All problems
+    share one ``integrate_box`` call in every dimension.  Returns the
+    values (P, k) and errors (P,); a failure names the failing problem p,
+    "integral p of P" when P > 1, whichever of its boxes failed.
     """
     sup = kernel.support
     d = kernel.dim
     sh = np.asarray(shifts, dtype=float)
     n_prob, m = sh.shape[:2]
+
+    prof = kernel.profile
+    if prof is not None and m == 1 and not half:
+        if prof.step:
+            vals = integrand(np.ones((1, n_prob)), np.arange(n_prob))
+            return vals * prof.volume(d, prof.reach), np.zeros(n_prob)
+        if d > 1:
+            shell = d * prof.volume(d)
+            return integrate_box(
+                lambda r, p: integrand(prof.phi(r.T), p) * (shell * r ** (d - 1)),
+                np.tile([[0.0], [prof.reach]], (n_prob, 1, 1)))
 
     # Each problem becomes boxes, given as corner sets: the shifted boxes or
     # their intersection, or under an envelope a core with two tails

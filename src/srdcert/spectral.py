@@ -52,9 +52,10 @@ def _growth(triplet: levy.LevyTriplet, scale, re: float = 1.0, im: float = 0.0) 
 
 def separable_exponent(kernel: Kernel, triplet: levy.LevyTriplet) -> float | None:
     """gamma with Re K(s f(x)) = Re K(s) |f(x)|**gamma for all s and x, else None:
-    a one-term ``levy.power_terms`` exponent, or 2 for an indicator (values 0, 1)."""
+    a one-term ``levy.power_terms`` exponent, or 2 for a step profile (values 0, 1)."""
     terms = levy.power_terms(triplet) or ()
-    return terms[0][1] if len(terms) == 1 else (2.0 if kernel.indicator else None)
+    step = kernel.profile is not None and kernel.profile.step
+    return terms[0][1] if len(terms) == 1 else (2.0 if step else None)
 
 
 def _marginal_pass(kernel: Kernel, triplet: levy.LevyTriplet, s: np.ndarray, cumulant,
@@ -70,18 +71,18 @@ def marginal_exponent_grid(kernel: Kernel, triplet: levy.LevyTriplet,
     """sigma^2 on a frequency grid, and the largest error over the grid.
 
     Where ``levy.power_terms`` gives Re K(v) = sum_k c_k |v|**gamma_k, sigma^2 is
-    sum_k c_k |s|**gamma_k ||f||_gamma_k^gamma_k, with the norms' errors, and on an
-    indicator ||f||_1 Re K(s); otherwise one engine pass, one problem per frequency.
+    sum_k c_k |s|**gamma_k ||f||_gamma_k^gamma_k, with the norms' errors; otherwise
+    one ``integrate_over_support`` call, one problem per frequency (a step
+    profile's |B| Re K(s) makes no engine pass).
     """
     s_values = np.asarray(s_values, dtype=float)
     terms = levy.power_terms(triplet)
-    if terms is None and not kernel.indicator:
+    if terms is None:
         vals, err = _marginal_pass(kernel, triplet, s_values, levy.cumulant_re, 0.0)
         return np.maximum(vals[:, 0], 0.0), float(np.max(err, initial=0.0))
-    parts = [(levy.cumulant_re(triplet, s_values), 2.0)] if kernel.indicator \
-        else [(c * np.abs(s_values) ** gamma, gamma) for c, gamma in terms]
     vals = errs = np.zeros_like(s_values)
-    for re_k, gamma in parts:
+    for c, gamma in terms:
+        re_k = c * np.abs(s_values) ** gamma
         norm, norm_err = _lp_power_integral(kernel, gamma)
         vals, errs = vals + re_k * norm, errs + re_k * norm_err
     return vals, float(np.max(errs, initial=0.0))

@@ -14,12 +14,13 @@ from srdcert.certify import (
     CertificateReport,
     certify,
     choose_threshold,
+    default_window,
     frequency_integral,
     srd_integral,
 )
 from srdcert.errors import QuadratureError, RejectionError
 from srdcert.quadrature import fit_power_law
-from srdcert.spectral import build_profile
+from srdcert.spectral import SpectralProfile, build_profile, t_lattice
 
 SQRT_2PI = 2.5066282746310002
 HALF_SQRT_2PI = 1.2533141373155001
@@ -279,6 +280,56 @@ def test_choose_threshold_rejects_bad_candidates(box_stable_profile):
         choose_threshold(box_stable_profile, candidates=(0.5, 1.0))
     with pytest.raises(RejectionError):
         choose_threshold(box_stable_profile, candidates=())
+
+
+def test_powerlaw_margin_alone_bounds_the_lags_beyond_the_window():
+    """Power law beta = 1.5 + stable(1.5) at the default window (40, step
+    1/3): its ratio falls along |t|, so the margin's ratios (about 0.07 plus
+    an error near 1e-11) clear 0.25 for every lag beyond the window too."""
+    kern = kernels.powerlaw_kernel(1.5)
+    prof = build_profile(kern, levy.stable_triplet(1.5), *default_window(kern))
+    ch = choose_threshold(prof)
+    assert ch.threshold == 0.25 and ch.rejected == ()
+    assert ch.feasible == (0.25, 0.5, 0.75, 0.9)
+
+
+@pytest.mark.parametrize("kernel, triplet, window, t_step", [
+    (kernels.tent_kernel(), levy.stable_triplet(1.5), 3.0, 0.05),
+    (kernels.powerlaw_kernel(1.5), levy.stable_triplet(1.5), 20.0, 0.25),
+    (kernels.powerlaw_kernel(2.0), levy.stable_triplet(1.2), 20.0, 0.25),
+    (kernels.powerlaw_kernel(3.0), levy.gaussian_triplet(1.0), 20.0, 0.25),
+    (kernels.gaussian_kernel(1), levy.stable_triplet(0.8), 10.0, 0.1),
+], ids=["tent", "powerlaw-1.5", "powerlaw-2", "powerlaw-3", "gaussian"])
+def test_separable_ratios_never_rise_along_the_lag(kernel, triplet, window, t_step):
+    """A profiled kernel is symmetric unimodal, so by Anderson's theorem a
+    separable ratio does not increase with |t|: no lattice step rises by
+    more than the two ratios' errors."""
+    prof = build_profile(kernel, triplet, window, t_step)
+    assert prof.ratio_method == "analytic-homogeneous"
+    right = prof.ratio_values[len(prof.t_grid) // 2:]
+    assert np.max(np.diff(right)) <= 2.0 * prof.ratio_error
+
+
+@pytest.mark.parametrize("dim, shell", [(2, 8.0), (3, 24.0)])
+def test_fitted_tail_takes_the_cube_shell(dim, shell):
+    """The tail fit reads l-infinity radii rho = max |t_i|.  A ratio
+    c rho**(-q) then has the tail integral over rho > W of
+    shell W**(dim - q) / (q - dim): by the symmetries t_i -> -t_i and the
+    orderings of the axes, 8 integral_W^inf x**(1-q) dx in 2-D and
+    48 integral_W^inf x**(2-q) / 2 dx in 3-D."""
+    kern = kernels.gaussian_kernel(dim)
+    trip = levy.LevyTriplet(b0=1.0, measure=levy.calibrated_stable(1.0))
+    window, step, c, q = 3.0, 0.5, 0.5, dim + 1.5
+    lattice = t_lattice(window, step, dim)
+    radii = np.maximum(np.max(np.abs(lattice), axis=1), step)
+    s = np.geomspace(1e-3, 1e3, 4)
+    prof = SpectralProfile(
+        kernel=kern, triplet=trip, window=window, t_step=step, s_grid=s, sigma_sq=s,
+        sigma_err=0.0, t_grid=lattice, ratio_values=np.minimum(1.0, c * radii ** -q),
+        ratio_error=0.0, ratio_method="grid-approximate", s_box=(1e-3, 1e3), s_points=4)
+    est = srd_integral(prof)
+    assert est.method == "fitted-tail"
+    assert est.tail == pytest.approx(c * shell * window ** (dim - q) / (q - dim), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad  # reference only
+from scipy.special import sici  # reference only
 
-from srdcert import kernels, levy
+from srdcert import kernels, levy, spectral
 from srdcert.certify import certify
 from srdcert.spectral import (
     DEFAULT_S_BOX,
@@ -116,6 +117,66 @@ def test_tent_gaussian_poisson_sigma_sq(s):
     vals, err = marginal_exponent_grid(kernels.tent_kernel(1.0), trip, np.array([s]))
     ref = tent_gaussian_poisson_sigma_sq(s)
     assert abs(vals[0] - ref) <= err + 1e-15 * ref
+
+
+def cin(x: float) -> float:
+    """Cin(x) = integral_0^x (1 - cos u) du / u = gamma + ln x - Ci(x): its
+    power series below 1, where the sici form cancels, and sici above."""
+    if x < 1.0:
+        # sum_k (-1)**(k+1) x**(2k) / (2k (2k)!), past k = 11 below 1e-40
+        return sum((-1) ** (k + 1) * x ** (2 * k) / (2 * k * math.factorial(2 * k))
+                   for k in range(1, 12))
+    return np.euler_gamma + math.log(x) - sici(x)[1]
+
+
+def gaussian_2d_poisson_sigma_sq(s: float) -> float:
+    """b0 = 1 plus the Poisson above on the 2-D Gaussian exp(-|x|^2): its
+    level set {f > y} is the disc of area pi ln(1/y), so integral h(f) dx is
+    pi integral_0^1 h(y) dy / y, which gives pi [s**2 / 4 + rate sum_k w_k Cin(|a_k| s)]."""
+    jumps = sum(w * cin(abs(a) * s) for a, w in zip(POISSON_ATOMS, POISSON_WEIGHTS))
+    return math.pi * (s * s / 4.0 + POISSON_RATE * jumps)
+
+
+GAUSS_POISSON = levy.LevyTriplet(b0=1.0, measure=levy.CompoundPoisson(
+    POISSON_RATE, POISSON_ATOMS, POISSON_WEIGHTS))
+
+
+@pytest.mark.parametrize("s", [1e-3, 1.0, 1e3])
+def test_gaussian_2d_poisson_sigma_sq(s):
+    """sigma^2 of 2-D Gaussian + b0 = 1 + Poisson, one pass in the radius,
+    against the Cin form; the reference's error is its rounding."""
+    vals, err = marginal_exponent_grid(kernels.gaussian_kernel(dim=2), GAUSS_POISSON,
+                                       np.array([s]))
+    ref = gaussian_2d_poisson_sigma_sq(s)
+    assert abs(vals[0] - ref) <= err + 1e-14 * ref
+
+
+def test_gaussian_2d_poisson_sigma_sq_grid():
+    """The 40-frequency grid on [1e-3, 1e3], each value within its own error
+    of the Cin form."""
+    s = np.geomspace(1e-3, 1e3, 40)
+    vals, errs = spectral._marginal_pass(kernels.gaussian_kernel(dim=2), GAUSS_POISSON, s,
+                                         levy.cumulant_re, 0.0)
+    ref = np.array([gaussian_2d_poisson_sigma_sq(x) for x in s])
+    assert np.all(np.abs(vals[:, 0] - ref) <= errs + 1e-14 * ref)
+
+
+@pytest.mark.parametrize("s", [10.0, 1e3])
+def test_gaussian_3d_poisson_sigma_sq(s):
+    """The 3-D model against scipy's quad of 4 pi r^2 Re K(s exp(-r^2)) over
+    the reach [0, 8.5], cut where the faster atom's phase 2 s exp(-r^2)
+    passes a multiple of pi; its stated error joins the comparison."""
+    def re_k(v):
+        return 0.5 * v * v + POISSON_RATE * sum(
+            w * (1.0 - math.cos(a * v)) for a, w in zip(POISSON_ATOMS, POISSON_WEIGHTS))
+
+    cuts = [math.sqrt(math.log(2.0 * s / (k * math.pi)))
+            for k in range(1, int(2.0 * s / math.pi) + 1)]
+    ref, ref_err = quad(lambda r: 4.0 * math.pi * r * r * re_k(s * math.exp(-r * r)), 0.0, 8.5,
+                        points=cuts, limit=20 * len(cuts) + 50, epsabs=1e-10, epsrel=1e-13)
+    vals, err = marginal_exponent_grid(kernels.gaussian_kernel(dim=3), GAUSS_POISSON,
+                                       np.array([s]))
+    assert abs(vals[0] - ref) <= err + ref_err
 
 
 @pytest.mark.parametrize("kernel, triplet, reference", [

@@ -24,7 +24,6 @@ from srdcert.kernels import (
     check_integrability,
     gaussian_kernel,
     integrate_over_support,
-    lp_norm,
     powerlaw_kernel,
     tabulated_kernel,
     tent_kernel,
@@ -41,11 +40,23 @@ from srdcert.levy import (
 )
 
 
+def lp_norm(kernel: Kernel, p: float) -> float:
+    """L^p norm of the kernel from its cached power integral."""
+    return kernels._lp_power_integral(kernel, float(p))[0] ** (1.0 / p)
+
+
+def at(kernel: Kernel, *coords: float) -> float:
+    """The kernel's value at one point."""
+    return float(kernel(np.array([coords]))[0])
+
+
 def strip_closed_norms(kernel: Kernel) -> Kernel:
-    """Clone without registered norms, forcing the quadrature path."""
+    """Clone without registered norms, and without the profile where the
+    support allows, forcing the nested quadrature path."""
+    profile = kernel.profile if isinstance(kernel.support, DecayEnvelope) else None
     return Kernel(dim=kernel.dim, func=kernel.func, support=kernel.support,
                   name=kernel.name + "-noclosed", closed_norms=None,
-                  knots=kernel.knots, indicator=kernel.indicator)
+                  knots=kernel.knots, profile=profile)
 
 
 # identically zero: exercises the degenerate paths
@@ -61,22 +72,22 @@ class TestEvaluation:
 
     def test_tent_shape(self):
         k = tent_kernel()
-        assert k.value_at(0.0) == 1.0
-        assert k.value_at(0.5) == 0.5
-        assert k.value_at(-0.25) == 0.75
-        assert k.value_at(1.5) == 0.0
+        assert at(k, 0.0) == 1.0
+        assert at(k, 0.5) == 0.5
+        assert at(k, -0.25) == 0.75
+        assert at(k, 1.5) == 0.0
 
     def test_powerlaw_plateau_and_tail(self):
         k = powerlaw_kernel(1.5)
-        assert k.value_at(0.0) == 1.0
-        assert k.value_at(0.5) == 1.0
-        assert k.value_at(4.0) == pytest.approx(4.0 ** -1.5, rel=1e-15)
+        assert at(k, 0.0) == 1.0
+        assert at(k, 0.5) == 1.0
+        assert at(k, 4.0) == pytest.approx(4.0 ** -1.5, rel=1e-15)
 
     def test_gaussian_2d(self):
         k = gaussian_kernel(dim=2)
-        assert k.value_at(0.0, 0.0) == 1.0
-        assert k.value_at(1.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
-        assert k.value_at(10.0, 0.0) == 0.0  # beyond the truncation box
+        assert at(k, 0.0, 0.0) == 1.0
+        assert at(k, 1.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+        assert at(k, 10.0, 0.0) == 0.0  # beyond the truncation box
 
     def test_scalar_convenience_1d(self):
         k = tent_kernel()
@@ -93,15 +104,15 @@ class TestEvaluation:
         vals = np.maximum(1.0 - np.abs(grid), 0.0)
         k = tabulated_kernel((grid,), vals)
         for x in (-0.7, -0.2, 0.0, 0.413, 0.95):
-            assert k.value_at(x) == pytest.approx(1.0 - abs(x), abs=1e-12)
-        assert k.value_at(1.2) == 0.0
+            assert at(k, x) == pytest.approx(1.0 - abs(x), abs=1e-12)
+        assert at(k, 1.2) == 0.0
 
     def test_tabulated_2d(self):
         gx = np.linspace(0.0, 1.0, 11)
         gy = np.linspace(0.0, 2.0, 21)
         vals = np.add.outer(gx, gy)
         k = tabulated_kernel((gx, gy), vals)
-        assert k.value_at(0.35, 1.15) == pytest.approx(1.5, abs=1e-12)
+        assert at(k, 0.35, 1.15) == pytest.approx(1.5, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_tabulated_matches_regular_grid_interpolator(self, dim):
@@ -132,11 +143,11 @@ class TestEvaluation:
             box_kernel(1.0, 0.0)
 
 
-    def test_indicator_needs_box_support(self):
+    def test_envelope_needs_profile(self):
         with pytest.raises(RejectionError) as exc:
-            Kernel(dim=1, func=lambda pts: np.ones(pts.shape[0]),
-                   support=DecayEnvelope(radius=1.0, exponent=2.0), indicator=True)
-        assert exc.value.condition == "kernel-indicator"
+            Kernel(dim=1, func=lambda pts: np.minimum(1.0, np.abs(pts[:, 0]) ** -2.0),
+                   support=DecayEnvelope(radius=1.0, exponent=2.0))
+        assert exc.value.condition == "kernel-profile"
 
     def test_envelope_needs_dim_one(self):
         for dim in (2, 3):
@@ -215,12 +226,6 @@ class TestNorms:
     def test_zero_kernel_norm(self):
         assert lp_norm(ZERO, 2.0) == 0.0
 
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            lp_norm(tent_kernel(), 0.0)
-        with pytest.raises(ValueError):
-            lp_norm(tent_kernel(), -1.0)
-
     @given(p=st.floats(min_value=0.7, max_value=4.0))
     @settings(max_examples=25, deadline=None)
     def test_norm_scaling_property(self, p):
@@ -292,18 +297,42 @@ class TestIntegrateOverSupport:
         assert corners[1, 0, 0] == corners[2, 0, 0] == math.log(4.0)
         assert np.all(np.abs(vals[:, 0] - lp_norm(k, 2.0) ** 2) <= errs)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_radial_profile_is_one_pass_in_the_radius(self, monkeypatch, dim):
+        # two problems, each the interval [0, reach] in r, with weight d V r**(d-1)
+        k = gaussian_kernel(dim, 0.8)
+        vals, errs, corners = self.boxes(
+            monkeypatch, k, lambda fv, _: fv.T ** 2, np.zeros((2, 1, dim)))
+        np.testing.assert_array_equal(corners, np.tile([[0.0], [8.5 * 0.8]], (2, 1, 1)))
+        assert np.all(np.abs(vals[:, 0] - (0.8 * math.sqrt(math.pi / 2.0)) ** dim) <= errs)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_step_profile_makes_no_engine_pass(self, monkeypatch, dim):
+        """The box is a step profile: each single-point integral is g(1) |B|,
+        with error 0 and no integrate_box call."""
+        calls = count_engine_passes(monkeypatch)
+        k = box_kernel(-0.5, 1.0, dim=dim)
+        s = np.array([0.5, 2.0, 7.0])
+        vals, errs = integrate_over_support(
+            k, lambda fv, p: 1.0 - np.cos(fv.T * s[p, None]), np.zeros((3, 1, dim)))
+        np.testing.assert_array_equal(vals[:, 0], (1.0 - np.cos(s)) * 1.5 ** dim)
+        assert kernels._lp_power_integral(k, 2.5) == (1.5 ** dim, 0.0)
+        report = check_integrability(k, poisson_triplet(2.0, atoms=(-0.5, 2.0), weights=(0.6, 0.4)))
+        assert report.all_finite
+        assert calls == [] and not errs.any()
+
 
 def count_engine_passes(monkeypatch) -> list:
-    """The kernels passed to integrate_over_support from now on, with the
-    norm cache emptied."""
+    """The corner sets passed to the engine from now on, with the norm cache
+    emptied."""
     calls = []
-    engine = kernels.integrate_over_support
+    engine = kernels.integrate_box
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].name)
-        return engine(*args, **kwargs)
+    def counted(func, corners, **kwargs):
+        calls.append(corners)
+        return engine(func, corners, **kwargs)
 
-    monkeypatch.setattr(kernels, "integrate_over_support", counted)
+    monkeypatch.setattr(kernels, "integrate_box", counted)
     kernels._lp_power_integral.cache_clear()
     return calls
 
@@ -350,7 +379,7 @@ class TestIntegrability:
         assert drift.finite is True
 
         def integrand(x):
-            v = kern.value_at(x)
+            v = at(kern, x)
             return v * abs(a0 + truncated_mean_shift(trip, v))
 
         half, _ = quad(integrand, 0.0, 3.0, points=[1.0, 2.0 ** (2.0 / 3.0)],

@@ -90,6 +90,8 @@ class TestMarginalExponent:
             assert err == 0.0
 
     def test_indicator_single_cumulant_call(self, monkeypatch):
+        """A box's step profile gives |B| Re K(s) from one cumulant call over
+        the grid and no engine pass, for a triplet with no power-sum form."""
         calls = []
         cumulant_re = levy.cumulant_re
 
@@ -97,10 +99,15 @@ class TestMarginalExponent:
             calls.append(np.shape(s))
             return cumulant_re(triplet, s)
 
+        def no_pass(*args, **kwargs):
+            raise AssertionError("engine pass")
+
         monkeypatch.setattr(levy, "cumulant_re", counting)
+        monkeypatch.setattr(kernels, "integrate_box", no_pass)
         s = np.geomspace(1e-3, 1e3, 21)
-        marginal_exponent_grid(box_kernel(), stable_triplet(1.0), s)
-        assert calls == [(21,)]
+        for dim in (1, 2, 3):
+            marginal_exponent_grid(box_kernel(dim=dim), poisson_triplet(1.0, atoms=(1.0,)), s)
+        assert calls == [(21, 1)] * 3
 
     def test_grid_is_one_problem_per_frequency(self):
         """Each frequency of a non-factorising pair gets its solo value, so the
@@ -422,10 +429,9 @@ class TestProfile:
 
 
 def strip_hooks(kern: kernels.Kernel) -> kernels.Kernel:
-    """The kernel without its overlap hooks or indicator promise, so every
-    separable ratio is one ``_homogeneous_ratio`` engine pass."""
-    return dataclasses.replace(kern, closed_overlap=None, closed_exceedance=None,
-                               indicator=False)
+    """The kernel without its overlap hooks, so every separable ratio is one
+    ``_homogeneous_ratio`` engine pass."""
+    return dataclasses.replace(kern, closed_overlap=None, closed_exceedance=None)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
@@ -446,12 +452,12 @@ def test_overlap_hook_matches_engine(make, dim, gamma):
 
 
 def test_indicator_without_hook_takes_quadrature():
-    """``indicator`` promises values in {0, 1} only.  1{|x| <= 1/4} on the
+    """A step profile promises values in {0, 1} only.  1{|x| <= 1/4} on the
     support box [-1, 1] overlaps its shift by 0.4 on 0.1 of its length 0.5,
     not on the box's fraction 1 - 0.4/2 = 0.8, and its exceedance region
     {1 - 2|t| > 1/4} is a lattice count."""
-    kern = kernels.Kernel(dim=1, func=lambda pts: (np.abs(pts[:, 0]) <= 0.25) * 1.0,
-                          support=kernels.BoundedBox((-1.0,), (1.0,)), indicator=True,
+    step = kernels.Profile(lambda r: (r <= 0.25) * 1.0, 0.25, (0.0,), step=True)
+    kern = kernels.Kernel(dim=1, support=kernels.BoundedBox((-1.0,), (1.0,)), profile=step,
                           knots=(-0.25, 0.25))
     rm = max_dependence_ratio(kern, stable_triplet(1.0), 0.4)
     assert rm.method == "analytic-homogeneous"
@@ -554,8 +560,8 @@ def test_even_numerator_triangle_matches_full_grid(monkeypatch, kern, trip, lag,
     n = len(s)
     assert set(columns) == {(n * (n + 1) // 2, True)}
     columns.clear()
-    full, full_err = dependence_numerator_grid(dataclasses.replace(kern, even=False),
-                                               trip, lag, s, s)
+    monkeypatch.setattr(kernels.Kernel, "even", False)
+    full, full_err = dependence_numerator_grid(kern, trip, lag, s, s)
     assert set(columns) == {(n * n, False)}
     assert np.array_equal(half, half.T)
     assert np.all(np.abs(half - full) <= half_err + full_err)
@@ -574,8 +580,8 @@ def test_even_numerator_halves_the_nodes(monkeypatch):
     monkeypatch.setattr(quadrature, "_gk21", counted)
     for even in (True, False):
         nodes.append(0)
-        dependence_numerator_grid(dataclasses.replace(tent_kernel(), even=even),
-                                  _MIXED["poisson"], -0.4, _GRID, _GRID)
+        monkeypatch.setattr(kernels.Kernel, "even", even)
+        dependence_numerator_grid(tent_kernel(), _MIXED["poisson"], -0.4, _GRID, _GRID)
     assert 0 < nodes[0] <= 0.55 * nodes[1]
 
 
@@ -671,13 +677,13 @@ def test_grid_pass_of_four_lags_equals_one_lag_passes(kern, trip, lags):
         assert np.array_equal(vals[n], solo[0]) and errs[n] == solo_err[0], t
 
 
-def test_numerator_failure_names_the_caller_problem():
+def test_numerator_failure_names_the_caller_problem(monkeypatch):
     """Three engine boxes (a core and two log tails) make one integral, and so
     do an even kernel's two (the half core from t/2 and the right tail)."""
     for even, core in ((False, r"\[-4\.0, 4\.0\]"), (True, r"\[0\.0, 4\.0\]")):
-        kern = dataclasses.replace(powerlaw_kernel(3.0), even=even)
+        monkeypatch.setattr(kernels.Kernel, "even", even)
         with pytest.raises(QuadratureError, match=r"failed on " + core) as info:
-            max_dependence_ratio(kern, poisson_triplet(1.0), 0.0)
+            max_dependence_ratio(powerlaw_kernel(3.0), poisson_triplet(1.0), 0.0)
         assert "integral" not in str(info.value)
 
 
