@@ -346,8 +346,7 @@ def _lp_power_integral(kernel: Kernel, p: float) -> tuple[float, float]:
 
 
 def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth=(),
-                           overlap: bool = False, rel_tol: float = 1e-8, half: bool = False
-                           ) -> tuple[np.ndarray, np.ndarray]:
+                           half: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """P integrals, problem p giving integral g_p(f(t_1 - x), ..., f(t_m - x)) dx.
 
     ``shifts`` is a (P, m, d) array holding the shifts t_1..t_m of each
@@ -356,13 +355,11 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     each point to the (n, k) values of g, or to a
     :class:`~srdcert.quadrature.Factored` value of those columns, whose
     first factor carries a log tail's Jacobian; each batch of points costs
-    one kernel call.  g must vanish where every kernel value does:
-    g(0, ..., 0) = 0.  A box support is integrated over the bounding box of
-    the shifted boxes, which that contract makes their union, or over
-    their intersection when ``overlap`` promises that g vanishes wherever
-    one kernel value does; an empty intersection gives exact zeros.  The
-    shifted box faces, and the shifted 1-D knots inside the box, cut every
-    axis, so no interval straddles a face or knot where f may jump.
+    one kernel call.  g must vanish wherever any kernel value does, so a
+    box support is integrated over the intersection of the shifted boxes,
+    and an empty intersection gives exact zeros.  The faces of the
+    intersection, and the shifted 1-D knots inside it, cut every axis, so
+    no interval straddles a face or knot where f may jump.
 
     ``growth`` states how g grows in the kernel values: terms
     (gamma_k, C_k), C_k a number or one value per problem, promising
@@ -377,11 +374,11 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     growth.
 
     ``half`` keeps only the half-space x_1 >= c, c the mean of a problem's
-    shifts on axis 0 (t/2 for the shifts (t, 0)): a box overlap's lower
-    face on axis 0 moves up to c, and an envelope keeps its core from c
-    and the right-hand tail.  It serves an integrand whose integral over
-    the other half is folded into it, and ``growth`` bounds that folded
-    integrand.
+    shifts on axis 0 (t/2 for the shifts (t, 0)): a box intersection's
+    lower face on axis 0 moves up to c, and an envelope keeps its core
+    from c and the right-hand tail.  It serves an integrand whose integral
+    over the other half is folded into it, and ``growth`` bounds that
+    folded integrand.
 
     A problem with one shift on a profiled kernel is the integral of
     g(f(x)) over R^d, whatever the shift, and f's level sets are balls.  A
@@ -390,11 +387,10 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     radius, over [0, reach] with the weight d V r**(d-1), V the unit
     ball's measure; in d = 1 it stays on the line.
 
-    ``rel_tol`` applies to the nested cubature in d >= 2; 1-D integrals,
-    the radial ones included, keep the engine's 1-D default.  All problems
-    share one ``integrate_box`` call in every dimension.  Returns the
-    values (P, k) and errors (P,); a failure names the failing problem p,
-    "integral p of P" when P > 1, whichever of its boxes failed.
+    All problems share one ``integrate_box`` call in every dimension, at
+    its default tolerances.  Returns the values (P, k) and errors (P,); a
+    failure names the failing problem p, "integral p of P" when P > 1,
+    whichever of its boxes failed.
     """
     sup = kernel.support
     d = kernel.dim
@@ -412,8 +408,8 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
                 lambda r, p: integrand(prof.phi(r.T), p) * (shell * r ** (d - 1)),
                 np.tile([[0.0], [prof.reach]], (n_prob, 1, 1)))
 
-    # Each problem becomes boxes, given as corner sets: the shifted boxes or
-    # their intersection, or under an envelope a core with two tails
+    # Each problem becomes boxes, given as corner sets: the intersection of
+    # the shifted boxes, or under an envelope a core with two tails
     # in u = log|x| that sign = +-1 maps to x = sign e^u.  The shifted knots
     # inside a box cut it.  owner is the problem of each box; residual bounds
     # what a problem's boxes leave out.
@@ -421,15 +417,13 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     residual = np.zeros(n_prob)
     mid = sh[:, :, 0].mean(axis=1)
     if isinstance(sup, BoundedBox):
-        lo, hi = sh - np.asarray(sup.hi), sh - np.asarray(sup.lo)
-        if overlap:
-            lo, hi = lo.max(axis=1, keepdims=True), hi.min(axis=1, keepdims=True)
+        lo = (sh - np.asarray(sup.hi)).max(axis=1, keepdims=True)
+        hi = (sh - np.asarray(sup.lo)).min(axis=1, keepdims=True)
         if half:
             lo[..., 0] = np.maximum(lo[..., 0], mid[:, None])
         # an empty intersection makes the integral exactly zero
         owner = (lo < hi).all(axis=(1, 2)).nonzero()[0]
-        cuts = knots.clip(lo.min(axis=1, keepdims=True), hi.max(axis=1, keepdims=True))
-        boxes = np.concatenate((lo, hi, cuts), axis=1)[owner]
+        boxes = np.concatenate((lo, hi, knots.clip(lo, hi)), axis=1)[owner]
         sign = np.zeros(len(owner))
     else:
         terms = [(gamma, np.zeros(n_prob) + c) for gamma, c in growth]
@@ -489,11 +483,9 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
             return vals
         return vals.scaled(jac) if isinstance(vals, Factored) else vals * jac[:, None]
 
-    # one engine call in every dimension; 1-D keeps the engine's 1-D tolerance,
-    # and a failing box is named by its problem
+    # one engine call in every dimension; a failing box is named by its problem
     vals, errs = integrate_box(
-        g, boxes, rel_tol=rel_tol if d > 1 else None,
-        name=lambda b: f"integral {owner[b]} of {n_prob}" if n_prob > 1 else "")
+        g, boxes, name=lambda b: f"integral {owner[b]} of {n_prob}" if n_prob > 1 else "")
     # each problem's boxes summed in order: the core, then its tails
     out = np.zeros((n_prob,) + vals.shape[1:], vals.dtype)
     np.add.at(out, owner, vals)
@@ -601,5 +593,5 @@ def _support_condition(key: str, kernel: Kernel, density, coef: float,
     given |density(v)| <= coef |v|**gamma."""
     val, err = integrate_over_support(
         kernel, lambda fv, _: np.where(fv.T == 0.0, 0.0, density(fv.T)),
-        np.zeros((1, 1, kernel.dim)), [(gamma, coef)], rel_tol=1e-9)
+        np.zeros((1, 1, kernel.dim)), [(gamma, coef)])
     return IntegrabilityCondition(key, True, float(val[0, 0]), float(err[0]))

@@ -23,7 +23,7 @@ from .errors import RejectionError
 from .kernels import BoundedBox, Kernel
 from .spectral import (
     SpectralProfile,
-    joint_integrals,
+    cross_integrals,
     marginal_cumulant,
 )
 
@@ -373,7 +373,10 @@ def factorization_check(kernel: Kernel, triplet: levy.LevyTriplet,
     """Verify |phi_t(s1,s2) - phi(s1) phi(s2)| <= exp(-D) * 2 * N.
 
     N is the mixed square-root integral and D = sigma^2(s1) + sigma^2(s2)
-    - 2N its complement; both sides are deterministic quadratures, so any
+    - 2N its complement.  The joint characteristic function is
+    phi(s1) phi(s2) exp(-C), C the cross cumulant (``cross_integrals``), so
+    the gap is |phi(s1) phi(s2)| |exp(-C) - 1| and no two exponentials are
+    subtracted.  Both sides are deterministic quadratures, so any
     excess beyond ``tol`` is a genuine inequality failure.  Lags are
     uniform up to 1.5 support diameters (6 envelope radii), and frequency
     moduli log-uniform over FACTORIZATION_S_RANGE.
@@ -387,9 +390,8 @@ def factorization_check(kernel: Kernel, triplet: levy.LevyTriplet,
     s_pairs *= rng.choice([-1.0, 1.0], size=(n_triples, 2))
 
     marginal = marginal_cumulant(kernel, triplet, s_pairs.ravel()).reshape(n_triples, 2)
-    joint, mixed = joint_integrals(kernel, triplet, lags, s_pairs[:, 0], s_pairs[:, 1])
-    phi = np.exp(-marginal)
-    lhs = np.abs(np.exp(-joint) - phi[:, 0] * phi[:, 1])
+    cross, mixed = cross_integrals(kernel, triplet, lags, s_pairs[:, 0], s_pairs[:, 1])
+    lhs = np.exp(-marginal.real.sum(axis=1)) * np.abs(np.expm1(-cross))
     dsq = np.maximum(marginal.real, 0.0).sum(axis=1) - 2.0 * mixed
     rhs = np.exp(-np.maximum(dsq, 0.0)) * 2.0 * mixed
     excess = lhs - rhs

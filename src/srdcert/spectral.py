@@ -154,7 +154,7 @@ def _numerators(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
     # the symmetrised integrand is a sum of two products
     vals, err = integrate_over_support(kernel, integrand, shifts,
                                        _growth(triplet, scale, re=2.0 if mirror else 1.0),
-                                       overlap=True, half=mirror)
+                                       half=mirror)
     out = np.empty((len(lags), n1, n2))
     out[:, ii, jj] = vals
     if mirror:
@@ -173,31 +173,29 @@ def _sigma(kernel: Kernel, triplet: levy.LevyTriplet, s: np.ndarray) -> np.ndarr
     return np.sqrt(sq)[where].reshape(np.shape(s))
 
 
-def joint_integrals(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
+def cross_integrals(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
                     s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joint cumulant and dependence numerator of many (lag, s1, s2) triples.
+    """Cross cumulant and dependence numerator of many (lag, s1, s2) triples.
 
-    Triple i gives integral K(s1_i f(t_i - x) + s2_i f(-x)) dx, whose exp(-)
-    is the joint characteristic function, and the numerator integral
-    sqrt(Re K(s1_i f(t_i - x)) Re K(s2_i f(-x))) dx.  Each triple is one
-    problem of a single engine call, with its own shifts (t_i, 0), domain
-    and cut points; the numerator runs over the same shifted supports,
-    where it vanishes outside their intersection.
+    With a = s1_i f(t_i - x) and b = s2_i f(-x), triple i gives the cross
+    cumulant C = integral K(a + b) - K(a) - K(b) dx, so that the joint
+    characteristic function is phi(s1_i) phi(s2_i) exp(-C), and the
+    numerator integral sqrt(Re K(a) Re K(b)) dx.  K(0) = 0 makes both
+    vanish wherever either kernel value does, so each triple is one
+    overlap problem of a single engine call, with its own shifts (t_i, 0).
     """
     s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
     lags = np.asarray(lags, dtype=float).reshape(len(s1), kernel.dim)
-    # |K(a+b)| <= 2**gamma C (sv)**gamma + 2 C_im sv; the numerator <= C (sv)**gamma
-    gamma = levy.small_signal_bound(triplet)[0]
-    growth = _growth(triplet, np.maximum(np.abs(s1), np.abs(s2)), re=2.0 ** gamma + 1.0,
-                     im=2.0)
 
     def integrand(fv: np.ndarray, p: np.ndarray) -> np.ndarray:
         a, b = fv[0] * s1[p], fv[1] * s2[p]
-        joint = levy.cumulant(triplet, a + b)
+        k = levy.cumulant(triplet, np.concatenate((a + b, a, b))).reshape(3, -1)
         num = np.sqrt(levy.cumulant_re(triplet, a)) * np.sqrt(levy.cumulant_re(triplet, b))
-        return np.stack([joint, num], axis=1)
+        return np.stack([k[0] - k[1] - k[2], num], axis=1)
 
     shifts = np.stack([lags, np.zeros_like(lags)], axis=1)
+    # |K(a + b) - K(a) - K(b)| <= 2 sqrt(Re K(a) Re K(b)), twice the numerator
+    growth = _growth(triplet, np.maximum(np.abs(s1), np.abs(s2)), re=3.0)
     vals, _ = integrate_over_support(kernel, integrand, shifts, growth)
     return vals[:, 0], vals[:, 1].real
 
@@ -309,7 +307,7 @@ def _homogeneous_ratio(kernel: Kernel, t, gamma: float) -> tuple[float, float]:
         return (np.abs(fv[0] * fv[1]) ** (gamma / 2.0))[:, None]
 
     vals, err = integrate_over_support(kernel, integrand, np.array([[t, np.zeros_like(t)]]),
-                                       [(gamma, 1.0)], overlap=True)
+                                       [(gamma, 1.0)])
     den = _gamma_norm_pow(kernel, gamma)
     if den <= 0.0:
         raise RejectionError("degenerate-profile", "kernel gamma-norm vanishes")

@@ -274,17 +274,22 @@ class TestIntegrateOverSupport:
         # tent shifts 1.5 apart overlap on [0.5, 1]; their knots 0 and 1.5 lie outside
         vals, errs, corners = self.boxes(
             monkeypatch, tent_kernel(), lambda fv, _: (fv[0] * fv[1])[:, None],
-            np.array([[[1.5], [0.0]]]), overlap=True)
+            np.array([[[1.5], [0.0]]]))
         assert (corners[0, 0, 0], corners[0, -1, 0]) == (0.5, 1.0)
         assert vals[0, 0] == pytest.approx(1.0 / 48.0, rel=1e-14) and errs[0] < 1e-14
 
-    def test_disjoint_supports_are_one_interval(self, monkeypatch):
-        # boxes [-1, 0] and [1, 2]: one interval cut at every face, g = 0 in the gap
-        vals, _, corners = self.boxes(
-            monkeypatch, box_kernel(), lambda fv, _: (fv[0] + 2.0 * fv[1])[:, None],
-            np.array([[[2.0], [0.0]]]))
-        assert corners.shape[0] == 1 and set(corners[0, :, 0]) == {-1.0, 0.0, 1.0, 2.0}
-        assert vals[0, 0] == pytest.approx(3.0, rel=1e-14)
+    def test_disjoint_supports_give_exact_zeros(self, monkeypatch):
+        # boxes [1, 2]^d and [-1, 0]^d, or ones apart on a single axis: g
+        # vanishes wherever one kernel value does, so each integral is 0
+        calls = count_engine_passes(monkeypatch)
+        for dim in (1, 2):
+            shifts = np.zeros((2, 2, dim))
+            shifts[0, 0] = 2.0
+            shifts[1, 0, -1] = -1.5
+            vals, errs = integrate_over_support(
+                box_kernel(dim=dim), lambda fv, _: (fv[0] * fv[1])[:, None], shifts)
+            assert vals.shape == (2, 1) and not vals.any() and not errs.any()
+        assert calls == []
 
     def test_1d_envelope_is_a_core_and_two_log_tails(self, monkeypatch):
         k = powerlaw_kernel(1.5)

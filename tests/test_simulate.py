@@ -474,6 +474,16 @@ def test_factorization_matches_reference(case):
     assert rep.max_gap == pytest.approx(max_gap, rel=1e-12)
 
 
+def test_factorization_3d_box_matches_reference():
+    """3-D box + stable(1): every cross cumulant is an integral of a constant
+    over the intersection of two cubes.  max_gap at n_triples=20, seed=11, as
+    computed from the joint cumulant over the union of the cubes."""
+    rep = S.factorization_check(kernels.box_kernel(dim=3), levy.stable_triplet(1.0),
+                                n_triples=20, seed=11, tol=1e-8)
+    assert rep.violations == 0 and rep.max_excess == 0.0
+    assert rep.max_gap == pytest.approx(0.009394168914622802, rel=1e-12)
+
+
 def test_covariance_bound_check(box):
     tri = levy.stable_triplet(1.0)
     prof = build_profile(box, tri, window=3.0, t_step=0.025)

@@ -181,10 +181,12 @@ class TestMarginalExponent:
 
 
 def char_joint(kernel, triplet, t, s1: float, s2: float) -> complex:
-    """E exp(i(s1 X(t) + s2 X(0))) from one ``joint_integrals`` triple."""
-    joint, _ = spectral.joint_integrals(kernel, triplet, np.array([t]), np.array([s1]),
+    """E exp(i(s1 X(t) + s2 X(0))) = exp(-(m1 + m2 + C)), the marginal cumulants
+    m1, m2 and the cross cumulant C of one ``cross_integrals`` triple."""
+    cross, _ = spectral.cross_integrals(kernel, triplet, np.array([t]), np.array([s1]),
                                         np.array([s2]))
-    return complex(np.exp(-joint[0]))
+    m1, m2 = spectral.marginal_cumulant(kernel, triplet, np.array([s1, s2]))
+    return complex(np.exp(-(m1 + m2 + cross[0])))
 
 
 class TestCharacteristicFunctions:
@@ -238,8 +240,10 @@ class TestCharacteristicFunctions:
         poisson_triplet(2.0, atoms=(1.0,)),
     ], ids=["gaussian", "stable-1.5", "mixed-stable-1", "poisson"])
     def test_joint_growth_bounds_the_integrand(self, monkeypatch, trip):
-        """The growth handed to the engine bounds |K(a + b)| + sqrt(Re K(a) Re K(b))
-        wherever |a|, |b| <= S v, for v up to 1/(2S); a = b = S v is the worst case."""
+        """The growth handed to the engine bounds the cross cumulant's integrand
+        plus the numerator's, |K(a + b) - K(a) - K(b)| + sqrt(Re K(a) Re K(b)),
+        wherever |a|, |b| <= S v, for v up to 1/(2S); checked at a = S v and
+        b = +-S v, +-S v / 2."""
         captured = []
 
         def capture(kernel, integrand, shifts, growth=(), **kw):
@@ -248,11 +252,14 @@ class TestCharacteristicFunctions:
 
         monkeypatch.setattr(spectral, "integrate_over_support", capture)
         s1, s2 = np.array([0.7]), np.array([-1.3])
-        spectral.joint_integrals(powerlaw_kernel(3.0), trip, np.array([0.4]), s1, s2)
+        spectral.cross_integrals(powerlaw_kernel(3.0), trip, np.array([0.4]), s1, s2)
         v = np.geomspace(1e-6, 1.0 / (2.0 * 1.3), 200)
         bound = sum(np.asarray(c, dtype=float)[0] * v ** g for g, c in captured[0])
-        worst = np.abs(levy.cumulant(trip, 2.6 * v)) + levy.cumulant_re(trip, 1.3 * v)
-        assert np.all(worst <= bound * (1.0 + 1e-12))
+        a = 1.3 * v
+        for b in (a, -a, 0.5 * a, -0.5 * a):
+            cross = levy.cumulant(trip, a + b) - levy.cumulant(trip, a) - levy.cumulant(trip, b)
+            worst = np.abs(cross) + np.sqrt(levy.cumulant_re(trip, a) * levy.cumulant_re(trip, b))
+            assert np.all(worst <= bound * (1.0 + 1e-12))
 
     @pytest.mark.parametrize("trip", [
         stable_triplet(1.0),
@@ -261,18 +268,42 @@ class TestCharacteristicFunctions:
     @pytest.mark.parametrize("d", [1, 2])
     def test_joint_integrals_2d_box_closed_form(self, trip, d):
         """On the unit cube the shifted boxes overlap on volume A = prod(1 - |t_i|)+,
-        where the joint integrand is K(s1 + s2); each keeps 1 - A alone.  In 1-D
-        the lags past 1 leave a gap between the two boxes, where g(0, 0) = 0."""
+        where both kernel values are 1: the cross cumulant is
+        A (K(s1 + s2) - K(s1) - K(s2)) and the numerator A sqrt(Re K(s1) Re K(s2)).
+        In 1-D the lags past 1 leave no overlap and give exact zeros."""
         rng = np.random.default_rng(5)
         lags = rng.uniform(0.0, 1.5, (12, d))
         s1, s2 = (rng.uniform(0.1, 10.0, 12) * rng.choice([-1.0, 1.0], 12) for _ in range(2))
-        joint, num = spectral.joint_integrals(box_kernel(dim=d), trip, lags, s1, s2)
+        cross, num = spectral.cross_integrals(box_kernel(dim=d), trip, lags, s1, s2)
         area = np.prod(np.maximum(1.0 - lags, 0.0), axis=1)
         k1, k2 = levy.cumulant(trip, s1), levy.cumulant(trip, s2)
-        exact = area * levy.cumulant(trip, s1 + s2) + (1.0 - area) * (k1 + k2)
+        exact = area * (levy.cumulant(trip, s1 + s2) - k1 - k2)
         exact_num = area * np.sqrt(k1.real * k2.real)
-        assert np.all(np.abs(joint - exact) <= 1e-12 * (1.0 + np.abs(exact)))
+        assert np.all(np.abs(cross - exact) <= 1e-12 * (1.0 + np.abs(exact)))
         assert np.all(np.abs(num - exact_num) <= 1e-12 * (1.0 + exact_num))
+        assert np.all(cross[area == 0.0] == 0.0) and np.all(num[area == 0.0] == 0.0)
+
+    def test_cross_integrals_reach_the_engine_only_where_supports_overlap(self, monkeypatch):
+        """Box lags half inside and half beyond the diameter: only the
+        overlapping triples become engine problems, one box each, and the
+        rest are exact zeros."""
+        seen, engine = [], kernels.integrate_box
+
+        def spy(func, corners, **opts):
+            seen.append(np.asarray(corners))
+            return engine(func, corners, **opts)
+
+        monkeypatch.setattr(kernels, "integrate_box", spy)
+        lags = np.array([0.2, 0.5, -0.9, 1.1, 1.6, -2.0])
+        s = np.array([0.5, 1.0, 2.0, 3.0, 5.0, 8.0])
+        trip = levy.LevyTriplet(b0=1.0, measure=levy.CompoundPoisson(2.0, (-0.5, 2.0), (0.6, 0.4)))
+        cross, num = spectral.cross_integrals(box_kernel(), trip, lags, s, -s)
+        (corners,) = seen
+        # [t - 1, t] meets [-1, 0] on [max(t - 1, -1), min(t, 0)]
+        np.testing.assert_array_equal(np.sort(corners, axis=1)[:, [0, -1], 0],
+                                      [[-0.8, 0.0], [-0.5, 0.0], [-1.0, -0.9]])
+        assert np.all(cross[3:] == 0.0) and np.all(num[3:] == 0.0)
+        assert np.all(cross[:3] != 0.0) and np.all(num[:3] > 0.0)
 
 
 class TestDependenceRatio:
