@@ -129,8 +129,9 @@ class Kernel:
     maps (L, dim) lags to the exact integral
     |f(t-x) f(-x)|**(gamma/2) dx / ||f||_gamma^gamma at each, and
     ``closed_exceedance(r, gamma)`` is the measure of {t: overlap > r}.
-    ``knots`` lists interior 1-D breakpoints (kinks, jumps) passed on to
-    quadrature.
+    ``knots`` lists interior breakpoints (kinks, jumps) passed on to
+    quadrature: points on the line in d = 1, radii of a profile's
+    single-point integrals in d >= 2.
     """
 
     dim: int
@@ -354,8 +355,9 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     column j holding f(t_1 - x_j), ..., f(t_m - x_j), and the problem of
     each point to the (n, k) values of g, or to a
     :class:`~srdcert.quadrature.Factored` value of those columns, whose
-    first factor carries a log tail's Jacobian; each batch of points costs
-    one kernel call.  g must vanish wherever any kernel value does, so a
+    first factor carries the Jacobian of a log tail or a graded piece;
+    each batch of points costs one kernel call.  g must vanish wherever
+    any kernel value does, so a
     box support is integrated over the intersection of the shifted boxes,
     and an empty intersection gives exact zeros.  The faces of the
     intersection, and the shifted 1-D knots inside it, cut every axis, so
@@ -370,8 +372,23 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     over terms with a nonzero C_k, and the bound on what the domain leaves
     out is added to the error.  The domain is the core, cut at the
     shifted faces +-radius and knots, and two tails in u = log|x|, the
-    three summed per problem (an envelope is 1-D).  Box supports need no
-    growth.
+    three summed per problem (an envelope is 1-D).
+
+    On a box support in d = 1 ``growth`` also says where g is smooth.  A
+    face of the intersection is soft where the shifted kernel value that
+    ends there is 0 (f at the support's face is 0, as for the tent); near
+    it g behaves like that value to a power, (x - a)**(gamma/2) for a
+    dependence numerator.  A problem whose growth terms with a nonzero C_k
+    are all below v**2 (a stable part; the linear term that bounds an
+    imaginary part rides along) integrates each piece that ends on a soft
+    face in a graded coordinate (``_graded``): x = a + h v**2 toward one
+    soft end, a + h v**2 (3 - 2 v) when both ends are soft, whose
+    derivatives vanish there, so (x - a)**(1/2) becomes smooth in v and a
+    pass converges in a few rounds instead of one bisection toward the
+    face per round.  The map reads only the problem's own faces and cuts.
+    Step, Gaussian and power-law kernels have no soft face, and a v**2
+    term (Gaussian, Poisson or tabulated parts, smooth in v) keeps plain
+    coordinates.
 
     ``half`` keeps only the half-space x_1 >= c, c the mean of a problem's
     shifts on axis 0 (t/2 for the shifts (t, 0)): a box intersection's
@@ -404,9 +421,10 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
             return vals * prof.volume(d, prof.reach), np.zeros(n_prob)
         if d > 1:
             shell = d * prof.volume(d)
+            radii = [0.0, prof.reach] + [r for r in kernel.knots if 0.0 < r < prof.reach]
             return integrate_box(
                 lambda r, p: integrand(prof.phi(r.T), p) * (shell * r ** (d - 1)),
-                np.tile([[0.0], [prof.reach]], (n_prob, 1, 1)))
+                np.tile(np.reshape(radii, (-1, 1)), (n_prob, 1, 1)))
 
     # Each problem becomes boxes, given as corner sets: the intersection of
     # the shifted boxes, or under an envelope a core with two tails
@@ -416,18 +434,27 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     knots = np.subtract.outer(sh, kernel.knots).reshape(n_prob, -1, d)
     residual = np.zeros(n_prob)
     mid = sh[:, :, 0].mean(axis=1)
+    terms = [(gamma, np.zeros(n_prob) + c) for gamma, c in growth]
+    terms = [(gamma, c) for gamma, c in terms if np.any(c != 0.0)]
+    to_line = None
     if isinstance(sup, BoundedBox):
         lo = (sh - np.asarray(sup.hi)).max(axis=1, keepdims=True)
         hi = (sh - np.asarray(sup.lo)).min(axis=1, keepdims=True)
+        # at lo some f(t_j - x) is f(sup.hi), at hi some is f(sup.lo)
+        soft = np.zeros((n_prob, 2), dtype=bool)
+        if d == 1 and terms:
+            # rough where the largest growth exponent in use is below 2
+            top = np.max([np.where(c != 0.0, gamma, 2.0) for gamma, c in terms], axis=0)
+            soft[:] = (top < 2.0)[:, None] & (kernel(np.array([sup.hi[0], sup.lo[0]])) == 0.0)
         if half:
+            soft[:, 0] &= lo[:, 0, 0] >= mid
             lo[..., 0] = np.maximum(lo[..., 0], mid[:, None])
         # an empty intersection makes the integral exactly zero
         owner = (lo < hi).all(axis=(1, 2)).nonzero()[0]
         boxes = np.concatenate((lo, hi, knots.clip(lo, hi)), axis=1)[owner]
-        sign = np.zeros(len(owner))
+        if soft[owner].any():
+            to_line = _graded(boxes[:, :, 0], soft[owner])
     else:
-        terms = [(gamma, np.zeros(n_prob) + c) for gamma, c in growth]
-        terms = [(gamma, c) for gamma, c in terms if np.any(c != 0.0)]
         tail_exponent = sup.exponent * min((gamma for gamma, _ in terms), default=math.inf)
         reach = sup.amplitude * 2.0 ** sup.exponent
         coefs = sum((c * reach ** gamma for gamma, c in terms), np.zeros(n_prob)).tolist()
@@ -459,27 +486,28 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
                 owner += [i] * len(signs)
                 sign += signs
         owner, sign = np.array(owner), np.array(sign)
+        if sign.any():
+            def to_line(u: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                """A tail node u at x = sign e^u, with the Jacobian e^u."""
+                s = sign[b]
+                log_nodes = s != 0.0
+                jac = np.ones(len(u))
+                jac[log_nodes] = np.exp(u[log_nodes])
+                return np.where(log_nodes, s * jac, u), jac
 
     if not owner.size:
         # a factored integrand value expands to its columns
         zero = np.zeros_like(np.asarray(integrand(np.zeros((m, 1)), np.zeros(1, dtype=int)))[0])
         return np.zeros((n_prob,) + zero.shape, zero.dtype), np.zeros(n_prob)
 
-    mapped = sign.any()
-
     def g(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """g at the points x of the boxes b, a tail node u at x = sign e^u
-        with the Jacobian e^u."""
+        """g at the nodes x of the boxes b, in the boxes' own coordinates."""
         p = owner[b]
-        if mapped:
-            s, u = sign[b], x[:, 0]
-            log_nodes = s != 0.0
-            jac = np.ones(len(u))
-            jac[log_nodes] = np.exp(u[log_nodes])
-            x = np.where(log_nodes, s * jac, u)
+        if to_line is not None:
+            x, jac = to_line(x[:, 0], b)
         pts = sh[p].swapaxes(0, 1) - np.reshape(x, (1, -1, d))
         vals = integrand(kernel(pts.reshape(-1, d)).reshape(m, -1), p)
-        if not mapped:
+        if to_line is None:
             return vals
         return vals.scaled(jac) if isinstance(vals, Factored) else vals * jac[:, None]
 
@@ -490,6 +518,43 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     out = np.zeros((n_prob,) + vals.shape[1:], vals.dtype)
     np.add.at(out, owner, vals)
     return out, np.bincount(owner, errs, n_prob) + residual
+
+
+def _graded(edges: np.ndarray, soft: np.ndarray):
+    """The map from the engine's coordinate u to x of 1-D boxes whose ends may be soft.
+
+    Box i spans its corner coordinates ``edges[i]``; ``soft[i]`` flags its
+    lower and upper face.  A piece [a, c] between a soft face and the next
+    cut keeps its ends, but inside it x is graded in v = (u - a)/(c - a):
+    x = a + h v**2 toward a soft a, c - h (1 - v)**2 toward a soft c, and
+    the cubic a + h v**2 (3 - 2 v) when both ends are soft, h = c - a.
+    Each map's derivative vanishes at the soft end, so (x - a)**(1/2)
+    becomes smooth in v.  Every other node keeps x = u.  Returns
+    ``to_line(u, b)``, giving x and dx/du at the nodes u of boxes b.
+    """
+    edges = np.sort(edges, axis=1)
+    lo, hi = edges[:, 0], edges[:, -1]
+    # the end pieces run to the first cut above lo and the last below hi
+    first = np.where(edges > lo[:, None], edges, hi[:, None]).min(axis=1)
+    last = np.where(edges < hi[:, None], edges, lo[:, None]).max(axis=1)
+
+    def to_line(u: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        left, right = soft[b, 0] & (u < first[b]), soft[b, 1] & (u > last[b])
+        x, jac = u.copy(), np.ones(len(u))
+        i = (left | right).nonzero()[0]
+        left, right, u, b = left[i], right[i], u[i], b[i]
+        a, c = np.where(left, lo[b], last[b]), np.where(right, hi[b], first[b])
+        v, w = (u - a) / (c - a), (c - u) / (c - a)
+        # the shape is taken from the nearer end, so 1 - v never cancels
+        from_a = left & (~right | (v <= w))
+        r = np.where(from_a, v, w)
+        both = left & right
+        shape = np.where(both, r * r * (3.0 - 2.0 * r), r * r)
+        x[i] = np.where(from_a, a + (c - a) * shape, c - (c - a) * shape)
+        jac[i] = np.where(both, 6.0 * v * w, 2.0 * r)
+        return x, jac
+
+    return to_line
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +638,7 @@ def _drift_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> Integrability
     # |a0 + shift(v)| <= |a0 + shift(0)| + sup |shift(v) - shift(0)|, the
     # supremum at most the first absolute moment
     shifted = lambda v: np.abs(v) * np.abs(triplet.a0 + levy.truncated_mean_shift(triplet, v))
-    return _support_condition(key, kernel, shifted,
+    return _support_condition(key, kernel, triplet, shifted,
                               asympt + levy.abs_moment(triplet.measure, 1), 1.0)
 
 
@@ -583,15 +648,41 @@ def _jump_condition(kernel: Kernel, triplet: levy.LevyTriplet) -> IntegrabilityC
         return IntegrabilityCondition(
             "jumps", False, math.inf, note=f"clipped moment ~ |f|^2, 2*{sup.exponent:g} <= dim")
     # min(1, (yv)**2) <= (yv)**2
-    return _support_condition("jumps", kernel, lambda v: levy.clipped_second_moment(triplet, v),
+    return _support_condition("jumps", kernel, triplet,
+                              lambda v: levy.clipped_second_moment(triplet, v),
                               levy.abs_moment(triplet.measure, 2), 2.0)
 
 
-def _support_condition(key: str, kernel: Kernel, density, coef: float,
-                       gamma: float) -> IntegrabilityCondition:
+def _support_condition(key: str, kernel: Kernel, triplet: levy.LevyTriplet, density,
+                       coef: float, gamma: float) -> IntegrabilityCondition:
     """integral density(f(x)) dx over the support, density(0) taken as 0,
-    given |density(v)| <= coef |v|**gamma."""
+    given |density(v)| <= coef |v|**gamma.
+
+    A Poisson atom a enters the truncation |a v| <= 1 at the kernel value
+    v = 1/|a|, where the drift density jumps and the clipped moment kinks;
+    on a profiled kernel the integral is cut where f crosses those levels.
+    """
+    m, prof = triplet.measure, kernel.profile
+    if isinstance(m, levy.CompoundPoisson) and prof is not None and not prof.step:
+        radii = _level_radii(prof, [1.0 / abs(a) for a in m.atoms])
+        cuts = radii if kernel.dim > 1 else np.concatenate((prof.center[0] - radii,
+                                                            prof.center[0] + radii))
+        kernel = dataclasses.replace(kernel, knots=kernel.knots + tuple(cuts.tolist()))
     val, err = integrate_over_support(
         kernel, lambda fv, _: np.where(fv.T == 0.0, 0.0, density(fv.T)),
         np.zeros((1, 1, kernel.dim)), [(gamma, coef)])
     return IntegrabilityCondition(key, True, float(val[0, 0]), float(err[0]))
+
+
+def _level_radii(prof: Profile, levels) -> np.ndarray:
+    """The radii where phi falls through each level below phi(0), by
+    bisection on the non-increasing phi."""
+    levels = np.array([v for v in levels if v < prof.phi(np.zeros(1))[0]])
+    lo, hi = np.zeros(len(levels)), np.ones(len(levels))
+    while np.any(prof.phi(hi) >= levels):
+        hi = np.where(prof.phi(hi) >= levels, 2.0 * hi, hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        above = prof.phi(mid) >= levels
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return hi

@@ -32,9 +32,11 @@ points inside it (shifted faces, kernel knots, breakpoints), at whose
 coordinates every axis is cut; they get back the k integral values plus
 an additive error estimate.  The whole bounding box is integrated, so a
 domain that is a union of boxes needs an integrand that vanishes in the
-gaps between them.  Unbounded or slowly decaying ranges are the
-caller's: it integrates in its own coordinates, u = log|x| for a
-power-law tail, and bounds what its boxes leave out.
+gaps between them.  Unbounded or slowly decaying ranges, and algebraic
+endpoint singularities, are the caller's: it integrates in its own
+coordinates, u = log|x| for a power-law tail or a graded u with
+x - a ~ u**2 toward a face where the integrand behaves like
+(x - a)**(1/2) (Sidi, 1993), and bounds what its boxes leave out.
 
 Problem axis: one pass integrates many independent problems.  Each keeps
 its own intervals, tolerance, error, interval limit and failure, and its
@@ -70,7 +72,8 @@ _BOX_LIMIT = 500
 # Most intervals bisected in one round.
 _ROUND_INTERVALS = 128
 # Most elements one integrand call allocates: nodes x k values, or a
-# factored value's node tables and sum matrices; a single interval is
+# factored value's node tables and the working set of its sums
+# (``_factored_sums``, which reports it per interval); a single interval is
 # evaluated whole even when it exceeds this.  Also the most values (halves
 # x k) that one group of a round's problems returns.
 _CHUNK_ELEMENTS = 2 ** 16
@@ -217,22 +220,40 @@ def _factored_sums(fv: Factored, m: int):
     21 further nodes.  The dispersion is the L2 one,
     sqrt(2 sum kappa (f - s_k/2)**2) = sqrt(2 sum kappa f**2 - s_k**2),
     clamped at 0, and f >= 0 makes sum kappa |f| the Kronrod sum itself.
-    One interval allocates its factor tables and three n1 x n2 sums."""
+    The reported size is what one interval allocates at the peak: its
+    factor tables, three n1 x n2 sums and the largest table beside them,
+    or the taken sums beside the dispersion's temporaries.  A call adds
+    at most one numpy buffer (8192 elements) for its strided products."""
     n1, n2 = fv.a.shape[1], fv.b.shape[1]
     a, b = fv.a.reshape(m, 21, n1), fv.b.reshape(m, 21, n2)
-    left, right = a * a, b * b
-    if fv.mirror:
-        ab = a * b
-        left, right = np.concatenate((left, ab), axis=1), np.concatenate((right, ab), axis=1)
-    weighted = (right.reshape(m, -1, 21, n2) * _K21_WEIGHTS[:, None]).reshape(right.shape)
+    nodes, k = 42 if fv.mirror else 21, len(fv.cols)
     # (m, 3, n1, n2): the Kronrod, Gauss and squared Kronrod sums
-    mats = np.concatenate((a.transpose(0, 2, 1)[:, None] @ (_RULE_WEIGHTS[:, :, None] * b[:, None]),
-                           (left.transpose(0, 2, 1) @ weighted)[:, None]), axis=1)
+    mats = np.empty((m, 3, n1, n2))
+    weighted = np.empty((2, m, 21, n2))
+    for rule in (0, 1):
+        np.multiply(b, _RULE_WEIGHTS[rule, :, None], out=weighted[rule])
+    np.matmul(a.transpose(0, 2, 1)[:, None], weighted.swapaxes(0, 1), out=mats[:, :2])
+    del weighted
+    left, right = np.empty((m, nodes, n1)), np.empty((m, nodes, n2))
+    np.multiply(a, a, out=left[:, :21])
+    np.multiply(b, b, out=right[:, :21])
     if fv.mirror:
-        mats += mats.swapaxes(2, 3)
-    s_k, s_g, sq = mats.reshape(m, 3, n1 * n2).take(fv.cols, axis=2).transpose(1, 0, 2)
+        np.multiply(a, b, out=left[:, 21:])
+        right[:, 21:] = left[:, 21:]
+    right *= np.tile(_K21_WEIGHTS, nodes // 21)[:, None]
+    np.matmul(left.transpose(0, 2, 1), right, out=mats[:, 2])
+    del left, right
+    mats = mats.reshape(m, 3, n1 * n2)
+    sums = mats.take(fv.cols, axis=2)
+    if fv.mirror:
+        i, j = np.divmod(fv.cols, n2)
+        sums += mats.take(j * n2 + i, axis=2)
+    del mats
+    s_k, s_g, sq = sums.transpose(1, 0, 2)
     disp = np.sqrt(np.maximum(2.0 * sq - s_k * s_k, 0.0))
-    return s_k, s_g, disp, s_k, 21 * (n1 + n2) + 3 * n1 * n2
+    stage = max(42 * n2, nodes * (n1 + n2), 3 * k * (1 + fv.mirror))
+    size = 21 * (n1 + n2) + max(3 * n1 * n2 + stage, 6 * k)
+    return s_k, s_g, disp, s_k, size
 
 
 def _gk21(func, prob: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int | None):

@@ -262,15 +262,19 @@ def _ratio_search(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
     lag in every engine pass: the full grids of a block in passes of
     GRID_LAGS lags, then each refine round the grids of all its lags in
     one pass.  Each stage takes sigma from one ``marginal_exponent_grid``
-    call over its distinct frequencies.
+    call over its distinct frequencies.  At lag 0 the ratio is at most 1 by
+    Cauchy-Schwarz, with equality at s1 = s2: a zero lag gets 1 with error
+    0 and makes no pass.
     """
     s_vals = np.geomspace(s_box[0], s_box[1], DEFAULT_S_POINTS)
     sig = _sigma(kernel, triplet, s_vals)
     den = np.outer(sig, sig)
     grid = np.tile(s_vals, (GRID_LAGS, 1))
-    values, errors = [], []
-    for start in range(0, len(lags), RATIO_BLOCK):
-        block = lags[start:start + RATIO_BLOCK]
+    values, errors = np.ones(len(lags)), np.zeros(len(lags))
+    moving = lags.any(axis=1).nonzero()[0]
+    for start in range(0, len(moving), RATIO_BLOCK):
+        at = moving[start:start + RATIO_BLOCK]
+        block = lags[at]
         rows = np.arange(len(block))
         # the full grids go GRID_LAGS lags per pass, which bounds the peak memory
         nums, errs = zip(*(_numerators(kernel, triplet, part, grid[:len(part)], grid[:len(part)])
@@ -291,9 +295,8 @@ def _ratio_search(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
             best = np.where(take, sub, best)
             b1, b2 = np.where(take, g1[rows, i], b1), np.where(take, g2[rows, j], b2)
             err = np.maximum(err, sub_err)
-        values.append(best)
-        errors.append(err)
-    return np.concatenate(values), np.concatenate(errors)
+        values[at], errors[at] = best, err
+    return values, errors
 
 
 def _argmax(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -311,6 +311,24 @@ class TestIntegrateOverSupport:
         np.testing.assert_array_equal(corners, np.tile([[0.0], [8.5 * 0.8]], (2, 1, 1)))
         assert np.all(np.abs(vals[:, 0] - (0.8 * math.sqrt(math.pi / 2.0)) ** dim) <= errs)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("lag", [0.0, 0.7, 1.3])
+    def test_soft_face_integrand_matches_quad(self, monkeypatch, alpha, lag):
+        """Every face of a tent overlap is soft, and (f(t-x) f(-x))**(alpha/2)
+        behaves like (x - a)**(alpha/2) there: the graded pass agrees with
+        scipy quad within the summed stated errors."""
+        graded, grade = [], kernels._graded
+        monkeypatch.setattr(kernels, "_graded", lambda *a: graded.append(a) or grade(*a))
+        k = tent_kernel()
+        vals, errs = integrate_over_support(
+            k, lambda fv, _: (fv[0] * fv[1])[:, None] ** (alpha / 2.0),
+            np.array([[[lag], [0.0]]]), [(alpha, 1.0)])
+        assert len(graded) == 1 and graded[0][1].all()
+        ref, ref_err = quad(lambda x: (at(k, lag - x) * at(k, -x)) ** (alpha / 2.0),
+                            lag - 1.0, 1.0, points=[p for p in (0.0, lag) if lag - 1.0 < p < 1.0],
+                            epsabs=1e-14, epsrel=1e-13, limit=200)
+        assert abs(vals[0, 0] - ref) <= errs[0] + ref_err
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_step_profile_makes_no_engine_pass(self, monkeypatch, dim):
         """The box is a step profile: each single-point integral is g(1) |B|,
@@ -391,6 +409,30 @@ class TestIntegrability:
                        epsabs=1e-13, epsrel=1e-12)
         assert drift.value == pytest.approx(2.0 * half, rel=1e-9)
         assert drift.value > 0.0
+
+    def test_locked_drift_jumps_are_cut_for_every_atom(self):
+        """The locked drift density |f| |a0 + shift(f)| jumps where f = 1/a.
+        Cut at that level, 41 atoms a in [1.2, 4] agree with scipy quad,
+        which has the jump as its end point, within the summed errors."""
+        kern = powerlaw_kernel(1.5)
+        for a in np.linspace(1.2, 4.0, 41):
+            a0 = -truncated_mean_shift(poisson_triplet(2.0, atoms=(-0.5, a),
+                                                       weights=(0.6, 0.4)), 0.0)
+            trip = poisson_triplet(2.0, atoms=(-0.5, a), weights=(0.6, 0.4), a0=a0)
+            drift = {c.key: c for c in check_integrability(kern, trip).conditions}["drift"]
+            density = lambda x: at(kern, x) * abs(a0 + truncated_mean_shift(trip, at(kern, x)))
+            half, half_err = quad(density, 0.0, a ** (1.0 / 1.5), points=[1.0],
+                                  epsabs=1e-14, epsrel=1e-13)
+            assert abs(drift.value - 2.0 * half) <= drift.error + 2.0 * half_err, a
+
+    def test_drift_jump_in_the_radius_is_cut(self):
+        """On the 2-D Gaussian the drift density 1.6 f 1[f < 1/2] of the
+        Poisson atoms -0.5, 2 integrates to pi w**2 int_0^(1/2) 1.6 dy = 0.8 pi;
+        the radial pass is cut where f = 1/2."""
+        trip = poisson_triplet(2.0, atoms=(-0.5, 2.0), weights=(0.6, 0.4))
+        report = check_integrability(gaussian_kernel(dim=2), trip)
+        drift = {c.key: c for c in report.conditions}["drift"]
+        assert abs(drift.value - 0.8 * math.pi) <= drift.error < 1e-11
 
     def test_drift_divergence_flagged(self):
         trip = stable_triplet(1.0, a0=1.0)

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -567,6 +568,26 @@ def test_factored_round_spans_several_chunks():
     assert len(calls) > 2 and sum(calls) == 60
     assert max(calls) * size <= quadrature._CHUNK_ELEMENTS
     assert np.all(np.abs(fac - exp) <= 1e-14 * np.abs(exp))
+
+
+@pytest.mark.parametrize("n, mirror", [(25, True), (25, False), (5, True), (5, False)],
+                         ids=["25-mirror", "25-full", "5-mirror", "5-full"])
+def test_factored_size_is_what_an_interval_allocates(n, mirror):
+    """The size _factored_sums reports for one interval, times 40 intervals,
+    bounds the traced peak of building the factor tables and the sums,
+    beyond one numpy buffer of 8192 elements and the array headers, and
+    overstates it by at most a tenth."""
+    m, (i, j) = 40, np.triu_indices(n) if mirror else np.indices((n, n)).reshape(2, -1)
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        fv = quadrature.Factored(rng.random((21 * m, n)), rng.random((21 * m, n)),
+                                 i * n + j, mirror)
+        size = quadrature._factored_sums(fv, m)[-1]
+        peak = tracemalloc.get_traced_memory()[1] / 8
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * size * m <= peak <= size * m + 8192 + 2048, (peak, size * m)
 
 
 def test_factored_dispersion_is_never_below_quadpacks():

@@ -668,7 +668,7 @@ def test_profile_makes_one_ratio_call(monkeypatch, kern, trip, method):
 def test_refine_rounds_share_one_pass_per_block(monkeypatch, n_lags):
     """Per block of up to RATIO_BLOCK lags, the full grids in passes of up to
     GRID_LAGS lags, then REFINE_ROUNDS passes of the whole block; sigma^2
-    here is a closed form."""
+    here is a closed form.  Lag 0 makes no pass and reads exactly 1."""
     problems = []
     engine = kernels.integrate_box
 
@@ -677,7 +677,8 @@ def test_refine_rounds_share_one_pass_per_block(monkeypatch, n_lags):
         return engine(func, corners, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "integrate_box", counted)
-    lags = np.linspace(0.0, 1.5, n_lags).reshape(-1, 1)
+    # lag 0 and n_lags others
+    lags = np.linspace(0.0, 1.5, n_lags + 1).reshape(-1, 1)
     values, errors = spectral._ratio_search(tent_kernel(), _MIXED["stable"], lags, DEFAULT_S_BOX)
     expect = []
     for start in range(0, n_lags, spectral.RATIO_BLOCK):
@@ -686,8 +687,8 @@ def test_refine_rounds_share_one_pass_per_block(monkeypatch, n_lags):
         assert len(full) == -(-block // spectral.GRID_LAGS)
         expect += full + [block] * spectral.REFINE_ROUNDS
     assert problems == expect
-    assert values.shape == errors.shape == (n_lags,)
-    assert values[0] == pytest.approx(1.0, abs=1e-10)
+    assert values.shape == errors.shape == (n_lags + 1,)
+    assert values[0] == 1.0 and errors[0] == 0.0
 
 
 @pytest.mark.parametrize("kern, trip, lags", [
@@ -708,13 +709,54 @@ def test_grid_pass_of_four_lags_equals_one_lag_passes(kern, trip, lags):
         assert np.array_equal(vals[n], solo[0]) and errs[n] == solo_err[0], t
 
 
+def test_tent_stable_numerator_passes_take_at_most_four_rounds(monkeypatch):
+    """With a stable part the numerator behaves like (x - a)**(1/2) at each
+    soft face of a tent overlap.  In the graded coordinate every one-lag
+    pass of the mixed benchmark's overlapping lags, on the 25 x 25 grid and
+    on a 5 x 5 refine grid, makes its first GK21 call and at most 4 rounds."""
+    calls = []
+    gk21 = quadrature._gk21
+
+    def counted(*args):
+        calls[-1] += 1
+        return gk21(*args)
+
+    monkeypatch.setattr(quadrature, "_gk21", counted)
+    for t in -0.2 * np.arange(1, 10):
+        for grid in (_GRID, np.geomspace(0.5, 2.0, 5)):
+            calls.append(0)
+            spectral._numerators(tent_kernel(), _MIXED["stable"], np.array([[t]]),
+                                 grid[None], grid[None])
+    assert 0 < max(calls) <= 5, calls
+
+
+@pytest.mark.parametrize("kern, trip, graded", [
+    (tent_kernel(), _MIXED["stable"], True),
+    (tent_kernel(), _B0_STABLE_15, True),
+    (tent_kernel(), _MIXED["poisson"], False),
+    (tent_kernel(), gaussian_triplet(1.0), False),
+    (box_kernel(), _MIXED["stable"], False),
+    (gaussian_kernel(), _MIXED["stable"], False),
+    (powerlaw_kernel(3.0), _MIXED["stable"], False),
+], ids=["tent-stable", "tent-stable-1.5", "tent-poisson", "tent-gaussian", "box-stable",
+        "gaussian-stable", "powerlaw-stable"])
+def test_only_soft_faces_under_a_stable_part_are_graded(monkeypatch, kern, trip, graded):
+    """The tent's faces are soft; box, Gaussian and power-law kernels have
+    none, and Poisson and Gaussian triplets (growth v**2) keep plain
+    coordinates even on the tent."""
+    maps, grade = [], kernels._graded
+    monkeypatch.setattr(kernels, "_graded", lambda *a: maps.append(a) or grade(*a))
+    spectral._numerators(kern, trip, np.array([[0.4]]), _GRID[None], _GRID[None])
+    assert bool(maps) == graded
+
+
 def test_numerator_failure_names_the_caller_problem(monkeypatch):
     """Three engine boxes (a core and two log tails) make one integral, and so
     do an even kernel's two (the half core from t/2 and the right tail)."""
-    for even, core in ((False, r"\[-4\.0, 4\.0\]"), (True, r"\[0\.0, 4\.0\]")):
+    for even, core in ((False, r"\[-4\.0, 4\.0\]"), (True, r"\[0\.5, 4\.0\]")):
         monkeypatch.setattr(kernels.Kernel, "even", even)
         with pytest.raises(QuadratureError, match=r"failed on " + core) as info:
-            max_dependence_ratio(powerlaw_kernel(3.0), poisson_triplet(1.0), 0.0)
+            max_dependence_ratio(powerlaw_kernel(3.0), poisson_triplet(1.0), 1.0)
         assert "integral" not in str(info.value)
 
 
