@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import io
 import math
 import sys
 from pathlib import Path
@@ -33,9 +34,11 @@ from .kernels import Kernel
 from .spectral import DEFAULT_S_BOX, build_profile, char_marginal
 
 _FMT = "%.17g"
-# rows of samples.csv formatted in one call: whole blocks keep the Python
-# work per row small without holding the text of every row at once
-_SAMPLE_BLOCK = 4096
+# rows of samples.csv formatted in one call: the numpy work per row stays
+# small, and a block's temporaries (about 1 MB) stay small enough for glibc
+# malloc to reuse; 4096-row blocks got fresh pages every block (28 000 page
+# faults, a third of the writer's time, on 100 000 rows x 3 lags)
+_SAMPLE_BLOCK = 1024
 REQUIRED = object()  # schema default of a key that must be given
 
 
@@ -217,20 +220,111 @@ def _write_certificates(out_dir: Path, reports: list[CertificateReport]):
         writer.writerows(rep.csv_row() for rep in reports)
 
 
+def _number(v: float) -> str:
+    """v as ``:g`` writes it where that reads back as v, else its repr."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
+
+
 def _lag_label(lag: tuple) -> str:
-    return f"{lag[0]:g}" if len(lag) == 1 else "/".join(f"{v:g}" for v in lag)
+    return "/".join(map(_number, lag))
+
+
+# samples.csv spells each value as _FMT does.  Where 1e-4 <= |x| < 1e16 that is
+# fixed notation of the 17-digit integer nearest |x| 10^(16-k), k = floor(log10
+# |x|), which numpy finds exactly; every other value, and an exact tie, which
+# rounds half to even, goes through _FMT itself.
+_FIELD = 24  # widest _FMT text: "-1.2345678901234567e-308"
+_POW10 = np.array([float(10 ** n) for n in range(21)])  # exact doubles
+
+
+def _digit_words() -> np.ndarray:
+    """uint32 words whose bytes spell 0000 to 9999, then for each leading
+    digit d the word (d, '0', '.', NUL)."""
+    quads = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + 48
+    heads = np.zeros((10, 4), np.uint8)
+    heads[:, 0], heads[:, 1], heads[:, 2] = np.arange(48, 58), 48, 46
+    return np.concatenate((quads, heads)).view(np.uint32).ravel()
+
+
+def _layouts() -> np.ndarray:
+    """For k in [-4, 15] and 0..16 trailing zero digits, row 17 (k + 4) + zeros
+    holds the source byte of each field byte: the 17 digits in fixed notation,
+    trailing zeros and a bare '.' stripped.  Source bytes are the leading word
+    (d, '0', '.', NUL), then the other 16 digits; byte 0 is left for the sign
+    and NUL pads."""
+    digits = [0, *range(4, 20)]
+    table = np.full((20, 17, _FIELD + 2), 3, np.uint8)
+    for k in range(-4, 16):
+        body = (digits[:k + 1] + [2] + digits[k + 1:] if k >= 0
+                else [1, 2] + [1] * (-k - 1) + digits)
+        for zeros in range(17):
+            frac = max(16 - k - zeros, 0)
+            size = max(k + 1, 1) + (frac + 1 if frac else 0)
+            table[k + 4, zeros, 1:1 + size] = body[:size]
+    return table.reshape(-1, _FIELD + 2)
+
+
+_DIGIT_WORDS, _LAYOUTS = _digit_words(), _layouts()
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp: v = hi + lo with at most 26 significant bits in each."""
+    c = v * 134217729.0  # 2^27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _csv_rows(block: np.ndarray) -> bytes:
+    """The rows csv.writer writes for ``block`` with each value as _FMT."""
+    x = block.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0
+    k = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.intp)
+    # |x| 10^(16-k) = h + e exactly (Dekker's two-product); where k is right,
+    # h >= 2^53 is an integer
+    p = _POW10[16 - k]
+    h = a * p
+    (ah, al), (ph, pl) = _split(a), _split(p)
+    e = ((ah * ph - h) + ah * pl + al * ph) + al * pl
+    floor_e = np.floor(e)
+    frac = e - floor_e
+    digits = h.astype(np.int64) + floor_e.astype(np.int64) + (frac > 0.5)
+    # Next to a power of ten log10 can be one off, which puts the digits out
+    # of range: no double lies within 5e-17 (relative) below a power of ten,
+    # so they neither round to 10^16 from below nor up to 10^17.  An exact
+    # tie rounds half to even.  Both go through _FMT; their digits here are
+    # only placeholders.
+    fast &= (frac != 0.5) & (digits >= 10 ** 16) & (digits < 10 ** 17)
+    digits[~fast] = 10 ** 16
+    hi, lo = digits // 10 ** 8, digits % 10 ** 8
+    src = _DIGIT_WORDS[np.stack((hi // 10 ** 8 + 10000, hi // 10 ** 4 % 10 ** 4,
+                                 hi % 10 ** 4, lo // 10 ** 4, lo % 10 ** 4), axis=1)]
+    src = src.view(np.uint8)
+    # trailing zero digits; byte 3 is NUL, so the search stops at 16
+    zeros = (src[:, :2:-1] != 48).argmax(axis=1)
+    layout = _LAYOUTS[(k + 4) * 17 + zeros] + np.arange(0, src.size, src.shape[1])[:, None]
+    field = src.ravel().take(layout)
+    field[:, 0] = (x < 0) * ord("-")
+    slow = np.flatnonzero(~fast)
+    text = (f"%-{_FIELD}.17g" * len(slow)) % tuple(x[slow].tolist())  # _FMT, space-padded
+    field[slow, :_FIELD] = np.frombuffer(text.encode().replace(b" ", b"\0"),
+                                         np.uint8).reshape(-1, _FIELD)
+    rows = field.reshape(*block.shape, _FIELD + 2)
+    rows[:, :-1, _FIELD] = ord(",")
+    rows[:, -1, _FIELD:] = (13, 10)  # \r\n
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _write_samples(out_dir: Path, sample: sim.FieldSample):
     out_dir.mkdir(parents=True, exist_ok=True)
-    values = sample.values
-    # the rows csv.writer would write: numbers need no quoting, CRLF ends
-    row = ",".join([_FMT] * values.shape[1]) + "\r\n"
-    with open(out_dir / "samples.csv", "w", newline="") as fh:
-        csv.writer(fh).writerow([f"lag={_lag_label(lag)}" for lag in sample.lags])
-        for start in range(0, len(values), _SAMPLE_BLOCK):
-            block = values[start:start + _SAMPLE_BLOCK]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    header = io.StringIO()
+    csv.writer(header).writerow([f"lag={_lag_label(lag)}" for lag in sample.lags])
+    with open(out_dir / "samples.csv", "wb") as fh:
+        fh.write(header.getvalue().encode())
+        for start in range(0, len(sample.values), _SAMPLE_BLOCK):
+            fh.write(_csv_rows(sample.values[start:start + _SAMPLE_BLOCK]))
 
 
 def _write_validation(out_dir: Path, rows: list[tuple]):
@@ -350,7 +444,7 @@ def cmd_validate(parser: configparser.ConfigParser, out_dir: Path,
         profile_error = f"profile: {exc}"
     for lag in settings["lags"]:
         t = (lag,) * kernel.dim
-        scenario = f"lag={lag:g}/{settings['probe'].name}"
+        scenario = f"lag={_number(lag)}/{settings['probe'].name}"
         if profile_error:
             failed_check("covariance-bound", scenario, profile_error)
             continue
@@ -368,7 +462,7 @@ def cmd_validate(parser: configparser.ConfigParser, out_dir: Path,
                      "lhs", _FMT % rep.lhs, _FMT % (rep.rhs + 3.0 * rep.se),
                      rep.passed))
         if verbose:
-            print(f"covariance bound lag={lag:g} {settings['probe'].name}:"
+            print(f"covariance bound lag={_number(lag)} {settings['probe'].name}:"
                   f" lhs={rep.lhs:.6f} rhs={rep.rhs:.6f} se={rep.se:.6f}")
 
     _write_validation(out_dir, rows)

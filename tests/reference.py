@@ -1,10 +1,12 @@
 """Reference helpers shared by the tests; not part of the package."""
 
+import csv
+import io
 import math
 
 import numpy as np
 
-from srdcert import levy, simulate
+from srdcert import cli, levy, simulate
 from srdcert.spectral import _clamp_ratio, _numerators, _sigma
 
 
@@ -154,3 +156,16 @@ def clipped_second_moment(measure, v):
             out = out + (v_arr * v_arr * levy._side_integral(side, 2, side.knots[0], r_clip)
                          + levy._side_integral(side, 0, r_clip, side.knots[-1]))
     return out
+
+
+def samples_csv(sample):
+    """samples.csv as csv.writer writes it with every value as "%.17g", built
+    by Python's bulk % formatting 4096 rows at a time."""
+    out = io.StringIO(newline="")
+    csv.writer(out).writerow([f"lag={cli._lag_label(lag)}" for lag in sample.lags])
+    values = sample.values
+    row = ",".join(["%.17g"] * values.shape[1]) + "\r\n"
+    for start in range(0, len(values), 4096):
+        block = values[start:start + 4096]
+        out.write((row * len(block)) % tuple(block.ravel().tolist()))
+    return out.getvalue().encode()

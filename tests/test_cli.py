@@ -15,6 +15,8 @@ from srdcert.cli import main
 from srdcert.errors import QuadratureError
 from srdcert.simulate import FieldSample, SimConfig
 
+import reference
+
 EXAMPLE = """
 [kernel]
 type = box
@@ -345,6 +347,96 @@ def test_sample_file_bytes(tmp_path):
     parsed = np.array([[float(v) for v in line.split(b",")] for line in lines[1:-1]])
     assert np.array_equal(parsed, values)
     assert np.array_equal(np.signbit(parsed), np.signbit(values))
+
+
+def _sample(values):
+    lags = tuple((0.5 * i,) for i in range(values.shape[1]))
+    return FieldSample(lags=lags, values=values, n_cells=1,
+                       config=SimConfig(n_samples=len(values), lattice_step=0.1),
+                       kernel_name="k", triplet_name="t")
+
+
+def _adversarial_values():
+    """Float64 values where a fixed-notation %.17g formatter can go wrong."""
+    rng = np.random.default_rng(34)
+    bits = rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64)
+    powers = np.array([float(f"1e{j}") for j in range(-6, 19)])
+    edges = np.array([1e-4, 1e16])
+    for _ in range(3):
+        edges = np.concatenate((np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)))
+    # dyadic ties: the exact decimal of m/8 near 1e15 and of n + j/1024 near
+    # 1e12 ends in a 5 right after the 17th digit for some m and j
+    ties = np.concatenate((
+        (8e15 + np.arange(-500, 500)) / 8,
+        np.floor(rng.uniform(1e12, 4e12, 1024)) + np.arange(1024) / 1024,
+        np.arange(1, 4001) / 8, np.arange(1, 4001) / 1024,
+        np.floor(rng.uniform(1e15, 2.0 ** 52, 1000)) + 0.5,
+        np.floor(rng.uniform(0, 1e16, 1000))))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                        2.2250738585072009e-308, 2.2250738585072014e-308, -1e-310])
+    values = np.concatenate((np.nextafter(powers, 0.0), powers,
+                             np.nextafter(powers, np.inf), edges, ties, special))
+    values = np.concatenate((values, -values, bits))
+    return values[rng.permutation(len(values))]
+
+
+def test_sample_writer_matches_reference(tmp_path):
+    """The vectorized writer spells every value as "%.17g" does, in 1-, 2- and
+    3-column files whose rows end inside a block."""
+    parts = np.array_split(_adversarial_values(), 3)
+    for columns, part in enumerate(parts, start=1):
+        rows = len(part) // columns
+        rows -= rows % cli._SAMPLE_BLOCK == 0
+        sample = _sample(part[:rows * columns].reshape(rows, columns))
+        cli._write_samples(tmp_path, sample)
+        assert (tmp_path / "samples.csv").read_bytes() == reference.samples_csv(sample)
+
+
+@pytest.mark.parametrize("shift", [-1e-9, 1e-9])
+def test_sample_writer_exact_when_log10_is_off(tmp_path, monkeypatch, shift):
+    """Next to a power of ten a log10 one off either way puts the digits out
+    of range, and those values go through "%.17g"."""
+    near = np.array([float(f"1e{j}") for j in range(-4, 16)])
+    for _ in range(3):
+        near = np.concatenate((np.nextafter(near, 0.0), near, np.nextafter(near, np.inf)))
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    sample = _sample(np.concatenate((near, -near))[:, None])
+    cli._write_samples(tmp_path, sample)
+    assert (tmp_path / "samples.csv").read_bytes() == reference.samples_csv(sample)
+
+
+def test_sample_writer_ties_round_half_even(tmp_path):
+    values = np.array([[1000000000000000.25, 1000000000000000.75, 1000000000000.03125]])
+    cli._write_samples(tmp_path, _sample(values))
+    assert (tmp_path / "samples.csv").read_bytes().split(b"\r\n")[1] == (
+        b"1000000000000000.2,1000000000000000.8,1000000000000.0312")
+
+
+def test_close_lags_get_distinct_labels(tmp_path, capsys):
+    """Lags that :g rounds to one label keep their repr in every label."""
+    body = EXAMPLE + """
+[simulate]
+n_samples = 500
+lattice_step = 0.125
+seed = 5
+lags = 1.0000001, 1.0000002, 0.6
+threshold = 0.5
+probe = gaussian
+n_triples = 4
+negdef_samples = 200
+"""
+    cfg = write_cfg(tmp_path, body)
+    main(["simulate", str(cfg), "--output", str(tmp_path / "sim")])
+    header = (tmp_path / "sim" / "samples.csv").read_text().splitlines()[0]
+    assert header == "lag=0,lag=1.0000001,lag=1.0000002,lag=0.6"
+    out = capsys.readouterr().out
+    assert "lag 1.0000001:" in out and "lag 1.0000002:" in out
+    main(["validate", str(cfg), "--output", str(tmp_path / "val")])
+    with open(tmp_path / "val" / "validation.csv") as fh:
+        scenarios = [r["scenario"].split("/")[0] for r in csv.DictReader(fh)
+                     if r["check"] == "covariance-bound"]
+    assert scenarios == ["lag=1.0000001", "lag=1.0000002", "lag=0.6"]
 
 
 def test_simulate_deterministic_and_seed_override(tmp_path):
