@@ -31,6 +31,7 @@ from .certify import (
 )
 from .errors import ConfigError, QuadratureError, RejectionError, SrdcertError
 from .kernels import Kernel
+from .names import number
 from .spectral import DEFAULT_S_BOX, build_profile, char_marginal
 
 _FMT = "%.17g"
@@ -220,14 +221,8 @@ def _write_certificates(out_dir: Path, reports: list[CertificateReport]):
         writer.writerows(rep.csv_row() for rep in reports)
 
 
-def _number(v: float) -> str:
-    """v as ``:g`` writes it where that reads back as v, else its repr."""
-    text = f"{v:g}"
-    return text if float(text) == v else repr(v)
-
-
 def _lag_label(lag: tuple) -> str:
-    return "/".join(map(_number, lag))
+    return "/".join(map(number, lag))
 
 
 # samples.csv spells each value as _FMT does.  Where 1e-4 <= |x| < 1e16 that is
@@ -368,7 +363,7 @@ def cmd_sweep(parser: configparser.ConfigParser, out_dir: Path,
         rep = certify(build_kernel(patched), build_triplet(patched),
                       **_numerics(patched))
         reports.append(rep)
-        print(f"{target}={value:g}: {rep.verdict}")
+        print(f"{target}={number(value)}: {rep.verdict}")
     _write_certificates(out_dir, reports)
     return 0 if all(r.certified for r in reports) else 2
 
@@ -444,7 +439,7 @@ def cmd_validate(parser: configparser.ConfigParser, out_dir: Path,
         profile_error = f"profile: {exc}"
     for lag in settings["lags"]:
         t = (lag,) * kernel.dim
-        scenario = f"lag={_number(lag)}/{settings['probe'].name}"
+        scenario = f"lag={number(lag)}/{settings['probe'].name}"
         if profile_error:
             failed_check("covariance-bound", scenario, profile_error)
             continue
@@ -462,7 +457,7 @@ def cmd_validate(parser: configparser.ConfigParser, out_dir: Path,
                      "lhs", _FMT % rep.lhs, _FMT % (rep.rhs + 3.0 * rep.se),
                      rep.passed))
         if verbose:
-            print(f"covariance bound lag={_number(lag)} {settings['probe'].name}:"
+            print(f"covariance bound lag={number(lag)} {settings['probe'].name}:"
                   f" lhs={rep.lhs:.6f} rhs={rep.rhs:.6f} se={rep.se:.6f}")
 
     _write_validation(out_dir, rows)

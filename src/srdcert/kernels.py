@@ -20,6 +20,7 @@ import numpy as np
 
 from . import levy
 from .errors import DivergentNormError, QuadratureError, RejectionError
+from .names import number
 from .quadrature import DEFAULT_ABS_TOL, Factored, integrate_box
 
 # Hard ceiling on the reach of a 1-D tail in u = log|x|: exp(80) ~ 5.5e34.
@@ -93,7 +94,9 @@ class Profile:
     so by Anderson's theorem (Proc. AMS 6, 1955) every overlap
     integral |f(t-x) f(-x)|**q dx is non-increasing along rays t = rho e,
     and its level sets are balls, so an integral of g(f(x)) is one
-    integral in the radius.
+    integral in the radius.  ``radius`` inverts phi: it maps levels
+    0 < y < ``peak`` to the radius where phi falls through y, the radius of
+    the ball {f > y}; a step has none, since its only level is its face.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -101,6 +104,12 @@ class Profile:
     center: tuple[float, ...]
     norm: float = 2.0
     step: bool = False
+    radius: Callable[[np.ndarray], np.ndarray] | None = None
+
+    @property
+    def peak(self) -> float:
+        """phi(0), the kernel's largest value."""
+        return float(self.phi(np.zeros(1))[0])
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         """phi(||x - center||) at the (n, d) points."""
@@ -206,7 +215,7 @@ def box_kernel(lo: float = 0.0, hi: float = 1.0, dim: int = 1) -> Kernel:
     return Kernel(
         dim=dim,
         support=BoundedBox((lo,) * dim, (hi,) * dim),
-        name=f"box[{lo:g},{hi:g}]^{dim}",
+        name=f"box[{number(lo)},{number(hi)}]^{dim}",
         closed_overlap=overlap,
         closed_exceedance=exceedance,
         profile=Profile(np.ones_like, length / 2.0, ((lo + hi) / 2.0,) * dim, math.inf,
@@ -222,10 +231,11 @@ def tent_kernel(half_width: float = 1.0) -> Kernel:
     return Kernel(
         dim=1,
         support=BoundedBox((-w,), (w,)),
-        name=f"tent(w={w:g})",
+        name=f"tent(w={number(w)})",
         closed_norms=lambda p: (2.0 * w / (p + 1.0)) ** (1.0 / p),
         knots=(0.0,),
-        profile=Profile(lambda r: np.maximum(1.0 - r / w, 0.0), w, (0.0,)),
+        profile=Profile(lambda r: np.maximum(1.0 - r / w, 0.0), w, (0.0,),
+                        radius=lambda y: w * (1.0 - y)),
     )
 
 
@@ -240,7 +250,8 @@ def gaussian_kernel(dim: int = 1, width: float = 1.0) -> Kernel:
         raise RejectionError("kernel-gaussian", "width must be positive")
     w = float(width)
     cut = 8.5 * w
-    profile = Profile(lambda r: np.exp(-(r / w) ** 2), cut, (0.0,) * dim)
+    profile = Profile(lambda r: np.exp(-(r / w) ** 2), cut, (0.0,) * dim,
+                      radius=lambda y: w * np.sqrt(-np.log(y)))
 
     def norm(p: float) -> float:
         return (w * math.sqrt(math.pi / p)) ** (dim / p)
@@ -254,7 +265,7 @@ def gaussian_kernel(dim: int = 1, width: float = 1.0) -> Kernel:
     return Kernel(
         dim=dim,
         support=BoundedBox((-cut,) * dim, (cut,) * dim),
-        name=f"gaussian(w={w:g})^{dim}",
+        name=f"gaussian(w={number(w)})^{dim}",
         closed_norms=norm,
         closed_overlap=overlap,
         closed_exceedance=exceedance,
@@ -276,10 +287,11 @@ def powerlaw_kernel(exponent: float, radius: float = 1.0) -> Kernel:
     return Kernel(
         dim=1,
         support=DecayEnvelope(radius=r0, exponent=beta, amplitude=r0 ** beta),
-        name=f"powerlaw(beta={beta:g},r0={r0:g})",
+        name=f"powerlaw(beta={number(beta)},r0={number(r0)})",
         closed_norms=norm,
         knots=(-r0, r0),
-        profile=Profile(lambda r: np.maximum(r / r0, 1.0) ** -beta, math.inf, (0.0,)),
+        profile=Profile(lambda r: np.maximum(r / r0, 1.0) ** -beta, math.inf, (0.0,),
+                        radius=lambda y: r0 * y ** (-1.0 / beta)),
     )
 
 
@@ -347,7 +359,7 @@ def _lp_power_integral(kernel: Kernel, p: float) -> tuple[float, float]:
 
 
 def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth=(),
-                           half: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                           half: bool = False, levels=None) -> tuple[np.ndarray, np.ndarray]:
     """P integrals, problem p giving integral g_p(f(t_1 - x), ..., f(t_m - x)) dx.
 
     ``shifts`` is a (P, m, d) array holding the shifts t_1..t_m of each
@@ -362,6 +374,14 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     and an empty intersection gives exact zeros.  The faces of the
     intersection, and the shifted 1-D knots inside it, cut every axis, so
     no interval straddles a face or knot where f may jump.
+
+    ``levels`` (P, L) holds positive kernel values of each problem where g
+    kinks or completes a period as a function of the kernel values, such
+    as the periods of 1 - cos(a s v) in v.  On a profile with a
+    ``radius`` the domain is cut wherever a shifted kernel crosses one of
+    them: at x = t_j - c +- radius(y) on the line (d = 1), c the center,
+    and at r = radius(y) in a radial pass; levels at or above the peak cut
+    nothing, and two-point problems in d >= 2 take no level cuts.
 
     ``growth`` states how g grows in the kernel values: terms
     (gamma_k, C_k), C_k a number or one value per problem, promising
@@ -400,9 +420,11 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     A problem with one shift on a profiled kernel is the integral of
     g(f(x)) over R^d, whatever the shift, and f's level sets are balls.  A
     step profile gives g(1) times the ball's measure, with error 0 and no
-    engine pass, in every dimension.  In d >= 2 the integral is one in the
-    radius, over [0, reach] with the weight d V r**(d-1), V the unit
-    ball's measure; in d = 1 it stays on the line.
+    engine pass, in every dimension.  A profile of finite reach makes it
+    one integral in the radius, over [0, reach] with the weight
+    d V r**(d-1), V the unit ball's measure (2 on the line, where a knot
+    at x is the radius |x - c|); the power law, of infinite reach, stays
+    on the line with its log tails.
 
     All problems share one ``integrate_box`` call in every dimension, at
     its default tolerances.  Returns the values (P, k) and errors (P,); a
@@ -415,16 +437,36 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     n_prob, m = sh.shape[:2]
 
     prof = kernel.profile
-    if prof is not None and m == 1 and not half:
+    # the radius of each problem's levels, inf where a level cuts nothing
+    rho = np.zeros((n_prob, 0))
+    if levels is not None and prof is not None and prof.radius is not None:
+        y, peak = np.asarray(levels, dtype=float).reshape(n_prob, -1), prof.peak
+        rho = np.where(y < peak, prof.radius(np.minimum(y, peak)), np.inf)
+    terms = [(gamma, np.zeros(n_prob) + c) for gamma, c in growth]
+    terms = [(gamma, c) for gamma, c in terms if np.any(c != 0.0)]
+    # rough where every growth term is nonzero and below v**2
+    rough = np.full(n_prob, bool(terms))
+    for gamma, c in terms:
+        rough &= (c != 0.0) & (gamma < 2.0)
+
+    if prof is not None and m == 1 and not half and math.isfinite(prof.reach):
         if prof.step:
             vals = integrand(np.ones((1, n_prob)), np.arange(n_prob))
             return vals * prof.volume(d, prof.reach), np.zeros(n_prob)
-        if d > 1:
-            shell = d * prof.volume(d)
-            radii = [0.0, prof.reach] + [r for r in kernel.knots if 0.0 < r < prof.reach]
-            return integrate_box(
-                lambda r, p: integrand(prof.phi(r.T), p) * (shell * r ** (d - 1)),
-                np.tile(np.reshape(radii, (-1, 1)), (n_prob, 1, 1)))
+        shell = d * prof.volume(d)
+        knots = np.abs(np.subtract(kernel.knots, prof.center[0])) if d == 1 else kernel.knots
+        ends = np.tile(np.append([0.0, prof.reach], knots), (n_prob, 1))
+        radii = np.concatenate((ends, rho), axis=1).clip(0.0, prof.reach)
+        # the reach is a soft face where phi ends at 0, as on the line
+        soft = np.zeros((n_prob, 2), dtype=bool)
+        soft[:, 1] = rough & (prof.phi(np.array([prof.reach]))[0] == 0.0)
+        to_radius = _graded(radii, soft) if soft.any() else lambda u, p: (u, 1.0)
+
+        def shells(u: np.ndarray, p: np.ndarray) -> np.ndarray:
+            r, jac = to_radius(u[:, 0], p)
+            return integrand(prof.phi(r)[None], p) * (shell * r ** (d - 1) * jac)[:, None]
+
+        return integrate_box(shells, radii[:, :, None])
 
     # Each problem becomes boxes, given as corner sets: the intersection of
     # the shifted boxes, or under an envelope a core with two tails
@@ -432,20 +474,21 @@ def integrate_over_support(kernel: Kernel, integrand, shifts: np.ndarray, growth
     # inside a box cut it.  owner is the problem of each box; residual bounds
     # what a problem's boxes leave out.
     knots = np.subtract.outer(sh, kernel.knots).reshape(n_prob, -1, d)
+    if d == 1 and rho.size:
+        # f(t_j - x) = phi(|t_j - c - x|) crosses level y at x = t_j - c +- rho(y)
+        at, ring = sh - prof.center[0], rho[:, None]
+        cuts = np.stack((at - ring, at + ring), axis=1).reshape(n_prob, -1, 1)
+        knots = np.concatenate((knots, cuts), axis=1)
     residual = np.zeros(n_prob)
     mid = sh[:, :, 0].mean(axis=1)
-    terms = [(gamma, np.zeros(n_prob) + c) for gamma, c in growth]
-    terms = [(gamma, c) for gamma, c in terms if np.any(c != 0.0)]
     to_line = None
     if isinstance(sup, BoundedBox):
         lo = (sh - np.asarray(sup.hi)).max(axis=1, keepdims=True)
         hi = (sh - np.asarray(sup.lo)).min(axis=1, keepdims=True)
         # at lo some f(t_j - x) is f(sup.hi), at hi some is f(sup.lo)
         soft = np.zeros((n_prob, 2), dtype=bool)
-        if d == 1 and terms:
-            # rough where the largest growth exponent in use is below 2
-            top = np.max([np.where(c != 0.0, gamma, 2.0) for gamma, c in terms], axis=0)
-            soft[:] = (top < 2.0)[:, None] & (kernel(np.array([sup.hi[0], sup.lo[0]])) == 0.0)
+        if d == 1:
+            soft[:] = rough[:, None] & (kernel(np.array([sup.hi[0], sup.lo[0]])) == 0.0)
         if half:
             soft[:, 0] &= lo[:, 0, 0] >= mid
             lo[..., 0] = np.maximum(lo[..., 0], mid[:, None])
@@ -660,29 +703,11 @@ def _support_condition(key: str, kernel: Kernel, triplet: levy.LevyTriplet, dens
 
     A Poisson atom a enters the truncation |a v| <= 1 at the kernel value
     v = 1/|a|, where the drift density jumps and the clipped moment kinks;
-    on a profiled kernel the integral is cut where f crosses those levels.
+    those are the integral's ``levels``.
     """
-    m, prof = triplet.measure, kernel.profile
-    if isinstance(m, levy.CompoundPoisson) and prof is not None and not prof.step:
-        radii = _level_radii(prof, [1.0 / abs(a) for a in m.atoms])
-        cuts = radii if kernel.dim > 1 else np.concatenate((prof.center[0] - radii,
-                                                            prof.center[0] + radii))
-        kernel = dataclasses.replace(kernel, knots=kernel.knots + tuple(cuts.tolist()))
+    m = triplet.measure
+    levels = [[1.0 / abs(a) for a in m.atoms]] if isinstance(m, levy.CompoundPoisson) else None
     val, err = integrate_over_support(
         kernel, lambda fv, _: np.where(fv.T == 0.0, 0.0, density(fv.T)),
-        np.zeros((1, 1, kernel.dim)), [(gamma, coef)])
+        np.zeros((1, 1, kernel.dim)), [(gamma, coef)], levels=levels)
     return IntegrabilityCondition(key, True, float(val[0, 0]), float(err[0]))
-
-
-def _level_radii(prof: Profile, levels) -> np.ndarray:
-    """The radii where phi falls through each level below phi(0), by
-    bisection on the non-increasing phi."""
-    levels = np.array([v for v in levels if v < prof.phi(np.zeros(1))[0]])
-    lo, hi = np.zeros(len(levels)), np.ones(len(levels))
-    while np.any(prof.phi(hi) >= levels):
-        hi = np.where(prof.phi(hi) >= levels, 2.0 * hi, hi)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        above = prof.phi(mid) >= levels
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-    return hi

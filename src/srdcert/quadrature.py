@@ -28,14 +28,15 @@ and nonnegative factors make the Kronrod sum itself integral |f|.
 :func:`integrate_box` is the one entry point, in every dimension 1..3:
 callers describe *where* the integrand lives as boxes, each the bounding
 box of a set of corner points, and *where it jumps* by further corner
-points inside it (shifted faces, kernel knots, breakpoints), at whose
-coordinates every axis is cut; they get back the k integral values plus
-an additive error estimate.  The whole bounding box is integrated, so a
-domain that is a union of boxes needs an integrand that vanishes in the
-gaps between them.  Unbounded or slowly decaying ranges, and algebraic
-endpoint singularities, are the caller's: it integrates in its own
-coordinates, u = log|x| for a power-law tail or a graded u with
-x - a ~ u**2 toward a face where the integrand behaves like
+points inside it (shifted faces, kernel knots, level cuts where a kernel
+crosses a value at which the integrand kinks or completes a period,
+breakpoints), at whose coordinates every axis is cut; they get back the k
+integral values plus an additive error estimate.  The whole bounding box
+is integrated, so a domain that is a union of boxes needs an integrand
+that vanishes in the gaps between them.  Unbounded or slowly decaying
+ranges, and algebraic endpoint singularities, are the caller's: it
+integrates in its own coordinates, u = log|x| for a power-law tail or a
+graded u with x - a ~ u**2 toward a face where the integrand behaves like
 (x - a)**(1/2) (Sidi, 1993), and bounds what its boxes leave out.
 
 Problem axis: one pass integrates many independent problems.  Each keeps
@@ -71,9 +72,10 @@ _LINE_LIMIT = 2000
 _BOX_LIMIT = 500
 # Most intervals bisected in one round.
 _ROUND_INTERVALS = 128
-# Most elements one integrand call allocates: nodes x k values, or a
-# factored value's node tables and the working set of its sums
-# (``_factored_sums``, which reports it per interval); a single interval is
+# Most elements (8 bytes each) one integrand call allocates: nodes x k
+# values and the buffer of their sums (``_expanded_sums``), or a factored
+# value's node tables and the working set of its sums (``_factored_sums``);
+# both report it per interval, and a single interval is
 # evaluated whole even when it exceeds this.  Also the most values (halves
 # x k) that one group of a round's problems returns.
 _CHUNK_ELEMENTS = 2 ** 16
@@ -201,13 +203,21 @@ class Factored:
 def _expanded_sums(fv: np.ndarray, m: int):
     """Kronrod sums, Gauss sums, QUADPACK dispersions sum kappa |f - s_k/2|
     and Kronrod sums of |f| of an (m 21, k) value, each (m, k), and the
-    elements one interval allocates."""
-    fv = fv.reshape(m, 21, fv.shape[-1])
+    elements one interval allocates: the value and one real buffer of its
+    shape, which takes |f| and then |f - s_k/2|, and the sums.  A complex
+    value counts twice, and its difference f - s_k/2 takes a complex
+    buffer of its own."""
+    k = fv.shape[-1]
+    fv = fv.reshape(m, 21, k)
     s_k = _K21_WEIGHTS @ fv
     s_g = _G10_WEIGHTS @ fv[:, 1::2]
-    s_abs = _K21_WEIGHTS @ np.abs(fv)
-    disp = _K21_WEIGHTS @ np.abs(fv - 0.5 * s_k[:, None])
-    return s_k, s_g, disp, s_abs, fv[0].size
+    buf = np.abs(fv)
+    s_abs = _K21_WEIGHTS @ buf
+    width = 2 if fv.dtype.kind == "c" else 1
+    diff = np.subtract(fv, 0.5 * s_k[:, None], out=None if width == 2 else buf)
+    disp = _K21_WEIGHTS @ np.abs(diff, out=buf)
+    # s_k, s_g and s_k/2 in the value's type, s_abs and disp real
+    return s_k, s_g, disp, s_abs, 21 * k * (3 * width - 1) + k * (3 * width + 2)
 
 
 def _factored_sums(fv: Factored, m: int):
@@ -353,8 +363,9 @@ def _adaptive(func, prob: np.ndarray, lo: np.ndarray, hi: np.ndarray, abs_tol: f
         mid = 0.5 * (a + b)
         n, m = len(prob), len(picked)
         if n + m > len(val):
-            # the values, k per interval, grow in place by doubling
-            val = np.concatenate((val[:n], np.empty((n + m, val.shape[1]), dtype=val.dtype)))
+            # the values, k per interval, grow by half again: doubling would
+            # allocate twice the pieces of a pass that starts from many (level cuts)
+            val = np.concatenate((val[:n], np.empty((n // 2 + m, val.shape[1]), dtype=val.dtype)))
         right_err = []
         for g in _groups(pp, _CHUNK_ELEMENTS // (2 * val.shape[1])):
             at, gp, gm = picked[g], pp[g], mid[g]

@@ -21,6 +21,7 @@ from . import levy
 from .certify import frequency_integral
 from .errors import RejectionError
 from .kernels import BoundedBox, Kernel
+from .names import number
 from .spectral import (
     SpectralProfile,
     cross_integrals,
@@ -75,7 +76,7 @@ class ProbeMeasure:
 
 
 def point_mass(u: float = 0.0) -> ProbeMeasure:
-    return ProbeMeasure((u,), (1.0,), name=f"point({u:g})")
+    return ProbeMeasure((u,), (1.0,), name=f"point({number(u)})")
 
 
 def finite_discrete(points: tuple[float, ...]) -> ProbeMeasure:

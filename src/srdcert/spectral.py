@@ -37,6 +37,10 @@ RATIO_BLOCK = 32
 # ends, so the pass's intervals, not its rounds, set the peak memory:
 # on the mixed benchmark 4 lags cost +5.6 % peak RSS, 16 lags +12 %.
 GRID_LAGS = 4
+# Poisson level cuts (``_levels``): periods of the fastest atom per piece,
+# and the most levels of one problem.
+LEVEL_PERIODS = 4
+MAX_LEVELS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +52,27 @@ def _growth(triplet: levy.LevyTriplet, scale, re: float = 1.0, im: float = 0.0) 
     gamma, coef = levy.small_signal_bound(triplet)
     return [(gamma, re * coef * scale ** gamma),
             (1.0, im * levy.im_linear_coef(triplet) * scale)]
+
+
+def _levels(kernel: Kernel, triplet: levy.LevyTriplet, scale) -> np.ndarray | None:
+    """Kernel levels that cut each problem of a compound-Poisson pass, or None.
+
+    1 - cos(a s v) completes a period every 2 pi / (|a| s) in the kernel
+    value v, so at a problem's top frequency ``scale`` the levels are
+    LEVEL_PERIODS periods of the fastest atom apart, from that spacing up
+    to the kernel's peak; past MAX_LEVELS levels the spacing widens to
+    peak / MAX_LEVELS, which keeps a problem's pieces well inside the
+    engine's interval limit.
+    """
+    if not isinstance(triplet.measure, levy.CompoundPoisson) or kernel.profile is None:
+        return None
+    peak = kernel.profile.peak
+    fastest = max(abs(a) for a in triplet.measure.atoms)
+    with np.errstate(divide="ignore"):
+        gap = 2.0 * math.pi * LEVEL_PERIODS / (fastest * np.asarray(scale, dtype=float))
+    gap = np.maximum(gap, peak / MAX_LEVELS)
+    count = int(np.max(np.ceil(peak / gap), initial=1)) - 1
+    return np.multiply.outer(gap, np.arange(1, count + 1)) if count else None
 
 
 def separable_exponent(kernel: Kernel, triplet: levy.LevyTriplet) -> float | None:
@@ -63,7 +88,8 @@ def _marginal_pass(kernel: Kernel, triplet: levy.LevyTriplet, s: np.ndarray, cum
     """integral cumulant(triplet, s_p f(-x)) dx, frequency p as problem p of one pass."""
     return integrate_over_support(
         kernel, lambda fv, p: cumulant(triplet, (fv[0] * s[p])[:, None]),
-        np.zeros((len(s), 1, kernel.dim)), _growth(triplet, np.abs(s), im=im))
+        np.zeros((len(s), 1, kernel.dim)), _growth(triplet, np.abs(s), im=im),
+        levels=_levels(kernel, triplet, np.abs(s)))
 
 
 def marginal_exponent_grid(kernel: Kernel, triplet: levy.LevyTriplet,
@@ -145,8 +171,9 @@ def _numerators(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
     s = np.concatenate((s1, s2), axis=1)
 
     def integrand(fv: np.ndarray, p: np.ndarray) -> Factored:
-        # one cumulant call for both factors
-        v = np.sqrt(levy.cumulant_re(triplet, np.repeat(fv, (n1, n2), axis=0).T * s[p]))
+        # one cumulant call for both factors, its fresh array rooted in place
+        v = levy.cumulant_re(triplet, np.repeat(fv, (n1, n2), axis=0).T * s[p])
+        np.sqrt(v, out=v)
         return Factored(v[:, :n1], v[:, n1:], cols, mirror)
 
     shifts = np.stack([lags, np.zeros_like(lags)], axis=1)
@@ -154,7 +181,7 @@ def _numerators(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
     # the symmetrised integrand is a sum of two products
     vals, err = integrate_over_support(kernel, integrand, shifts,
                                        _growth(triplet, scale, re=2.0 if mirror else 1.0),
-                                       half=mirror)
+                                       half=mirror, levels=_levels(kernel, triplet, scale))
     out = np.empty((len(lags), n1, n2))
     out[:, ii, jj] = vals
     if mirror:
@@ -195,8 +222,9 @@ def cross_integrals(kernel: Kernel, triplet: levy.LevyTriplet, lags: np.ndarray,
 
     shifts = np.stack([lags, np.zeros_like(lags)], axis=1)
     # |K(a + b) - K(a) - K(b)| <= 2 sqrt(Re K(a) Re K(b)), twice the numerator
-    growth = _growth(triplet, np.maximum(np.abs(s1), np.abs(s2)), re=3.0)
-    vals, _ = integrate_over_support(kernel, integrand, shifts, growth)
+    scale = np.maximum(np.abs(s1), np.abs(s2))
+    vals, _ = integrate_over_support(kernel, integrand, shifts, _growth(triplet, scale, re=3.0),
+                                     levels=_levels(kernel, triplet, scale))
     return vals[:, 0], vals[:, 1].real
 
 

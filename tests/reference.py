@@ -101,6 +101,26 @@ def ulp_distance(a, b):
     return np.abs(ia - ib)
 
 
+def cumulant_re(triplet, s):
+    """Re K(s) of a compound-Poisson triplet as levy.cumulant_re wrote it
+    before it filled its arrays in place: each sum a fresh array."""
+    s_arr = np.abs(np.atleast_1d(np.asarray(s, dtype=float)))
+    out = sum((c * s_arr ** gamma for c, gamma in levy._power_parts(triplet)),
+              np.zeros_like(s_arr))
+    m = triplet.measure
+    jumps = np.zeros_like(s_arr)
+    for a, w in zip(m.atoms, m.weights):
+        jumps += w * levy._one_minus_cos(a * s_arr)
+    return np.maximum(out + m.rate * jumps, 0.0)
+
+
+def z_minus_sin(z):
+    """z - sin z as math.fsum of its first 30 Taylor terms
+    (-1)**k z**(2k+3) / (2k+3)!, each rounded once; for |z| <= 3 the
+    omitted terms are below 1e-60."""
+    return math.fsum((-1) ** k * z ** (2 * k + 3) / math.factorial(2 * k + 3) for k in range(30))
+
+
 # The per-type moment formulas of levy before they were stated once as
 # levy._moment; the tests pin the moment law against them.
 

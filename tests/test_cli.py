@@ -282,6 +282,18 @@ def test_sweep_all_certified(tmp_path):
     assert all(r["verdict"] == "certified-SRD" for r in rows)
 
 
+def test_sweep_spells_close_values_apart(tmp_path, capsys):
+    """alpha = 1.0000001 and 1.0000002 both read 1 under ``:g``: the printed
+    lines and the certificate rows spell each value so that it reads back."""
+    body = EXAMPLE + "\n[sweep]\nparameter = triplet.alpha\nvalues = 1.0000001, 1.0000002\n"
+    out = tmp_path / "out"
+    assert main(["sweep", str(write_cfg(tmp_path, body)), "--output", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "triplet.alpha=1.0000001: certified-SRD", "triplet.alpha=1.0000002: certified-SRD"]
+    assert [r["integrator"] for r in read_certificate(out)] == [
+        "stable(alpha=1.0000001)", "stable(alpha=1.0000002)"]
+
+
 def test_sweep_mixed_verdicts_exit2(tmp_path):
     body = COUNTER + "\n[sweep]\nparameter = kernel.exponent\nvalues = 1.5, 3.0\n"
     cfg = write_cfg(tmp_path, body)

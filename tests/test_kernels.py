@@ -311,6 +311,64 @@ class TestIntegrateOverSupport:
         np.testing.assert_array_equal(corners, np.tile([[0.0], [8.5 * 0.8]], (2, 1, 1)))
         assert np.all(np.abs(vals[:, 0] - (0.8 * math.sqrt(math.pi / 2.0)) ** dim) <= errs)
 
+    @pytest.mark.parametrize("kern, square", [
+        (tent_kernel(), 2.0 / 3.0),
+        (gaussian_kernel(1, 0.8), 0.8 * math.sqrt(math.pi / 2.0)),
+    ], ids=["tent", "gaussian"])
+    def test_one_dimensional_profile_is_one_pass_in_the_radius(self, monkeypatch, kern, square):
+        # 2 integral_0^reach g(phi(r)) dr; the tent's knot 0 is its center, radius 0
+        vals, errs, corners = self.boxes(
+            monkeypatch, kern, lambda fv, _: fv.T ** 2, np.zeros((2, 1, 1)))
+        np.testing.assert_array_equal(np.unique(corners), [0.0, kern.profile.reach])
+        assert np.all(np.abs(vals[:, 0] - square) <= errs)
+
+    def test_radial_pass_grades_a_soft_reach(self, monkeypatch):
+        """The tent's phi ends at 0 on its reach: under a stable part the
+        single-point pass grades the piece toward it, and the integral of
+        f**0.7 agrees with 2 / 1.7."""
+        graded, grade = [], kernels._graded
+        monkeypatch.setattr(kernels, "_graded", lambda *a: graded.append(a) or grade(*a))
+        vals, errs = integrate_over_support(
+            tent_kernel(), lambda fv, _: fv.T ** 0.7, np.zeros((1, 1, 1)), [(0.7, 1.0)])
+        (edges, soft), = graded
+        assert soft.tolist() == [[False, True]]
+        assert abs(vals[0, 0] - 2.0 / 1.7) <= errs[0] + 1e-15
+
+    @pytest.mark.parametrize("make", [
+        tent_kernel, lambda: gaussian_kernel(1, 0.8), lambda: gaussian_kernel(2, 0.8),
+        lambda: powerlaw_kernel(3.0, 0.5),
+    ], ids=["tent", "gaussian", "gaussian-2d", "powerlaw"])
+    def test_profile_radius_inverts_phi(self, make):
+        prof = make().profile
+        y = np.linspace(0.01, 0.99, 99)
+        assert prof.peak == 1.0
+        np.testing.assert_allclose(prof.phi(prof.radius(y)), y, rtol=1e-13)
+
+    def test_levels_cut_the_line_where_a_shifted_kernel_crosses_them(self, monkeypatch):
+        # the tent's shifts 0.4 and 0 overlap on [-0.6, 1]; f(t - x) crosses
+        # level y at x = t +- (1 - y), and level 2 lies above the peak
+        integrand = lambda fv, _: (fv[0] * fv[1])[:, None]
+        shifts = np.array([[[0.4], [0.0]]])
+        vals, errs, corners = self.boxes(monkeypatch, tent_kernel(), integrand, shifts,
+                                         levels=[[0.25, 0.5, 2.0]])
+        np.testing.assert_allclose(
+            np.unique(corners), [-0.6, -0.5, -0.35, -0.1, 0.0, 0.4, 0.5, 0.75, 0.9, 1.0],
+            rtol=0.0, atol=1e-15)
+        plain, plain_err = integrate_over_support(tent_kernel(), integrand, shifts)
+        assert abs(vals[0, 0] - plain[0, 0]) <= errs[0] + plain_err[0]
+
+    def test_levels_cut_a_radial_pass_at_their_radii(self, monkeypatch):
+        # the 2-D Gaussian exp(-|x/w|^2) falls through y at w sqrt(ln 1/y)
+        w = 0.8
+        vals, errs, corners = self.boxes(
+            monkeypatch, gaussian_kernel(2, w), lambda fv, _: fv.T ** 2, np.zeros((1, 1, 2)),
+            levels=[[0.5, 0.1, 1.5]])
+        np.testing.assert_allclose(
+            np.unique(corners),
+            [0.0, w * math.sqrt(math.log(2.0)), w * math.sqrt(math.log(10.0)), 8.5 * w],
+            rtol=1e-15)
+        assert abs(vals[0, 0] - math.pi * w * w / 2.0) <= errs[0]
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("lag", [0.0, 0.7, 1.3])
     def test_soft_face_integrand_matches_quad(self, monkeypatch, alpha, lag):
@@ -433,6 +491,17 @@ class TestIntegrability:
         report = check_integrability(gaussian_kernel(dim=2), trip)
         drift = {c.key: c for c in report.conditions}["drift"]
         assert abs(drift.value - 0.8 * math.pi) <= drift.error < 1e-11
+
+    def test_truncation_levels_cut_the_tent_in_the_radius(self, monkeypatch):
+        """Atom 2 enters the truncation where f = 1/2, at radius 1/2, and
+        atom -0.5 where f = 2, above the peak.  The clipped moment
+        2 (0.6 int (f/2)**2 + 0.4 int min(1, (2 f)**2)) is 19/15."""
+        calls = count_engine_passes(monkeypatch)
+        trip = poisson_triplet(2.0, atoms=(-0.5, 2.0), weights=(0.6, 0.4), a0=0.5)
+        report = check_integrability(tent_kernel(), trip)
+        assert [np.unique(c).tolist() for c in calls] == [[0.0, 0.5, 1.0]] * 2
+        jumps = {c.key: c for c in report.conditions}["jumps"]
+        assert abs(jumps.value - 19.0 / 15.0) <= jumps.error + 1e-15
 
     def test_drift_divergence_flagged(self):
         trip = stable_triplet(1.0, a0=1.0)

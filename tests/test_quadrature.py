@@ -590,6 +590,24 @@ def test_factored_size_is_what_an_interval_allocates(n, mirror):
     assert 0.9 * size * m <= peak <= size * m + 8192 + 2048, (peak, size * m)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_expanded_size_is_what_an_interval_allocates(dtype):
+    """The size _expanded_sums reports for one interval of 2000 columns
+    bounds the traced peak of building the value and its sums, beyond one
+    numpy buffer of 8192 values and the array headers, and overstates it
+    by at most a tenth.  |f| and then |f - s_k/2| share one buffer."""
+    rng = np.random.default_rng(2)
+    tracemalloc.start()
+    try:
+        fv = rng.random((21, 2000)).astype(dtype)
+        size = quadrature._expanded_sums(fv, 1)[-1]
+        peak = tracemalloc.get_traced_memory()[1] / 8
+    finally:
+        tracemalloc.stop()
+    width = np.dtype(dtype).itemsize // 8
+    assert 0.9 * size <= peak <= size + 8192 * width + 2048, (peak, size)
+
+
 def test_factored_dispersion_is_never_below_quadpacks():
     """By Cauchy-Schwarz (the Kronrod weights sum to 2) the L2 dispersion of a
     factored value is at least QUADPACK's dispersion of its columns."""
